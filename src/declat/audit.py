@@ -26,8 +26,8 @@ import numpy as np
 from scipy import sparse
 
 from .dual import DualComplex
-from .exact import integer_rank
-from .mesh import SimplicialComplex, classify_boundary
+from .exact import certify_ranks
+from .mesh import _TET_FACE_SLOTS, SimplicialComplex, classify_boundary
 
 __all__ = [
     "AuditCheck",
@@ -145,20 +145,29 @@ def audit_first_kind(
             detail=f"worst entry at {where}" if worst else "",
         )
 
-    # Cohomology capture: incidence ranks versus an independent component
-    # count (degree 0) and the requested topology (degrees 1, 2).
-    ranks = [integer_rank(C[p]) for p in range(3)]
-    n = [complex.n_simplices(p) for p in range(4)]
-    b = (n[0] - ranks[0], n[1] - ranks[0] - ranks[1], n[2] - ranks[1] - ranks[2])
+    # Cohomology capture: certified incidence ranks versus an independent
+    # component count (degree 0) and the requested topology (degrees 1, 2).
+    cert = certify_ranks(C[0], C[1], C[2])
+    b = cert.betti
+    uncertified = [f"r{p} {r.status}" for p, r in enumerate(cert.ranks) if not r.certified]
+    if uncertified:
+        section.add(
+            "incidence ranks certified",
+            len(uncertified),
+            0,
+            False,
+            detail="; ".join(uncertified),
+        )
     components = complex.vertex_components()
-    section.add(
-        "cohomology b0 vs component count",
-        abs(b[0] - components),
-        0,
-        b[0] == components,
-        detail=f"b0={b[0]} components={components}",
-    )
-    if expected_betti is not None:
+    if b[0] is not None:
+        section.add(
+            "cohomology b0 vs component count",
+            abs(b[0] - components),
+            0,
+            b[0] == components,
+            detail=f"b0={b[0]} components={components}",
+        )
+    if expected_betti is not None and None not in b:
         dev = max(abs(b[i] - expected_betti[i]) for i in range(3))
         section.add(
             "cohomology dimensions vs expected",
@@ -230,28 +239,17 @@ def audit_second_kind(
 
 def _dihedral_extremes(complex: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
     """Min and max dihedral angle (radians) per tet."""
-    verts = complex.vertices
-    mins = np.zeros(complex.n_tets)
-    maxs = np.zeros(complex.n_tets)
-    for t, tet in enumerate(complex.tets):
-        pts = verts[tet]
-        normals = []
-        for k in range(4):
-            tri = np.delete(np.arange(4), k)
-            a, b, c = pts[tri]
-            nrm = np.cross(b - a, c - a)
-            inward = pts[k] - a
-            if nrm @ inward > 0:
-                nrm = -nrm
-            normals.append(nrm / np.linalg.norm(nrm))
-        angles = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                cosang = np.clip(-(normals[i] @ normals[j]), -1.0, 1.0)
-                angles.append(np.arccos(cosang))
-        mins[t] = min(angles)
-        maxs[t] = max(angles)
-    return mins, maxs
+    pts = complex.vertices[complex.tets]  # (M, 4, 3)
+    # Face k is the triangle opposite vertex k; orient its normal outward.
+    a, b, c = (pts[:, _TET_FACE_SLOTS[:, i]] for i in range(3))
+    normals = np.cross(b - a, c - a)
+    inward = np.einsum("mkd,mkd->mk", normals, pts - a) > 0
+    normals[inward] *= -1.0
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    i, j = np.triu_indices(4, 1)
+    cosang = np.clip(-np.einsum("mpd,mpd->mp", normals[:, i], normals[:, j]), -1.0, 1.0)
+    angles = np.arccos(cosang)
+    return angles.min(axis=1), angles.max(axis=1)
 
 
 def audit_hodge(

@@ -13,11 +13,12 @@ recovered).  The two counts agree on every accepted mesh, handles
 included, and equal the rank of the reduced face/edge incidence matrix,
 which is also the number of nonzero curl-curl eigenvalues.
 
-Ranks are certified exactly: a union-find argument pins the gradient
-dimension over every field, the orientation relation bounds the tet/face
-rank, and a GF(2) rank that meets its bound pins the rational rank (the
-GF(2) value can only undershoot).  When a bound is not met, the audit
-falls back to fraction-free integer elimination at desk scale.
+Ranks of the boundary-reduced incidence matrices come from
+:func:`declat.exact.certify_ranks`: graph components pin the gradient and
+tet/face ranks exactly, and a GF(2) rank (which can only undershoot) that
+meets a chain-complex upper bound pins the curl rank.  A rank whose
+bounds do not meet is reported as its proved lower bound, with
+``rank_certified`` False and a note naming the bound that failed.
 """
 
 from __future__ import annotations
@@ -25,20 +26,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .exact import gf2_rank, grounded_components, integer_rank
+from .exact import certify_ranks, grounded_components
 from .mesh import (
     BoundaryClassification,
     SimplicialComplex,
-    betti_numbers,
     classify_boundary,
     euler_audit,
 )
 
 __all__ = ["DofReport", "dof_audit", "CorrespondenceTable", "hodge_correspondence"]
-
-_DESK_SCALE = 1200  # above this many columns, skip Bareiss fallbacks
 
 
 @dataclass
@@ -114,28 +110,19 @@ def dof_audit(
         cx.n_vertices, cx.edges, cls.interior_vertices, cls.interior_edges
     )
     if not grounded:
-        notes.append(f"{floating} interior components never reach the boundary")
+        notes.append(f"{floating} interior vertices never reach the boundary")
 
-    C1_red = cx.incidence(1)[cls.interior_faces][:, cls.interior_edges]
-    C2_red = cx.incidence(2)[:, cls.interior_faces]
+    cert = certify_ranks(
+        *(cx.incidence(p) for p in range(3)),
+        interior=(cls.interior_vertices, cls.interior_edges, cls.interior_faces),
+    )
+    for p, name in enumerate(("gradient", "curl", "divergence")):
+        if not cert.ranks[p].certified:
+            notes.append(f"{name} rank {cert.ranks[p].status} "
+                         f"(lower bound {cert.ranks[p].lower} used)")
+    rank0, rank1, rank2 = (r.lower for r in cert.ranks)
 
-    rank1 = gf2_rank(C1_red)
-    bound1 = n1h - n0h
-    certified1 = grounded and rank1 == bound1
-    if not certified1 and n1h <= _DESK_SCALE:
-        rank1 = integer_rank(C1_red)
-        certified1 = True
-        notes.append("curl rank from fraction-free integer elimination")
-
-    rank2 = gf2_rank(C2_red)
-    bound2 = npp - 1
-    certified2 = rank2 == bound2  # orientation relation caps the rank
-    if not certified2 and n2h <= _DESK_SCALE:
-        rank2 = integer_rank(C2_red)
-        certified2 = True
-        notes.append("divergence rank from fraction-free integer elimination")
-
-    h1 = bound1 - rank1 if grounded else max(bound1 - rank1, 0)
+    h1 = n1h - rank0 - rank1
     h2 = (n2h - rank2) - rank1
     theta_E = n1h - n0h - h1
     theta_B = n2h - (npp - 1) - h2
@@ -179,7 +166,7 @@ def dof_audit(
         theta_E=theta_E,
         theta_B=theta_B,
         rank_curl=rank1,
-        rank_certified=certified1 and certified2,
+        rank_certified=cert.certified,
         euler_combined=er.combined,
         identities=identities,
         # The closed-lattice shorthand N_E - N_V differs from the interior
@@ -222,16 +209,18 @@ class CorrespondenceTable:
 
 
 def hodge_correspondence(complex: SimplicialComplex) -> CorrespondenceTable:
-    """Decompose the full (unreduced) edge count by exact integer ranks.
+    """Decompose the full (unreduced) edge count by certified ranks.
 
     Edges split as gradients (rank of the node/edge incidence), coexact
     images (rank of the edge/face incidence), and harmonic cochains (first
     Betti number); the three dimensions always rebalance the edge count.
+    Raises ValueError naming the failed bound when a rank cannot be
+    certified.
     """
     cx = complex
-    rank0 = integer_rank(cx.incidence(0))
-    rank1 = integer_rank(cx.incidence(1))
-    b = betti_numbers(cx)
+    cert = certify_ranks(*(cx.incidence(p) for p in range(3)))
+    rank0, rank1, _ = cert.require()
+    b = cert.betti
     return CorrespondenceTable(
         n_edges=cx.n_edges,
         gradient_dim=rank0,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .exact import integer_rank
+from .exact import certify_ranks, graph_components
 
 __all__ = [
     "MeshError",
@@ -80,7 +80,8 @@ class SimplicialComplex:
     vertices : (N, 3) float array of vertex coordinates.
     tets : (M, 4) int array of vertex indices; duplicates are merged, each
         tet is re-signed to positive volume, and degenerate (zero-volume)
-        tets are rejected.
+        tets and folds (two tets on the same side of a shared face) are
+        rejected.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
@@ -125,6 +126,7 @@ class SimplicialComplex:
         self.tet_faces = face_inv.reshape(-1, 4)
 
         self._incidence = [self._build_c0(), self._build_c1(), self._build_c2()]
+        self._reject_folds()
         self._face_tets = None
         self._edge_tets = None
 
@@ -201,6 +203,20 @@ class SimplicialComplex:
         self.tet_face_signs = signs.reshape(nt, 4)
         return sparse.csr_matrix((signs, (rows, fidx)), shape=(nt, self.n_faces))
 
+    def _reject_folds(self) -> None:
+        # Two tets on opposite sides of a face see it with opposite signs,
+        # so a C2 column summing to +-2 is a pair on the same side.
+        col_sum = np.bincount(self.tet_faces.ravel(), weights=self.tet_face_signs.ravel(),
+                              minlength=self.n_faces)
+        folded = np.flatnonzero(np.abs(col_sum) == 2)
+        if len(folded):
+            f = int(folded[0])
+            t, _ = np.nonzero((self.tet_faces == f) & (self.tet_face_signs == np.sign(col_sum[f])))
+            raise MeshError(
+                f"folded tets {self.tets[t[0]].tolist()} and {self.tets[t[1]].tolist()} "
+                f"lie on the same side of face {self.faces[f].tolist()}"
+            )
+
     def _lookup_edges(self, pairs: np.ndarray) -> np.ndarray:
         keys = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
         want = pairs[:, 0] * self.n_vertices + pairs[:, 1]
@@ -253,20 +269,8 @@ class SimplicialComplex:
         return neigh
 
     def vertex_components(self) -> int:
-        """Number of connected components of the edge graph (union-find)."""
-        parent = np.arange(self.n_vertices)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(self.n_vertices)})
+        """Number of connected components of the edge graph."""
+        return graph_components(self.n_vertices, self.edges[:, 0], self.edges[:, 1])[0]
 
 
 @dataclass(frozen=True)
@@ -318,17 +322,16 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
 
 
 def betti_numbers(complex: SimplicialComplex) -> tuple[int, int, int]:
-    """(b0, b1, b2) via exact integer ranks of the boundary matrices.
+    """(b0, b1, b2) from certified ranks of the incidence matrices.
 
-    Ranks are computed with fraction-free (Bareiss) elimination, so there
-    is no floating-point rank tolerance.  Intended for desk-scale meshes.
+    Ranks come from :func:`declat.exact.certify_ranks` (graph components
+    and GF(2) rank against chain-complex bounds), exact over Q with no
+    floating-point tolerance and near-linear in the mesh size.  Raises
+    ValueError naming the failed bound when a rank cannot be certified.
     """
-    ranks = [integer_rank(complex.incidence(p)) for p in range(3)]
-    n = [complex.n_simplices(p) for p in range(4)]
-    b0 = n[0] - ranks[0]
-    b1 = n[1] - ranks[0] - ranks[1]
-    b2 = n[2] - ranks[1] - ranks[2]
-    return (b0, b1, b2)
+    cert = certify_ranks(*(complex.incidence(p) for p in range(3)))
+    cert.require()
+    return cert.betti
 
 
 @dataclass(frozen=True)
@@ -363,7 +366,7 @@ def euler_audit(
 ) -> EulerReport:
     """Evaluate the three polyhedron identities on a connected mesh.
 
-    ``genus`` defaults to b1 computed by exact integer rank.
+    ``genus`` defaults to b1 from :func:`betti_numbers` (certified ranks).
     """
     if genus is None:
         genus = betti_numbers(complex)[1]

@@ -3,7 +3,8 @@
 Everything here is implemented from scratch, on purpose: skeleton
 enumeration by set algebra, simplex quadrature by a conical-product rule
 built from Gauss-Jacobi roots, its own barycentric-gradient evaluation,
-and a layered 1D transfer-matrix model for absorbing-layer reflection.
+a layered 1D transfer-matrix model for absorbing-layer reflection, and
+tet-at-a-time dihedral angles.
 None of it shares code paths with the package.
 """
 
@@ -148,3 +149,29 @@ def transfer_matrix_reflection(
         phase = np.exp(2j * kz * s * dz)
         refl = refl * phase  # same impedance: pure propagation, no partials
     return abs(refl)
+
+
+def dihedral_extremes_loop(vertices, tets) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max dihedral angle (radians) per tet, one tet at a time."""
+    verts = np.asarray(vertices, dtype=float)
+    mins = np.zeros(len(tets))
+    maxs = np.zeros(len(tets))
+    for t, tet in enumerate(tets):
+        pts = verts[tet]
+        normals = []
+        for k in range(4):
+            tri = np.delete(np.arange(4), k)
+            a, b, c = pts[tri]
+            nrm = np.cross(b - a, c - a)
+            inward = pts[k] - a
+            if nrm @ inward > 0:
+                nrm = -nrm
+            normals.append(nrm / np.linalg.norm(nrm))
+        angles = []
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cosang = np.clip(-(normals[i] @ normals[j]), -1.0, 1.0)
+                angles.append(np.arccos(cosang))
+        mins[t] = min(angles)
+        maxs[t] = max(angles)
+    return mins, maxs

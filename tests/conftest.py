@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from declat import generators
 from declat.mesh import classify_boundary
 from declat.whitney import WhitneyBasis
+
+# Fixed examples and no per-example deadline: the suite stays
+# deterministic on hosts whose speed varies between runs.
+settings.register_profile("declat", derandomize=True, deadline=None, database=None)
+settings.load_profile("declat")
 
 
 @pytest.fixture(scope="session")

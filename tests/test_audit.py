@@ -4,6 +4,7 @@ from scipy import sparse
 
 from declat import generators
 from declat.audit import (
+    _dihedral_extremes,
     audit_first_kind,
     audit_hodge,
     audit_second_kind,
@@ -11,6 +12,8 @@ from declat.audit import (
 )
 from declat.dual import DualComplex
 from declat.hodge import MaterialMap, assemble_hodge
+
+from _oracles import dihedral_extremes_loop
 
 
 class TestFirstKind:
@@ -100,6 +103,13 @@ class TestHodgeSection:
         failing = [c for c in section.checks if not c.passed]
         assert failing
         assert any("worst cells" in c.detail for c in failing)
+
+    def test_dihedral_extremes_match_loop(self, jittered3, annulus8):
+        for mesh in (jittered3, annulus8):
+            got = _dihedral_extremes(mesh)
+            want = dihedral_extremes_loop(mesh.vertices, mesh.tets)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_sliver_conditioning_tracks_shape(self):
         # Flatter cells push the smallest eigenvalue down.

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from declat import generators
+from declat import exact, generators
 from declat.dof import dof_audit, hodge_correspondence
 from declat.hodge import MaterialMap
 from declat.maxwell import apply_pec, eigenmodes
-from declat.mesh import SimplicialComplex, classify_boundary
+from declat.mesh import SimplicialComplex, betti_numbers, classify_boundary
 
 
 class TestDofAudit:
@@ -57,6 +57,29 @@ class TestDofAudit:
         mesh = SimplicialComplex(verts, tets)
         with pytest.raises(ValueError, match="connected"):
             dof_audit(mesh)
+
+    def test_tunnel_and_cavity_certified(self):
+        # A tunnel (b1 = 1) and a cavity (b2 = 1) in one box: the reduced
+        # curl rank needs the cavity's relative 1-cocycle witness.
+        box = generators.box_mesh(5)
+        cell = np.floor(5 * box.vertices[box.tets].mean(axis=1))
+        tunnel = (cell[:, 0] == 1) & (cell[:, 1] == 1)
+        cavity = np.all(cell == [3, 3, 2], axis=1)
+        mesh = SimplicialComplex(box.vertices, box.tets[~(tunnel | cavity)])
+        assert betti_numbers(mesh) == (1, 1, 1)
+        rep = dof_audit(mesh)
+        assert rep.rank_certified and not rep.notes
+        assert (rep.harmonic_1, rep.harmonic_2) == (1, 1)
+        assert rep.theta_E == rep.theta_B == rep.rank_curl
+
+    def test_uncertified_rank_is_noted(self, kuhn, monkeypatch):
+        # A lower bound one short of the rank leaves the curl rank open.
+        gf2_rank = exact.gf2_rank
+        monkeypatch.setattr(exact, "gf2_rank", lambda mat: gf2_rank(mat) - 1)
+        rep = dof_audit(kuhn)
+        assert not rep.rank_certified
+        assert [n for n in rep.notes if n.startswith("curl rank uncertified")
+                and "N_E - r0" in n and "N_F - r2" in n]
 
     def test_edge_node_gap_reported(self, kuhn):
         rep = dof_audit(kuhn)

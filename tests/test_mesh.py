@@ -52,6 +52,18 @@ def test_duplicate_tets_merged(single_tet):
     assert doubled.n_tets == 1
 
 
+def test_folded_pair_rejected():
+    # Both apexes lie above face (0, 1, 2): the two tets overlap there.
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.2, 0.2, 0.5]], dtype=float
+    )
+    with pytest.raises(MeshError, match="folded") as err:
+        SimplicialComplex(verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4]]))
+    msg = str(err.value)
+    assert "face [0, 1, 2]" in msg
+    assert "[0, 1, 2, 3]" in msg and "[0, 1, 2, 4]" in msg
+
+
 def test_parse_and_roundtrip(tmp_path, kuhn):
     path = tmp_path / "kuhn.mesh"
     write_mesh(kuhn, path)
