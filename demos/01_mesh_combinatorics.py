@@ -2,7 +2,7 @@
 
 Everything in this demo is integer arithmetic: incidence matrices with
 entries in {-1, 0, +1}, the nilpotency of the boundary operator, the
-polyhedron-formula identities, and Betti numbers from fraction-free ranks.
+polyhedron-formula identities, and Betti numbers from certified ranks.
 """
 
 import numpy as np
@@ -33,9 +33,9 @@ for name, mesh in meshes.items():
     b = betti_numbers(mesh)
     print(f"  Betti numbers (exact ranks): {b}")
 
-    euler = euler_audit(mesh, cls, genus=b[1])
+    euler = euler_audit(mesh, cls, genus=b[1], cavities=b[2])
     print(f"  bulk identity     {euler.bulk[0]} == {euler.bulk[1]}")
     print(f"  boundary identity {euler.boundary[0]} == {euler.boundary[1]}")
     print(f"  combined identity {euler.combined[0]} == {euler.combined[1]} "
-          f"(genus {euler.genus})")
+          f"(genus {euler.genus}, cavities {euler.cavities})")
     assert euler.passed

@@ -21,7 +21,7 @@ from .mesh import (
     parse_mesh,
     write_mesh,
 )
-from .dual import DualComplex, barycentric_dual
+from .dual import DualComplex
 from .whitney import (
     AnalyticForm,
     BarycentricPoint,

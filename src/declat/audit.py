@@ -187,52 +187,45 @@ def audit_second_kind(
     """Interior transpose reciprocity between primal and dual derivatives.
 
     The dual edge/face structure is re-derived from the subdivision
-    geometry of the dual cells; the supplied (or default, transposed)
-    dual incidence must match it entry for entry on interior elements.
-    Boundary elements are excluded and counted.
+    geometry of the dual cells and must match the incidence pattern on
+    interior elements.  A supplied ``dual_incidence`` must also equal the
+    transposed primal incidence entry for entry there (the library's own
+    dual incidence is that transpose by construction).  Boundary elements
+    are excluded and counted.
     """
     section = AuditSection("pre-metric second kind")
-    cx = complex
-    cls = classify_boundary(cx)
-    interior_edges = set(cls.interior_edges.tolist())
-    interior_faces = set(cls.interior_faces.tolist())
+    cls = classify_boundary(complex)
+    Ct = complex.incidence(1).T.tocsr()
+    excluded = (f"excluded boundary: {len(cls.boundary_edges)} edges, "
+                f"{len(cls.boundary_faces)} faces")
 
-    C1 = cx.incidence(1)
-    dual_C = dual.incidence(1) if dual_incidence is None else sparse.csr_matrix(dual_incidence)
+    def interior(mat: sparse.spmatrix) -> sparse.csr_matrix:
+        return sparse.csr_matrix(mat)[cls.interior_edges][:, cls.interior_faces]
 
-    # Transpose reciprocity on interior elements, exact integer comparison.
-    diff = (dual_C - C1.T).tocoo()
-    worst = 0
-    where = (-1, -1)
-    for r, c, v in zip(diff.row, diff.col, diff.data):
-        if int(c) in interior_faces and int(r) in interior_edges and v != 0:
-            if abs(int(v)) > worst:
-                worst, where = abs(int(v)), (int(r), int(c))
-    section.add(
-        "dual derivative equals transposed incidence (interior)",
-        worst,
-        0,
-        worst == 0,
-        detail=f"worst entry at {where}" if worst else
-        f"excluded boundary: {len(cls.boundary_edges)} edges, {len(cls.boundary_faces)} faces",
-    )
+    if dual_incidence is not None:
+        # Exact integer comparison, located in full edge/face indices.
+        diff = sparse.coo_matrix(interior(dual_incidence) - interior(Ct))
+        worst, (r, c) = _located_max(diff)
+        where = (int(cls.interior_edges[r]), int(cls.interior_faces[c])) if worst else (-1, -1)
+        section.add(
+            "dual derivative equals transposed incidence (interior)",
+            worst,
+            0,
+            worst == 0,
+            detail=f"worst entry at {where}" if worst else excluded,
+        )
 
-    # Geometric cross-check: faces adjacent to each dual edge-cell, taken
-    # from the subdivision pieces, must match the matrix pattern.
-    adjacency = dual.geometric_edge_face_adjacency()
-    Ct = C1.T.tocsr()
-    mismatches = 0
-    for e in cls.interior_edges.tolist():
-        pattern = set(Ct.indices[Ct.indptr[e] : Ct.indptr[e + 1]].tolist())
-        pattern &= interior_faces
-        geo = adjacency[e] & interior_faces
-        if pattern != geo:
-            mismatches += 1
+    # Faces adjacent to each dual edge-cell, taken from the subdivision
+    # pieces, must match the matrix pattern.
+    geo = interior(dual.geometric_edge_face_adjacency())
+    mismatched = (interior(Ct).astype(bool) != geo).getnnz(axis=1)
+    mismatches = int(np.count_nonzero(mismatched))
     section.add(
         "dual-cell geometry matches incidence pattern",
         mismatches,
         0,
         mismatches == 0,
+        detail=excluded,
     )
     return section
 

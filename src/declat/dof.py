@@ -127,14 +127,14 @@ def dof_audit(
     theta_E = n1h - n0h - h1
     theta_B = n2h - (npp - 1) - h2
 
-    genus = h2  # relative harmonic 2-dimension equals the handle count
-    er = euler_audit(cx, cls, genus=genus)
+    # Relative harmonic dimensions count handles (h2 = b1) and cavities
+    # (h1 = b2).
+    er = euler_audit(cx, cls, genus=h2, cavities=h1)
 
     identities = {
         "theta_equality": theta_E == theta_B,
         "theta_equals_rank": theta_E == rank1,
         "euler_combined": er.combined[0] == er.combined[1],
-        "dual_count_bijection": True,  # dual (3-p)-cells are indexed by primal p
         "gradients_grounded": grounded,
     }
 

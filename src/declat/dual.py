@@ -21,13 +21,15 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from .mesh import SimplicialComplex
+from .mesh import _TET_EDGE_SLOTS, SimplicialComplex
 
-__all__ = ["DualComplex", "barycentric_dual"]
+__all__ = ["DualComplex"]
 
-_EDGE_SLOT = {
-    (0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5,
-}
+# Local corners (vertex i, edge i-j, face i-j-k) of the 24 flags of a tet.
+_FLAGS = np.array(list(permutations(range(4))))[:, :3]
+# Local (edge a-b, face a-b-c) of the 12 edge-face flags, edge slot order.
+_EDGE_FLAGS = np.array([(a, b, c) for a, b in _TET_EDGE_SLOTS.tolist()
+                        for c in range(4) if c not in (a, b)])
 
 
 class DualComplex:
@@ -53,41 +55,27 @@ class DualComplex:
         self.edge_midpoints = verts[cx.edges].mean(axis=1)
 
         m = cx.n_tets
-        perms = list(permutations(range(4)))  # 24 flags per tet
-        owner_v = []
-        pieces_v = []
-        for (i, j, k, l) in perms:
-            v = tv[:, i]
-            e_mid = 0.5 * (tv[:, i] + tv[:, j])
-            f_ctr = (tv[:, i] + tv[:, j] + tv[:, k]) / 3.0
-            pieces_v.append(np.stack([v, e_mid, f_ctr, self.tet_centers], axis=1))
-            owner_v.append(cx.tets[:, i])
-        self.vertex_pieces = np.concatenate(pieces_v, axis=0)
-        self.vertex_piece_owner = np.concatenate(owner_v, axis=0)
-        self.vertex_piece_tet = np.tile(np.arange(m), len(perms))
+        ctr = np.broadcast_to(self.tet_centers[:, None], (m, len(_FLAGS), 3))
+        i, j, k = (_FLAGS[:, c] for c in range(3))
+        e_mid = 0.5 * (tv[:, i] + tv[:, j])
+        f_ctr = (tv[:, i] + tv[:, j] + tv[:, k]) / 3.0
+        # Flag-major order: all tets' pieces of flag 0, then of flag 1, ...
+        pieces = np.stack([tv[:, i], e_mid, f_ctr, ctr], axis=2)  # (M, 24, 4, 3)
+        self.vertex_pieces = pieces.transpose(1, 0, 2, 3).reshape(-1, 4, 3)
+        self.vertex_piece_owner = cx.tets[:, i].T.ravel()
+        self.vertex_piece_tet = np.tile(np.arange(m), len(_FLAGS))
 
         # Edge duals: one triangle per (tet, edge of tet, face of tet
         # containing that edge); exactly two faces qualify per edge per tet.
-        owner_e = []
-        pieces_e = []
-        tet_e = []
-        face_e = []
-        for (a, b) in _EDGE_SLOT:
-            slot = _EDGE_SLOT[(a, b)]
-            gedge = cx.tet_edges[:, slot]
-            e_mid = 0.5 * (tv[:, a] + tv[:, b])
-            others = [c for c in range(4) if c not in (a, b)]
-            for c in others:
-                f_ctr = (tv[:, a] + tv[:, b] + tv[:, c]) / 3.0
-                pieces_e.append(np.stack([e_mid, f_ctr, self.tet_centers], axis=1))
-                owner_e.append(gedge)
-                tet_e.append(np.arange(m))
-                missing = ({0, 1, 2, 3} - {a, b, c}).pop()
-                face_e.append(cx.tet_faces[:, missing])
-        self.edge_pieces = np.concatenate(pieces_e, axis=0)
-        self.edge_piece_owner = np.concatenate(owner_e, axis=0)
-        self.edge_piece_tet = np.concatenate(tet_e, axis=0)
-        self.edge_piece_face = np.concatenate(face_e, axis=0)
+        a, b, c = (_EDGE_FLAGS[:, q] for q in range(3))
+        e_mid = 0.5 * (tv[:, a] + tv[:, b])
+        f_ctr = (tv[:, a] + tv[:, b] + tv[:, c]) / 3.0
+        pieces = np.stack([e_mid, f_ctr, ctr[:, : len(a)]], axis=2)  # (M, 12, 3, 3)
+        self.edge_pieces = pieces.transpose(1, 0, 2, 3).reshape(-1, 3, 3)
+        self.edge_piece_owner = cx.tet_edges[:, np.repeat(np.arange(6), 2)].T.ravel()
+        self.edge_piece_tet = np.tile(np.arange(m), len(a))
+        # The face of a-b-c is the one opposite the fourth corner.
+        self.edge_piece_face = cx.tet_faces[:, 6 - a - b - c].T.ravel()
         edir = verts[cx.edges[:, 1]] - verts[cx.edges[:, 0]]
         tri = self.edge_pieces
         nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -95,21 +83,14 @@ class DualComplex:
         self.edge_piece_sign = np.where(sgn >= 0.0, 1.0, -1.0)
 
         # Face duals: a segment from face center to each incident tet center.
+        # Pieces of every face's first tet, then of the second ones.
         ft = cx.face_tets
-        owner_f = []
-        segs = []
-        tet_f = []
-        for col in range(2):
-            present = np.flatnonzero(ft[:, col] >= 0)
-            t = ft[present, col]
-            segs.append(
-                np.stack([self.face_centers[present], self.tet_centers[t]], axis=1)
-            )
-            owner_f.append(present)
-            tet_f.append(t)
-        self.face_pieces = np.concatenate(segs, axis=0)
-        self.face_piece_owner = np.concatenate(owner_f, axis=0)
-        self.face_piece_tet = np.concatenate(tet_f, axis=0)
+        col, self.face_piece_owner = np.nonzero(ft.T >= 0)
+        self.face_piece_tet = ft[self.face_piece_owner, col]
+        self.face_pieces = np.stack(
+            [self.face_centers[self.face_piece_owner], self.tet_centers[self.face_piece_tet]],
+            axis=1,
+        )
         fv = cx.faces
         fnrm = 0.5 * np.cross(
             verts[fv[:, 1]] - verts[fv[:, 0]], verts[fv[:, 2]] - verts[fv[:, 0]]
@@ -120,21 +101,16 @@ class DualComplex:
 
     # -- measures -----------------------------------------------------------
 
+    def vertex_piece_volumes(self) -> np.ndarray:
+        """Volume of each sub-tet in ``vertex_pieces``."""
+        p = self.vertex_pieces
+        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        return np.abs(np.einsum("kd,kd->k", cross, p[:, 3] - p[:, 0])) / 6.0
+
     def vertex_cell_volumes(self) -> np.ndarray:
         """Volume of each dual 3-cell; these partition the mesh volume."""
-        p = self.vertex_pieces
-        vols = (
-            np.abs(
-                np.einsum(
-                    "kd,kd->k",
-                    np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
-                    p[:, 3] - p[:, 0],
-                )
-            )
-            / 6.0
-        )
         out = np.zeros(self.complex.n_vertices)
-        np.add.at(out, self.vertex_piece_owner, vols)
+        np.add.at(out, self.vertex_piece_owner, self.vertex_piece_volumes())
         return out
 
     def edge_cell_areas(self) -> np.ndarray:
@@ -165,20 +141,16 @@ class DualComplex:
             raise ValueError("dual incidence degree must be 0, 1 or 2")
         return self.complex.incidence(2 - p).T.tocsr()
 
-    def geometric_edge_face_adjacency(self) -> dict[int, set[int]]:
-        """For each primal edge, the faces whose dual segments bound its dual cell.
+    def geometric_edge_face_adjacency(self) -> sparse.csr_matrix:
+        """(E, F) pattern: the faces whose dual segments bound each dual edge cell.
 
         Derived purely from the subdivision pieces (each triangle of an edge
         cell contains one face center), independent of the incidence
         matrices.
         """
         cx = self.complex
-        out: dict[int, set[int]] = {int(e): set() for e in range(cx.n_edges)}
-        for e, f in zip(self.edge_piece_owner.tolist(), self.edge_piece_face.tolist()):
-            out[e].add(f)
-        return out
-
-
-def barycentric_dual(complex: SimplicialComplex) -> DualComplex:
-    """Build the barycentric dual complex."""
-    return DualComplex(complex)
+        hits = np.ones(len(self.edge_piece_owner), dtype=bool)
+        return sparse.csr_matrix(
+            (hits, (self.edge_piece_owner, self.edge_piece_face)),
+            shape=(cx.n_edges, cx.n_faces),
+        )

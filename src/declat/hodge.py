@@ -110,11 +110,7 @@ def _mass_matrix(
     rows = np.repeat(ids, n_loc, axis=1).reshape(-1)
     cols = np.tile(ids, (1, n_loc)).reshape(-1)
     n = cx.n_simplices(p)
-    mat = sparse.coo_matrix(
-        (local.reshape(-1), (rows, cols)), shape=(n, n)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_hodge(
@@ -290,79 +286,64 @@ def dual_pairing_check(
     """
     basis = basis or WhitneyBasis(complex)
     cx = complex
-    entries: dict[tuple[int, int], float] = {}
 
+    # One (K, n_loc) array per quadrature node: contrib[k, s] is piece k's
+    # share of the pairing of its owner with local basis slot s of its tet.
+    contribs = []
     if p == 0:
         # Hodge dual of a 0-form is the volume density with the same value:
         # integrate basis-0 values over the dual 3-cells, sub-tet by sub-tet.
         pieces = dual.vertex_pieces
         owners = dual.vertex_piece_owner
         tets = dual.vertex_piece_tet
-        vol = (
-            np.abs(
-                np.einsum(
-                    "kd,kd->k",
-                    np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0]),
-                    pieces[:, 3] - pieces[:, 0],
-                )
-            )
-            / 6.0
-        )
+        vol = dual.vertex_piece_volumes()
         for lam_t in _TET4:
             pts = np.einsum("q,kqd->kd", lam_t, pieces)
-            lam = basis.bary(tets, pts)
-            vals = basis.eval0(tets, lam)  # (K, 4)
-            contrib = vals * (vol / len(_TET4))[:, None]
-            gv = cx.tets[tets]  # (K, 4) global vertex per local slot
-            for s in range(4):
-                for i, j, c in zip(owners.tolist(), gv[:, s].tolist(), contrib[:, s]):
-                    entries[(i, j)] = entries.get((i, j), 0.0) + float(c)
+            vals = basis.eval0(tets, basis.bary(tets, pts))  # (K, 4)
+            contribs.append(vals * (vol / len(_TET4))[:, None])
+        slots = cx.tets[tets]  # (K, 4) global vertex per local slot
     elif p == 1:
         # Hodge dual of a 1-form is the 2-form with the same vector proxy:
         # flux through the dual-face triangles, oriented along the edge.
         tri = dual.edge_pieces
         owners = dual.edge_piece_owner
         tets = dual.edge_piece_tet
-        sign = dual.edge_piece_sign
         nvec = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        nvec *= sign[:, None]
+        nvec *= dual.edge_piece_sign[:, None]
         for lam_t in _TRI3:
             pts = np.einsum("q,kqd->kd", lam_t, tri)
-            lam = basis.bary(tets, pts)
-            vals = basis.eval1(tets, lam)  # (K, 6, 3)
-            contrib = np.einsum("ksd,kd->ks", vals, nvec) / 3.0
-            ge = cx.tet_edges[tets]
-            for s in range(6):
-                for i, j, c in zip(owners.tolist(), ge[:, s].tolist(), contrib[:, s]):
-                    entries[(i, j)] = entries.get((i, j), 0.0) + float(c)
+            vals = basis.eval1(tets, basis.bary(tets, pts))  # (K, 6, 3)
+            contribs.append(np.einsum("ksd,kd->ks", vals, nvec) / 3.0)
+        slots = cx.tet_edges[tets]
     elif p == 2:
         # Hodge dual of a 2-form is the 1-form with the same proxy:
         # line integral along the dual segments, oriented by the face normal.
         seg = dual.face_pieces
         owners = dual.face_piece_owner
         tets = dual.face_piece_tet
-        sign = dual.face_piece_sign
-        tang = (seg[:, 1] - seg[:, 0]) * sign[:, None]
+        tang = (seg[:, 1] - seg[:, 0]) * dual.face_piece_sign[:, None]
         for t in _GAUSS2_EDGE:
             pts = seg[:, 0] + t * (seg[:, 1] - seg[:, 0])
-            lam = basis.bary(tets, pts)
-            vals = basis.eval2(tets, lam)  # (K, 4, 3)
-            contrib = 0.5 * np.einsum("ksd,kd->ks", vals, tang)
-            gf = cx.tet_faces[tets]
-            for s in range(4):
-                for i, j, c in zip(owners.tolist(), gf[:, s].tolist(), contrib[:, s]):
-                    entries[(i, j)] = entries.get((i, j), 0.0) + float(c)
+            vals = basis.eval2(tets, basis.bary(tets, pts))  # (K, 4, 3)
+            contribs.append(0.5 * np.einsum("ksd,kd->ks", vals, tang))
+        slots = cx.tet_faces[tets]
     elif p == 3:
         # Hodge dual of the tet density, evaluated at the dual nodes.
-        for t in range(cx.n_tets):
-            entries[(t, t)] = float(1.0 / cx.volumes[t])
+        owners = np.arange(cx.n_tets)
+        slots = owners[:, None]
+        contribs.append(1.0 / cx.volumes[:, None])
     else:
         raise ValueError("degree must be in 0..3")
 
-    dev = 0.0
-    for (i, j), v in entries.items():
-        want = 1.0 if i == j else 0.0
-        dev = max(dev, abs(v - want))
+    # Sum per (owner, simplex) pair, adding in node, slot, piece order.
+    n = cx.n_simplices(p)
+    vals = np.stack(contribs)  # (Q, K, S)
+    keys = np.broadcast_to(owners[:, None] * n + slots, vals.shape)
+    uniq, inverse = np.unique(keys.transpose(0, 2, 1).ravel(), return_inverse=True)
+    sums = np.bincount(inverse, weights=vals.transpose(0, 2, 1).ravel())
+    rows, cols = uniq // n, uniq % n
+    dev = float(np.abs(sums - (rows == cols)).max())
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), sums.tolist()))
     return dev, entries
 
 

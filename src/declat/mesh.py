@@ -128,7 +128,6 @@ class SimplicialComplex:
         self._incidence = [self._build_c0(), self._build_c1(), self._build_c2()]
         self._reject_folds()
         self._face_tets = None
-        self._edge_tets = None
 
     # -- counts ----------------------------------------------------------
 
@@ -244,29 +243,26 @@ class SimplicialComplex:
     def face_tets(self) -> np.ndarray:
         """(F, 2) tet indices per face, -1 where absent; >2 cofaces raise."""
         if self._face_tets is None:
+            flat = self.tet_faces.ravel()
+            order = np.argsort(flat, kind="stable")  # by face, then by tet
+            faces = flat[order]
+            rank = np.arange(len(faces)) - np.searchsorted(faces, faces)
+            if rank.max() >= 2:
+                f = flat[order[rank == 2].min()]
+                raise MeshError(
+                    f"non-manifold face {self.faces[f].tolist()} "
+                    "(more than two incident tets)"
+                )
             ft = np.full((self.n_faces, 2), -1, dtype=np.int64)
-            count = np.zeros(self.n_faces, dtype=np.int64)
-            for t in range(self.n_tets):
-                for f in self.tet_faces[t]:
-                    if count[f] >= 2:
-                        raise MeshError(
-                            f"non-manifold face {self.faces[f].tolist()} "
-                            "(more than two incident tets)"
-                        )
-                    ft[f, count[f]] = t
-                    count[f] += 1
+            ft[faces, rank] = order // 4
             self._face_tets = ft
         return self._face_tets
 
     def tet_neighbors(self) -> np.ndarray:
         """(M, 4) neighbor tet across each local face, -1 on the boundary."""
-        ft = self.face_tets
-        neigh = np.full((self.n_tets, 4), -1, dtype=np.int64)
-        for t in range(self.n_tets):
-            for k, f in enumerate(self.tet_faces[t]):
-                a, b = ft[f]
-                neigh[t, k] = b if a == t else a
-        return neigh
+        ft = self.face_tets[self.tet_faces]  # (M, 4, 2)
+        own = np.arange(self.n_tets)[:, None]
+        return np.where(ft[:, :, 0] == own, ft[:, :, 1], ft[:, :, 0])
 
     def vertex_components(self) -> int:
         """Number of connected components of the edge graph."""
@@ -338,14 +334,17 @@ def betti_numbers(complex: SimplicialComplex) -> tuple[int, int, int]:
 class EulerReport:
     """Left/right values of the three polyhedron identities, exact integers.
 
-    The bulk identity reads N_V - N_E = (1 - g) - N_F + N_P, the boundary
-    identity N_V^b - N_E^b = (2 - 2g) - N_F^b, and the combined interior
-    identity (N_E - N_E^b) - (N_V - N_V^b) = (N_F - N_F^b) - (N_P - 1) - g,
-    with g the number of handles (zero for ball-like meshes, where the
-    classical forms are recovered verbatim).
+    The bulk identity reads N_V - N_E = (1 - g + c) - N_F + N_P, the
+    boundary identity N_V^b - N_E^b = 2 (1 - g + c) - N_F^b, and the
+    combined interior identity
+    (N_E - N_E^b) - (N_V - N_V^b) = (N_F - N_F^b) - (N_P - 1) - g + c,
+    with g the number of handles (b1) and c the number of cavities (b2);
+    both are zero for ball-like meshes, where the classical forms are
+    recovered verbatim.
     """
 
     genus: int
+    cavities: int
     bulk: tuple[int, int]
     boundary: tuple[int, int]
     combined: tuple[int, int]
@@ -363,21 +362,27 @@ def euler_audit(
     complex: SimplicialComplex,
     classification: BoundaryClassification,
     genus: int | None = None,
+    cavities: int | None = None,
 ) -> EulerReport:
     """Evaluate the three polyhedron identities on a connected mesh.
 
-    ``genus`` defaults to b1 from :func:`betti_numbers` (certified ranks).
+    ``genus`` and ``cavities`` default to b1 and b2 from
+    :func:`betti_numbers` (certified ranks).
     """
-    if genus is None:
-        genus = betti_numbers(complex)[1]
+    if genus is None or cavities is None:
+        _, b1, b2 = betti_numbers(complex)
+        genus = b1 if genus is None else genus
+        cavities = b2 if cavities is None else cavities
     nv, ne, nf, npp = complex.counts()
     nvb = classification.n_boundary(0)
     neb = classification.n_boundary(1)
     nfb = classification.n_boundary(2)
-    bulk = (nv - ne, (1 - genus) - nf + npp)
-    boundary = (nvb - neb, (2 - 2 * genus) - nfb)
-    combined = ((ne - neb) - (nv - nvb), (nf - nfb) - (npp - 1) - genus)
-    return EulerReport(genus=genus, bulk=bulk, boundary=boundary, combined=combined)
+    chi = 1 - genus + cavities
+    bulk = (nv - ne, chi - nf + npp)
+    boundary = (nvb - neb, 2 * chi - nfb)
+    combined = ((ne - neb) - (nv - nvb), (nf - nfb) - (npp - 1) - genus + cavities)
+    return EulerReport(genus=genus, cavities=cavities, bulk=bulk, boundary=boundary,
+                       combined=combined)
 
 
 # -- mesh file format ------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import SimplicialComplex
-from .whitney import BarycentricPoint, Cochain, OutsideMeshError, WhitneyBasis, interpolate
+from .whitney import BarycentricPoint, Cochain, WhitneyBasis, _as_basis, interpolate
 
 __all__ = [
     "Particle",
@@ -80,11 +80,7 @@ def scatter_charge(
     Returns (node indices, weights); the weights are q times the
     barycentric coordinates and always sum to q.
     """
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     t, lam = basis.locate(particle.position, seed=seed)
     return basis.complex.tets[t], particle.charge * lam
 
@@ -120,11 +116,7 @@ def scatter_current(
     deposited in closed form.  If the path leaves the mesh the scatter is
     partial up to the exit point and flagged.
     """
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     if tau <= 0:
         raise ValueError("tau must be positive")
     cx = basis.complex
@@ -194,11 +186,7 @@ def verify_conservation(
     of scattered currents on its incident edges; the return value is the
     largest absolute mismatch (scale it by 1/|qdot| for a relative read).
     """
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     cx = basis.complex
     res = scatter_current(basis, x_start, x_end, q, tau, seed=seed)
     inflow = cx.incidence(0).T @ res.edge_current.values
@@ -213,11 +201,7 @@ def gather(
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate the electric and magnetic proxies at a particle position."""
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     t, lam = basis.locate(np.asarray(position, dtype=float), seed=seed)
     at = BarycentricPoint(t, lam)
     return interpolate(basis, E, at), interpolate(basis, B, at)

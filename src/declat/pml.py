@@ -117,11 +117,7 @@ class StretchProfile:
 
 def stretch_tensor(point, omega: float, profile: StretchProfile) -> np.ndarray:
     """Diagonal Maxwellian stretch tensor at one point (complex 3x3)."""
-    s = profile.stretch(np.asarray(point, dtype=float).reshape(1, 3), omega)[0]
-    diag = np.array(
-        [s[1] * s[2] / s[0], s[0] * s[2] / s[1], s[0] * s[1] / s[2]], dtype=complex
-    )
-    return np.diag(diag)
+    return np.diag(_lambda_diag(np.asarray(point, dtype=float).reshape(1, 3), omega, profile)[0])
 
 
 @dataclass
@@ -170,13 +166,11 @@ def assemble_stretched(
     lam = _lambda_diag(pts, omega, profile)  # (M, Q, 3)
 
     # eps_eff = eps Lambda; (mu Lambda)^{-1} = Lambda^{-1} mu^{-1} (diagonal).
-    eye = np.eye(3)
     eps_eff = eps[:, None, :, :] * lam[:, :, None, :]
     mu_inv = np.linalg.inv(mu)
     mu_inv_eff = (1.0 / lam)[:, :, :, None] * mu_inv[:, None, :, :]
     heps = _mass_matrix(complex, 1, eps_eff.astype(np.complex128), basis)
     hmu = _mass_matrix(complex, 2, mu_inv_eff.astype(np.complex128), basis)
-    del eye
     return ComplexHodge(heps, hmu, omega, trivial=False)
 
 

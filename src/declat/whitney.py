@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SimplicialComplex, _TET_EDGE_SLOTS, _TET_FACE_SLOTS
+from .mesh import SimplicialComplex
 
 __all__ = [
     "Cochain",
@@ -55,8 +55,6 @@ _TRI3 = np.array(
 _TET_A = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
 _TET_B = (5.0 - np.sqrt(5.0)) / 20.0
 _TET4 = np.full((4, 4), _TET_B) + (_TET_A - _TET_B) * np.eye(4)
-
-_EDGE_SLOT_OF_PAIR = {tuple(sorted(p)): s for s, p in enumerate(_TET_EDGE_SLOTS)}
 
 
 class OutsideMeshError(ValueError):
@@ -289,6 +287,13 @@ class WhitneyBasis:
         return out
 
 
+def _as_basis(complex_or_basis) -> WhitneyBasis:
+    """The given basis, or a fresh one built on the given complex."""
+    if isinstance(complex_or_basis, WhitneyBasis):
+        return complex_or_basis
+    return WhitneyBasis(complex_or_basis)
+
+
 def barycentric(
     complex: SimplicialComplex, point, basis: WhitneyBasis | None = None, seed: int = 0
 ) -> BarycentricPoint:
@@ -306,11 +311,7 @@ def whitney_eval(
     Returns 0 when the element is not a face of the point's tet (compact
     support).
     """
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     tids = np.array([at.tet])
     lam = at.lam.reshape(1, 4)
     local = basis.local_indices(p, tids)[0]
@@ -380,11 +381,7 @@ def interpolate(
     complex_or_basis, cochain: Cochain, at: BarycentricPoint
 ) -> np.ndarray | float:
     """Whitney interpolation of a primal cochain at a located point."""
-    basis = (
-        complex_or_basis
-        if isinstance(complex_or_basis, WhitneyBasis)
-        else WhitneyBasis(complex_or_basis)
-    )
+    basis = _as_basis(complex_or_basis)
     if cochain.lattice != "primal":
         raise ValueError("interpolation expects a primal cochain")
     tids = np.array([at.tet])
@@ -417,75 +414,52 @@ def interpolate_at_points(
 # -- structural identity checks ---------------------------------------------
 
 
-def _pair_owners(local_ids: np.ndarray) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """First owning tet for every (i, j) sharing one, with local slots."""
-    owners: dict[tuple[int, int], tuple[int, int, int]] = {}
-    n_loc = local_ids.shape[1]
-    for t in range(local_ids.shape[0]):
-        ids = local_ids[t]
-        for si in range(n_loc):
-            for sj in range(n_loc):
-                key = (int(ids[si]), int(ids[sj]))
-                if key not in owners:
-                    owners[key] = (t, si, sj)
-    return owners
-
-
 def verify_partition_duality(
     complex: SimplicialComplex, p: int, basis: WhitneyBasis | None = None
 ) -> float:
     """Max deviation of the pairing <simplex_i, basis_j> from the identity.
 
-    Scans every (i, j) pair sharing at least one tet; the pairing vanishes
-    identically elsewhere because the basis has compact support and its
-    trace on outside simplices is zero.
+    Scans every (i, j) pair sharing at least one tet, in the first tet that
+    holds both; the pairing vanishes identically elsewhere because the
+    basis has compact support and its trace on outside simplices is zero.
     """
     basis = basis or WhitneyBasis(complex)
     cx = complex
-    local = basis.local_indices(p, np.arange(cx.n_tets))
-    owners = _pair_owners(local)
+    m = cx.n_tets
+    local = basis.local_indices(p, np.arange(m))  # (M, n_loc)
+    n_loc = local.shape[1]
+    rows = np.repeat(np.arange(m), n_loc)  # one row per (tet, local simplex)
 
-    dev = 0.0
-    by_tet: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (gi, gj), (t, si, sj) in owners.items():
-        by_tet.setdefault(t, []).append((gi, gj, si, sj))
+    # integ[t, si, sj]: basis form sj of tet t integrated over simplex si.
+    if p == 0:
+        lam = basis.bary(rows, cx.vertices[local.ravel()])
+        integ = basis.eval0(rows, lam).reshape(m, 4, 4)
+    elif p == 1:
+        epair = cx.edges[local.ravel()]
+        a = cx.vertices[epair[:, 0]]
+        tang = cx.vertices[epair[:, 1]] - a
+        integ = np.zeros((m, 6, 6))
+        for s in _GAUSS2_EDGE:
+            w = basis.eval1(rows, basis.bary(rows, a + s * tang))
+            integ += 0.5 * np.einsum("ijd,id->ij", w, tang).reshape(m, 6, 6)
+    elif p == 2:
+        ftri = cx.faces[local.ravel()]
+        va, vb, vc = (cx.vertices[ftri[:, k]] for k in range(3))
+        nvec = 0.5 * np.cross(vb - va, vc - va)
+        integ = np.zeros((m, 4, 4))
+        for lam_t in _TRI3:
+            pts = lam_t[0] * va + lam_t[1] * vb + lam_t[2] * vc
+            w = basis.eval2(rows, basis.bary(rows, pts))
+            integ += (np.einsum("ijd,id->ij", w, nvec) / 3.0).reshape(m, 4, 4)
+    else:
+        raise ValueError("pairing check covers degrees 0, 1, 2")
 
-    for t, items in by_tet.items():
-        tid = np.array([t])
-        ids = basis.local_indices(p, tid)[0]
-        if p == 0:
-            verts = cx.vertices[cx.tets[t]]
-            lam = basis.bary(np.repeat(tid, 4), verts)
-            vals = basis.eval0(np.repeat(tid, 4), lam)  # (4, 4)
-            integ = vals
-        elif p == 1:
-            epair = cx.edges[ids]
-            a = cx.vertices[epair[:, 0]]
-            b = cx.vertices[epair[:, 1]]
-            tang = b - a
-            integ = np.zeros((6, 6))
-            for s in _GAUSS2_EDGE:
-                pts = a + s * tang
-                lam = basis.bary(np.repeat(tid, 6), pts)
-                w = basis.eval1(np.repeat(tid, 6), lam)  # (6, 6, 3)
-                integ += 0.5 * np.einsum("ijd,id->ij", w, tang)
-        elif p == 2:
-            ftri = cx.faces[ids]
-            va, vb, vc = (cx.vertices[ftri[:, k]] for k in range(3))
-            nvec = 0.5 * np.cross(vb - va, vc - va)
-            integ = np.zeros((4, 4))
-            for lam_t in _TRI3:
-                pts = lam_t[0] * va + lam_t[1] * vb + lam_t[2] * vc
-                lam = basis.bary(np.repeat(tid, 4), pts)
-                w = basis.eval2(np.repeat(tid, 4), lam)  # (4, 4, 3)
-                integ += np.einsum("ijd,id->ij", w, nvec) / 3.0
-        else:
-            raise ValueError("pairing check covers degrees 0, 1, 2")
-
-        for gi, gj, si, sj in items:
-            want = 1.0 if gi == gj else 0.0
-            dev = max(dev, abs(float(integ[si, sj]) - want))
-    return dev
+    gi = np.broadcast_to(local[:, :, None], integ.shape).ravel()
+    gj = np.broadcast_to(local[:, None, :], integ.shape).ravel()
+    # Tets are scanned in order, so the first index of a pair is its first owner.
+    _, first = np.unique(gi * cx.n_simplices(p) + gj, return_index=True)
+    want = (gi[first] == gj[first]).astype(float)
+    return float(np.abs(integ.ravel()[first] - want).max())
 
 
 def verify_coboundary(
@@ -511,7 +485,6 @@ def verify_coboundary(
             dev = max(dev, float(np.abs(rhs - basis.grads).max()))
         return dev
     if p == 2:
-        curls = np.zeros((cx.n_tets, 6, 3))
         g = basis.grads
         k = np.arange(cx.n_tets)[:, None]
         a = basis.edge_local[:, :, 0]

@@ -5,7 +5,10 @@ enumeration by set algebra, simplex quadrature by a conical-product rule
 built from Gauss-Jacobi roots, its own barycentric-gradient evaluation,
 a layered 1D transfer-matrix model for absorbing-layer reflection, and
 tet-at-a-time dihedral angles.
-None of it shares code paths with the package.
+None of it shares code paths with the package, except the loop versions
+of the face/tet adjacency and the partition-duality scan at the end: they
+read a complex's arrays (and a basis's pointwise values) one tet at a
+time, where the package works on all tets at once.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from itertools import combinations
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from declat.mesh import MeshError
+from declat.whitney import _GAUSS2_EDGE, _TRI3
 
 
 def enumerate_skeleton(tets) -> tuple[set, set]:
@@ -175,3 +181,75 @@ def dihedral_extremes_loop(vertices, tets) -> tuple[np.ndarray, np.ndarray]:
         mins[t] = min(angles)
         maxs[t] = max(angles)
     return mins, maxs
+
+
+def face_tets_loop(complex) -> np.ndarray:
+    """(F, 2) incident tets per face in visiting order; a third one raises."""
+    ft = np.full((complex.n_faces, 2), -1, dtype=np.int64)
+    count = np.zeros(complex.n_faces, dtype=np.int64)
+    for t in range(complex.n_tets):
+        for f in complex.tet_faces[t]:
+            if count[f] >= 2:
+                raise MeshError(
+                    f"non-manifold face {complex.faces[f].tolist()} "
+                    "(more than two incident tets)"
+                )
+            ft[f, count[f]] = t
+            count[f] += 1
+    return ft
+
+
+def tet_neighbors_loop(complex) -> np.ndarray:
+    """(M, 4) tet across each local face, -1 on the boundary."""
+    ft = face_tets_loop(complex)
+    neigh = np.full((complex.n_tets, 4), -1, dtype=np.int64)
+    for t in range(complex.n_tets):
+        for k, f in enumerate(complex.tet_faces[t]):
+            a, b = ft[f]
+            neigh[t, k] = b if a == t else a
+    return neigh
+
+
+def partition_duality_loop(complex, p: int, basis) -> float:
+    """Max |<simplex_i, basis_j> - delta_ij| over pairs, each in its first tet."""
+    cx = complex
+    local = basis.local_indices(p, np.arange(cx.n_tets))
+    owners: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for t in range(local.shape[0]):
+        ids = local[t]
+        for si in range(len(ids)):
+            for sj in range(len(ids)):
+                owners.setdefault((int(ids[si]), int(ids[sj])), (t, si, sj))
+    by_tet: dict[int, list[tuple[int, int, int, int]]] = {}
+    for (gi, gj), (t, si, sj) in owners.items():
+        by_tet.setdefault(t, []).append((gi, gj, si, sj))
+
+    dev = 0.0
+    for t, items in by_tet.items():
+        tid = np.array([t])
+        ids = local[t]
+        if p == 0:
+            integ = basis.eval0(np.repeat(tid, 4),
+                                basis.bary(np.repeat(tid, 4), cx.vertices[cx.tets[t]]))
+        elif p == 1:
+            epair = cx.edges[ids]
+            a = cx.vertices[epair[:, 0]]
+            tang = cx.vertices[epair[:, 1]] - a
+            integ = np.zeros((6, 6))
+            for s in _GAUSS2_EDGE:
+                lam = basis.bary(np.repeat(tid, 6), a + s * tang)
+                w = basis.eval1(np.repeat(tid, 6), lam)
+                integ += 0.5 * np.einsum("ijd,id->ij", w, tang)
+        else:
+            ftri = cx.faces[ids]
+            va, vb, vc = (cx.vertices[ftri[:, k]] for k in range(3))
+            nvec = 0.5 * np.cross(vb - va, vc - va)
+            integ = np.zeros((4, 4))
+            for lam_t in _TRI3:
+                pts = lam_t[0] * va + lam_t[1] * vb + lam_t[2] * vc
+                w = basis.eval2(np.repeat(tid, 4), basis.bary(np.repeat(tid, 4), pts))
+                integ += np.einsum("ijd,id->ij", w, nvec) / 3.0
+        for gi, gj, si, sj in items:
+            want = 1.0 if gi == gj else 0.0
+            dev = max(dev, abs(float(integ[si, sj]) - want))
+    return dev

@@ -70,6 +70,23 @@ class TestSecondKind:
         section = audit_second_kind(kuhn, dual, dual_incidence=bad.tocsr())
         assert not section.passed
 
+    def test_corrupted_dual_geometry_fails(self, box3):
+        from declat.mesh import classify_boundary
+
+        cls = classify_boundary(box3)
+        dual = DualComplex(box3)
+        inner_edge = np.isin(dual.edge_piece_owner, cls.interior_edges)
+        inner_face = np.isin(dual.edge_piece_face, cls.interior_faces)
+        k = int(np.flatnonzero(inner_edge & inner_face)[0])
+        e = dual.edge_piece_owner[k]
+        # Re-point one piece at an interior face that does not contain its edge.
+        far = [f for f in cls.interior_faces if box3.incidence(1)[f, e] == 0]
+        dual.edge_piece_face = dual.edge_piece_face.copy()
+        dual.edge_piece_face[k] = far[0]
+        checks = {c.name: c for c in audit_second_kind(box3, dual).checks}
+        geo = checks["dual-cell geometry matches incidence pattern"]
+        assert not geo.passed and geo.measured == 1
+
 
 class TestHodgeSection:
     def test_clean_matrices_pass(self, box3, basis_of):

@@ -71,6 +71,7 @@ class TestDofAudit:
         assert rep.rank_certified and not rep.notes
         assert (rep.harmonic_1, rep.harmonic_2) == (1, 1)
         assert rep.theta_E == rep.theta_B == rep.rank_curl
+        assert rep.passed
 
     def test_uncertified_rank_is_noted(self, kuhn, monkeypatch):
         # A lower bound one short of the rank leaves the curl rank open.

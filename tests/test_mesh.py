@@ -13,7 +13,8 @@ from declat.mesh import (
     write_mesh,
 )
 
-from _oracles import boundary_faces, enumerate_skeleton
+from _oracles import boundary_faces, enumerate_skeleton, face_tets_loop, tet_neighbors_loop
+from test_exact import hollow_box3
 
 
 def test_single_tet_counts(single_tet):
@@ -175,6 +176,33 @@ def test_nonmanifold_face_rejected():
         classify_boundary(mesh)
 
 
+def test_adjacency_matches_loop(all_meshes):
+    meshes = dict(all_meshes, jittered4=generators.jittered_box_mesh(4, seed=2))
+    for name, mesh in meshes.items():
+        ft = mesh.face_tets
+        assert ft.dtype == np.int64 and np.array_equal(ft, face_tets_loop(mesh)), name
+        neigh = mesh.tet_neighbors()
+        assert neigh.dtype == np.int64 and np.array_equal(neigh, tet_neighbors_loop(mesh)), name
+
+
+def test_nonmanifold_message_matches_loop():
+    # Faces (0, 1, 2) and (0, 1, 3) each have three tets; the loop raises
+    # at the one whose third tet comes first in tet order.
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1], [1, 1, -1]],
+        dtype=float,
+    )
+    mesh = SimplicialComplex(
+        verts,
+        np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 6], [0, 1, 2, 5], [0, 1, 3, 5]]),
+    )
+    with pytest.raises(MeshError) as want:
+        face_tets_loop(mesh)
+    with pytest.raises(MeshError) as got:
+        mesh.face_tets
+    assert str(got.value) == str(want.value)
+
+
 def test_euler_single_tet(single_tet):
     rep = euler_audit(single_tet, classify_boundary(single_tet), genus=0)
     assert rep.bulk == (4 - 6, 1 - 4 + 1)
@@ -195,6 +223,17 @@ def test_euler_annulus_needs_genus(annulus8):
     assert rep.passed
     flat = euler_audit(annulus8, classify_boundary(annulus8), genus=0)
     assert not flat.passed
+
+
+def test_euler_hollow_box_counts_cavity():
+    mesh = hollow_box3()
+    rep = euler_audit(mesh, classify_boundary(mesh))
+    assert (rep.genus, rep.cavities) == (0, 1)
+    assert rep.bulk == (-214, -214)
+    assert rep.boundary == (-116, -116)
+    assert rep.combined == (98, 98)
+    assert rep.passed
+    assert not euler_audit(mesh, classify_boundary(mesh), cavities=0).passed
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,8 @@ from declat.whitney import (
     whitney_eval,
 )
 
+from _oracles import partition_duality_loop
+
 
 def constant_form(degree, vec):
     vec = np.asarray(vec, dtype=float)
@@ -177,6 +179,14 @@ class TestStructuralIdentities:
         for name, mesh in all_meshes.items():
             dev = verify_partition_duality(mesh, p, basis_of(mesh))
             assert dev <= 1e-12, (name, p, dev)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_pairing_matches_loop(self, all_meshes, basis_of, p):
+        meshes = dict(all_meshes, jittered4=generators.jittered_box_mesh(4, seed=2))
+        for name, mesh in meshes.items():
+            basis = basis_of(mesh)
+            got = verify_partition_duality(mesh, p, basis)
+            assert got == partition_duality_loop(mesh, p, basis), (name, p)
 
     def test_pairing_degree_zero_exact(self, kuhn, basis_of):
         assert verify_partition_duality(kuhn, 0, basis_of(kuhn)) == 0.0
