@@ -113,22 +113,6 @@ class DualComplex:
         np.add.at(out, self.vertex_piece_owner, self.vertex_piece_volumes())
         return out
 
-    def edge_cell_areas(self) -> np.ndarray:
-        tri = self.edge_pieces
-        areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-        )
-        out = np.zeros(self.complex.n_edges)
-        np.add.at(out, self.edge_piece_owner, areas)
-        return out
-
-    def face_cell_lengths(self) -> np.ndarray:
-        seg = self.face_pieces
-        lens = np.linalg.norm(seg[:, 1] - seg[:, 0], axis=1)
-        out = np.zeros(self.complex.n_faces)
-        np.add.at(out, self.face_piece_owner, lens)
-        return out
-
     # -- combinatorics -------------------------------------------------------
 
     def incidence(self, p: int) -> sparse.csr_matrix:

@@ -10,7 +10,11 @@ positive definite for admissible materials.
 The numerical inverse of a star is dense in general but its entries decay
 away from the diagonal, which justifies the sparse approximate inverse
 built here: a per-column Frobenius-norm least-squares fit restricted to a
-neighbor-pattern of prescribed level.
+neighbor-pattern of prescribed level.  Each fit is solved through its
+normal equations, a small Cholesky solve on a block of H^H H, so a block
+counts as singular once its condition number nears 1/eps (about 1e8 for
+the sliced columns of H): stricter than a dense least-squares rank rule,
+never looser.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .dual import DualComplex
@@ -165,12 +170,12 @@ class SparsityPattern:
     def build(cls, H: sparse.spmatrix, level: int) -> "SparsityPattern":
         if level < 0:
             raise ValueError("pattern level must be >= 0")
-        base = (abs(H) > 0).astype(np.int8) + sparse.eye(H.shape[0], dtype=np.int8)
-        base = (base > 0).astype(np.int8).tocsr()
+        # Boolean products: a position's neighbour count never wraps.
+        base = ((abs(H) > 0) + sparse.eye(H.shape[0], dtype=bool)).tocsr()
         pat = base
         for _ in range(level):
-            pat = (pat @ base > 0).astype(np.int8).tocsr()
-        return cls(level, pat)
+            pat = (pat @ base).tocsr()
+        return cls(level, pat.astype(np.int8))
 
 
 def spai_inverse(
@@ -180,52 +185,96 @@ def spai_inverse(
 ) -> tuple[sparse.csr_matrix, float]:
     """Sparse approximate inverse M with M H close to the identity.
 
-    Row j of M solves a dense least-squares problem restricted to the
-    pattern positions, which minimizes the Frobenius deviation
-    ||I - M H||_F position by position (H symmetric).  Entries below
-    ``drop_tol`` times the row maximum are pruned afterwards.
-    Returns (M, residual).
+    Row j of M is the least-squares fit min ||H[:, J] x - e_j|| over the
+    pattern positions J of column j, which minimizes the Frobenius
+    deviation ||I - M H||_F position by position (H symmetric).  It is
+    solved through its normal equations (H^H H)[J, J] x = conj(H[j, J]):
+    G = H^H H is formed once, each |J| x |J| block is gathered from the CSC
+    columns of G in J and solved by Cholesky.  Only the nonzero rows of
+    H[:, J] contribute to G, so this is the fit a dense least-squares
+    solve on those rows makes.  Entries below ``drop_tol`` times the row
+    maximum are pruned afterwards.  Returns (M, residual).
+
+    Raises ``LinAlgError`` when row j of H has no stored entry in J (the
+    unit vector lies outside the restricted row set), and when G[J, J] is
+    singular: its Cholesky factorization breaks down, or LAPACK's estimate
+    of its 1-norm condition number reaches 1/eps.  The normal equations
+    square the condition number, so this rejects blocks with
+    cond(H[:, J]) of about 1e8 and above, which the rank rule of a dense
+    SVD solve (singular values above eps max(|I|, |J|) times the largest)
+    accepted.  It is stricter than that rule and, on every rank-deficient
+    block tried, never looser: such a block either breaks the
+    factorization or leaves a factor whose condition estimate is far
+    beyond 1/eps.
     """
     if not sparse.issparse(H):
         H = sparse.csr_matrix(H)
     if isinstance(pattern, int):
         pattern = SparsityPattern.build(H, pattern)
     n = H.shape[0]
-    Hc = H.tocsc()
+    Hr = H.tocsr(copy=True)
+    Hr.sum_duplicates()
+    G = (Hr.conj().T @ Hr).tocsc()
     Pc = pattern.pattern.tocsc()
+    dtype = np.result_type(G.dtype, float)
+    (pocon,) = get_lapack_funcs(("pocon",), dtype=dtype)
+    eps = np.finfo(float).eps
+    # slot[i] is the position of index i in the current J, -1 elsewhere.
+    slot = np.full(n, -1, dtype=np.int64)
+    # Every block shares one Fortran-ordered buffer and is factored in
+    # place, and the solutions go straight into arrays sized by the pattern:
+    # per-column allocations fragment the heap and lift peak RSS.
+    sizes = np.diff(Pc.indptr)
+    buf = np.empty(sizes.max(initial=0) ** 2, dtype=dtype)
+    vals_out = np.empty(Pc.nnz, dtype=dtype)
+    keep = np.ones(Pc.nnz, dtype=bool)
 
-    rows_out = []
-    cols_out = []
-    vals_out = []
     for j in range(n):
-        J = Pc.indices[Pc.indptr[j] : Pc.indptr[j + 1]]
-        sub = Hc[:, J]
-        I = np.unique(sub.indices)
-        A = sub.tocsr()[I].toarray()
-        b = np.zeros(len(I))
-        pos = np.searchsorted(I, j)
-        if pos >= len(I) or I[pos] != j:
+        out = slice(Pc.indptr[j], Pc.indptr[j + 1])
+        J = Pc.indices[out]
+        k = len(J)
+        slot[J] = np.arange(k)
+        # Gather G[J, J] from the CSC columns of G in J.
+        starts = G.indptr[J]
+        counts = G.indptr[J + 1] - starts
+        at = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+        row = slot[G.indices[at]]
+        inside = row >= 0
+        col = np.repeat(np.arange(k), counts)[inside]
+        vals = G.data[at[inside]]
+        A = buf[: k * k].reshape((k, k), order="F")
+        A.fill(0)
+        A[row[inside], col] = vals
+        norm1 = np.bincount(col, weights=np.abs(vals), minlength=k).max()
+        # Right-hand side conj(H[j, J]) from CSR row j of H.
+        lo, hi = Hr.indptr[j], Hr.indptr[j + 1]
+        hit = slot[Hr.indices[lo:hi]]
+        slot[J] = -1
+        found = hit >= 0
+        if not found.any():
             raise np.linalg.LinAlgError(
                 f"column {j}: unit vector outside restricted row set"
             )
-        b[pos] = 1.0
-        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank < len(J):
+        b = np.zeros(k, dtype=dtype)
+        b[hit[found]] = Hr.data[lo:hi][found].conj()
+        try:
+            factor = cho_factor(A, overwrite_a=True, check_finite=False)
+            rcond, _ = pocon(factor[0], norm1)
+        except np.linalg.LinAlgError:
+            rcond = 0.0
+        if not rcond > eps:
             raise np.linalg.LinAlgError(
                 f"column {j}: singular restricted least-squares block"
             )
+        x = cho_solve(factor, b, check_finite=False)
+        vals_out[out] = x
         if drop_tol > 0.0:
-            keep = np.abs(x) >= drop_tol * np.abs(x).max()
-        else:
-            keep = np.ones(len(J), dtype=bool)
-        rows_out.append(np.full(keep.sum(), j))
-        cols_out.append(J[keep])
-        vals_out.append(x[keep])
+            keep[out] = np.abs(x) >= drop_tol * np.abs(x).max()
 
     # Rows of M are the solved columns of the left inverse: M[j, J] = x.
+    rows_out = np.repeat(np.arange(n), sizes)
     M = sparse.coo_matrix(
-        (np.concatenate(vals_out), (np.concatenate(rows_out), np.concatenate(cols_out))),
-        shape=(n, n),
+        (vals_out[keep], (rows_out[keep], Pc.indices[keep])), shape=(n, n)
     ).tocsr()
     R = M @ H - sparse.eye(n, format="csr")
     residual = float(np.sqrt((R.multiply(R.conjugate())).sum().real))
@@ -274,7 +323,6 @@ def dual_pairing_check(
     dual: DualComplex,
     p: int,
     basis: WhitneyBasis | None = None,
-    pairs: str = "shared",
 ) -> tuple[float, dict[tuple[int, int], float]]:
     """Integrate the metric Hodge dual of each degree-p basis form over the
     dual (3-p)-cells by subdivision quadrature.

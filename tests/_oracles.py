@@ -8,7 +8,11 @@ tet-at-a-time dihedral angles.
 None of it shares code paths with the package, except the loop versions
 of the face/tet adjacency and the partition-duality scan at the end: they
 read a complex's arrays (and a basis's pointwise values) one tet at a
-time, where the package works on all tets at once.
+time, where the package works on all tets at once.  The last one is the
+sparse approximate inverse as a dense least-squares solve per column
+(``lstsq`` on the sliced rows of H), where the package solves the normal
+equations by Cholesky; it builds its pattern with the package's
+``SparsityPattern``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 from scipy.special import roots_jacobi, roots_legendre
 
+from declat.hodge import SparsityPattern
 from declat.mesh import MeshError
 from declat.whitney import _GAUSS2_EDGE, _TRI3
 
@@ -253,3 +259,51 @@ def partition_duality_loop(complex, p: int, basis) -> float:
             want = 1.0 if gi == gj else 0.0
             dev = max(dev, abs(float(integ[si, sj]) - want))
     return dev
+
+
+def spai_lstsq_loop(H, pattern=0, drop_tol: float = 0.0):
+    """(M, residual) of the sparse approximate inverse, one dense lstsq per column."""
+    if not sparse.issparse(H):
+        H = sparse.csr_matrix(H)
+    if isinstance(pattern, int):
+        pattern = SparsityPattern.build(H, pattern)
+    n = H.shape[0]
+    Hc = H.tocsc()
+    Pc = pattern.pattern.tocsc()
+
+    rows_out = []
+    cols_out = []
+    vals_out = []
+    for j in range(n):
+        J = Pc.indices[Pc.indptr[j] : Pc.indptr[j + 1]]
+        sub = Hc[:, J]
+        I = np.unique(sub.indices)
+        A = sub.tocsr()[I].toarray()
+        b = np.zeros(len(I))
+        pos = np.searchsorted(I, j)
+        if pos >= len(I) or I[pos] != j:
+            raise np.linalg.LinAlgError(
+                f"column {j}: unit vector outside restricted row set"
+            )
+        b[pos] = 1.0
+        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        if rank < len(J):
+            raise np.linalg.LinAlgError(
+                f"column {j}: singular restricted least-squares block"
+            )
+        if drop_tol > 0.0:
+            keep = np.abs(x) >= drop_tol * np.abs(x).max()
+        else:
+            keep = np.ones(len(J), dtype=bool)
+        rows_out.append(np.full(keep.sum(), j))
+        cols_out.append(J[keep])
+        vals_out.append(x[keep])
+
+    # Rows of M are the solved columns of the left inverse: M[j, J] = x.
+    M = sparse.coo_matrix(
+        (np.concatenate(vals_out), (np.concatenate(rows_out), np.concatenate(cols_out))),
+        shape=(n, n),
+    ).tocsr()
+    R = M @ H - sparse.eye(n, format="csr")
+    residual = float(np.sqrt((R.multiply(R.conjugate())).sum().real))
+    return M, residual

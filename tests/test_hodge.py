@@ -15,8 +15,9 @@ from declat.hodge import (
     spai_inverse,
     write_coo,
 )
+from declat.mesh import SimplicialComplex
 
-from _oracles import whitney_mass_oracle
+from _oracles import spai_lstsq_loop, whitney_mass_oracle
 
 
 def _dense_by_tuples(mesh, H, degree):
@@ -26,6 +27,27 @@ def _dense_by_tuples(mesh, H, degree):
     order = sorted(range(len(tuples)), key=lambda i: tuples[i])
     dense = H.toarray()
     return [tuples[i] for i in order], dense[np.ix_(order, order)]
+
+
+def _pinwheel(n_rim: int) -> SimplicialComplex:
+    """``n_rim`` tets around the axis edge (0,0,0)-(0,0,1), rim at z = 0.5."""
+    angle = 2 * np.pi * np.arange(n_rim) / n_rim
+    rim = np.column_stack([np.cos(angle), np.sin(angle), np.full(n_rim, 0.5)])
+    verts = np.vstack([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], rim])
+    k = np.arange(n_rim)
+    tets = np.column_stack([np.zeros(n_rim), np.ones(n_rim), 2 + k, 2 + (k + 1) % n_rim])
+    return SimplicialComplex(verts, tets.astype(np.int64))
+
+
+def _assert_matches_oracle(H, level: int) -> None:
+    """Normal-equation SPAI against the dense lstsq loop at one level."""
+    M, res = spai_inverse(H, level)
+    M_ref, res_ref = spai_lstsq_loop(H, level)
+    scale = abs(M_ref).max()
+    assert abs(M - M_ref).max() <= 1e-10 * scale
+    # Where the pattern covers the whole inverse (kuhn from level 1) the
+    # residual is rounding noise, so it is compared on the scale of 1.
+    assert abs(res - res_ref) <= 1e-10 * max(res_ref, 1.0)
 
 
 class TestAssembly:
@@ -133,21 +155,64 @@ class TestSpai:
             assert b <= a + 1e-12
         assert residuals[3] < 1e-1 * residuals[0]
 
-    def test_pattern_nesting(self, kuhn, basis_of):
-        H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn))
-        prev = None
-        for k in range(3):
-            pat = SparsityPattern.build(H, k).pattern
-            if prev is not None:
-                gained = (prev - (prev.multiply(pat))).nnz
-                assert gained == 0  # previous level contained in this one
-            prev = pat
+    def test_pattern_nesting(self, kuhn):
+        # The pinwheel's axis edge has 145 neighbours, past an int8 count.
+        for mesh in (kuhn, _pinwheel(48)):
+            H = assemble_hodge(mesh, MaterialMap(), "eps")
+            prev = None
+            for k in range(3):
+                pat = SparsityPattern.build(H, k).pattern
+                assert np.all(pat.diagonal() == 1)
+                if prev is not None:
+                    gained = (prev - (prev.multiply(pat))).nnz
+                    assert gained == 0  # previous level contained in this one
+                prev = pat
 
     def test_drop_tol_prunes(self, box3, basis_of):
         H = assemble_hodge(box3, MaterialMap(), "eps", basis_of(box3))
         M_full, _ = spai_inverse(H, 1)
         M_dropped, _ = spai_inverse(H, 1, drop_tol=0.05)
         assert M_dropped.nnz < M_full.nnz
+
+    def test_matches_lstsq_oracle(self, kuhn, box3, jittered3, annulus8, basis_of):
+        for mesh in (kuhn, box3, jittered3, annulus8):
+            H = assemble_hodge(mesh, MaterialMap(), "eps", basis_of(mesh))
+            for k in range(4):
+                _assert_matches_oracle(H, k)
+        H = assemble_hodge(box3, MaterialMap(), "eps", basis_of(box3))
+        M, _ = spai_inverse(H, 1, drop_tol=0.05)
+        M_ref, _ = spai_lstsq_loop(H, 1, drop_tol=0.05)
+        assert set(zip(*M.nonzero())) == set(zip(*M_ref.nonzero()))
+
+    def test_complex_symmetric_star(self, kuhn, basis_of):
+        eps = 1.0 + 0.05j * np.linspace(0.0, 1.0, kuhn.n_tets)
+        H = assemble_hodge(kuhn, MaterialMap(eps=eps), "eps", basis_of(kuhn))
+        assert np.iscomplexobj(H.data)
+        for k in range(3):
+            _assert_matches_oracle(H, k)
+
+    def test_singular_block_rejected(self):
+        # The rank-2 block's normal matrix passes a plain Cholesky
+        # factorization; the condition estimate rejects it.
+        for rows in ([[1, 1], [1, 1]], [[8, -4, -6], [-4, 10, 1], [-6, 1, 5]]):
+            H = sparse.csr_matrix(np.array(rows, dtype=float))
+            for solve in (spai_inverse, spai_lstsq_loop):
+                with pytest.raises(np.linalg.LinAlgError, match="singular restricted"):
+                    solve(H, 0)
+
+    def test_near_singular_block_rejected(self):
+        # cond(H) ~ 4e10: the SVD rank rule keeps it, the normal equations
+        # cannot resolve it.
+        H = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]))
+        spai_lstsq_loop(H, 0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular restricted"):
+            spai_inverse(H, 0)
+
+    def test_empty_column_rejected(self):
+        H = sparse.csr_matrix(np.array([[2.0, 0.0], [0.0, 0.0]]))
+        for solve in (spai_inverse, spai_lstsq_loop):
+            with pytest.raises(np.linalg.LinAlgError, match="column 1: unit vector"):
+                solve(H, 0)
 
 
 class TestSpdCheck:
