@@ -15,7 +15,8 @@ degrees of freedom from the operators and cochains.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,34 +110,27 @@ class DiscreteCodifferential:
     Applies inverse-eps-star, transposed face/edge incidence, and the
     inverse-permeability star, with the inverse realized either by a sparse
     direct factorization or by a sparse approximate inverse on a neighbor
-    pattern.
+    pattern of ``level``.  It is the module's only realization of the
+    inverse eps star: a run passes one exact instance to every consumer.
     """
 
-    def __init__(self, ops: MaxwellOperators, mode: str = "exact", level: int = 1,
-                 drop_tol: float = 0.0):
+    def __init__(self, ops: MaxwellOperators, mode: str = "exact", level: int = 1):
+        if mode not in ("exact", "spai"):
+            raise ValueError("mode must be 'exact' or 'spai'")
         self.ops = ops
         self.mode = mode
         self.residual = 0.0
-        if ops.n_edges == 0:
-            self._lu = None
-            self.M = None
-            return
-        if mode == "exact":
+        self._lu = self.M = None
+        if ops.n_edges and mode == "exact":
             self._lu = splu(ops.Heps.tocsc())
-            self.M = None
-        elif mode == "spai":
-            self.M, self.residual = spai_inverse(ops.Heps, level, drop_tol)
-            self._lu = None
-        else:
-            raise ValueError("mode must be 'exact' or 'spai'")
+        elif ops.n_edges:
+            self.M, self.residual = spai_inverse(ops.Heps, level)
 
     def solve_eps(self, x: np.ndarray) -> np.ndarray:
         """Apply the realized inverse of the eps star."""
         if self.ops.n_edges == 0:
             return x
-        if self.mode == "exact":
-            return self._lu.solve(x)
-        return self.M @ x
+        return self._lu.solve(x) if self.mode == "exact" else self.M @ x
 
     def apply(self, B: np.ndarray) -> np.ndarray:
         return self.solve_eps(self.ops.C1.T @ (self.ops.Hmu_inv @ B))
@@ -174,19 +168,21 @@ def hamiltonian(
 class SimulationConfig:
     dt: float
     steps: int
-    hodge_inverse: str = "exact"  # 'exact' or 'spai:<level>'
+    hodge_inverse: str = "exact"  # 'exact', 'spai' or 'spai:<level>'
     source: object = None  # callable t -> edge cochain values, or None
     trace_every: int = 1
-    check_every: int = 25
-    force: bool = False
 
-    def codifferential(self, ops: MaxwellOperators) -> DiscreteCodifferential:
+    def codifferential(
+        self, ops: MaxwellOperators, exact: DiscreteCodifferential | None = None
+    ) -> DiscreteCodifferential:
+        """The codifferential ``hodge_inverse`` names; 'exact' reuses ``exact`` if given."""
         if self.hodge_inverse == "exact":
-            return DiscreteCodifferential(ops, "exact")
-        if self.hodge_inverse.startswith("spai"):
-            level = int(self.hodge_inverse.split(":")[1]) if ":" in self.hodge_inverse else 1
-            return DiscreteCodifferential(ops, "spai", level=level)
-        raise ValueError(f"unknown hodge_inverse {self.hodge_inverse!r}")
+            return exact or DiscreteCodifferential(ops)
+        spai = re.fullmatch(r"spai(?::(\d+))?", self.hodge_inverse)
+        if spai is None:
+            raise ValueError(f"unknown hodge_inverse {self.hodge_inverse!r}: "
+                             "expected 'exact', 'spai' or 'spai:<level>'")
+        return DiscreteCodifferential(ops, "spai", level=int(spai[1] or 1))
 
 
 @dataclass
@@ -234,8 +230,8 @@ def leapfrog_run(
     The magnetic field is staggered to half steps by a half-step start
     B(dt/2) = B(0) - (dt/2) C1 E(0); energies are reported at integer
     steps with the magnetic cochain averaged across the two neighboring
-    half steps.  Divergence blow-up (non-finite values) aborts with a
-    diagnostic.
+    half steps.  Divergence blow-up (non-finite values, checked every 25
+    steps and at the last) aborts with a diagnostic.
     """
     dt = config.dt
     if dt <= 0:
@@ -265,24 +261,17 @@ def leapfrog_run(
         rows.append((step, t, h, he, hm, invariant(Bprev, Bnext), divb))
         return h
 
-    J = None
-    if config.source is not None:
-        J = np.asarray(config.source(0.5 * dt), dtype=float)
-
     B_half = B - 0.5 * dt * (ops.C1 @ E)
     h0 = record(0, 0.0, B, B_half)
     blowup_level = 1e10 * (abs(h0) + 1.0)
     for n in range(config.steps):
         B_prev = B_half
-        if config.source is not None and n > 0:
-            J = np.asarray(config.source((n + 0.5) * dt), dtype=float)
+        J = None if config.source is None else np.asarray(config.source((n + 0.5) * dt), float)
         E = E + dt * ampere_step(B_half, codiff, J)
         B_half = B_half - dt * (ops.C1 @ E)
-        if (n + 1) % config.check_every == 0 or n + 1 == config.steps:
+        if (n + 1) % 25 == 0 or n + 1 == config.steps:
             h, _, _ = hamiltonian(ops.Heps, ops.Hmu_inv, E, B_half)
-            if not (np.isfinite(h) and h <= blowup_level) or not np.all(
-                np.isfinite(B_half)
-            ):
+            if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
                 raise FloatingPointError(
                     f"field blow-up detected at step {n + 1}: energy {h!r} "
                     f"(dt={float(dt)!r} likely above the stability bound)"
@@ -291,15 +280,8 @@ def leapfrog_run(
             record(n + 1, (n + 1) * dt, B_prev, B_half)
 
     arr = np.array(rows, dtype=float)
-    trace = Trace(
-        steps=arr[:, 0].astype(int),
-        times=arr[:, 1],
-        h_total=arr[:, 2],
-        h_electric=arr[:, 3],
-        h_magnetic=arr[:, 4],
-        h_invariant=arr[:, 5],
-        div_b_residual=arr[:, 6] / div_scale,
-    )
+    # Columns in field order: steps, times, the four energies, div B.
+    trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
     state = FieldState(E=E, B=B_half, step=config.steps, time=config.steps * dt)
     return state, trace
 
@@ -312,48 +294,44 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             ["step", "time_s", "H_total_J", "H_electric_J", "H_magnetic_J",
              "H_invariant_J", "div_B_residual_rel"]
         )
-        for i in range(len(trace.steps)):
-            w.writerow(
-                [
-                    int(trace.steps[i]),
-                    repr(float(trace.times[i])),
-                    repr(float(trace.h_total[i])),
-                    repr(float(trace.h_electric[i])),
-                    repr(float(trace.h_magnetic[i])),
-                    repr(float(trace.h_invariant[i])),
-                    repr(float(trace.div_b_residual[i])),
-                ]
-            )
+        columns = (trace.times, trace.h_total, trace.h_electric, trace.h_magnetic,
+                   trace.h_invariant, trace.div_b_residual)
+        for step, *values in zip(trace.steps, *columns):
+            w.writerow([int(step)] + [repr(float(v)) for v in values])
 
 
 def stable_timestep(
-    ops: MaxwellOperators,
-    tol: float = 1e-6,
-    max_iter: int = 20000,
-    seed: int = 7,
+    ops: MaxwellOperators, inverse: DiscreteCodifferential | None = None
 ) -> float:
     """2 / sqrt(lambda_max) of the generalized update-operator eigenproblem.
 
     lambda_max is the largest eigenvalue of K e = lambda Heps e with
-    K = C1^T Hmu_inv C1, estimated by power iteration on the
-    eps-whitened operator to ``tol`` relative.
+    K = C1^T Hmu_inv C1, estimated by power iteration on Heps^{-1} K
+    (seeded start, at most 20000 steps) until it settles to 1e-6 relative.
+    Heps^{-1} is applied by ``inverse.solve_eps``: the exact codifferential
+    of ``ops`` a run already holds, or one factored here when omitted.  Any
+    other inverse raises ``ValueError``: the bound is the exact operator's.
     """
     n = ops.n_edges
     if n == 0:
         raise ValueError("no electric degrees of freedom")
+    inverse = inverse or DiscreteCodifferential(ops)
+    if inverse.mode != "exact" or inverse.ops is not ops:
+        raise ValueError("stable_timestep needs the exact inverse of these operators")
     K = (ops.C1.T @ ops.Hmu_inv @ ops.C1).tocsr()
-    lu = splu(ops.Heps.tocsc())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     v = rng.standard_normal(n)
+    Kv = K @ v
     lam = None
-    for _ in range(max_iter):
-        w = lu.solve(K @ v)
+    for _ in range(20000):
+        w = inverse.solve_eps(Kv)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             raise ValueError("update operator is identically zero")
         v = w / nrm
-        new_lam = float((v @ (K @ v)) / (v @ (ops.Heps @ v)))
-        if lam is not None and abs(new_lam - lam) <= tol * abs(new_lam):
+        Kv = K @ v
+        new_lam = float((v @ Kv) / (v @ (ops.Heps @ v)))
+        if lam is not None and abs(new_lam - lam) <= 1e-6 * abs(new_lam):
             return 2.0 / np.sqrt(new_lam)
         lam = new_lam
     raise RuntimeError("power iteration did not converge")
@@ -438,7 +416,7 @@ def compare_inverse_modes(
     exact = DiscreteCodifferential(ops, "exact")
     approx = DiscreteCodifferential(ops, "spai", level=level)
     if dt_max is None:
-        dt_max = stable_timestep(ops)
+        dt_max = stable_timestep(ops, exact)
     c0 = 1.0 / np.sqrt(max(1.0 - (dt / dt_max) ** 2, 1e-12))
 
     def energy_norm(e, b):
@@ -452,9 +430,10 @@ def compare_inverse_modes(
     divergence = np.zeros(steps)
     envelope = np.zeros(steps)
     for n in range(steps):
-        u_exact_on_approx = exact.apply(B2)
-        u_approx = approx.apply(B2)
-        g = u_exact_on_approx - u_approx
+        # One curl per step, under both inverses.
+        curl_h = ops.C1.T @ (ops.Hmu_inv @ B2)
+        u_approx = approx.solve_eps(curl_h)
+        g = exact.solve_eps(curl_h) - u_approx
         # One step injects dt * (g, -dt C1 g) into the error state.
         cg = ops.C1 @ g
         forcing_sum += dt * float(

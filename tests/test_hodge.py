@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from declat import generators
+from declat.audit import audit_hodge
 from declat.dual import DualComplex
 from declat.hodge import (
     MaterialMap,
@@ -168,6 +169,14 @@ class TestSpai:
                     assert gained == 0  # previous level contained in this one
                 prev = pat
 
+    def test_numpy_integer_level(self, kuhn, basis_of):
+        H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn))
+        M, res = spai_inverse(H, np.int64(1))
+        M_ref, res_ref = spai_inverse(H, 1)
+        assert (M != M_ref).nnz == 0 and res == res_ref
+        with pytest.raises(TypeError):
+            spai_inverse(H, 1.0)
+
     def test_drop_tol_prunes(self, box3, basis_of):
         H = assemble_hodge(box3, MaterialMap(), "eps", basis_of(box3))
         M_full, _ = spai_inverse(H, 1)
@@ -223,10 +232,24 @@ class TestSpdCheck:
         assert sym > 1e-6
 
     def test_flags_indefiniteness(self, kuhn, basis_of):
-        H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)).tolil()
-        H[3, 3] = -1e-3
-        sym, min_eig = check_spd(H.tocsr())
-        assert min_eig < 0
+        # At -1.0 the eigenvalue nearest zero is positive (0.038) while
+        # lambda_min is -1.005: inverse iteration alone certified it.
+        Hmu = assemble_hodge(kuhn, MaterialMap(), "mu_inv", basis_of(kuhn))
+        for value in (-1e-3, -1.0):
+            H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)).tolil()
+            H[3, 3] = value
+            H = H.tocsr()
+            sym, min_eig = check_spd(H)
+            assert min_eig < 0
+            assert min_eig >= np.linalg.eigvalsh(H.toarray()).min() - 1e-12
+            failing = [c.name for c in audit_hodge(H, Hmu, kuhn).checks if not c.passed]
+            assert "eps star positive definite" in failing
+
+    def test_zero_pivot_not_certified(self):
+        # Eigenvalues -1.28 and 0.78; the zero diagonal forces an
+        # off-diagonal pivot, so no proof and no positive value.
+        H = sparse.csr_matrix(np.array([[-0.5, 1.0], [1.0, 0.0]]))
+        assert check_spd(H)[1] <= 0.0
 
 
 class TestDualPairing:

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from declat import generators
+from declat import cli, generators, maxwell
 from declat.hodge import MaterialMap, SparsityPattern, assemble_hodge
 from declat.maxwell import (
     DiscreteCodifferential,
@@ -18,7 +20,7 @@ from declat.maxwell import (
     stable_timestep,
     write_trace,
 )
-from declat.mesh import SimplicialComplex, classify_boundary
+from declat.mesh import SimplicialComplex, classify_boundary, write_mesh
 from declat.whitney import AnalyticForm, de_rham
 
 
@@ -136,6 +138,85 @@ class TestLeapfrog:
         write_trace(trace, path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("step,time_s,H_total_J")
+
+    def test_source_obeys_discrete_gauss_law(self, rng):
+        # C1 C0 = 0 on interior edges of interior vertices, so the charge
+        # G^T Heps E moves only by the deposited current.
+        mesh = generators.jittered_box_mesh(4, seed=3)
+        cls = classify_boundary(mesh)
+        ops = apply_pec(mesh, cls)
+        G = mesh.incidence(0)[cls.interior_edges][:, cls.interior_vertices].tocsr()
+        J0 = rng.standard_normal(ops.n_edges)
+
+        def source(t):
+            return np.sin(3.0 * t) * J0
+
+        dt, steps = 0.5 * stable_timestep(ops), 300
+        state, _ = leapfrog_run(
+            ops, SimulationConfig(dt=dt, steps=steps, source=source),
+            B0=rng.standard_normal(ops.n_faces),
+        )
+        charge = G.T @ (ops.Heps @ state.E)
+        expected = -dt * sum(G.T @ source((n + 0.5) * dt) for n in range(steps))
+        assert np.linalg.norm(charge - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestInverseSpec:
+    def test_accepted_forms(self, box3, classification_of):
+        ops = apply_pec(box3, classification_of(box3))
+        exact = DiscreteCodifferential(ops)
+        assert SimulationConfig(1.0, 1, "exact").codifferential(ops, exact) is exact
+        assert SimulationConfig(1.0, 1, "exact").codifferential(ops).mode == "exact"
+        spai, spai1, spai2 = (SimulationConfig(1.0, 1, spec).codifferential(ops)
+                              for spec in ("spai", "spai:1", "spai:2"))
+        assert spai.mode == spai1.mode == spai2.mode == "spai"
+        assert (spai.M != spai1.M).nnz == 0 and spai2.M.nnz > spai1.M.nnz
+
+    def test_malformed_rejected(self, kuhn, classification_of):
+        ops = apply_pec(kuhn, classification_of(kuhn))
+        for spec in ("spaix", "spai:1:2", "spai:", "spai:x", "spai:-1", "Exact", "lu"):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                SimulationConfig(1.0, 1, spec).codifferential(ops)
+
+
+class TestSharedInverse:
+    """Heps is factored once per run, through the module's ``splu`` binding."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        real = maxwell.splu
+
+        def counted(A, *args, **kwargs):
+            calls.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(maxwell, "splu", counted)
+        return calls
+
+    def test_simulate_factors_once(self, tmp_path, kuhn, splu_calls):
+        path = tmp_path / "kuhn.mesh"
+        write_mesh(kuhn, path)
+        for inverse in ("exact", "spai:1"):
+            splu_calls.clear()
+            assert cli.main(["simulate", "--mesh", str(path), "--steps", "20",
+                             "--hodge-inverse", inverse,
+                             "--out", str(tmp_path / "trace.csv")]) == 0
+            assert len(splu_calls) == 1, inverse
+
+    def test_compare_inverse_modes_factors_once(self, box3, classification_of, splu_calls):
+        ops = apply_pec(box3, classification_of(box3))
+        compare_inverse_modes(ops, dt=0.05, steps=5, level=1)
+        assert len(splu_calls) == 1
+
+    def test_bound_needs_the_exact_inverse_of_its_operators(self, kuhn, box3,
+                                                            classification_of):
+        ops = apply_pec(box3, classification_of(box3))
+        assert stable_timestep(ops, DiscreteCodifferential(ops)) == stable_timestep(ops)
+        others = apply_pec(kuhn, classification_of(kuhn))
+        for inverse in (DiscreteCodifferential(ops, "spai"), DiscreteCodifferential(others)):
+            with pytest.raises(ValueError, match="exact inverse"):
+                stable_timestep(ops, inverse)
 
 
 class TestHamiltonian:
