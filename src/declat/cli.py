@@ -96,6 +96,10 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    try:  # a malformed spec fails before any work
+        SimulationConfig.spai_level(args.hodge_inverse)
+    except ValueError as exc:
+        raise SystemExit(f"--hodge-inverse: {exc}") from None
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, _materials(args))

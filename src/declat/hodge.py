@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolve_triangular
 
 from .dual import DualComplex
 from .mesh import SimplicialComplex
@@ -282,18 +282,39 @@ def spai_inverse(
     return M, residual
 
 
+def _ritz_vector(A: sparse.spmatrix, solve, M: sparse.spmatrix | None = None):
+    """Ritz vector of one extreme eigenpair of the symmetric matrix A.
+
+    With SPD ``M``, of the largest eigenvalue of A x = lam M x (generalized
+    Lanczos, ``solve`` applies M^{-1}); without, of the eigenvalue nearest
+    zero (shift-invert Lanczos at 0, ``solve`` applies A^{-1}).  ``eigsh``
+    runs with k = 1, a seeded start and relative tolerance 1e-10, one
+    ``solve`` per step, and raises ``ArpackError`` if it does not converge.
+    ARPACK needs k < n, so below three unknowns dense ``eigh`` serves.
+    """
+    n = A.shape[0]
+    if n < 3:
+        vals, vecs = eigh(A.toarray(), None if M is None else M.toarray())
+        return vecs[:, -1] if M is not None else vecs[:, np.argmin(np.abs(vals))]
+    op = LinearOperator((n, n), matvec=solve, dtype=A.dtype)
+    mode = dict(sigma=0.0, OPinv=op) if M is None else dict(M=M, Minv=op, which="LA")
+    start = np.random.default_rng(7).standard_normal(n)
+    return eigsh(A, k=1, v0=start, tol=1e-10, **mode)[1][:, 0]
+
+
 def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     """Relative symmetry deviation and a smallest-eigenvalue estimate.
 
     P H P^T = L U is factored with a symmetric ordering and diagonal
     pivots.  If they stay on the diagonal and are all positive, H (taken as
     symmetric) is proved positive definite by Sylvester's law of inertia,
-    and the estimate is inverse iteration on that factor until the Rayleigh
-    quotient settles to 1e-10 relative (at most 1000 steps).  That finds
-    the eigenvalue nearest zero, so otherwise the estimate is lowered to
-    the quotient of a witness x = P^T y, L^T y = e_k at the most negative
-    pivot k, or to 0.0 if a zero pivot forced an off-diagonal one.  The
-    value is a Rayleigh quotient of H (or 0.0), so never below lambda_min.
+    and the estimate is the quotient x^T H x / x^T x of the Ritz vector x
+    of shift-invert Lanczos at 0 on that factor (NaN if it does not
+    converge).  That is the eigenvalue nearest zero, so otherwise the
+    estimate is lowered to the quotient of a witness x = P^T y, L^T y = e_k
+    at the most negative pivot k, or to 0.0 if a zero pivot forced an
+    off-diagonal one.  The value is a Rayleigh quotient of H (or 0.0), so
+    never below lambda_min.
     """
     H = H.tocsr()
     d = H - H.T
@@ -305,19 +326,11 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
         return sym_dev, float("nan")
     lu = splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = float("nan")
-    for _ in range(1000):
-        w = lu.solve(v)
-        w_norm = np.linalg.norm(w)
-        if not np.isfinite(w_norm) or w_norm == 0.0:
-            break
-        v = w / w_norm
-        lam, estimate = estimate, float(v @ (H @ v))
-        if abs(estimate - lam) <= 1e-10 * abs(estimate):
-            break
+    try:
+        x = _ritz_vector(H, lu.solve)
+        estimate = float(x @ (H @ x)) / float(x @ x)
+    except ArpackError:
+        estimate = float("nan")
 
     pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c):

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
-from .hodge import MaterialMap, assemble_hodge, spai_inverse
+from .hodge import MaterialMap, _ritz_vector, assemble_hodge, spai_inverse
 from .mesh import BoundaryClassification, SimplicialComplex
 from .whitney import WhitneyBasis
 
@@ -62,8 +63,6 @@ class MaxwellOperators:
     Heps: sparse.csr_matrix
     Hmu_inv: sparse.csr_matrix
     C2: sparse.csr_matrix | None = None
-    edge_index: np.ndarray | None = None
-    face_index: np.ndarray | None = None
 
     @property
     def n_edges(self) -> int:
@@ -99,8 +98,6 @@ def apply_pec(
         Heps=heps[e_idx][:, e_idx].tocsr(),
         Hmu_inv=hmu[f_idx][:, f_idx].tocsr(),
         C2=C2,
-        edge_index=e_idx,
-        face_index=f_idx,
     )
 
 
@@ -120,6 +117,7 @@ class DiscreteCodifferential:
         self.ops = ops
         self.mode = mode
         self.residual = 0.0
+        self._C1T = ops.C1.T.tocsr()
         self._lu = self.M = None
         if ops.n_edges and mode == "exact":
             self._lu = splu(ops.Heps.tocsc())
@@ -133,7 +131,7 @@ class DiscreteCodifferential:
         return self._lu.solve(x) if self.mode == "exact" else self.M @ x
 
     def apply(self, B: np.ndarray) -> np.ndarray:
-        return self.solve_eps(self.ops.C1.T @ (self.ops.Hmu_inv @ B))
+        return self.solve_eps(self._C1T @ (self.ops.Hmu_inv @ B))
 
 
 def faraday_step(C1: sparse.spmatrix, E: np.ndarray) -> np.ndarray:
@@ -157,10 +155,8 @@ def hamiltonian(
     Heps: sparse.spmatrix, Hmu_inv: sparse.spmatrix, E: np.ndarray, B: np.ndarray
 ) -> tuple[float, float, float]:
     """Lattice energy (total, electric, magnetic): E.D + H.B with D, H from the stars."""
-    D = Heps @ E
-    Hfield = Hmu_inv @ B
-    elec = float(E @ D)
-    mag = float(Hfield @ B)
+    elec = float(E @ (Heps @ E))
+    mag = float((Hmu_inv @ B) @ B)
     return elec + mag, elec, mag
 
 
@@ -172,17 +168,23 @@ class SimulationConfig:
     source: object = None  # callable t -> edge cochain values, or None
     trace_every: int = 1
 
+    @staticmethod
+    def spai_level(spec: str) -> int | None:
+        """The SPAI level a ``hodge_inverse`` spec names, None for 'exact'."""
+        spai = re.fullmatch(r"exact|spai(?::(\d+))?", spec)
+        if spai is None:
+            raise ValueError(f"unknown hodge_inverse {spec!r}: "
+                             "expected 'exact', 'spai' or 'spai:<level>'")
+        return None if spec == "exact" else int(spai[1] or 1)
+
     def codifferential(
         self, ops: MaxwellOperators, exact: DiscreteCodifferential | None = None
     ) -> DiscreteCodifferential:
         """The codifferential ``hodge_inverse`` names; 'exact' reuses ``exact`` if given."""
-        if self.hodge_inverse == "exact":
+        level = self.spai_level(self.hodge_inverse)
+        if level is None:
             return exact or DiscreteCodifferential(ops)
-        spai = re.fullmatch(r"spai(?::(\d+))?", self.hodge_inverse)
-        if spai is None:
-            raise ValueError(f"unknown hodge_inverse {self.hodge_inverse!r}: "
-                             "expected 'exact', 'spai' or 'spai:<level>'")
-        return DiscreteCodifferential(ops, "spai", level=int(spai[1] or 1))
+        return DiscreteCodifferential(ops, "spai", level=level)
 
 
 @dataclass
@@ -244,9 +246,6 @@ def leapfrog_run(
     div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
     div_ref = None
 
-    def invariant(Bprev, Bnext):
-        return float(E @ (ops.Heps @ E) + Bprev @ (ops.Hmu_inv @ Bnext))
-
     def record(step, t, Bprev, Bnext):
         nonlocal div_ref
         h, he, hm = hamiltonian(ops.Heps, ops.Hmu_inv, E, 0.5 * (Bprev + Bnext))
@@ -258,7 +257,7 @@ def leapfrog_run(
             if div_ref is None:
                 div_ref = div_now
             divb = float(np.abs(div_now - div_ref).max(initial=0.0))
-        rows.append((step, t, h, he, hm, invariant(Bprev, Bnext), divb))
+        rows.append((step, t, h, he, hm, float(he + Bprev @ (ops.Hmu_inv @ Bnext)), divb))
         return h
 
     B_half = B - 0.5 * dt * (ops.C1 @ E)
@@ -306,35 +305,25 @@ def stable_timestep(
     """2 / sqrt(lambda_max) of the generalized update-operator eigenproblem.
 
     lambda_max is the largest eigenvalue of K e = lambda Heps e with
-    K = C1^T Hmu_inv C1, estimated by power iteration on Heps^{-1} K
-    (seeded start, at most 20000 steps) until it settles to 1e-6 relative.
-    Heps^{-1} is applied by ``inverse.solve_eps``: the exact codifferential
-    of ``ops`` a run already holds, or one factored here when omitted.  Any
-    other inverse raises ``ValueError``: the bound is the exact operator's.
+    K = C1^T Hmu_inv C1, taken as the quotient v^T K v / v^T Heps v of the
+    Ritz vector v of generalized Lanczos (``RuntimeError`` if it does not
+    converge).  That quotient bounds lambda_max from below, so the step is
+    an estimate accurate to rounding, not a certificate: it may exceed the
+    true bound in the last digits.  Heps^{-1} is applied by
+    ``inverse.solve_eps``: the exact codifferential of ``ops`` a run
+    already holds, or one factored here when omitted.  Any other inverse
+    raises ``ValueError``: the bound is the exact operator's.
     """
-    n = ops.n_edges
-    if n == 0:
+    if ops.n_edges == 0:
         raise ValueError("no electric degrees of freedom")
     inverse = inverse or DiscreteCodifferential(ops)
     if inverse.mode != "exact" or inverse.ops is not ops:
         raise ValueError("stable_timestep needs the exact inverse of these operators")
     K = (ops.C1.T @ ops.Hmu_inv @ ops.C1).tocsr()
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(n)
-    Kv = K @ v
-    lam = None
-    for _ in range(20000):
-        w = inverse.solve_eps(Kv)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            raise ValueError("update operator is identically zero")
-        v = w / nrm
-        Kv = K @ v
-        new_lam = float((v @ Kv) / (v @ (ops.Heps @ v)))
-        if lam is not None and abs(new_lam - lam) <= 1e-6 * abs(new_lam):
-            return 2.0 / np.sqrt(new_lam)
-        lam = new_lam
-    raise RuntimeError("power iteration did not converge")
+    if K.count_nonzero() == 0:
+        raise ValueError("update operator is identically zero")
+    v = _ritz_vector(K, inverse.solve_eps, ops.Heps)
+    return 2.0 / np.sqrt(float(v @ (K @ v)) / float(v @ (ops.Heps @ v)))
 
 
 @dataclass
@@ -365,10 +354,7 @@ def eigenmodes(
     zero_tol = 1e-8 * scale
 
     if n <= dense_cutoff:
-        from scipy.linalg import eigh
-
-        vals = eigh(K.toarray(), ops.Heps.toarray(), eigvals_only=True)
-        vals = np.sort(vals)[: max(count, 0)] if count < n else np.sort(vals)
+        vals = eigh(K.toarray(), ops.Heps.toarray(), eigvals_only=True)[: max(count, 0)]
     else:
         # Shift-invert with an explicit factorization; near the zero-mode
         # cluster (huge multiplicity: all gradients) Lanczos stalls, so a
@@ -419,9 +405,6 @@ def compare_inverse_modes(
         dt_max = stable_timestep(ops, exact)
     c0 = 1.0 / np.sqrt(max(1.0 - (dt / dt_max) ** 2, 1e-12))
 
-    def energy_norm(e, b):
-        return float(np.sqrt(e @ (ops.Heps @ e) + b @ (ops.Hmu_inv @ b)))
-
     E1 = E0.copy()
     B1 = B0 - 0.5 * dt * (ops.C1 @ E0)
     E2 = E0.copy()
@@ -443,7 +426,8 @@ def compare_inverse_modes(
         B1 = B1 - dt * (ops.C1 @ E1)
         E2 = E2 + dt * u_approx
         B2 = B2 - dt * (ops.C1 @ E2)
-        divergence[n] = energy_norm(E1 - E2, B1 - B2)
+        dE, dB = E1 - E2, B1 - B2
+        divergence[n] = np.sqrt(dE @ (ops.Heps @ dE) + dB @ (ops.Hmu_inv @ dB))
         envelope[n] = c0 * forcing_sum
     return {
         "residual": approx.residual,

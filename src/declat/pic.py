@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import SimplicialComplex
 from .whitney import BarycentricPoint, Cochain, WhitneyBasis, _as_basis, interpolate
 
 __all__ = [

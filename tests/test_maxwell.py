@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from declat import cli, generators, maxwell
+from declat import cli, generators, hodge, maxwell
 from declat.hodge import MaterialMap, SparsityPattern, assemble_hodge
 from declat.maxwell import (
     DiscreteCodifferential,
@@ -179,6 +180,17 @@ class TestInverseSpec:
                 SimulationConfig(1.0, 1, spec).codifferential(ops)
 
 
+class CountedLU:
+    """A factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, x):
+        self.solves += 1
+        return self.lu.solve(x)
+
+
 class TestSharedInverse:
     """Heps is factored once per run, through the module's ``splu`` binding."""
 
@@ -188,11 +200,28 @@ class TestSharedInverse:
         real = maxwell.splu
 
         def counted(A, *args, **kwargs):
-            calls.append(A.shape)
-            return real(A, *args, **kwargs)
+            calls.append(CountedLU(real(A, *args, **kwargs)))
+            return calls[-1]
 
         monkeypatch.setattr(maxwell, "splu", counted)
         return calls
+
+    def test_malformed_spec_rejected_before_factoring(self, tmp_path, kuhn, splu_calls):
+        path = tmp_path / "kuhn.mesh"
+        write_mesh(kuhn, path)
+        for spec in ("spai:1:2", "lu"):
+            with pytest.raises(SystemExit, match=re.escape(repr(spec))):
+                cli.main(["simulate", "--mesh", str(path), "--hodge-inverse", spec,
+                          "--out", str(tmp_path / "trace.csv")])
+        assert splu_calls == [] and not (tmp_path / "trace.csv").exists()
+
+    def test_bound_solve_count(self, splu_calls):
+        # Lanczos: 91 solves here; the power iteration took 218-635 on
+        # jittered n=6 boxes.
+        mesh = generators.jittered_box_mesh(6, seed=3000)
+        ops = apply_pec(mesh, classify_boundary(mesh))
+        stable_timestep(ops)
+        assert len(splu_calls) == 1 and 0 < splu_calls[0].solves <= 150
 
     def test_simulate_factors_once(self, tmp_path, kuhn, splu_calls):
         path = tmp_path / "kuhn.mesh"
@@ -217,6 +246,16 @@ class TestSharedInverse:
         for inverse in (DiscreteCodifferential(ops, "spai"), DiscreteCodifferential(others)):
             with pytest.raises(ValueError, match="exact inverse"):
                 stable_timestep(ops, inverse)
+
+
+class TestCodifferential:
+    def test_apply_matches_the_triple_product_exactly(self, box3, classification_of, rng):
+        ops = apply_pec(box3, classification_of(box3))
+        for codiff in (DiscreteCodifferential(ops), DiscreteCodifferential(ops, "spai")):
+            for _ in range(20):
+                B = rng.standard_normal(ops.n_faces)
+                expect = codiff.solve_eps(ops.C1.T @ (ops.Hmu_inv @ B))
+                assert np.array_equal(codiff.apply(B), expect)
 
 
 class TestHamiltonian:
@@ -262,6 +301,31 @@ class TestStableTimestep:
         lam = eigh(K, ops.Heps.toarray(), eigvals_only=True)
         oracle = 2.0 / np.sqrt(lam.max())
         assert abs(bound - oracle) <= 1e-6 * oracle
+
+    def test_matches_dense_eigh(self, kuhn, annulus8):
+        # The power iteration it replaced sat up to 1e-4 below lambda_max.
+        meshes = [kuhn, generators.box_mesh(4), annulus8,
+                  generators.jittered_box_mesh(4, seed=3)]
+        for mesh in meshes:
+            ops = apply_pec(mesh, classify_boundary(mesh))
+            K = (ops.C1.T @ ops.Hmu_inv @ ops.C1).toarray()
+            oracle = 2.0 / np.sqrt(eigh(K, ops.Heps.toarray(), eigvals_only=True).max())
+            assert abs(stable_timestep(ops) - oracle) <= 1e-10 * oracle, mesh.n_tets
+
+    def test_unconverged_lanczos_raises(self, box3, classification_of, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(hodge, "eigsh", stalled)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            stable_timestep(apply_pec(box3, classification_of(box3)))
+
+    def test_zero_update_operator_rejected(self, kuhn, box3, classification_of):
+        for mesh in (kuhn, box3):  # 1 and 117 unknowns: dense and Lanczos paths
+            ops = apply_pec(mesh, classification_of(mesh))
+            ops.Hmu_inv = 0.0 * ops.Hmu_inv
+            with pytest.raises(ValueError, match="identically zero"):
+                stable_timestep(ops)
 
     def test_refinement_shrinks_bound(self):
         bounds = []
