@@ -311,7 +311,7 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     and the estimate is the quotient x^T H x / x^T x of the Ritz vector x
     of shift-invert Lanczos at 0 on that factor (NaN if it does not
     converge).  That is the eigenvalue nearest zero, so otherwise the
-    estimate is lowered to the quotient of a witness x = P^T y, L^T y = e_k
+    estimate (NaN included) is lowered to the quotient of a witness x = P^T y, L^T y = e_k
     at the most negative pivot k, or to 0.0 if a zero pivot forced an
     off-diagonal one.  The value is a Rayleigh quotient of H (or 0.0), so
     never below lambda_min.
@@ -334,14 +334,14 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
 
     pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return sym_dev, min(estimate, 0.0)
+        return sym_dev, float(np.fmin(estimate, 0.0))
     if np.all(pivots > 0):
         return sym_dev, estimate
     e = np.zeros(n)
     e[np.argmin(pivots)] = 1.0
     y = spsolve_triangular(lu.L.T.tocsr(), e, lower=False, unit_diagonal=True)
     x = y[lu.perm_c]
-    return sym_dev, min(estimate, float(x @ (H @ x)) / float(x @ x))
+    return sym_dev, float(np.fmin(estimate, float(x @ (H @ x)) / float(x @ x)))
 
 
 # -- dual-cell pairing --------------------------------------------------------

@@ -414,7 +414,7 @@ def compare_inverse_modes(
     envelope = np.zeros(steps)
     for n in range(steps):
         # One curl per step, under both inverses.
-        curl_h = ops.C1.T @ (ops.Hmu_inv @ B2)
+        curl_h = exact._C1T @ (ops.Hmu_inv @ B2)
         u_approx = approx.solve_eps(curl_h)
         g = exact.solve_eps(curl_h) - u_approx
         # One step injects dt * (g, -dt C1 g) into the error state.

@@ -26,7 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .whitney import BarycentricPoint, Cochain, WhitneyBasis, _as_basis, interpolate
+from .whitney import BarycentricPoint, Cochain, _as_basis, interpolate
+
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])  # lambda_0 = 1 + grad(lambda_0) . (x - v0)
 
 __all__ = [
     "Particle",
@@ -72,7 +74,7 @@ class ScatterResult:
 
 
 def scatter_charge(
-    complex_or_basis, particle: Particle, seed: int = 0
+    complex_or_basis, particle: Particle
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deposit a particle's charge on the four nodes of its tet.
 
@@ -80,24 +82,8 @@ def scatter_charge(
     barycentric coordinates and always sum to q.
     """
     basis = _as_basis(complex_or_basis)
-    t, lam = basis.locate(particle.position, seed=seed)
+    t, lam = basis.locate(particle.position)
     return basis.complex.tets[t], particle.charge * lam
-
-
-def _deposit_segment(
-    basis: WhitneyBasis,
-    tet: int,
-    lam_start: np.ndarray,
-    lam_end: np.ndarray,
-    qdot: float,
-    current: np.ndarray,
-) -> None:
-    mean = 0.5 * (lam_start + lam_end)
-    delta = lam_end - lam_start
-    a = basis.edge_local[tet, :, 0]
-    b = basis.edge_local[tet, :, 1]
-    coeff = qdot * (mean[a] * delta[b] - mean[b] * delta[a])
-    np.add.at(current, basis.complex.tet_edges[tet], coeff)
 
 
 def scatter_current(
@@ -106,62 +92,61 @@ def scatter_current(
     x_end: np.ndarray,
     q: float,
     tau: float,
-    seed: int = 0,
     tol: float = 1e-12,
 ) -> ScatterResult:
     """Deposit the current of a charge moving in a straight line.
 
-    The path is split at cell boundaries; each within-tet segment is
-    deposited in closed form.  If the path leaves the mesh the scatter is
-    partial up to the exit point and flagged.
+    The path is split at cell boundaries, one face crossing at a time from
+    the tet that holds the start; then all within-tet segments are
+    deposited in closed form at once.  If the path leaves the mesh the
+    scatter is partial up to the exit point and flagged.
     """
     basis = _as_basis(complex_or_basis)
     if tau <= 0:
         raise ValueError("tau must be positive")
     cx = basis.complex
     qdot = q / tau
-    x_start = np.asarray(x_start, dtype=float)
-    x_end = np.asarray(x_end, dtype=float)
-
-    rate = np.zeros(cx.n_vertices)
-    final = np.zeros(cx.n_vertices)
-    current = np.zeros(cx.n_edges)
-    t, _ = basis.locate(x_start, seed=seed)
-    # Raw affine coordinates, so identical endpoints give exact zeros.
-    lam_here = basis.bary(np.array([t]), x_start.reshape(1, 3))[0]
-    np.add.at(rate, cx.tets[t], -qdot * lam_here)  # charge leaves the start
-
-    x_here = x_start
+    ends = np.array([x_start, x_end], dtype=float)
+    t, _ = basis.locate(ends[0])
+    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    segments = []  # per within-tet segment: its tet and both chord ends' coordinates
+    bounds = [0.0]  # chord parameter where the path enters, then leaves, each segment
     exited = False
-    neighbors = basis.neighbors
     for _ in range(8 * cx.n_tets + 16):
-        lam_target = basis.bary(np.array([t]), x_end.reshape(1, 3))[0]
-        if lam_target.min() >= -tol:
-            _deposit_segment(basis, t, lam_here, lam_target, qdot, current)
-            np.add.at(rate, cx.tets[t], qdot * lam_target)
-            np.add.at(final, cx.tets[t], q * np.clip(lam_target, 0.0, None))
+        # Raw affine coordinates of both chord ends in t (identical endpoints
+        # give exact zeros); along the chord they are affine in the parameter.
+        a, b = ((ends - origin[t]) @ grads[t].T + _E0).tolist()
+        segments.append((t, a, b))
+        if min(b) >= -tol:
+            bounds.append(1.0)
             break
-        # Exit parameter per decreasing coordinate; cross the earliest face.
-        dlam = lam_target - lam_here
-        with np.errstate(divide="ignore", invalid="ignore"):
-            taus = np.where(dlam < -tol, lam_here / -dlam, np.inf)
-        s = float(np.clip(taus.min(), 0.0, 1.0))
-        worst = int(np.argmin(taus))
-        x_cross = x_here + s * (x_end - x_here)
-        lam_cross = lam_here + s * dlam
-        _deposit_segment(basis, t, lam_here, lam_cross, qdot, current)
-        nxt = neighbors[t, worst]
-        if nxt < 0:
-            np.add.at(rate, cx.tets[t], qdot * lam_cross)
-            np.add.at(final, cx.tets[t], q * np.clip(lam_cross, 0.0, None))
+        # The path leaves t through the face whose coordinate reaches zero first.
+        s, worst = min(((ai / (ai - bi), i) for i, (ai, bi) in enumerate(zip(a, b))
+                        if bi - ai < -tol), default=(np.inf, 0))
+        bounds.append(min(max(s, bounds[-1]), 1.0))
+        t = int(neighbors[t, worst])
+        if t < 0:
             exited = True
             break
-        t = int(nxt)
-        x_here = x_cross
-        lam_here = basis.bary(np.array([t]), x_here.reshape(1, 3))[0]
     else:
         raise RuntimeError("path splitting did not terminate")
 
+    tets, lam_a, lam_b = (np.array(c) for c in zip(*segments))
+    dlam = lam_b - lam_a
+    par = np.array(bounds)[:, None]
+    lam_in, lam_out = lam_a + par[:-1] * dlam, lam_a + par[1:] * dlam
+    mean = 0.5 * (lam_in + lam_out)
+    delta = lam_out - lam_in
+    k = np.arange(len(tets))[:, None]
+    a, b = basis.edge_local[tets, :, 0], basis.edge_local[tets, :, 1]
+    coeff = qdot * (mean[k, a] * delta[k, b] - mean[k, b] * delta[k, a])
+    current = np.bincount(cx.tet_edges[tets].ravel(), coeff.ravel(), minlength=cx.n_edges)
+    # Charge leaves the start nodes and arrives at the end (or exit) nodes.
+    ends_nodes = cx.tets[tets[[0, -1]]].ravel()
+    rate = np.bincount(ends_nodes, np.concatenate([-qdot * lam_in[0], qdot * lam_out[-1]]),
+                       minlength=cx.n_vertices)
+    final = np.zeros(cx.n_vertices)
+    final[cx.tets[tets[-1]]] = q * np.clip(lam_out[-1], 0.0, None)
     return ScatterResult(
         node_charge=Cochain(0, final),
         node_rate=Cochain(0, rate),
@@ -177,7 +162,6 @@ def verify_conservation(
     x_end: np.ndarray,
     q: float,
     tau: float,
-    seed: int = 0,
 ) -> float:
     """Max node residual between charge rate and incident edge currents.
 
@@ -187,7 +171,7 @@ def verify_conservation(
     """
     basis = _as_basis(complex_or_basis)
     cx = basis.complex
-    res = scatter_current(basis, x_start, x_end, q, tau, seed=seed)
+    res = scatter_current(basis, x_start, x_end, q, tau)
     inflow = cx.incidence(0).T @ res.edge_current.values
     return float(np.abs(inflow - res.node_rate.values).max())
 
@@ -197,11 +181,10 @@ def gather(
     E: Cochain,
     B: Cochain,
     position: np.ndarray,
-    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate the electric and magnetic proxies at a particle position."""
     basis = _as_basis(complex_or_basis)
-    t, lam = basis.locate(np.asarray(position, dtype=float), seed=seed)
+    t, lam = basis.locate(np.asarray(position, dtype=float))
     at = BarycentricPoint(t, lam)
     return interpolate(basis, E, at), interpolate(basis, B, at)
 

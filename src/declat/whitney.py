@@ -158,6 +158,8 @@ class WhitneyBasis:
             tets[:, None, None, :] == ftri[:, :, :, None], axis=3
         )  # (M, 4, 3)
         self._neighbors = None
+        self._grid = None  # seed grid for point location, built on first use
+        self.scans = 0  # points located by the exhaustive-scan fallback
 
     # -- barycentric coordinates ------------------------------------------
 
@@ -181,23 +183,64 @@ class WhitneyBasis:
             self._neighbors = self.complex.tet_neighbors()
         return self._neighbors
 
-    def locate(self, point: np.ndarray, seed: int = 0, tol: float = 1e-10) -> tuple[int, np.ndarray]:
-        """Walk from a seed tet toward ``point``; exhaustive scan fallback."""
-        t = int(seed)
-        m = self.complex.n_tets
-        for _ in range(4 * m + 8):
-            lam = self.bary(np.array([t]), point.reshape(1, 3))[0]
-            worst = int(np.argmin(lam))
-            if lam[worst] >= -tol:
-                return t, np.clip(lam, 0.0, None) / np.clip(lam, 0.0, None).sum()
-            # Walking crosses the face opposite the most negative coordinate.
-            nxt = self.neighbors[t, worst]
-            if nxt < 0:
+    @staticmethod
+    def _buckets(points: np.ndarray, lo: np.ndarray, h: float, shape: np.ndarray) -> np.ndarray:
+        cell = np.minimum(np.maximum(np.floor((points - lo) / h), 0), shape - 1).astype(np.int64)
+        return np.ravel_multi_index(cell.T, shape)
+
+    def _seeds(self, points: np.ndarray) -> np.ndarray:
+        """Start tet per point: the first tet whose centroid lies in the point's
+        bucket, on a grid of one cube per three tets over the bounding box
+        (finer grids leave more buckets empty), built on first use."""
+        if self._grid is None:
+            v = self.complex.vertices
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            h = float(3.0 * np.prod(hi - lo) / self.complex.n_tets) ** (1.0 / 3.0)
+            shape = np.maximum(np.ceil((hi - lo) / h), 1).astype(np.int64)
+            centroids = v[self.complex.tets].mean(axis=1)
+            buckets, first = np.unique(self._buckets(centroids, lo, h, shape), return_index=True)
+            # A bucket without a centroid borrows the seed of the last filled one before it.
+            below = np.searchsorted(buckets, np.arange(np.prod(shape)), side="right") - 1
+            self._grid = (lo, h, shape, first[np.maximum(below, 0)])
+        lo, h, shape, seeds = self._grid
+        return seeds[self._buckets(points, lo, h, shape)]
+
+    def locate_all(self, points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+        """Tet and clipped barycentric coordinates of each of ``points`` (K, 3).
+
+        Each point starts at its grid seed and crosses, one array step at a
+        time, the face opposite its most negative coordinate until all four
+        are >= -tol.  A walk that meets the boundary or runs 4 M + 8 steps
+        falls back to the exhaustive scan (counted in ``scans``), which
+        raises OutsideMeshError for a point in no tet.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        tets = self._seeds(points)
+        lam = np.empty((len(points), 4))
+        todo = np.arange(len(points))
+        for _ in range(4 * self.complex.n_tets + 8):
+            lam[todo] = lt = self.bary(tets[todo], points[todo])
+            worst = lt.argmin(axis=1)
+            walk = lt[np.arange(len(todo)), worst] < -tol
+            todo = todo[walk]
+            # Cross the face opposite the most negative coordinate (-1: boundary).
+            tets[todo] = self.neighbors[tets[todo], worst[walk]]
+            todo = todo[tets[todo] >= 0]
+            if len(todo) == 0:
                 break
-            t = int(nxt)
-        return self._scan(point, tol)
+        for k in np.concatenate([todo, np.flatnonzero(tets < 0)]):
+            self.scans += 1
+            tets[k], lam[k] = self._scan(points[k], tol)
+        lam = np.maximum(lam, 0.0)
+        return tets, lam / lam.sum(axis=1, keepdims=True)
+
+    def locate(self, point: np.ndarray, tol: float = 1e-10) -> tuple[int, np.ndarray]:
+        """``locate_all`` for one point: (tet, clipped barycentric coordinates)."""
+        tets, lam = self.locate_all(point, tol)
+        return int(tets[0]), lam[0]
 
     def _scan(self, point: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+        """The tet with the largest smallest coordinate, and its raw coordinates."""
         rel = point.reshape(1, 3) - self.origin
         lam123 = np.einsum("mid,md->mi", self.grads[:, 1:], rel)
         lam0 = 1.0 - lam123.sum(axis=1, keepdims=True)
@@ -206,8 +249,7 @@ class WhitneyBasis:
         best = int(np.argmax(worst))
         if worst[best] < -tol:
             raise OutsideMeshError(f"point {point.tolist()} lies outside the mesh")
-        lamb = np.clip(lam[best], 0.0, None)
-        return best, lamb / lamb.sum()
+        return best, lam[best]
 
     # -- basis values -------------------------------------------------------
 
@@ -295,11 +337,11 @@ def _as_basis(complex_or_basis) -> WhitneyBasis:
 
 
 def barycentric(
-    complex: SimplicialComplex, point, basis: WhitneyBasis | None = None, seed: int = 0
+    complex: SimplicialComplex, point, basis: WhitneyBasis | None = None
 ) -> BarycentricPoint:
     """Locate a point and return its tet index and barycentric coordinates."""
     basis = basis or WhitneyBasis(complex)
-    t, lam = basis.locate(np.asarray(point, dtype=float), seed=seed)
+    t, lam = basis.locate(np.asarray(point, dtype=float))
     return BarycentricPoint(t, lam)
 
 
@@ -377,38 +419,37 @@ def de_rham(
     raise ValueError("degree must be in 0..3")
 
 
+def _interpolate_located(
+    basis: WhitneyBasis, cochain: Cochain, tets: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Whitney interpolation at located points: (K,) for degrees 0 and 3,
+    (K, 3) for 1 and 2, complex for a complex cochain."""
+    if cochain.lattice != "primal":
+        raise ValueError("interpolation expects a primal cochain")
+    coeffs = cochain.values[basis.local_indices(cochain.degree, tets)]
+    vals = basis.eval(cochain.degree, tets, lam)
+    if cochain.degree == 0:
+        return np.einsum("kq,kq->k", coeffs, vals)
+    if cochain.degree == 3:
+        return coeffs[:, 0] * vals
+    return np.einsum("kq,kqd->kd", coeffs, vals)
+
+
 def interpolate(
     complex_or_basis, cochain: Cochain, at: BarycentricPoint
 ) -> np.ndarray | float:
     """Whitney interpolation of a primal cochain at a located point."""
     basis = _as_basis(complex_or_basis)
-    if cochain.lattice != "primal":
-        raise ValueError("interpolation expects a primal cochain")
-    tids = np.array([at.tet])
-    lam = at.lam.reshape(1, 4)
-    coeffs = cochain.values[basis.local_indices(cochain.degree, tids)]
-    vals = basis.eval(cochain.degree, tids, lam)
-    if cochain.degree in (0,):
-        return complex(np.einsum("kq,kq->k", coeffs, vals)[0]) if np.iscomplexobj(
-            coeffs
-        ) else float(np.einsum("kq,kq->k", coeffs, vals)[0])
-    if cochain.degree == 3:
-        out = coeffs[:, 0] * vals
-        return complex(out[0]) if np.iscomplexobj(coeffs) else float(out[0])
-    return np.einsum("kq,kqd->kd", coeffs, vals)[0]
+    vals = _interpolate_located(basis, cochain, np.array([at.tet]), at.lam.reshape(1, 4))
+    return vals[0].item() if cochain.degree in (0, 3) else vals[0]
 
 
 def interpolate_at_points(
-    basis: WhitneyBasis, cochain: Cochain, points: np.ndarray, seed: int = 0
+    basis: WhitneyBasis, cochain: Cochain, points: np.ndarray
 ) -> np.ndarray:
-    """Interpolate at many points, walking between consecutive locations."""
-    points = np.atleast_2d(points)
-    out = []
-    t = seed
-    for x in points:
-        t, lam = basis.locate(x, seed=t)
-        out.append(interpolate(basis, cochain, BarycentricPoint(t, lam)))
-    return np.asarray(out)
+    """Interpolate at each of ``points`` (K, 3): one batched location, then
+    one basis evaluation over all points."""
+    return _interpolate_located(basis, cochain, *basis.locate_all(points))
 
 
 # -- structural identity checks ---------------------------------------------

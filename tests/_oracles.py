@@ -8,11 +8,16 @@ tet-at-a-time dihedral angles.
 None of it shares code paths with the package, except the loop versions
 of the face/tet adjacency and the partition-duality scan at the end: they
 read a complex's arrays (and a basis's pointwise values) one tet at a
-time, where the package works on all tets at once.  The last one is the
+time, where the package works on all tets at once.  Another is the
 sparse approximate inverse as a dense least-squares solve per column
 (``lstsq`` on the sliced rows of H), where the package solves the normal
 equations by Cholesky; it builds its pattern with the package's
-``SparsityPattern``.
+``SparsityPattern``.  The walk from a given tet, the per-point
+interpolation and the per-crossing path split at the end are loop
+versions of the package's location and deposit: they call a basis's
+``bary``, ``neighbors``, ``_scan`` and ``eval`` one point or one tet at a time, where
+the package seeds from a grid, walks all points at once and deposits all
+segments of a path in one pass.
 """
 
 from __future__ import annotations
@@ -307,3 +312,106 @@ def spai_lstsq_loop(H, pattern=0, drop_tol: float = 0.0):
     R = M @ H - sparse.eye(n, format="csr")
     residual = float(np.sqrt((R.multiply(R.conjugate())).sum().real))
     return M, residual
+
+
+def locate_walk(basis, point: np.ndarray, seed: int = 0, tol: float = 1e-10):
+    """Walk from tet ``seed`` toward ``point``, one ``bary`` per step; scan fallback."""
+    t = int(seed)
+    m = basis.complex.n_tets
+    for _ in range(4 * m + 8):
+        lam = basis.bary(np.array([t]), point.reshape(1, 3))[0]
+        worst = int(np.argmin(lam))
+        if lam[worst] >= -tol:
+            return t, np.clip(lam, 0.0, None) / np.clip(lam, 0.0, None).sum()
+        # Walking crosses the face opposite the most negative coordinate.
+        nxt = basis.neighbors[t, worst]
+        if nxt < 0:
+            break
+        t = int(nxt)
+    t, lam = basis._scan(point, tol)
+    return t, np.clip(lam, 0.0, None) / np.clip(lam, 0.0, None).sum()
+
+
+def interpolate_point(basis, cochain, tet: int, lam: np.ndarray):
+    """Whitney interpolation of a primal cochain at one located point."""
+    tids = np.array([tet])
+    lam = lam.reshape(1, 4)
+    coeffs = cochain.values[basis.local_indices(cochain.degree, tids)]
+    vals = basis.eval(cochain.degree, tids, lam)
+    if cochain.degree in (0,):
+        return complex(np.einsum("kq,kq->k", coeffs, vals)[0]) if np.iscomplexobj(
+            coeffs
+        ) else float(np.einsum("kq,kq->k", coeffs, vals)[0])
+    if cochain.degree == 3:
+        out = coeffs[:, 0] * vals
+        return complex(out[0]) if np.iscomplexobj(coeffs) else float(out[0])
+    return np.einsum("kq,kqd->kd", coeffs, vals)[0]
+
+
+def interpolate_at_points_loop(basis, cochain, points: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Interpolate at many points, walking between consecutive locations."""
+    points = np.atleast_2d(points)
+    out = []
+    t = seed
+    for x in points:
+        t, lam = locate_walk(basis, x, seed=t)
+        out.append(interpolate_point(basis, cochain, t, lam))
+    return np.asarray(out)
+
+
+def _deposit_segment(basis, tet, lam_start, lam_end, qdot, current) -> None:
+    mean = 0.5 * (lam_start + lam_end)
+    delta = lam_end - lam_start
+    a = basis.edge_local[tet, :, 0]
+    b = basis.edge_local[tet, :, 1]
+    coeff = qdot * (mean[a] * delta[b] - mean[b] * delta[a])
+    np.add.at(current, basis.complex.tet_edges[tet], coeff)
+
+
+def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float = 1e-12):
+    """(node charge, node rate, edge current, exited) of a straight path,
+    split one crossing at a time and deposited one segment at a time."""
+    cx = basis.complex
+    qdot = q / tau
+    x_start = np.asarray(x_start, dtype=float)
+    x_end = np.asarray(x_end, dtype=float)
+
+    rate = np.zeros(cx.n_vertices)
+    final = np.zeros(cx.n_vertices)
+    current = np.zeros(cx.n_edges)
+    t, _ = locate_walk(basis, x_start)
+    # Raw affine coordinates, so identical endpoints give exact zeros.
+    lam_here = basis.bary(np.array([t]), x_start.reshape(1, 3))[0]
+    np.add.at(rate, cx.tets[t], -qdot * lam_here)  # charge leaves the start
+
+    x_here = x_start
+    exited = False
+    neighbors = basis.neighbors
+    for _ in range(8 * cx.n_tets + 16):
+        lam_target = basis.bary(np.array([t]), x_end.reshape(1, 3))[0]
+        if lam_target.min() >= -tol:
+            _deposit_segment(basis, t, lam_here, lam_target, qdot, current)
+            np.add.at(rate, cx.tets[t], qdot * lam_target)
+            np.add.at(final, cx.tets[t], q * np.clip(lam_target, 0.0, None))
+            break
+        # Exit parameter per decreasing coordinate; cross the earliest face.
+        dlam = lam_target - lam_here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            taus = np.where(dlam < -tol, lam_here / -dlam, np.inf)
+        s = float(np.clip(taus.min(), 0.0, 1.0))
+        worst = int(np.argmin(taus))
+        x_cross = x_here + s * (x_end - x_here)
+        lam_cross = lam_here + s * dlam
+        _deposit_segment(basis, t, lam_here, lam_cross, qdot, current)
+        nxt = neighbors[t, worst]
+        if nxt < 0:
+            np.add.at(rate, cx.tets[t], qdot * lam_cross)
+            np.add.at(final, cx.tets[t], q * np.clip(lam_cross, 0.0, None))
+            exited = True
+            break
+        t = int(nxt)
+        x_here = x_cross
+        lam_here = basis.bary(np.array([t]), x_here.reshape(1, 3))[0]
+    else:
+        raise RuntimeError("path splitting did not terminate")
+    return final, rate, current, exited

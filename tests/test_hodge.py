@@ -265,6 +265,16 @@ class TestSpdCheck:
         sym, min_eig = check_spd(H)
         assert sym == 0.0 and np.isnan(min_eig)
 
+    def test_unconverged_lanczos_keeps_negative_witness(self, box3, basis_of, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(hodge, "eigsh", stalled)
+        H = assemble_hodge(box3, MaterialMap(), "eps", basis_of(box3)).tolil()
+        H[3, 3] = -1.0
+        _, min_eig = check_spd(H.tocsr())
+        assert np.isfinite(min_eig) and min_eig < 0
+
     def test_zero_pivot_not_certified(self):
         # Eigenvalues -1.28 and 0.78; the zero diagonal forces an
         # off-diagonal pivot, so no proof and no positive value.

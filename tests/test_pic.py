@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from declat import generators
 from declat.pic import (
@@ -11,6 +12,8 @@ from declat.pic import (
     verify_conservation,
 )
 from declat.whitney import AnalyticForm, WhitneyBasis, de_rham
+
+from _oracles import scatter_current_loop
 
 
 def constant_form(degree, vec):
@@ -143,6 +146,39 @@ class TestConservation:
         res = scatter_current(basis_of(box3), x, x, 1.0, 1.0)
         assert np.abs(res.edge_current.values).max() == 0.0
         assert np.abs(res.node_rate.values).max() <= 1e-14
+
+
+def _interior_point(mesh, rng) -> np.ndarray:
+    t = rng.integers(mesh.n_tets)
+    return rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
+
+
+@given(
+    name=st.sampled_from(["jittered3", "box3", "annulus8"]),
+    seed=st.integers(0, 2**32 - 1),
+    leave=st.booleans(),
+    q=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
+    tau=st.floats(1e-3, 10.0),
+)
+def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, leave, q, tau):
+    # Chords from an interior point to another one (through the annulus
+    # hole, some leave the mesh), or out past the far side of the mesh.
+    mesh = all_meshes[name]
+    basis = basis_of(mesh)
+    rng = np.random.default_rng(seed)
+    a = _interior_point(mesh, rng)
+    if leave:
+        u = rng.standard_normal(3)
+        b = a + 1.2 * np.ptp(mesh.vertices, axis=0).max() * np.sqrt(3) * u / np.linalg.norm(u)
+    else:
+        b = _interior_point(mesh, rng)
+    res = scatter_current(basis, a, b, q, tau)
+    final, rate, current, exited = scatter_current_loop(basis, a, b, q, tau)
+    assert res.exited == exited and (res.exited or not leave)
+    for got, want in ((res.edge_current, current), (res.node_rate, rate), (res.node_charge, final)):
+        assert np.abs(got.values - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+    residual = verify_conservation(basis, a, b, q, tau)
+    assert residual <= 1e-12 * abs(q / tau)
 
 
 class TestGather:

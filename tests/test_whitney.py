@@ -17,7 +17,7 @@ from declat.whitney import (
     whitney_eval,
 )
 
-from _oracles import partition_duality_loop
+from _oracles import interpolate_at_points_loop, partition_duality_loop
 
 
 def constant_form(degree, vec):
@@ -55,11 +55,41 @@ class TestBarycentric:
     def test_walk_matches_scan(self, box3, basis_of, rng):
         basis = basis_of(box3)
         for x in rng.random((30, 3)) * 0.98 + 0.01:
-            t_walk, _ = basis.locate(x, seed=0)
+            t_walk, _ = basis.locate(x)
             t_scan, _ = basis._scan(x, 1e-10)
             lam_w = basis.bary(np.array([t_walk]), x.reshape(1, 3))[0]
             lam_s = basis.bary(np.array([t_scan]), x.reshape(1, 3))[0]
             assert lam_w.min() >= -1e-10 and lam_s.min() >= -1e-10
+
+    def test_scan_fallback_counted(self, annulus8):
+        basis = WhitneyBasis(annulus8)
+        with pytest.raises(OutsideMeshError):
+            basis.locate(np.array([0.0, 0.0, 0.5]))  # in the hole of the ring
+        assert basis.scans == 1
+        # Seeded across the hole, the walk meets the inner wall and scans.
+        x = annulus8.vertices[annulus8.tets[0]].mean(axis=0)
+        far = int(np.argmin(annulus8.vertices[annulus8.tets].mean(axis=1) @ x))
+        basis._seeds = lambda points: np.full(len(points), far)
+        t, lam = basis.locate(x)
+        assert basis.scans == 2 and t == basis._scan(x, 1e-10)[0]
+        assert basis.bary(np.array([t]), x.reshape(1, 3)).min() >= -1e-10
+
+    def test_seeded_walk_step_count(self, monkeypatch):
+        # A count, not a time: the walk from tet 0 took 24.3 bary rows per
+        # point here; the grid seed leaves about 2.6.
+        basis = WhitneyBasis(generators.jittered_box_mesh(10, seed=3))
+        pts = 0.02 + 0.96 * np.random.default_rng(3).random((400, 3))
+        rows = []
+        bary = WhitneyBasis.bary
+
+        def counted(self, tets, points):
+            rows.append(np.size(tets))
+            return bary(self, tets, points)
+
+        monkeypatch.setattr(WhitneyBasis, "bary", counted)
+        for x in pts:
+            basis.locate(x)
+        assert sum(rows) / len(pts) <= 4.0 and basis.scans == 0
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
@@ -164,6 +194,22 @@ class TestInterpolate:
             form = AnalyticForm(p, lambda q, c=c: interpolate_at_points(basis, c, q))
             back = de_rham(form, box3, p)
             assert np.abs(back.values - c.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["jittered3", "box3", "annulus8"])
+    def test_batched_matches_point_loop(self, all_meshes, basis_of, name, rng):
+        mesh = all_meshes[name]
+        basis = basis_of(mesh)
+        tets = rng.integers(mesh.n_tets, size=60)
+        pts = np.einsum("kq,kqd->kd", rng.dirichlet(np.ones(4), size=60),
+                        mesh.vertices[mesh.tets[tets]])
+        for p in range(4):
+            n = mesh.n_simplices(p)
+            for values in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                c = Cochain(p, values)
+                got = interpolate_at_points(basis, c, pts)
+                want = interpolate_at_points_loop(basis, c, pts)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
     def test_partition_of_unity(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
