@@ -282,6 +282,12 @@ def spai_inverse(
     return M, residual
 
 
+# The one factor recipe for symmetric stars: symmetric minimum-degree order,
+# diagonal pivots, relax=1 (fastest solves) and panel_size=4 (fastest box14 factor).
+SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=4,
+                options={"SymmetricMode": True})
+
+
 def _ritz_vector(A: sparse.spmatrix, solve, M: sparse.spmatrix | None = None):
     """Ritz vector of one extreme eigenpair of the symmetric matrix A.
 
@@ -324,8 +330,7 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     n = H.shape[0]
     if n == 0:
         return sym_dev, float("nan")
-    lu = splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    lu = splu(H.tocsc(), **SPD_SPLU)
     try:
         x = _ritz_vector(H, lu.solve)
         estimate = float(x @ (H @ x)) / float(x @ x)

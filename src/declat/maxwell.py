@@ -1,12 +1,12 @@
 """Semi-discrete Maxwell evolution on the lattice.
 
-The metric-free half of the update is the integer circulation of the
-electric cochain around each face; the metric half applies the discrete
-codifferential, an inverse-Hodge / transposed-incidence / Hodge triple
-product.  Time stepping is the staggered explicit leapfrog (electric
-samples at integer steps, magnetic at half steps), which is symplectic:
-the quadratic lattice energy oscillates within bounds and shows no secular
-drift for stable step sizes.
+The metric-free half of the update is the integer incidence (C1 and C1^T);
+the metric half is the pair of Hodge stars.  Time stepping is the staggered
+explicit leapfrog (E at integer steps, B at half steps) in displacement
+form: it carries D = Heps E and H = Hmu_inv B, updates D by C1^T H, and
+recovers E = S D through one symmetric inverse S of the eps star.  For any
+symmetric S it conserves E.D + B_prev.Hmu_inv.B_next in exact arithmetic:
+the lattice energy oscillates within bounds and does not drift.
 
 Perfectly conducting walls are imposed by removing boundary edge and face
 degrees of freedom from the operators and cochains.
@@ -24,7 +24,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
-from .hodge import MaterialMap, _ritz_vector, assemble_hodge, spai_inverse
+from .hodge import SPD_SPLU, MaterialMap, _ritz_vector, assemble_hodge, spai_inverse
 from .mesh import BoundaryClassification, SimplicialComplex
 from .whitney import WhitneyBasis
 
@@ -105,10 +105,11 @@ class DiscreteCodifferential:
     """The codifferential acting on magnetic 2-cochains.
 
     Applies inverse-eps-star, transposed face/edge incidence, and the
-    inverse-permeability star, with the inverse realized either by a sparse
-    direct factorization or by a sparse approximate inverse on a neighbor
-    pattern of ``level``.  It is the module's only realization of the
-    inverse eps star: a run passes one exact instance to every consumer.
+    inverse-permeability star, with a symmetric inverse S of the eps star:
+    a factorization by ``hodge.SPD_SPLU``, or (M + M^T)/2 for the sparse
+    approximate inverse M on a neighbor pattern of ``level`` (``residual``
+    is M's).  It is the module's only realization of the inverse eps star:
+    a run passes one exact instance to every consumer.
     """
 
     def __init__(self, ops: MaxwellOperators, mode: str = "exact", level: int = 1):
@@ -120,9 +121,10 @@ class DiscreteCodifferential:
         self._C1T = ops.C1.T.tocsr()
         self._lu = self.M = None
         if ops.n_edges and mode == "exact":
-            self._lu = splu(ops.Heps.tocsc())
+            self._lu = splu(ops.Heps.tocsc(), **SPD_SPLU)
         elif ops.n_edges:
-            self.M, self.residual = spai_inverse(ops.Heps, level)
+            M, self.residual = spai_inverse(ops.Heps, level)
+            self.M = (0.5 * (M + M.T)).tocsr()
 
     def solve_eps(self, x: np.ndarray) -> np.ndarray:
         """Apply the realized inverse of the eps star."""
@@ -193,9 +195,9 @@ class Trace:
 
     ``h_total`` is the quadratic form with the magnetic cochain averaged
     across neighboring half steps (bounded oscillation); ``h_invariant``
-    is the staggered product form E.Heps.E + B_prev.Hmu_inv.B_next, which
-    the leapfrog conserves exactly in exact arithmetic and is the right
-    series to test for secular drift.
+    is the staggered product form E.D + B_prev.Hmu_inv.B_next, which the
+    leapfrog conserves in exact arithmetic for any symmetric inverse star
+    and is the right series to test for secular drift.
     """
 
     steps: np.ndarray
@@ -230,10 +232,11 @@ def leapfrog_run(
     """March the staggered leapfrog and record the energy trace.
 
     The magnetic field is staggered to half steps by a half-step start
-    B(dt/2) = B(0) - (dt/2) C1 E(0); energies are reported at integer
-    steps with the magnetic cochain averaged across the two neighboring
-    half steps.  Divergence blow-up (non-finite values, checked every 25
-    steps and at the last) aborts with a diagnostic.
+    B(dt/2) = B(0) - (dt/2) C1 E(0); a step is D += dt (C1^T HB - J),
+    E = S D, B -= dt C1 E, HB = Hmu_inv B.  Energies are reported at integer
+    steps from the carried D and HB, with the magnetic cochain averaged
+    across the two neighboring half steps.  Divergence blow-up (non-finite
+    values, checked every 25 steps and at the last) aborts with a diagnostic.
     """
     dt = config.dt
     if dt <= 0:
@@ -246,9 +249,10 @@ def leapfrog_run(
     div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
     div_ref = None
 
-    def record(step, t, Bprev, Bnext):
+    def record(step, t, Bprev, Bnext, HBprev, HBnext):
         nonlocal div_ref
-        h, he, hm = hamiltonian(ops.Heps, ops.Hmu_inv, E, 0.5 * (Bprev + Bnext))
+        he = float(E @ D)
+        hm = 0.25 * float((HBprev + HBnext) @ (Bprev + Bnext))
         divb = 0.0
         if ops.C2 is not None and ops.C2.shape[0]:
             # The discrete divergence is frozen by C2 C1 = 0; report the
@@ -257,26 +261,30 @@ def leapfrog_run(
             if div_ref is None:
                 div_ref = div_now
             divb = float(np.abs(div_now - div_ref).max(initial=0.0))
-        rows.append((step, t, h, he, hm, float(he + Bprev @ (ops.Hmu_inv @ Bnext)), divb))
-        return h
+        rows.append((step, t, he + hm, he, hm, he + float(Bprev @ HBnext), divb))
+        return he + hm
 
+    D = ops.Heps @ E
     B_half = B - 0.5 * dt * (ops.C1 @ E)
-    h0 = record(0, 0.0, B, B_half)
+    HB = ops.Hmu_inv @ B_half
+    h0 = record(0, 0.0, B, B_half, ops.Hmu_inv @ B, HB)
     blowup_level = 1e10 * (abs(h0) + 1.0)
     for n in range(config.steps):
-        B_prev = B_half
-        J = None if config.source is None else np.asarray(config.source((n + 0.5) * dt), float)
-        E = E + dt * ampere_step(B_half, codiff, J)
+        B_prev, HB_prev = B_half, HB
+        J = 0.0 if config.source is None else np.asarray(config.source((n + 0.5) * dt), float)
+        D = D + dt * (codiff._C1T @ HB - J)
+        E = codiff.solve_eps(D)
         B_half = B_half - dt * (ops.C1 @ E)
+        HB = ops.Hmu_inv @ B_half
         if (n + 1) % 25 == 0 or n + 1 == config.steps:
-            h, _, _ = hamiltonian(ops.Heps, ops.Hmu_inv, E, B_half)
+            h = float(E @ D) + float(B_half @ HB)
             if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
                 raise FloatingPointError(
                     f"field blow-up detected at step {n + 1}: energy {h!r} "
                     f"(dt={float(dt)!r} likely above the stability bound)"
                 )
         if (n + 1) % config.trace_every == 0 or n + 1 == config.steps:
-            record(n + 1, (n + 1) * dt, B_prev, B_half)
+            record(n + 1, (n + 1) * dt, B_prev, B_half, HB_prev, HB)
 
     arr = np.array(rows, dtype=float)
     # Columns in field order: steps, times, the four energies, div B.

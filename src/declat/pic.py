@@ -172,7 +172,8 @@ def verify_conservation(
     basis = _as_basis(complex_or_basis)
     cx = basis.complex
     res = scatter_current(basis, x_start, x_end, q, tau)
-    inflow = cx.incidence(0).T @ res.edge_current.values
+    current, nv = res.edge_current.values, cx.n_vertices
+    inflow = np.bincount(cx.edges[:, 1], current, nv) - np.bincount(cx.edges[:, 0], current, nv)
     return float(np.abs(inflow - res.node_rate.values).max())
 
 
