@@ -30,7 +30,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolv
 
 from .dual import DualComplex
 from .mesh import SimplicialComplex
-from .whitney import WhitneyBasis, _TET4, _TRI3, _GAUSS2_EDGE
+from .whitney import WhitneyBasis, _TET4, _integrate
 
 __all__ = [
     "MaterialMap",
@@ -366,63 +366,30 @@ def dual_pairing_check(
     deviation is reported as measured; see the degree-0 closed form in the
     tests for what this pairing actually evaluates to on a single tet.
     """
+    if p not in (0, 1, 2, 3):
+        raise ValueError("degree must be in 0..3")
     basis = basis or WhitneyBasis(complex)
     cx = complex
+    # The Hodge dual of a degree-p basis form has the same proxy: it is
+    # integrated over the sub-tets (p = 0), the sub-triangles (p = 1, normal
+    # along the edge) and the sub-segments (p = 2, along the face normal) of
+    # the dual cells, or read at the tet centres (p = 3).
+    tet_ids = np.arange(cx.n_tets)
+    corners, owners, tets, sign = (
+        (dual.vertex_pieces, dual.vertex_piece_owner, dual.vertex_piece_tet, 1.0),
+        (dual.edge_pieces, dual.edge_piece_owner, dual.edge_piece_tet, dual.edge_piece_sign),
+        (dual.face_pieces, dual.face_piece_owner, dual.face_piece_tet, dual.face_piece_sign),
+        (dual.tet_centers[:, None], tet_ids, tet_ids, 1.0),
+    )[p]
+    # vals[k, s]: piece k's share of the pairing of its owner with local slot s.
+    vals = _integrate(corners, lambda x: basis.eval(p, tets, basis.bary(tets, x)))
+    vals = vals.reshape(len(tets), -1) * np.reshape(sign, (-1, 1))
+    slots = basis.local_indices(p, tets)
 
-    # One (K, n_loc) array per quadrature node: contrib[k, s] is piece k's
-    # share of the pairing of its owner with local basis slot s of its tet.
-    contribs = []
-    if p == 0:
-        # Hodge dual of a 0-form is the volume density with the same value:
-        # integrate basis-0 values over the dual 3-cells, sub-tet by sub-tet.
-        pieces = dual.vertex_pieces
-        owners = dual.vertex_piece_owner
-        tets = dual.vertex_piece_tet
-        vol = dual.vertex_piece_volumes()
-        for lam_t in _TET4:
-            pts = np.einsum("q,kqd->kd", lam_t, pieces)
-            vals = basis.eval0(tets, basis.bary(tets, pts))  # (K, 4)
-            contribs.append(vals * (vol / len(_TET4))[:, None])
-        slots = cx.tets[tets]  # (K, 4) global vertex per local slot
-    elif p == 1:
-        # Hodge dual of a 1-form is the 2-form with the same vector proxy:
-        # flux through the dual-face triangles, oriented along the edge.
-        tri = dual.edge_pieces
-        owners = dual.edge_piece_owner
-        tets = dual.edge_piece_tet
-        nvec = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        nvec *= dual.edge_piece_sign[:, None]
-        for lam_t in _TRI3:
-            pts = np.einsum("q,kqd->kd", lam_t, tri)
-            vals = basis.eval1(tets, basis.bary(tets, pts))  # (K, 6, 3)
-            contribs.append(np.einsum("ksd,kd->ks", vals, nvec) / 3.0)
-        slots = cx.tet_edges[tets]
-    elif p == 2:
-        # Hodge dual of a 2-form is the 1-form with the same proxy:
-        # line integral along the dual segments, oriented by the face normal.
-        seg = dual.face_pieces
-        owners = dual.face_piece_owner
-        tets = dual.face_piece_tet
-        tang = (seg[:, 1] - seg[:, 0]) * dual.face_piece_sign[:, None]
-        for t in _GAUSS2_EDGE:
-            pts = seg[:, 0] + t * (seg[:, 1] - seg[:, 0])
-            vals = basis.eval2(tets, basis.bary(tets, pts))  # (K, 4, 3)
-            contribs.append(0.5 * np.einsum("ksd,kd->ks", vals, tang))
-        slots = cx.tet_faces[tets]
-    elif p == 3:
-        # Hodge dual of the tet density, evaluated at the dual nodes.
-        owners = np.arange(cx.n_tets)
-        slots = owners[:, None]
-        contribs.append(1.0 / cx.volumes[:, None])
-    else:
-        raise ValueError("degree must be in 0..3")
-
-    # Sum per (owner, simplex) pair, adding in node, slot, piece order.
+    # Sum per (owner, simplex) pair.
     n = cx.n_simplices(p)
-    vals = np.stack(contribs)  # (Q, K, S)
-    keys = np.broadcast_to(owners[:, None] * n + slots, vals.shape)
-    uniq, inverse = np.unique(keys.transpose(0, 2, 1).ravel(), return_inverse=True)
-    sums = np.bincount(inverse, weights=vals.transpose(0, 2, 1).ravel())
+    uniq, inverse = np.unique((owners[:, None] * n + slots).ravel(), return_inverse=True)
+    sums = np.bincount(inverse, weights=vals.ravel())
     rows, cols = uniq // n, uniq % n
     dev = float(np.abs(sums - (rows == cols)).max())
     entries = dict(zip(zip(rows.tolist(), cols.tolist()), sums.tolist()))

@@ -183,7 +183,7 @@ class SimplicialComplex:
         pair_slots = np.array([(1, 2), (0, 2), (0, 1)])
         signs = np.array([1, -1, 1], dtype=np.int64)
         pairs = self.faces[:, pair_slots].reshape(-1, 2)
-        eidx = self._lookup_edges(pairs)
+        eidx = self._lookup(self.edges, pairs)
         rows = np.repeat(np.arange(nf), 3)
         vals = np.tile(signs, nf)
         return sparse.csr_matrix((vals, (rows, eidx)), shape=(nf, self.n_edges))
@@ -195,10 +195,10 @@ class SimplicialComplex:
         triples = self.tets[:, _TET_FACE_SLOTS].reshape(-1, 3)
         base_signs = np.tile(np.array([1, -1, 1, -1], dtype=np.int64), nt)
         srt, parity = _sort_parity_rows(triples)
-        fidx = self._lookup_faces(srt)
+        fidx = self._lookup(self.faces, srt)
         rows = np.repeat(np.arange(nt), 4)
         signs = base_signs * parity
-        # Entry of C^2 per (tet, local face slot); reused by Whitney checks.
+        # Entry of C^2 per (tet, local face slot); read by the fold check.
         self.tet_face_signs = signs.reshape(nt, 4)
         return sparse.csr_matrix((signs, (rows, fidx)), shape=(nt, self.n_faces))
 
@@ -216,25 +216,19 @@ class SimplicialComplex:
                 f"lie on the same side of face {self.faces[f].tolist()}"
             )
 
-    def _lookup_edges(self, pairs: np.ndarray) -> np.ndarray:
-        keys = self.edges[:, 0] * self.n_vertices + self.edges[:, 1]
-        want = pairs[:, 0] * self.n_vertices + pairs[:, 1]
-        idx = np.searchsorted(keys, want)
-        if np.any(keys[idx] != want):
-            raise MeshError("edge lookup failed (inconsistent skeleton)")
-        return idx
-
-    def _lookup_faces(self, triples: np.ndarray) -> np.ndarray:
+    def _lookup(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Position of each of ``rows`` in ``table`` (edges or faces: sorted
+        unique rows, as ``np.unique(axis=0)`` returns them)."""
+        # Unsigned keys keep the table's order while n_vertices**3 < 2**64.
+        table, rows = table.astype(np.uint64), rows.astype(np.uint64)
         n = self.n_vertices
-        keys = (self.faces[:, 0] * n + self.faces[:, 1]) * n + self.faces[:, 2]
-        order = np.argsort(keys)
-        want = (triples[:, 0] * n + triples[:, 1]) * n + triples[:, 2]
-        pos = np.searchsorted(keys[order], want)
-        idx = order[pos]
-        if np.any(
-            (self.faces[idx] != triples).any(axis=1)
-        ):
-            raise MeshError("face lookup failed (inconsistent skeleton)")
+        keys, want = table[:, 0], rows[:, 0]
+        for c in range(1, table.shape[1]):
+            keys = keys * n + table[:, c]
+            want = want * n + rows[:, c]
+        idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if np.any(keys[idx] != want):
+            raise MeshError("simplex lookup failed (inconsistent skeleton)")
         return idx
 
     # -- adjacency ---------------------------------------------------------
@@ -305,7 +299,7 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
     bnd_edge_mask = np.zeros(complex.n_edges, dtype=bool)
     if len(bnd_faces):
         pairs = np.sort(complex.faces[bnd_faces][:, pair_slots].reshape(-1, 2), axis=1)
-        bnd_edge_mask[complex._lookup_edges(pairs)] = True
+        bnd_edge_mask[complex._lookup(complex.edges, pairs)] = True
 
     return BoundaryClassification(
         boundary_vertices=np.flatnonzero(bnd_vert_mask),

@@ -19,10 +19,8 @@ Fields gather back to particles by Whitney interpolation, and a rotating
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +36,6 @@ __all__ = [
     "verify_conservation",
     "gather",
     "push",
-    "write_particle_trace",
     "conservation_report_json",
 ]
 
@@ -209,15 +206,6 @@ def push(particle: Particle, E: np.ndarray, B: np.ndarray, dt: float) -> Particl
         position=particle.position + dt * v_new,
         velocity=v_new,
     )
-
-
-def write_particle_trace(rows: list[tuple], path: str | Path) -> None:
-    """CSV trace: step, position (m), velocity (m/s)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps"])
-        for row in rows:
-            w.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
 
 
 def conservation_report_json(max_residual: float, qdot: float, n_paths: int) -> str:

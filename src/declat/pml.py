@@ -251,11 +251,9 @@ def reflection_sweep(
     basis = basis or WhitneyBasis(complex)
     e_idx = classification.interior_edges
     C1 = complex.incidence(1)[classification.interior_faces][:, e_idx].tocsr()
-    J_red = np.zeros(len(e_idx))
-    lookup = {int(e): i for i, e in enumerate(e_idx)}
-    for e, v in zip(source_edges, source_values):
-        if int(e) in lookup:
-            J_red[lookup[int(e)]] = v
+    J = np.zeros(complex.n_edges)
+    J[source_edges] = source_values
+    J_red = J[e_idx]  # sources on boundary edges drop out
 
     rows = []
     thickness = abs(pml_end - pml_start)

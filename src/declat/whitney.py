@@ -14,7 +14,8 @@ here, along with the numerical checks of the two structural identities:
 simplex-vs-basis pairing equal to the Kronecker delta, and the exterior
 derivative of a basis form equal to the basis expansion of its coboundary.
 
-All quadrature is degree-2 exact (2-point edges, 3-point triangles,
+All simplex integrals go through one routine, ``_integrate``, with
+degree-2 exact rules (point values, 2-point edges, 3-point triangles,
 4-point tets); products of lowest-order proxies are at most quadratic per
 cell, so the structural integrals are exact up to rounding.
 """
@@ -55,6 +56,41 @@ _TRI3 = np.array(
 _TET_A = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
 _TET_B = (5.0 - np.sqrt(5.0)) / 20.0
 _TET4 = np.full((4, 4), _TET_B) + (_TET_A - _TET_B) * np.eye(4)
+
+
+def _integrate(corners: np.ndarray, proxy) -> np.ndarray:
+    """Integral of a proxy over each oriented k-simplex, degree-2 exact.
+
+    ``corners`` (K, k+1, 3) lists each simplex's vertices in orientation
+    order; ``proxy`` maps (K, 3) points, one per simplex, to (K, ...)
+    scalars (k = 0, 3) or (K, ..., 3) vectors (k = 1, 2).  The result
+    (K, ...) is the point value for k = 0, the proxy dotted into the
+    tangent (k = 1) or the area normal (k = 2), and the proxy as a density
+    times the |volume| for k = 3.
+    """
+    k = corners.shape[1] - 1
+    c = corners.transpose(1, 0, 2)  # c[i]: corner i of every simplex
+    if k == 0:
+        return np.asarray(proxy(c[0]))
+    vec = None  # tangent or area normal the proxy is dotted into
+    if k == 1:
+        vec = c[1] - c[0]
+        nodes = [c[0] + t * vec for t in _GAUSS2_EDGE]
+    elif k == 2:
+        vec = 0.5 * np.cross(c[1] - c[0], c[2] - c[0])
+        nodes = [la * c[0] + lb * c[1] + lc * c[2] for la, lb, lc in _TRI3]
+    else:
+        nodes = [np.einsum("q,kqd->kd", lam, corners) for lam in _TET4]
+    total = 0.0
+    for x in nodes:
+        val = np.asarray(proxy(x))
+        if vec is not None:
+            val = np.einsum("k...d,kd->k...", val, vec)
+        total = total + val / len(nodes)
+    if k < 3:
+        return total
+    triple = np.einsum("kd,kd->k", np.cross(c[1] - c[0], c[2] - c[0]), c[3] - c[0])
+    return total * (np.abs(triple) / 6.0).reshape((-1,) + (1,) * (total.ndim - 1))
 
 
 class OutsideMeshError(ValueError):
@@ -241,10 +277,7 @@ class WhitneyBasis:
 
     def _scan(self, point: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
         """The tet with the largest smallest coordinate, and its raw coordinates."""
-        rel = point.reshape(1, 3) - self.origin
-        lam123 = np.einsum("mid,md->mi", self.grads[:, 1:], rel)
-        lam0 = 1.0 - lam123.sum(axis=1, keepdims=True)
-        lam = np.concatenate([lam0, lam123], axis=1)
+        lam = self.bary(np.arange(self.complex.n_tets), point)
         worst = lam.min(axis=1)
         best = int(np.argmax(worst))
         if worst[best] < -tol:
@@ -301,32 +334,16 @@ class WhitneyBasis:
             return cx.tet_faces[tets]
         return np.asarray(tets).reshape(-1, 1)
 
-    # -- local incidence helpers (signs consistent with the global matrices)
-
-    def local_grad_signs(self) -> np.ndarray:
-        """(M, 6, 4) entries of C^0 restricted to each tet's edges/vertices."""
-        m = self.complex.n_tets
-        out = np.zeros((m, 6, 4), dtype=np.int64)
-        rows = np.arange(m)[:, None]
-        slots = np.arange(6)[None, :]
-        out[rows, slots, self.edge_local[:, :, 0]] = -1
-        out[rows, slots, self.edge_local[:, :, 1]] = 1
-        return out
-
-    def local_curl_signs(self) -> np.ndarray:
-        """(M, 4, 6) entries of C^1 restricted to each tet's faces/edges."""
-        cx = self.complex
-        m = cx.n_tets
-        ftri = cx.faces[cx.tet_faces]  # ascending global triples
-        pair_slots = np.array([(1, 2), (0, 2), (0, 1)])
-        signs = np.array([1, -1, 1], dtype=np.int64)
-        fpairs = ftri[:, :, pair_slots]  # (M, 4, 3, 2) global vertex pairs
-        epairs = cx.edges[cx.tet_edges]  # (M, 6, 2)
-        match = np.all(
-            fpairs[:, :, :, None, :] == epairs[:, None, None, :, :], axis=-1
-        )  # (M, 4, 3, 6)
-        out = np.einsum("mfps,p->mfs", match.astype(np.int64), signs)
-        return out
+    def local_signs(self, p: int) -> np.ndarray:
+        """(M, n_p, n_{p-1}) entries of the incidence matrix C^{p-1}, read
+        at each tet's p-simplices (rows) and (p-1)-simplices (columns)."""
+        tets = np.arange(self.complex.n_tets)
+        rows = self.local_indices(p, tets)
+        cols = self.local_indices(p - 1, tets)
+        shape = rows.shape + cols.shape[1:]
+        r = np.broadcast_to(rows[:, :, None], shape).ravel()
+        c = np.broadcast_to(cols[:, None, :], shape).ravel()
+        return np.asarray(self.complex.incidence(p - 1)[r, c]).reshape(shape)
 
 
 def _as_basis(complex_or_basis) -> WhitneyBasis:
@@ -387,36 +404,9 @@ def de_rham(
     p = form.degree if p is None else p
     if p != form.degree:
         raise ValueError("form degree does not match requested cochain degree")
-    cx = complex
-    if p == 0:
-        return Cochain(0, np.asarray(form(cx.vertices), dtype=None))
-    if p == 1:
-        a = cx.vertices[cx.edges[:, 0]]
-        b = cx.vertices[cx.edges[:, 1]]
-        tang = b - a
-        vals = 0.0
-        for t in _GAUSS2_EDGE:
-            pts = a + t * tang
-            vals = vals + 0.5 * np.einsum("kd,kd->k", np.asarray(form(pts)), tang)
-        return Cochain(1, vals)
-    if p == 2:
-        va = cx.vertices[cx.faces[:, 0]]
-        vb = cx.vertices[cx.faces[:, 1]]
-        vc = cx.vertices[cx.faces[:, 2]]
-        nvec = 0.5 * np.cross(vb - va, vc - va)  # area-weighted canonical normal
-        vals = 0.0
-        for lam in _TRI3:
-            pts = lam[0] * va + lam[1] * vb + lam[2] * vc
-            vals = vals + np.einsum("kd,kd->k", np.asarray(form(pts)), nvec) / 3.0
-        return Cochain(2, vals)
-    if p == 3:
-        tv = cx.vertices[cx.tets]
-        vals = 0.0
-        for lam in _TET4:
-            pts = np.einsum("q,kqd->kd", lam, tv)
-            vals = vals + 0.25 * np.asarray(form(pts))
-        return Cochain(3, vals * cx.volumes)
-    raise ValueError("degree must be in 0..3")
+    if p not in (0, 1, 2, 3):
+        raise ValueError("degree must be in 0..3")
+    return Cochain(p, _integrate(complex.vertices[complex.simplices(p)], form))
 
 
 def _interpolate_located(
@@ -464,6 +454,8 @@ def verify_partition_duality(
     holds both; the pairing vanishes identically elsewhere because the
     basis has compact support and its trace on outside simplices is zero.
     """
+    if p not in (0, 1, 2):
+        raise ValueError("pairing check covers degrees 0, 1, 2")
     basis = basis or WhitneyBasis(complex)
     cx = complex
     m = cx.n_tets
@@ -472,28 +464,9 @@ def verify_partition_duality(
     rows = np.repeat(np.arange(m), n_loc)  # one row per (tet, local simplex)
 
     # integ[t, si, sj]: basis form sj of tet t integrated over simplex si.
-    if p == 0:
-        lam = basis.bary(rows, cx.vertices[local.ravel()])
-        integ = basis.eval0(rows, lam).reshape(m, 4, 4)
-    elif p == 1:
-        epair = cx.edges[local.ravel()]
-        a = cx.vertices[epair[:, 0]]
-        tang = cx.vertices[epair[:, 1]] - a
-        integ = np.zeros((m, 6, 6))
-        for s in _GAUSS2_EDGE:
-            w = basis.eval1(rows, basis.bary(rows, a + s * tang))
-            integ += 0.5 * np.einsum("ijd,id->ij", w, tang).reshape(m, 6, 6)
-    elif p == 2:
-        ftri = cx.faces[local.ravel()]
-        va, vb, vc = (cx.vertices[ftri[:, k]] for k in range(3))
-        nvec = 0.5 * np.cross(vb - va, vc - va)
-        integ = np.zeros((m, 4, 4))
-        for lam_t in _TRI3:
-            pts = lam_t[0] * va + lam_t[1] * vb + lam_t[2] * vc
-            w = basis.eval2(rows, basis.bary(rows, pts))
-            integ += (np.einsum("ijd,id->ij", w, nvec) / 3.0).reshape(m, 4, 4)
-    else:
-        raise ValueError("pairing check covers degrees 0, 1, 2")
+    corners = cx.vertices[cx.simplices(p)[local.ravel()]]
+    integ = _integrate(corners, lambda x: basis.eval(p, rows, basis.bary(rows, x)))
+    integ = integ.reshape(m, n_loc, n_loc)
 
     gi = np.broadcast_to(local[:, :, None], integ.shape).ravel()
     gj = np.broadcast_to(local[:, None, :], integ.shape).ravel()
@@ -509,44 +482,28 @@ def verify_coboundary(
     """Max pointwise deviation of d(basis^{p-1}) from its coboundary expansion.
 
     Both sides are evaluated at the degree-2 tet quadrature nodes and the
-    barycenter of every tet.
+    barycenter of every tet; the expansion's signs are read from the
+    complex's incidence matrix C^{p-1}.
     """
     basis = basis or WhitneyBasis(complex)
-    cx = complex
-    tids = np.arange(cx.n_tets)
-    lam_nodes = np.vstack([_TET4, np.full((1, 4), 0.25)])
+    m = complex.n_tets
+    g = basis.grads
+    k = np.arange(m)[:, None]
+    # d of each local degree-(p-1) basis form, constant per tet: (M, n_{p-1}, 3 or 1).
+    if p == 1:
+        d_prev = g
+    elif p == 2:
+        d_prev = 2.0 * np.cross(g[k, basis.edge_local[:, :, 0]], g[k, basis.edge_local[:, :, 1]])
+    elif p == 3:
+        fa, fb, fc = (g[k, basis.face_local[:, :, i]] for i in range(3))
+        d_prev = 6.0 * np.einsum("mfd,mfd->mf", fa, np.cross(fb, fc))[:, :, None]
+    else:
+        raise ValueError("coboundary check covers degrees 1, 2, 3")
+    signs = basis.local_signs(p).astype(float)  # (M, n_p, n_{p-1})
 
     dev = 0.0
-    if p == 1:
-        signs = basis.local_grad_signs().astype(float)  # (M, 6, 4)
-        for lam_t in lam_nodes:
-            lam = np.broadcast_to(lam_t, (cx.n_tets, 4))
-            w1 = basis.eval1(tids, lam)  # (M, 6, 3)
-            rhs = np.einsum("msv,msd->mvd", signs, w1)
-            dev = max(dev, float(np.abs(rhs - basis.grads).max()))
-        return dev
-    if p == 2:
-        g = basis.grads
-        k = np.arange(cx.n_tets)[:, None]
-        a = basis.edge_local[:, :, 0]
-        b = basis.edge_local[:, :, 1]
-        curls = 2.0 * np.cross(g[k, a], g[k, b])  # d of the edge basis
-        signs = basis.local_curl_signs().astype(float)  # (M, 4, 6)
-        for lam_t in lam_nodes:
-            lam = np.broadcast_to(lam_t, (cx.n_tets, 4))
-            w2 = basis.eval2(tids, lam)  # (M, 4, 3)
-            rhs = np.einsum("mfs,mfd->msd", signs, w2)
-            dev = max(dev, float(np.abs(rhs - curls).max()))
-        return dev
-    if p == 3:
-        g = basis.grads
-        k = np.arange(cx.n_tets)[:, None]
-        fa = basis.face_local[:, :, 0]
-        fb = basis.face_local[:, :, 1]
-        fc = basis.face_local[:, :, 2]
-        divs = 6.0 * np.einsum(
-            "mfd,mfd->mf", g[k, fa], np.cross(g[k, fb], g[k, fc])
-        )  # (M, 4), d of the face basis
-        rhs = cx.tet_face_signs / cx.volumes[:, None]
-        return float(np.abs(rhs - divs).max())
-    raise ValueError("coboundary check covers degrees 1, 2, 3")
+    for lam_t in np.vstack([_TET4, np.full((1, 4), 0.25)]):
+        w = basis.eval(p, np.arange(m), np.broadcast_to(lam_t, (m, 4)))
+        rhs = np.einsum("mts,mtd->msd", signs, w.reshape(m, signs.shape[1], -1))
+        dev = max(dev, float(np.abs(rhs - d_prev).max()))
+    return dev

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from declat import generators
 from declat.whitney import (
@@ -17,7 +18,7 @@ from declat.whitney import (
     whitney_eval,
 )
 
-from _oracles import interpolate_at_points_loop, partition_duality_loop
+from _oracles import interpolate_at_points_loop, partition_duality_loop, tet_quadrature
 
 
 def constant_form(degree, vec):
@@ -164,6 +165,40 @@ class TestDeRham:
         with pytest.raises(ValueError):
             de_rham(constant_form(1, [1, 0, 0]), single_tet, p=2)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_quadratic_proxies_reduce_exactly(self, jittered3, rng, p):
+        # Against rules of much higher order: 4-point Gauss-Legendre on
+        # edges, a 4x4 conical product on triangles, 4x4x4 on tets, each as
+        # normalized barycentric weights.
+        x_leg, w_leg = roots_legendre(4)
+        if p == 1:
+            a = 0.5 * (x_leg + 1.0)
+            lam, wgt = np.stack([1.0 - a, a], axis=1), w_leg
+        elif p == 2:
+            x_jac, w_jac = roots_jacobi(4, 1.0, 0.0)  # weight (1 - a) on [0, 1]
+            a, b = np.meshgrid(0.5 * (x_jac + 1.0), 0.5 * (x_leg + 1.0), indexing="ij")
+            a, b = a.ravel(), (b * (1.0 - a)).ravel()
+            lam, wgt = np.stack([1.0 - a - b, a, b], axis=1), np.outer(w_jac, w_leg).ravel()
+        else:
+            lam, wgt = tet_quadrature(order=4)
+        wgt = wgt / wgt.sum()
+
+        c0, B, Q = rng.standard_normal(3), rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 3))
+        field = lambda x: c0 + x @ B + np.einsum("ka,iab,kb->ki", x, Q, x)
+        proxy = (lambda x: field(x)[:, 0]) if p == 3 else field
+        got = de_rham(AnalyticForm(p, proxy), jittered3).values
+
+        corners = jittered3.vertices[jittered3.simplices(p)]  # (K, p+1, 3)
+        mean = sum(w * proxy(np.einsum("q,kqd->kd", l, corners)) for l, w in zip(lam, wgt))
+        if p == 1:
+            want = np.einsum("kd,kd->k", mean, corners[:, 1] - corners[:, 0])
+        elif p == 2:
+            nvec = 0.5 * np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+            want = np.einsum("kd,kd->k", mean, nvec)
+        else:
+            want = mean * jittered3.volumes
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestInterpolate:
     def test_constant_reproduction(self, jittered3, basis_of, rng):
@@ -242,6 +277,16 @@ class TestStructuralIdentities:
         for name, mesh in all_meshes.items():
             dev = verify_coboundary(mesh, p, basis_of(mesh))
             assert dev <= 1e-12, (name, p, dev)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_coboundary_reads_incidence_signs(self, p):
+        # One flipped entry of the incidence matrix the simulation uses
+        # must show up as a coboundary defect of order one.
+        mesh = generators.kuhn_cube()
+        C = mesh.incidence(p - 1).copy()
+        C.data[0] = -C.data[0]
+        mesh._incidence[p - 1] = C
+        assert verify_coboundary(mesh, p) >= 1.0
 
     def test_gradient_closed_form_single_tet(self, single_tet, basis_of):
         # d of the node-0 hat function must equal its coboundary expansion,
