@@ -54,7 +54,6 @@ from .maxwell import (
     ampere_step,
     compare_inverse_modes,
     eigenmodes,
-    faraday_step,
     hamiltonian,
     leapfrog_run,
     stable_timestep,

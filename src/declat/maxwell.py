@@ -6,7 +6,8 @@ explicit leapfrog (E at integer steps, B at half steps) in displacement
 form: it carries D = Heps E and H = Hmu_inv B, updates D by C1^T H, and
 recovers E = S D through one symmetric inverse S of the eps star.  For any
 symmetric S it conserves E.D + B_prev.Hmu_inv.B_next in exact arithmetic:
-the lattice energy oscillates within bounds and does not drift.
+the lattice energy oscillates within bounds and does not drift.  The
+step is written once, in ``_march``: runs and the A/B comparison march it.
 
 Perfectly conducting walls are imposed by removing boundary edge and face
 degrees of freedom from the operators and cochains.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "DiscreteCodifferential",
     "SimulationConfig",
     "apply_pec",
-    "faraday_step",
     "ampere_step",
     "leapfrog_run",
     "hamiltonian",
@@ -62,7 +63,7 @@ class MaxwellOperators:
     C1: sparse.csr_matrix
     Heps: sparse.csr_matrix
     Hmu_inv: sparse.csr_matrix
-    C2: sparse.csr_matrix | None = None
+    C2: sparse.csr_matrix
 
     @property
     def n_edges(self) -> int:
@@ -134,11 +135,6 @@ class DiscreteCodifferential:
 
     def apply(self, B: np.ndarray) -> np.ndarray:
         return self.solve_eps(self._C1T @ (self.ops.Hmu_inv @ B))
-
-
-def faraday_step(C1: sparse.spmatrix, E: np.ndarray) -> np.ndarray:
-    """Circulation of E around each face: the (metric-free) rate -dB/dt."""
-    return C1 @ E
 
 
 def ampere_step(
@@ -222,6 +218,28 @@ class Trace:
         return float(np.polyfit(self.steps[keep].astype(float), h / scale, 1)[0])
 
 
+def _march(codiff, dt, steps, E, B, source=None):
+    """The displacement-form leapfrog: (E, D, B_prev, B_next, HB_prev, HB_next) per step.
+
+    After a half-step start B(dt/2) = B(0) - (dt/2) C1 E(0), a step is
+    D += dt (C1^T HB - J(t + dt/2)), E = S D, B -= dt C1 E, HB = Hmu_inv B.
+    Yields at step 0 (B_prev = B(0)) and after each step; HB is Hmu_inv B.
+    """
+    ops = codiff.ops
+    D = ops.Heps @ E
+    B_half = B - 0.5 * dt * (ops.C1 @ E)
+    HB = ops.Hmu_inv @ B_half
+    yield E, D, B, B_half, ops.Hmu_inv @ B, HB
+    for n in range(steps):
+        B_prev, HB_prev = B_half, HB
+        J = 0.0 if source is None else np.asarray(source((n + 0.5) * dt), float)
+        D = D + dt * (codiff._C1T @ HB - J)
+        E = codiff.solve_eps(D)
+        B_half = B_half - dt * (ops.C1 @ E)
+        HB = ops.Hmu_inv @ B_half
+        yield E, D, B_prev, B_half, HB_prev, HB
+
+
 def leapfrog_run(
     ops: MaxwellOperators,
     config: SimulationConfig,
@@ -229,14 +247,12 @@ def leapfrog_run(
     B0: np.ndarray | None = None,
     codiff: DiscreteCodifferential | None = None,
 ) -> tuple[FieldState, Trace]:
-    """March the staggered leapfrog and record the energy trace.
+    """March the staggered leapfrog (``_march``) and record the energy trace.
 
-    The magnetic field is staggered to half steps by a half-step start
-    B(dt/2) = B(0) - (dt/2) C1 E(0); a step is D += dt (C1^T HB - J),
-    E = S D, B -= dt C1 E, HB = Hmu_inv B.  Energies are reported at integer
-    steps from the carried D and HB, with the magnetic cochain averaged
-    across the two neighboring half steps.  Divergence blow-up (non-finite
-    values, checked every 25 steps and at the last) aborts with a diagnostic.
+    Energies are reported at integer steps from the carried D and HB, with
+    the magnetic cochain averaged across the two neighboring half steps.
+    Divergence blow-up (non-finite values, checked every 25 steps and at
+    the last) aborts with a diagnostic.
     """
     dt = config.dt
     if dt <= 0:
@@ -249,47 +265,38 @@ def leapfrog_run(
     div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
     div_ref = None
 
-    def record(step, t, Bprev, Bnext, HBprev, HBnext):
+    def record(step, E, D, Bprev, Bnext, HBprev, HBnext):
         nonlocal div_ref
         he = float(E @ D)
         hm = 0.25 * float((HBprev + HBnext) @ (Bprev + Bnext))
-        divb = 0.0
-        if ops.C2 is not None and ops.C2.shape[0]:
-            # The discrete divergence is frozen by C2 C1 = 0; report the
-            # drift from its initial value.
-            div_now = ops.C2 @ Bnext
-            if div_ref is None:
-                div_ref = div_now
-            divb = float(np.abs(div_now - div_ref).max(initial=0.0))
-        rows.append((step, t, he + hm, he, hm, he + float(Bprev @ HBnext), divb))
+        # The discrete divergence is frozen by C2 C1 = 0; report the drift
+        # from its initial value.
+        div_now = ops.C2 @ Bnext
+        if div_ref is None:
+            div_ref = div_now
+        divb = float(np.abs(div_now - div_ref).max(initial=0.0))
+        rows.append((step, step * dt, he + hm, he, hm, he + float(Bprev @ HBnext), divb))
         return he + hm
 
-    D = ops.Heps @ E
-    B_half = B - 0.5 * dt * (ops.C1 @ E)
-    HB = ops.Hmu_inv @ B_half
-    h0 = record(0, 0.0, B, B_half, ops.Hmu_inv @ B, HB)
-    blowup_level = 1e10 * (abs(h0) + 1.0)
-    for n in range(config.steps):
-        B_prev, HB_prev = B_half, HB
-        J = 0.0 if config.source is None else np.asarray(config.source((n + 0.5) * dt), float)
-        D = D + dt * (codiff._C1T @ HB - J)
-        E = codiff.solve_eps(D)
-        B_half = B_half - dt * (ops.C1 @ E)
-        HB = ops.Hmu_inv @ B_half
-        if (n + 1) % 25 == 0 or n + 1 == config.steps:
+    march = _march(codiff, dt, config.steps, E, B, config.source)
+    fields = next(march)
+    blowup_level = 1e10 * (abs(record(0, *fields)) + 1.0)
+    for n, fields in enumerate(march, 1):
+        E, D, _, B_half, _, HB = fields
+        if n % 25 == 0 or n == config.steps:
             h = float(E @ D) + float(B_half @ HB)
             if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
                 raise FloatingPointError(
-                    f"field blow-up detected at step {n + 1}: energy {h!r} "
+                    f"field blow-up detected at step {n}: energy {h!r} "
                     f"(dt={float(dt)!r} likely above the stability bound)"
                 )
-        if (n + 1) % config.trace_every == 0 or n + 1 == config.steps:
-            record(n + 1, (n + 1) * dt, B_prev, B_half, HB_prev, HB)
+        if n % config.trace_every == 0 or n == config.steps:
+            record(n, *fields)
 
     arr = np.array(rows, dtype=float)
     # Columns in field order: steps, times, the four energies, div B.
     trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
-    state = FieldState(E=E, B=B_half, step=config.steps, time=config.steps * dt)
+    state = FieldState(E=fields[0], B=fields[3], step=config.steps, time=config.steps * dt)
     return state, trace
 
 
@@ -397,12 +404,14 @@ def compare_inverse_modes(
 ) -> dict:
     """Run exact-inverse and approximate-inverse trajectories side by side.
 
-    Returns the measured energy-norm divergence over the horizon together
-    with a rigorous envelope: the error obeys the same stable leapfrog
-    driven by the per-step forcing (Upsilon_exact - Upsilon_spai) B, so
-    its energy norm is bounded by the power-bound constant times the
-    accumulated forcing norms.  The approximate-inverse residual and the
-    horizon are reported alongside for the residual-times-horizon reading.
+    Both are ``_march`` runs from (E0, B0), as ``leapfrog_run`` takes them:
+    run 1 with the exact inverse A = Heps^{-1}, run 2 with the SPAI S.
+    Returns their energy-norm divergence after each step, a rigorous
+    envelope, the SPAI residual and the horizon.  With g_n = (A - S) D2_n,
+    E2 = A D2 - g, so the error (A (D1 - D2), B1 - B2) follows the exact
+    leapfrog forced by (0, -dt C1 g_n) each step, and the power-bound
+    constant c0 bounds it by c0 sum_k dt |C1 g_k|_Hmu_inv.  dE is its E
+    part plus g_n, so divergence_n <= that + |g_n|_Heps.
     """
     rng = np.random.default_rng(11)
     E0 = rng.standard_normal(ops.n_edges) if E0 is None else E0
@@ -413,30 +422,16 @@ def compare_inverse_modes(
         dt_max = stable_timestep(ops, exact)
     c0 = 1.0 / np.sqrt(max(1.0 - (dt / dt_max) ** 2, 1e-12))
 
-    E1 = E0.copy()
-    B1 = B0 - 0.5 * dt * (ops.C1 @ E0)
-    E2 = E0.copy()
-    B2 = B1.copy()
+    runs = zip(_march(exact, dt, steps, E0, B0), _march(approx, dt, steps, E0, B0))
     forcing_sum = 0.0
-    divergence = np.zeros(steps)
-    envelope = np.zeros(steps)
-    for n in range(steps):
-        # One curl per step, under both inverses.
-        curl_h = exact._C1T @ (ops.Hmu_inv @ B2)
-        u_approx = approx.solve_eps(curl_h)
-        g = exact.solve_eps(curl_h) - u_approx
-        # One step injects dt * (g, -dt C1 g) into the error state.
+    divergence, envelope = np.zeros((2, steps))
+    for n, ((E1, _, _, B1, _, _), (E2, D2, _, B2, _, _)) in enumerate(islice(runs, 1, None)):
+        g = exact.solve_eps(D2) - E2
         cg = ops.C1 @ g
-        forcing_sum += dt * float(
-            np.sqrt(g @ (ops.Heps @ g) + dt**2 * (cg @ (ops.Hmu_inv @ cg)))
-        )
-        E1 = E1 + dt * exact.apply(B1)
-        B1 = B1 - dt * (ops.C1 @ E1)
-        E2 = E2 + dt * u_approx
-        B2 = B2 - dt * (ops.C1 @ E2)
+        forcing_sum += dt * float(np.sqrt(cg @ (ops.Hmu_inv @ cg)))
         dE, dB = E1 - E2, B1 - B2
         divergence[n] = np.sqrt(dE @ (ops.Heps @ dE) + dB @ (ops.Hmu_inv @ dB))
-        envelope[n] = c0 * forcing_sum
+        envelope[n] = c0 * forcing_sum + np.sqrt(g @ (ops.Heps @ g))
     return {
         "residual": approx.residual,
         "level": level,

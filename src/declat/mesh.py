@@ -78,10 +78,10 @@ class SimplicialComplex:
     Parameters
     ----------
     vertices : (N, 3) float array of vertex coordinates.
-    tets : (M, 4) int array of vertex indices; duplicates are merged, each
-        tet is re-signed to positive volume, and degenerate (zero-volume)
-        tets and folds (two tets on the same side of a shared face) are
-        rejected.
+    tets : (M, 4) int array of vertex indices; each tet is re-signed to
+        positive volume, and duplicated tets (in any vertex order),
+        degenerate (zero-volume) tets and folds (two tets on the same side
+        of a shared face) are rejected.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
@@ -97,14 +97,19 @@ class SimplicialComplex:
             raise MeshError("mesh must contain at least one tet")
         if tets.min(initial=0) < 0 or tets.max(initial=-1) >= len(vertices):
             raise MeshError("tet references a vertex index out of range")
-        if np.any(np.sort(tets, axis=1)[:, :-1] == np.sort(tets, axis=1)[:, 1:]):
+        tets = np.sort(tets, axis=1)
+        if np.any(tets[:, :-1] == tets[:, 1:]):
             raise MeshError("tet with repeated vertex index")
 
-        # Canonical tet storage: sorted indices, last pair swapped if the
-        # sorted orientation has negative volume.  Total normalization: any
-        # permutation of the input yields the same stored rows.
-        tets = np.sort(tets, axis=1)
-        tets = np.unique(tets, axis=0)
+        # Canonical tet storage: sorted indices in ascending row order, last
+        # pair swapped if the sorted orientation has negative volume.  Total
+        # normalization: any permutation of the input yields the same rows.
+        order = np.lexsort(tets.T[::-1])
+        tets = tets[order]
+        dup = np.all(tets[1:] == tets[:-1], axis=1)
+        if dup.any():
+            i = int(dup.argmax())
+            raise MeshError(f"duplicated tet {tets[i].tolist()} at rows {order[i:i + 2].tolist()}")
         vols = _signed_volumes(vertices, tets)
         if np.any(np.abs(vols) < 1e-14 * np.abs(vols).max(initial=1.0)) or np.any(vols == 0.0):
             bad = int(np.argmin(np.abs(vols)))

@@ -20,7 +20,8 @@ the package seeds from a grid, walks all points at once and deposits all
 segments of a path in one pass.  The last is the electric-field form of
 the leapfrog, which applies the stars through ``ampere_step`` and
 ``hamiltonian`` every step, where the package carries D = Heps E and
-Hmu_inv B from step to step.
+Hmu_inv B from step to step; next to it sits ``faraday_step``, the
+face circulation C1 E, which the package's step writes inline.
 """
 
 from __future__ import annotations
@@ -432,6 +433,11 @@ def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float
 # -- E-form leapfrog ---------------------------------------------------------
 
 
+def faraday_step(C1: sparse.spmatrix, E: np.ndarray) -> np.ndarray:
+    """Circulation of E around each face: the (metric-free) rate -dB/dt."""
+    return C1 @ E
+
+
 def leapfrog_run_loop(
     ops: MaxwellOperators,
     config: SimulationConfig,
@@ -462,7 +468,7 @@ def leapfrog_run_loop(
         nonlocal div_ref
         h, he, hm = hamiltonian(ops.Heps, ops.Hmu_inv, E, 0.5 * (Bprev + Bnext))
         divb = 0.0
-        if ops.C2 is not None and ops.C2.shape[0]:
+        if ops.C2.shape[0]:
             # The discrete divergence is frozen by C2 C1 = 0; report the
             # drift from its initial value.
             div_now = ops.C2 @ Bnext

@@ -15,7 +15,6 @@ from declat.maxwell import (
     apply_pec,
     compare_inverse_modes,
     eigenmodes,
-    faraday_step,
     hamiltonian,
     leapfrog_run,
     stable_timestep,
@@ -24,7 +23,7 @@ from declat.maxwell import (
 from declat.mesh import SimplicialComplex, classify_boundary, write_mesh
 from declat.whitney import AnalyticForm, de_rham
 
-from _oracles import leapfrog_run_loop
+from _oracles import faraday_step, leapfrog_run_loop
 
 
 def unreduced_operators(mesh, materials=None):
@@ -446,11 +445,34 @@ class TestEigenmodes:
         np.testing.assert_allclose(lowest, nonzero_dense, rtol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def jittered4_ops():
+    mesh = generators.jittered_box_mesh(4, seed=3)
+    ops = apply_pec(mesh, classify_boundary(mesh))
+    return ops, stable_timestep(ops)
+
+
 class TestInverseModeComparison:
-    def test_divergence_within_envelope(self, box3, classification_of):
+    def test_divergence_within_envelope(self, box3, classification_of, jittered4_ops):
         ops = apply_pec(box3, classification_of(box3))
-        dt_max = stable_timestep(ops)
-        out = compare_inverse_modes(ops, dt=0.5 * dt_max, steps=150, level=2,
-                                    dt_max=dt_max)
-        assert out["within_envelope"]
-        assert out["max_divergence"] <= out["residual"] * out["steps"]
+        cases = [(ops, stable_timestep(ops), 2)] + [(*jittered4_ops, k) for k in (1, 2, 3)]
+        for ops, dt_max, level in cases:
+            out = compare_inverse_modes(ops, dt=0.5 * dt_max, steps=150, level=level,
+                                        dt_max=dt_max)
+            assert out["within_envelope"], level
+            assert out["max_divergence"] <= out["residual"] * out["steps"], level
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_divergence_is_the_gap_between_simulate_runs(self, jittered4_ops, level):
+        # The comparison marches the same steps as leapfrog_run under each
+        # inverse, so its last divergence is the distance of their end states.
+        ops, dt_max = jittered4_ops
+        rng = np.random.default_rng(level)
+        E0, B0 = rng.standard_normal(ops.n_edges), rng.standard_normal(ops.n_faces)
+        dt, steps = 0.5 * dt_max, 200
+        out = compare_inverse_modes(ops, dt, steps, level, E0, B0, dt_max)
+        ends = [leapfrog_run(ops, SimulationConfig(dt, steps, inverse), E0, B0)[0]
+                for inverse in ("exact", f"spai:{level}")]
+        dE, dB = ends[0].E - ends[1].E, ends[0].B - ends[1].B
+        gap = np.sqrt(dE @ (ops.Heps @ dE) + dB @ (ops.Hmu_inv @ dB))
+        np.testing.assert_allclose(out["divergence"][-1], gap, rtol=1e-12)

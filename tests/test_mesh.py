@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from declat import generators
 from declat.mesh import (
@@ -46,11 +49,39 @@ def test_repeated_vertex_rejected():
         SimplicialComplex(verts, np.array([[0, 1, 2, 2]]))
 
 
-def test_duplicate_tets_merged(single_tet):
-    doubled = SimplicialComplex(
-        single_tet.vertices, np.vstack([single_tet.tets, single_tet.tets[:, ::-1]])
-    )
-    assert doubled.n_tets == 1
+def test_duplicate_tets_rejected(single_tet):
+    doubled = np.vstack([single_tet.tets, single_tet.tets[:, ::-1]])
+    with pytest.raises(MeshError, match=re.escape("duplicated tet [0, 1, 2, 3] at rows [0, 1]")):
+        SimplicialComplex(single_tet.vertices, doubled)
+
+
+_DUPLICATE_HOSTS = {
+    "kuhn": generators.kuhn_cube(),
+    "box2": generators.box_mesh(2),
+    "jittered2": generators.jittered_box_mesh(2, seed=4),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_DUPLICATE_HOSTS)),
+    seed=st.integers(0, 2**32 - 1),
+    permuted=st.booleans(),
+)
+def test_duplicated_tet_named_in_any_vertex_order(name, seed, permuted):
+    # One tet repeated, as stored or with its vertices permuted, among
+    # shuffled rows: the error names the tet and the two input rows.
+    mesh = _DUPLICATE_HOSTS[name]
+    rng = np.random.default_rng(seed)
+    tet = mesh.tets[rng.integers(mesh.n_tets)]
+    copy = tet[rng.permutation(4)] if permuted else tet
+    tets = np.vstack([mesh.tets, copy])[rng.permutation(mesh.n_tets + 1)]
+    with pytest.raises(MeshError) as err:
+        SimplicialComplex(mesh.vertices, tets)
+    named, i, j = re.fullmatch(r"duplicated tet (\[.*\]) at rows \[(\d+), (\d+)\]",
+                               str(err.value)).groups()
+    assert named == str(sorted(tet.tolist()))
+    assert sorted(tets[int(i)].tolist()) == sorted(tets[int(j)].tolist()) == sorted(tet.tolist())
+    assert int(i) != int(j)
 
 
 def test_folded_pair_rejected():
