@@ -39,6 +39,9 @@ __all__ = [
     "run_full_audit",
 ]
 
+# Largest relative asymmetry ||H - H^T||_F / ||H||_F a star may show.
+_SYM_TOL = 1e-13
+
 
 @dataclass
 class AuditCheck:
@@ -249,7 +252,6 @@ def audit_hodge(
     Heps: sparse.spmatrix,
     Hmu_inv: sparse.spmatrix,
     complex: SimplicialComplex | None = None,
-    sym_tol: float = 1e-13,
     spd_margin: float = 1e-12,
 ) -> AuditSection:
     """Symmetry and positive definiteness of the assembled stars.
@@ -274,7 +276,7 @@ def audit_hodge(
         if H.shape[0] == 0:
             continue
         sym, min_eig = check_spd(H)
-        section.add(f"{name} symmetry", sym, sym_tol, sym <= sym_tol)
+        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
         scale = float(np.abs(H.diagonal()).max())
         ok = min_eig > spd_margin * scale
         section.add(

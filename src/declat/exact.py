@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 __all__ = [
     "integer_rank",
@@ -133,10 +134,6 @@ def gf2_rank(mat) -> int:
 
 def graph_components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the graph on ``n`` nodes with edges ``a[i]-b[i]``."""
-    # Imported here: csgraph costs about 1 MB of resident memory in
-    # processes (simulation, particles) that never count components.
-    from scipy.sparse import csgraph
-
     graph = sparse.coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
     return csgraph.connected_components(graph, directed=False)
 
@@ -265,8 +262,6 @@ def _surface_pairs(C1: sparse.csr_matrix, C2: sparse.csr_matrix):
     the pairs ``(surface, reference)``: every surface but the first of its
     tet component, with that first one.
     """
-    from scipy.sparse import csgraph
-
     csc = C2.tocsc()
     csc.eliminate_zeros()
     per_face = np.diff(csc.indptr)
@@ -278,12 +273,13 @@ def _surface_pairs(C1: sparse.csr_matrix, C2: sparse.csr_matrix):
     # Edges with more than two boundary faces are pinches between surfaces.
     pattern = abs(C1[bnd]).tocsc()
     pattern = pattern[:, np.flatnonzero(np.diff(pattern.indptr) == 2)]
-    _, surf = csgraph.connected_components(pattern @ pattern.T, directed=False)
+    adjacent = (pattern @ pattern.T).tocoo()
+    _, surf = graph_components(len(bnd), adjacent.row, adjacent.col)
 
     inner = np.flatnonzero(per_face == 2)
     ta, tb = csc.indices[csc.indptr[inner]], csc.indices[csc.indptr[inner] + 1]
     tet_graph = _weighted_graph(C2.shape[0], ta, tb, inner)
-    _, tet_comp = csgraph.connected_components(tet_graph, directed=False)
+    _, tet_comp = graph_components(C2.shape[0], ta, tb)
     first = np.unique(surf, return_index=True)[1]
     reference: dict[int, int] = {}
     pairs = []
@@ -304,8 +300,6 @@ def _weighted_graph(n: int, a: np.ndarray, b: np.ndarray, label: np.ndarray) -> 
 
 def _bfs_path(graph: sparse.csr_matrix, start: int, target: np.ndarray) -> list[int] | None:
     """Nodes of a shortest path from ``start`` to the nearest node with ``target`` set."""
-    from scipy.sparse import csgraph
-
     order, pred = csgraph.breadth_first_order(graph, start, directed=True,
                                               return_predecessors=True)
     hits = order[target[order]]

@@ -11,11 +11,18 @@ for bit.
 
 Orientation convention
 ----------------------
-Edges and faces are stored with strictly increasing vertex indices.  Tets
-are stored sorted as well, except that the last two vertices are swapped
-when needed to make the signed volume positive.  Boundary signs follow the
-alternating-sum rule applied to the stored vertex order, with a parity
-correction when a tet's boundary triple has to be re-sorted.
+Edges and faces are stored with strictly increasing vertex indices, in
+lexicographic order.  Tets are stored sorted as well, except that the last
+two vertices are swapped when needed to make the signed volume positive.
+Boundary signs follow the alternating-sum rule on the sorted vertices; a
+tet stored with its last pair swapped negates its first two faces, and no
+boundary triple is re-sorted.
+
+Edges and faces are found from integer keys: a*n + b for edge (a, b) and
+e*n + c for face (a, b, c), where n is the vertex count and e the index of
+edge (a, b).  Edge indices follow lexicographic order, so sorted face keys
+do too.  Keys stay below n * max(n, n_edges), about 7 n^2 on a lattice, so
+int64 holds them up to about 1e9 vertices.
 """
 
 from __future__ import annotations
@@ -54,22 +61,37 @@ def _signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) / 6.0
 
 
-def _sort_parity_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row ascending; return sorted rows and permutation parity (+-1)."""
-    order = np.argsort(arr, axis=1, kind="stable")
-    srt = np.take_along_axis(arr, order, axis=1)
-    n = arr.shape[1]
-    inversions = np.zeros(arr.shape[0], dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inversions += order[:, i] > order[:, j]
-    parity = np.where(inversions % 2 == 0, 1, -1)
-    return srt, parity.astype(np.int64)
+def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sparse.csr_matrix:
+    """Matrix whose row ``i`` holds ``signs[i, k]`` in column ``cols[i, k]``."""
+    m, k = cols.shape
+    return sparse.csr_matrix(
+        (np.broadcast_to(signs, (m, k)).ravel(), (np.repeat(np.arange(m), k), cols.ravel())),
+        shape=(m, n_cols),
+    )
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(-1)
+def _reject_pinched_vertices(ranked: np.ndarray, tet_faces: np.ndarray) -> None:
+    """Raise unless each vertex's tets connect through faces that contain it.
+
+    ``ranked`` holds the tets as sorted rows and ``tet_faces`` their faces
+    in that slot order.  Node 4t + r is vertex r of tet t; the two tets on
+    a shared face are joined at its three vertices, so each component of
+    the node graph holds copies of a single vertex.
+    """
+    flat = tet_faces.ravel()
+    order = np.argsort(flat)
+    shared = flat[order[1:]] == flat[order[:-1]]
+    slots = 4 * np.arange(len(ranked), dtype=np.int32)[:, None, None]
+    nodes = (slots + _TET_FACE_SLOTS.astype(np.int32)).reshape(-1, 3)
+    _, labels = graph_components(4 * len(ranked), nodes[order[:-1][shared]].ravel(),
+                                 nodes[order[1:][shared]].ravel())
+    vertex = ranked.ravel()
+    label_of = np.zeros(vertex.max() + 1, dtype=labels.dtype)
+    label_of[vertex] = labels  # the label of any one copy
+    pinched = vertex[labels != label_of[vertex]]
+    if len(pinched):
+        raise MeshError(f"non-manifold vertex {int(pinched.min())}: its tets do not all "
+                        "connect through faces that contain it")
 
 
 class SimplicialComplex:
@@ -80,8 +102,9 @@ class SimplicialComplex:
     vertices : (N, 3) float array of vertex coordinates.
     tets : (M, 4) int array of vertex indices; each tet is re-signed to
         positive volume, and duplicated tets (in any vertex order),
-        degenerate (zero-volume) tets and folds (two tets on the same side
-        of a shared face) are rejected.
+        degenerate (zero-volume) tets, folds (two tets on the same side
+        of a shared face) and pinched vertices (whose tets do not connect
+        through faces at the vertex) are rejected.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
@@ -115,23 +138,44 @@ class SimplicialComplex:
             bad = int(np.argmin(np.abs(vols)))
             raise MeshError(f"degenerate tet {tets[bad].tolist()} (zero volume)")
         flip = vols < 0
+        ranked = tets.copy()
         tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
         self.vertices = vertices
         self.tets = tets
         self.volumes = np.abs(vols)
 
-        # Derived skeleton: canonical (sorted) unique edges and faces.
-        edge_rows = np.sort(tets[:, _TET_EDGE_SLOTS].reshape(-1, 2), axis=1)
-        self.edges, edge_inv = _unique_rows(edge_rows)
-        self.tet_edges = edge_inv.reshape(-1, 6)
+        # Skeleton from integer keys, read off the sorted rows, whose edge
+        # and face slots list their vertices in increasing order.
+        n = len(vertices)
+        edge_keys, tet_edges = np.unique(ranked[:, _TET_EDGE_SLOTS] @ [n, 1], return_inverse=True)
+        self.edges = np.stack(np.divmod(edge_keys, n), axis=1)
 
-        face_rows = np.sort(tets[:, _TET_FACE_SLOTS].reshape(-1, 3), axis=1)
-        self.faces, face_inv = _unique_rows(face_rows)
-        self.tet_faces = face_inv.reshape(-1, 4)
+        def edge_id(pairs):
+            return np.searchsorted(edge_keys, pairs @ [n, 1])
 
-        self._incidence = [self._build_c0(), self._build_c1(), self._build_c2()]
+        rows = ranked[:, _TET_FACE_SLOTS]
+        face_keys, tet_faces = np.unique(edge_id(rows[..., :2]) * n + rows[..., 2],
+                                         return_inverse=True)
+        face_edge, face_last = np.divmod(face_keys, n)
+        self.faces = np.column_stack([self.edges[face_edge], face_last])
+
+        # A swapped last pair exchanges a tet's edge slots 1/2 and 3/4 and
+        # its face slots 2/3, and negates its faces in slots 0 and 1.
+        swapped = flip[:, None]
+        tet_edges, tet_faces = tet_edges.reshape(-1, 6), tet_faces.reshape(-1, 4)
+        self.tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
+        self.tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
+        self.tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
+
+        self._incidence = [
+            _signed_rows(self.edges, np.array([-1, 1]), n),
+            _signed_rows(edge_id(self.faces[:, [[1, 2], [0, 2], [0, 1]]]), np.array([1, -1, 1]),
+                         self.n_edges),
+            _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
+        ]
         self._reject_folds()
+        _reject_pinched_vertices(ranked, tet_faces)
         self._face_tets = None
 
     # -- counts ----------------------------------------------------------
@@ -175,38 +219,6 @@ class SimplicialComplex:
             raise ValueError("incidence degree must be 0, 1 or 2")
         return self._incidence[p]
 
-    def _build_c0(self) -> sparse.csr_matrix:
-        ne = self.n_edges
-        rows = np.repeat(np.arange(ne), 2)
-        cols = self.edges.reshape(-1)
-        vals = np.tile(np.array([-1, 1], dtype=np.int64), ne)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(ne, self.n_vertices))
-
-    def _build_c1(self) -> sparse.csr_matrix:
-        # Faces are stored sorted, so each boundary pair is already sorted.
-        nf = self.n_faces
-        pair_slots = np.array([(1, 2), (0, 2), (0, 1)])
-        signs = np.array([1, -1, 1], dtype=np.int64)
-        pairs = self.faces[:, pair_slots].reshape(-1, 2)
-        eidx = self._lookup(self.edges, pairs)
-        rows = np.repeat(np.arange(nf), 3)
-        vals = np.tile(signs, nf)
-        return sparse.csr_matrix((vals, (rows, eidx)), shape=(nf, self.n_edges))
-
-    def _build_c2(self) -> sparse.csr_matrix:
-        # Tets may carry a last-pair swap, so boundary triples need a
-        # parity correction after re-sorting.
-        nt = self.n_tets
-        triples = self.tets[:, _TET_FACE_SLOTS].reshape(-1, 3)
-        base_signs = np.tile(np.array([1, -1, 1, -1], dtype=np.int64), nt)
-        srt, parity = _sort_parity_rows(triples)
-        fidx = self._lookup(self.faces, srt)
-        rows = np.repeat(np.arange(nt), 4)
-        signs = base_signs * parity
-        # Entry of C^2 per (tet, local face slot); read by the fold check.
-        self.tet_face_signs = signs.reshape(nt, 4)
-        return sparse.csr_matrix((signs, (rows, fidx)), shape=(nt, self.n_faces))
-
     def _reject_folds(self) -> None:
         # Two tets on opposite sides of a face see it with opposite signs,
         # so a C2 column summing to +-2 is a pair on the same side.
@@ -220,21 +232,6 @@ class SimplicialComplex:
                 f"folded tets {self.tets[t[0]].tolist()} and {self.tets[t[1]].tolist()} "
                 f"lie on the same side of face {self.faces[f].tolist()}"
             )
-
-    def _lookup(self, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Position of each of ``rows`` in ``table`` (edges or faces: sorted
-        unique rows, as ``np.unique(axis=0)`` returns them)."""
-        # Unsigned keys keep the table's order while n_vertices**3 < 2**64.
-        table, rows = table.astype(np.uint64), rows.astype(np.uint64)
-        n = self.n_vertices
-        keys, want = table[:, 0], rows[:, 0]
-        for c in range(1, table.shape[1]):
-            keys = keys * n + table[:, c]
-            want = want * n + rows[:, c]
-        idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        if np.any(keys[idx] != want):
-            raise MeshError("simplex lookup failed (inconsistent skeleton)")
-        return idx
 
     # -- adjacency ---------------------------------------------------------
 
@@ -300,11 +297,8 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
     bnd_vert_mask = np.zeros(complex.n_vertices, dtype=bool)
     bnd_vert_mask[complex.faces[bnd_faces].reshape(-1)] = True
 
-    pair_slots = np.array([(0, 1), (0, 2), (1, 2)])
     bnd_edge_mask = np.zeros(complex.n_edges, dtype=bool)
-    if len(bnd_faces):
-        pairs = np.sort(complex.faces[bnd_faces][:, pair_slots].reshape(-1, 2), axis=1)
-        bnd_edge_mask[complex._lookup(complex.edges, pairs)] = True
+    bnd_edge_mask[complex.incidence(1)[bnd_faces].indices] = True
 
     return BoundaryClassification(
         boundary_vertices=np.flatnonzero(bnd_vert_mask),

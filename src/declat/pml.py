@@ -236,15 +236,14 @@ def reflection_sweep(
     kz: float,
     materials: MaterialMap | None = None,
     basis: WhitneyBasis | None = None,
-    field_axis: int = 1,
-    order: int = 2,
 ) -> list[ReflectionRow]:
     """Reflection magnitude versus layer strength on a waveguide mesh.
 
     For each profile strength, solve the driven harmonic problem with a
-    z-directed slab between ``pml_start`` and ``pml_end`` (PEC-backed
-    outer wall), sample the transverse field along the guide axis, and
-    extract the reflection magnitude from the standing-wave fit.
+    z-directed slab of quadratic profile between ``pml_start`` and
+    ``pml_end`` (PEC-backed outer wall), sample the transverse (y) field
+    along the guide axis, and extract the reflection magnitude from the
+    standing-wave fit.
     """
     from .whitney import Cochain, interpolate_at_points
 
@@ -258,7 +257,7 @@ def reflection_sweep(
     rows = []
     thickness = abs(pml_end - pml_start)
     for om_max in omega_maxes:
-        profile = StretchProfile.slab(2, pml_start, pml_end, om_max, order=order)
+        profile = StretchProfile.slab(2, pml_start, pml_end, om_max)
         hodges = assemble_stretched(complex, materials, profile, omega, basis)
         heps_red = hodges.Heps[e_idx][:, e_idx].tocsr()
         hmu_red = hodges.Hmu_inv[classification.interior_faces][
@@ -271,9 +270,7 @@ def reflection_sweep(
         full[e_idx] = E_red
         cochain = Cochain(1, full)
         samples = interpolate_at_points(basis, cochain, sample_points)
-        refl, resid = measure_reflection(
-            samples[:, field_axis], sample_points[:, 2], kz
-        )
+        refl, resid = measure_reflection(samples[:, 1], sample_points[:, 2], kz)
         rows.append(ReflectionRow(omega, om_max, thickness, refl, resid))
     return rows
 

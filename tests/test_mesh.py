@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -94,6 +95,112 @@ def test_folded_pair_rejected():
     msg = str(err.value)
     assert "face [0, 1, 2]" in msg
     assert "[0, 1, 2, 3]" in msg and "[0, 1, 2, 4]" in msg
+
+
+def _relabel(verts, tets, seed):
+    # The same mesh under a random vertex labelling, tet order and corner
+    # order; also returns each old vertex's new label.
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(verts))
+    moved = np.empty_like(verts)
+    moved[perm] = verts
+    return moved, rng.permuted(perm[tets], axis=1)[rng.permutation(len(tets))], perm
+
+
+def _relabelled_box(n, seed):
+    box = generators.box_mesh(n)
+    return SimplicialComplex(*_relabel(box.vertices, box.tets, seed)[:2])
+
+
+def _skeleton_digest(mesh) -> str:
+    cls = classify_boundary(mesh)
+    arrays = [mesh.edges, mesh.faces, mesh.tets, mesh.tet_edges, mesh.tet_faces,
+              mesh.tet_face_signs, cls.boundary_vertices, cls.boundary_edges,
+              cls.boundary_faces]
+    for p in range(3):
+        C = mesh.incidence(p)
+        arrays += [C.indptr, C.indices, C.data]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_GOLDEN_MESHES = {
+    "kuhn": generators.kuhn_cube,
+    "box4": lambda: generators.box_mesh(4),
+    "annulus8": lambda: generators.annulus_mesh(8),
+    "jittered6": lambda: generators.jittered_box_mesh(6, seed=5),
+    "relabelled_box5": lambda: _relabelled_box(5, seed=11),
+}
+
+# Digests of the canonical arrays, recorded before the skeleton was built
+# from integer keys; a refactor of the construction must not move them.
+_GOLDEN_DIGESTS = {
+    "kuhn": "0d5a15d76e028c3adb252a0adf48858cc258b0c18b01bacdc8c443d06bdd6f31",
+    "box4": "f18d2691bead517b37a1d8e4c924dc77124799de354f6b9a3b60e11b0c716ccb",
+    "annulus8": "fd26b1c0b4b590dc11c786edeaab036a0d054a870496f0f66a128c2e6440a944",
+    "jittered6": "fbd6d8f7af7e178b02dad1da6e466f76de8861e7642bc124394ba7c0984fb2db",
+    "relabelled_box5": "4f8a8d81c6cba927d918f1306508cbd08bb049e9c2f9b976c1508853688381fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
+def test_canonical_arrays_match_golden_digest(name):
+    assert _skeleton_digest(_GOLDEN_MESHES[name]()) == _GOLDEN_DIGESTS[name]
+
+
+def test_keys_do_not_wrap_past_millions_of_vertex_slots():
+    # A key packing (a, b, c) as a*n^2 + b*n + c wraps past n = 2.6M; one
+    # of these labellings (the 16th) hit that.  Sorted labels keep the
+    # canonical order, so the skeleton is the original's relabelled.
+    mesh = generators.box_mesh(2)
+    n = 2_700_000
+    rng = np.random.default_rng(0)
+    verts = np.zeros((n, 3))
+    for _ in range(20):
+        label = np.sort(rng.choice(n, mesh.n_vertices, replace=False))
+        verts[label] = mesh.vertices
+        big = SimplicialComplex(verts, label[mesh.tets])
+        verts[label] = 0.0
+        assert np.array_equal(big.edges, label[mesh.edges])
+        assert np.array_equal(big.faces, label[mesh.faces])
+        for p in (1, 2):
+            assert (big.incidence(p) != mesh.incidence(p)).nnz == 0
+
+
+def _glued(verts_a, tets_a, verts_b, tets_b):
+    # Union of two meshes, with coincident vertices merged into one.
+    verts, label = np.unique(np.vstack([verts_a, verts_b]), axis=0, return_inverse=True)
+    return verts, label.ravel()[np.vstack([tets_a, tets_b + len(verts_a)])]
+
+
+_UNIT_TET = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+_KUHN, _BOX2 = generators.kuhn_cube(), generators.box_mesh(2)
+_ONE = np.array([[0, 1, 2, 3]])
+# Meshes whose tets meet at the named points without sharing a face there.
+_PINCHED = {
+    "tets@vertex": (_glued(_UNIT_TET, _ONE, -_UNIT_TET, _ONE), [[0, 0, 0]]),
+    "tets@edge": (_glued(_UNIT_TET, _ONE, _UNIT_TET * [1, -1, -1], _ONE),
+                  [[0, 0, 0], [1, 0, 0]]),
+    "kuhn@corner": (_glued(_KUHN.vertices, _KUHN.tets, _KUHN.vertices + 1, _KUHN.tets),
+                    [[1, 1, 1]]),
+    "box2@corner": (_glued(_BOX2.vertices, _BOX2.tets, _BOX2.vertices + 1, _BOX2.tets),
+                    [[1, 1, 1]]),
+}
+
+
+@given(name=st.sampled_from(sorted(_PINCHED)), seed=st.integers(0, 2**32 - 1))
+def test_pinched_vertex_named_under_relabelling(name, seed):
+    (verts, tets), points = _PINCHED[name]
+    moved, moved_tets, perm = _relabel(verts, tets, seed)
+    pinched = perm[[int(np.flatnonzero((verts == p).all(axis=1))[0]) for p in points]]
+    with pytest.raises(MeshError) as err:
+        SimplicialComplex(moved, moved_tets)
+    named = re.fullmatch(r"non-manifold vertex (\d+): its tets do not all connect "
+                         r"through faces that contain it", str(err.value)).group(1)
+    assert int(named) == pinched.min()
 
 
 def test_parse_and_roundtrip(tmp_path, kuhn):
