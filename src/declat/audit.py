@@ -14,7 +14,10 @@ instability in marching schemes.
 Section three (metric) checks the discrete Hodge matrices: symmetry at
 rounding scale and positive definiteness, with the worst-shaped cells
 reported alongside any near-indefiniteness since highly skewed or obtuse
-cells are the usual culprits.
+cells are the usual culprits.  Stars that the audit assembles itself are
+proved positive definite from their per-tet element matrices, with no
+factorisation; stars handed in, or whose element bound does not clear the
+margin, get a factored estimate, and the row says it is not a proof.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import numpy as np
 from scipy import sparse
 
 from .dual import DualComplex
+from . import hodge
 from .exact import certify_ranks
 from .mesh import _TET_FACE_SLOTS, SimplicialComplex, classify_boundary
+from .whitney import WhitneyBasis
 
 __all__ = [
     "AuditCheck",
@@ -253,39 +258,52 @@ def audit_hodge(
     Hmu_inv: sparse.spmatrix,
     complex: SimplicialComplex | None = None,
     spd_margin: float = 1e-12,
+    elements: tuple[hodge.ElementMatrices | None, hodge.ElementMatrices | None] = (None, None),
 ) -> AuditSection:
     """Symmetry and positive definiteness of the assembled stars.
+
+    ``elements`` holds the per-tet matrices each star was summed from, or
+    None for a star handed in without them.  Where they are at hand, the
+    "positive definite" row reports their proved lower bound on
+    lambda_min (:meth:`~declat.hodge.ElementMatrices.lower_bound`) and no
+    factorisation runs.  Otherwise, or when that bound does not clear the
+    margin, it reports the ``check_spd`` estimate, which is not a proof,
+    and says so.  The bound never exceeds lambda_min and the estimate never
+    falls below it, so both paths agree on pass and fail.
 
     Near-indefiniteness is correlated with cell shape: the tets with the
     most extreme dihedral angles are listed when the margin check fires.
     """
-    from .hodge import check_spd
-
     section = AuditSection("hodge star consistency")
-    worst_cells = ""
-    if complex is not None:
+
+    def worst_cells() -> str:
+        if complex is None:
+            return ""
         mins, maxs = _dihedral_extremes(complex)
-        order = np.argsort(mins)
         listed = [
             f"tet {int(t)} (dihedral {np.degrees(mins[t]):.2f}..{np.degrees(maxs[t]):.2f} deg)"
-            for t in order[:3]
+            for t in np.argsort(mins)[:3]
         ]
-        worst_cells = "; worst cells: " + ", ".join(listed)
+        return "; worst cells: " + ", ".join(listed)
 
-    for name, H in (("eps star", Heps), ("mu-inverse star", Hmu_inv)):
+    for name, H, elem in zip(("eps star", "mu-inverse star"), (Heps, Hmu_inv), elements):
         if H.shape[0] == 0:
             continue
-        sym, min_eig = check_spd(H)
+        sym = hodge.symmetry_deviation(H)
         section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
-        scale = float(np.abs(H.diagonal()).max())
-        ok = min_eig > spd_margin * scale
-        section.add(
-            f"{name} positive definite",
-            min_eig,
-            spd_margin * scale,
-            ok,
-            detail=("" if ok else f"near-indefinite{worst_cells}"),
-        )
+        margin = spd_margin * float(np.abs(H.diagonal()).max())
+        how = "estimate, not proved"
+        if elem is not None:
+            bound = elem.lower_bound()
+            if bound > margin:
+                section.add(f"{name} positive definite", bound, margin, True,
+                            detail="element lower bound")
+                continue
+            how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
+        min_eig = hodge.check_spd(H)[1]
+        ok = min_eig > margin
+        section.add(f"{name} positive definite", min_eig, margin, ok,
+                    detail=how if ok else f"{how}; near-indefinite{worst_cells()}")
     return section
 
 
@@ -296,18 +314,23 @@ def run_full_audit(
     Hmu_inv: sparse.spmatrix | None = None,
     expected_betti: tuple[int, int, int] | None = None,
 ) -> AuditReport:
-    """All three sections with default operators assembled on demand."""
-    from .hodge import MaterialMap, assemble_hodge
+    """All three sections with default operators assembled on demand.
 
+    Stars assembled here come from one Whitney basis, and their element
+    matrices go to :func:`audit_hodge`, which proves positive definiteness
+    from them; stars handed in are checked by estimate.
+    """
     dual = dual or DualComplex(complex)
-    if Heps is None:
-        Heps = assemble_hodge(complex, MaterialMap(), "eps")
-    if Hmu_inv is None:
-        Hmu_inv = assemble_hodge(complex, MaterialMap(), "mu_inv")
+    basis = WhitneyBasis(complex) if Heps is None or Hmu_inv is None else None
+    stars, elements = [], []
+    for H, which in ((Heps, "eps"), (Hmu_inv, "mu_inv")):
+        elem = hodge.star_elements(complex, hodge.MaterialMap(), which, basis) if H is None else None
+        stars.append(H if elem is None else elem.assemble())
+        elements.append(elem)
     return AuditReport(
         [
             audit_first_kind(complex, expected_betti=expected_betti),
             audit_second_kind(complex, dual),
-            audit_hodge(Heps, Hmu_inv, complex),
+            audit_hodge(*stars, complex, elements=tuple(elements)),
         ]
     )

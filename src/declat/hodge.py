@@ -7,6 +7,15 @@ permeability on edges).  Entries couple only simplices sharing a tet, so
 the matrices are sparse with ultra-local stencils; they are symmetric and
 positive definite for admissible materials.
 
+Each star is the sum over tets of small element matrices
+(:class:`ElementMatrices`), and those prove its positive definiteness
+without a factorisation: lambda_min(H) >= min diag(H) times the smallest
+eigenvalue of any element matrix scaled to unit diagonal (Wathen), less a
+stated allowance for rounding in ``eigvalsh`` and in the assembly sum.
+:func:`check_spd` serves a star handed in without its element matrices:
+it factors the star and returns a smallest-eigenvalue estimate that is
+never below lambda_min but is no proof.
+
 The numerical inverse of a star is dense in general but its entries decay
 away from the diagonal, which justifies the sparse approximate inverse
 built here: a per-column Frobenius-norm least-squares fit restricted to a
@@ -33,11 +42,14 @@ from .mesh import SimplicialComplex
 from .whitney import WhitneyBasis, _TET4, _integrate
 
 __all__ = [
+    "ElementMatrices",
     "MaterialMap",
     "SparsityPattern",
+    "star_elements",
     "assemble_hodge",
     "assemble_galerkin_dual",
     "spai_inverse",
+    "symmetry_deviation",
     "check_spd",
     "dual_pairing_check",
     "write_coo",
@@ -85,13 +97,75 @@ class MaterialMap:
         return eps, mu
 
 
-def _mass_matrix(
+@dataclass(frozen=True)
+class ElementMatrices:
+    """Per-tet Galerkin matrices of one star and the simplices they couple.
+
+    ``local[t]`` pairs the basis forms of tet t, whose global indices are
+    ``ids[t]``; the ``n`` x ``n`` star is their sum over tets.
+    """
+
+    local: np.ndarray  # (M, n_loc, n_loc)
+    ids: np.ndarray  # (M, n_loc)
+    n: int
+
+    def assemble(self) -> sparse.csr_matrix:
+        n_loc = self.ids.shape[1]
+        rows = np.repeat(self.ids, n_loc, axis=1).reshape(-1)
+        cols = np.tile(self.ids, (1, n_loc)).reshape(-1)
+        return sparse.coo_matrix(
+            (self.local.reshape(-1), (rows, cols)), shape=(self.n, self.n)
+        ).tocsr()
+
+    def lower_bound(self) -> float:
+        """A proved lower bound on lambda_min of the assembled star.
+
+        For each tet, theta_e = lambda_min(D_e^-1/2 M_e D_e^-1/2) with
+        D_e = diag(M_e); then x^T H x = sum_e x_e^T M_e x_e
+        >= theta sum_e x_e^T D_e x_e = theta x^T diag(H) x with
+        theta = min_e theta_e, so lambda_min(H) >= theta min diag(H)
+        (Wathen 1987).  One batched ``eigvalsh`` gives every theta_e.
+
+        Rounding is allowed for, with eps the machine epsilon and k the
+        largest number of tets that share a simplex:
+        - theta_e is lowered by 8 n_loc eps ||A_e||_F, for the rounding
+          in whitening A_e and the backward error of ``eigvalsh``;
+        - min diag(H) is lowered by (k + 2) eps relative, for its
+          summation and the final products;
+        - the result is lowered by k eps R, R the largest row sum of
+          sum_e |M_e|: the summed star differs from the exact sum by at
+          most that in the 2-norm.
+        A theta at or below zero, or a nonpositive element diagonal,
+        proves nothing and gives -inf.  Real symmetric element matrices
+        only.
+        """
+        if np.iscomplexobj(self.local):
+            raise ValueError("element bound needs real symmetric element matrices")
+        eps = np.finfo(float).eps
+        n_loc = self.ids.shape[1]
+        d_loc = np.diagonal(self.local, axis1=1, axis2=2)
+        if not np.all(d_loc > 0):
+            return float("-inf")
+        s = 1.0 / np.sqrt(d_loc)
+        A = self.local * s[:, :, None] * s[:, None, :]
+        theta = np.linalg.eigvalsh(A)[:, 0] - 8 * n_loc * eps * np.linalg.norm(A, axis=(1, 2))
+        theta = float(theta.min())
+        if not theta > 0:
+            return float("-inf")
+        ids = self.ids.ravel()
+        k = int(np.bincount(ids).max())
+        diag = np.bincount(ids, weights=d_loc.ravel(), minlength=self.n)
+        rows = np.bincount(ids, weights=np.abs(self.local).sum(axis=2).ravel(), minlength=self.n)
+        return theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
+
+
+def _element_matrices(
     complex: SimplicialComplex,
     p: int,
     weight: np.ndarray,
     basis: WhitneyBasis | None = None,
-) -> sparse.csr_matrix:
-    """Weighted L2 pairing of the degree-p basis, degree-2 tet quadrature.
+) -> ElementMatrices:
+    """Weighted L2 pairing of the degree-p basis per tet, degree-2 quadrature.
 
     ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point.
     """
@@ -110,13 +184,33 @@ def _mass_matrix(
     else:
         local = np.einsum("mqad,mqde,mqbe->mab", w, weight, w)
     local = local * (cx.volumes / len(_TET4))[:, None, None]
+    return ElementMatrices(local, basis.local_indices(p, tids), cx.n_simplices(p))
 
-    ids = basis.local_indices(p, tids)  # (M, n_loc)
-    n_loc = ids.shape[1]
-    rows = np.repeat(ids, n_loc, axis=1).reshape(-1)
-    cols = np.tile(ids, (1, n_loc)).reshape(-1)
-    n = cx.n_simplices(p)
-    return sparse.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+
+def _mass_matrix(
+    complex: SimplicialComplex,
+    p: int,
+    weight: np.ndarray,
+    basis: WhitneyBasis | None = None,
+) -> sparse.csr_matrix:
+    """The assembled weighted L2 pairing of the degree-p basis."""
+    return _element_matrices(complex, p, weight, basis).assemble()
+
+
+def star_elements(
+    complex: SimplicialComplex,
+    materials: MaterialMap | None = None,
+    which: str = "eps",
+    basis: WhitneyBasis | None = None,
+) -> ElementMatrices:
+    """The per-tet matrices that :func:`assemble_hodge` sums."""
+    materials = materials or MaterialMap()
+    eps, mu = materials.tensors(complex)
+    if which == "eps":
+        return _element_matrices(complex, 1, eps, basis)
+    if which == "mu_inv":
+        return _element_matrices(complex, 2, np.linalg.inv(mu), basis)
+    raise ValueError("which must be 'eps' or 'mu_inv'")
 
 
 def assemble_hodge(
@@ -130,13 +224,7 @@ def assemble_hodge(
     ``which`` selects the star: ``"eps"`` (primal 1-cochains, permittivity
     weight) or ``"mu_inv"`` (primal 2-cochains, inverse permeability).
     """
-    materials = materials or MaterialMap()
-    eps, mu = materials.tensors(complex)
-    if which == "eps":
-        return _mass_matrix(complex, 1, eps, basis)
-    if which == "mu_inv":
-        return _mass_matrix(complex, 2, np.linalg.inv(mu), basis)
-    raise ValueError("which must be 'eps' or 'mu_inv'")
+    return star_elements(complex, materials, which, basis).assemble()
 
 
 def assemble_galerkin_dual(
@@ -308,6 +396,14 @@ def _ritz_vector(A: sparse.spmatrix, solve, M: sparse.spmatrix | None = None):
     return eigsh(A, k=1, v0=start, tol=1e-10, **mode)[1][:, 0]
 
 
+def symmetry_deviation(H: sparse.spmatrix) -> float:
+    """Relative asymmetry ||H - H^T||_F / ||H||_F."""
+    H = sparse.csr_matrix(H)
+    d = H - H.T
+    hnorm = np.sqrt(abs((H.multiply(H.conjugate())).sum()))
+    return float(np.sqrt(abs((d.multiply(d.conjugate())).sum())) / hnorm)
+
+
 def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     """Relative symmetry deviation and a smallest-eigenvalue estimate.
 
@@ -323,10 +419,7 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     never below lambda_min.
     """
     H = H.tocsr()
-    d = H - H.T
-    hnorm = np.sqrt(abs((H.multiply(H.conjugate())).sum()))
-    sym_dev = float(np.sqrt(abs((d.multiply(d.conjugate())).sum())) / hnorm)
-
+    sym_dev = symmetry_deviation(H)
     n = H.shape[0]
     if n == 0:
         return sym_dev, float("nan")

@@ -70,19 +70,22 @@ def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sparse.csr
     )
 
 
-def _reject_pinched_vertices(ranked: np.ndarray, tet_faces: np.ndarray) -> None:
+def _reject_pinched_vertices(ranked: np.ndarray, flip: np.ndarray, tet_faces: np.ndarray,
+                             order: np.ndarray) -> None:
     """Raise unless each vertex's tets connect through faces that contain it.
 
-    ``ranked`` holds the tets as sorted rows and ``tet_faces`` their faces
-    in that slot order.  Node 4t + r is vertex r of tet t; the two tets on
-    a shared face are joined at its three vertices, so each component of
-    the node graph holds copies of a single vertex.
+    ``ranked`` holds the tets as sorted rows, ``tet_faces`` their faces in
+    stored slot order (slots 2 and 3 exchanged where ``flip``), and
+    ``order`` the argsort of ``tet_faces.ravel()``.  Node 4t + r is vertex
+    r of row t; the two tets on a shared face are joined at its three
+    vertices, so each component of the node graph holds copies of a single
+    vertex.
     """
-    flat = tet_faces.ravel()
-    order = np.argsort(flat)
-    shared = flat[order[1:]] == flat[order[:-1]]
-    slots = 4 * np.arange(len(ranked), dtype=np.int32)[:, None, None]
-    nodes = (slots + _TET_FACE_SLOTS.astype(np.int32)).reshape(-1, 3)
+    faces = tet_faces.ravel()[order]
+    shared = faces[1:] == faces[:-1]
+    slots = np.where(flip[:, None, None], _TET_FACE_SLOTS[[0, 1, 3, 2]], _TET_FACE_SLOTS)
+    nodes = (4 * np.arange(len(ranked), dtype=np.int32)[:, None, None]
+             + slots.astype(np.int32)).reshape(-1, 3)
     _, labels = graph_components(4 * len(ranked), nodes[order[:-1][shared]].ravel(),
                                  nodes[order[1:][shared]].ravel())
     vertex = ranked.ravel()
@@ -175,7 +178,10 @@ class SimplicialComplex:
             _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
         ]
         self._reject_folds()
-        _reject_pinched_vertices(ranked, tet_faces)
+        # One stable sort of the face slots, by face and then by tet, serves
+        # the pinched-vertex check and face_tets.
+        self._face_order = np.argsort(self.tet_faces.ravel(), kind="stable")
+        _reject_pinched_vertices(ranked, flip, self.tet_faces, self._face_order)
         self._face_tets = None
 
     # -- counts ----------------------------------------------------------
@@ -240,7 +246,7 @@ class SimplicialComplex:
         """(F, 2) tet indices per face, -1 where absent; >2 cofaces raise."""
         if self._face_tets is None:
             flat = self.tet_faces.ravel()
-            order = np.argsort(flat, kind="stable")  # by face, then by tet
+            order = self._face_order
             faces = flat[order]
             rank = np.arange(len(faces)) - np.searchsorted(faces, faces)
             if rank.max() >= 2:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from declat import generators
+from declat import generators, hodge
 from declat.audit import (
     _dihedral_extremes,
     audit_first_kind,
@@ -138,6 +138,61 @@ class TestHodgeSection:
             H = assemble_hodge(mesh, MaterialMap(), "eps")
             eigs.append(check_spd(H)[1])
         assert eigs[1] < eigs[0] and eigs[2] < eigs[1]
+
+
+def _count_check_spd(monkeypatch) -> list:
+    calls = []
+    real = hodge.check_spd
+
+    def counted(H):
+        calls.append(H.shape)
+        return real(H)
+
+    monkeypatch.setattr(hodge, "check_spd", counted)
+    return calls
+
+
+def _spd_rows(report) -> dict:
+    return {c.name: c for s in report.sections for c in s.checks if "positive definite" in c.name}
+
+
+class TestElementBoundPath:
+    @pytest.mark.parametrize("name", ["kuhn", "box4"])
+    def test_cli_audit_factors_nothing(self, name, tmp_path, monkeypatch):
+        import json
+
+        from declat.cli import main
+        from declat.mesh import write_mesh
+
+        mesh = {"kuhn": generators.kuhn_cube, "box4": lambda: generators.box_mesh(4)}[name]()
+        write_mesh(mesh, tmp_path / "m.mesh")
+        calls = _count_check_spd(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["audit", "--mesh", str(tmp_path / "m.mesh"), "--json", "--out", str(out)]) == 0
+        assert calls == []
+        rows = [c for s in json.loads(out.read_text())["sections"] for c in s["checks"]
+                if "positive definite" in c["name"]]
+        assert len(rows) == 2
+        assert all(c["passed"] and c["detail"] == "element lower bound" for c in rows)
+
+    def test_handed_in_star_is_estimated(self, kuhn, basis_of, monkeypatch):
+        H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)).tolil()
+        H[4, 4] = -1e-4
+        calls = _count_check_spd(monkeypatch)
+        rows = _spd_rows(run_full_audit(kuhn, Heps=H.tocsr()))
+        assert len(calls) == 1
+        eps, mu = rows["eps star positive definite"], rows["mu-inverse star positive definite"]
+        assert not eps.passed and "estimate" in eps.detail
+        assert mu.passed and mu.detail == "element lower bound"
+
+    def test_bound_below_margin_falls_back(self, monkeypatch):
+        calls = _count_check_spd(monkeypatch)
+        rows = _spd_rows(run_full_audit(generators.sliver_mesh(delta=1e-7)))
+        assert len(calls) == 2
+        for row in rows.values():
+            assert not row.passed
+            assert "does not clear the margin; estimate, not proved" in row.detail
+            assert "worst cells" in row.detail
 
 
 class TestFullReport:

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -15,6 +18,7 @@ from declat.hodge import (
     dual_pairing_check,
     read_coo,
     spai_inverse,
+    star_elements,
     write_coo,
 )
 from declat.mesh import SimplicialComplex
@@ -280,6 +284,80 @@ class TestSpdCheck:
         # off-diagonal pivot, so no proof and no positive value.
         H = sparse.csr_matrix(np.array([[-0.5, 1.0], [1.0, 0.0]]))
         assert check_spd(H)[1] <= 0.0
+
+
+def _assert_bound_below_dense(mesh, materials=None):
+    for which in ("eps", "mu_inv"):
+        elements = star_elements(mesh, materials, which)
+        bound = elements.lower_bound()
+        lam_min = np.linalg.eigvalsh(elements.assemble().toarray()).min()
+        assert bound <= lam_min, (which, bound, lam_min)
+
+
+def _star_digest(H) -> str:
+    h = hashlib.sha256()
+    for a in (H.indptr, H.indices, H.data):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_STAR_MESHES = {
+    "kuhn": generators.kuhn_cube,
+    "box4": lambda: generators.box_mesh(4),
+    "annulus8": lambda: generators.annulus_mesh(8),
+    "jittered6": lambda: generators.jittered_box_mesh(6, seed=5),
+}
+
+# Digests of the assembled stars' CSR arrays (float bytes included, numpy
+# 2.4 on x86-64), recorded before the per-tet matrices were split from
+# their sum; the stars feed the simulation, so the split must not move them.
+_STAR_DIGESTS = {
+    "kuhn/eps": "976bed3f6423e1f55a8d45b85089e3208e5f6fdbf969959cf7bb729526fb820f",
+    "kuhn/mu_inv": "a72b73a504cf1828007369f485e8d84bfe45c89e44660f0e51c3f5cf4ccc2379",
+    "box4/eps": "966285eaff375776cbb49762b93663b98139deceff787ddf0e79d01e24926cfc",
+    "box4/mu_inv": "efc53038cf97ab8c52f15eaf29cb624c62fb17932fa41f7c7fa109793551fc1a",
+    "annulus8/eps": "0c8eaf867ef1fc30e3d6c701169d2165d0982322412b8872def33155f3f4ed7c",
+    "annulus8/mu_inv": "1cb9d240daa095d0cea1de7de7370168dc9c1e8a6e74ea47a56698404b8da851",
+    "jittered6/eps": "60eabdd64d5778157fea82c075f3b4c9c772e7b316d190ecdb6ff0d2decb783f",
+    "jittered6/mu_inv": "aec3ad5d3ea0c123030168ca6559e107cf7a0886891395b0dda21ba7ecef640c",
+}
+
+
+class TestElementBound:
+    @pytest.mark.parametrize("key", sorted(_STAR_DIGESTS))
+    def test_assembled_star_matches_golden_digest(self, key):
+        name, which = key.split("/")
+        H = assemble_hodge(_STAR_MESHES[name](), MaterialMap(), which)
+        assert _star_digest(H) == _STAR_DIGESTS[key]
+
+    def test_below_dense_lambda_min(self, all_meshes):
+        for name, mesh in all_meshes.items():
+            _assert_bound_below_dense(mesh)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-7])
+    def test_below_dense_lambda_min_on_slivers(self, delta):
+        _assert_bound_below_dense(generators.sliver_mesh(delta))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+    def test_below_dense_lambda_min_jittered(self, seed, spread):
+        # Per-tet scalar materials over up to six decades.
+        mesh = generators.jittered_box_mesh(3, seed=seed)
+        rng = np.random.default_rng(seed)
+        eps, mu = 10.0 ** rng.uniform(-spread, spread, (2, mesh.n_tets))
+        _assert_bound_below_dense(mesh, MaterialMap(eps=eps, mu=mu))
+
+    def test_tight_on_uniform_faces(self, kuhn):
+        # The six Kuhn tets are congruent, so their whitened mu-inverse
+        # element matrices share one spectrum, and the bound misses
+        # lambda_min = 1/3 only by its rounding allowance.
+        bound = star_elements(kuhn, None, "mu_inv").lower_bound()
+        assert 1 / 3 - 1e-13 < bound < 1 / 3
+
+    def test_complex_elements_rejected(self, kuhn):
+        with pytest.raises(ValueError, match="real symmetric"):
+            star_elements(kuhn, MaterialMap(eps=1.0 + 0.1j), "eps").lower_bound()
 
 
 class TestDualPairing:
