@@ -56,6 +56,7 @@ from .maxwell import (
     eigenmodes,
     hamiltonian,
     leapfrog_run,
+    reduce_pec,
     stable_timestep,
 )
 from .pml import (

@@ -82,12 +82,11 @@ def cmd_assemble(args) -> int:
     mesh = load_mesh(args.mesh)
     materials = _materials(args)
     if args.which == "galerkin":
-        h_eps_inv, h_mu = assemble_galerkin_dual(mesh, materials)
         base = Path(args.out)
-        write_coo(h_eps_inv, base.with_suffix(".eps_inv" + base.suffix))
-        write_coo(h_mu, base.with_suffix(".mu" + base.suffix))
-        print(f"wrote {base.with_suffix('.eps_inv' + base.suffix)} and "
-              f"{base.with_suffix('.mu' + base.suffix)}")
+        paths = [base.with_suffix(f".{which}{base.suffix}") for which in ("eps_inv", "mu")]
+        for H, path in zip(assemble_galerkin_dual(mesh, materials), paths):
+            write_coo(H, path)
+        print(f"wrote {paths[0]} and {paths[1]}")
     else:
         H = assemble_hodge(mesh, materials, args.which)
         write_coo(H, args.out)
@@ -96,10 +95,13 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:  # a malformed spec fails before any work
+    try:  # a malformed spec or count fails before any work
         SimulationConfig.spai_level(args.hodge_inverse)
     except ValueError as exc:
         raise SystemExit(f"--hodge-inverse: {exc}") from None
+    for flag, value in (("--steps", args.steps), ("--trace-every", args.trace_every)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be at least 1, got {value}")
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, _materials(args))

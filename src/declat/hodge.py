@@ -3,9 +3,9 @@
 The degree-1 star pairs edge basis forms through the permittivity tensor,
 the degree-2 star pairs face basis forms through the inverse permeability;
 the Galerkin-dual pair swaps the roles (inverse permittivity on faces,
-permeability on edges).  Entries couple only simplices sharing a tet, so
-the matrices are sparse with ultra-local stencils; they are symmetric and
-positive definite for admissible materials.
+permeability on edges).  One table names all four.  Entries couple only
+simplices sharing a tet, so the matrices are sparse with ultra-local
+stencils; they are symmetric and positive definite for admissible materials.
 
 Each star is the sum over tets of small element matrices
 (:class:`ElementMatrices`), and those prove its positive definiteness
@@ -83,18 +83,32 @@ class MaterialMap:
     eps: object = 1.0
     mu: object = 1.0
 
-    def tensors(self, complex: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
-        m = complex.n_tets
-        eps = _per_tet_tensor(self.eps, m, "eps")
-        mu = _per_tet_tensor(self.mu, m, "mu")
-        for name, t in (("eps", eps), ("mu", mu)):
-            if not np.allclose(t, np.transpose(t, (0, 2, 1)), rtol=0, atol=1e-12):
-                raise ValueError(f"{name} tensor must be symmetric")
-            if not np.iscomplexobj(t):
-                eig = np.linalg.eigvalsh(t)
-                if eig.min() <= 0:
-                    raise ValueError(f"{name} tensor must be positive definite")
-        return eps, mu
+    def tensor(self, name: str, complex: SimplicialComplex) -> np.ndarray:
+        """The ``"eps"`` or ``"mu"`` field as (M, 3, 3) tensors, checked
+        symmetric and, when real, positive definite."""
+        t = _per_tet_tensor(getattr(self, name), complex.n_tets, name)
+        if not np.allclose(t, np.transpose(t, (0, 2, 1)), rtol=0, atol=1e-12):
+            raise ValueError(f"{name} tensor must be symmetric")
+        if not np.iscomplexobj(t) and np.linalg.eigvalsh(t).min() <= 0:
+            raise ValueError(f"{name} tensor must be positive definite")
+        return t
+
+
+# The four stars as (degree of the basis forms paired, material, inverted?):
+# the primal pair, then the Galerkin-dual pair that swaps the roles.
+_STARS = {"eps": (1, "eps", False), "mu_inv": (2, "mu", True),
+          "eps_inv": (2, "eps", True), "mu": (1, "mu", False)}
+
+
+def _star_weight(
+    complex: SimplicialComplex, materials: MaterialMap | None, which: str
+) -> tuple[int, np.ndarray]:
+    """The degree of star ``which`` and its checked per-tet weight tensors."""
+    if which not in _STARS:
+        raise ValueError(f"which must be one of {', '.join(map(repr, _STARS))}")
+    p, name, inverted = _STARS[which]
+    t = (materials or MaterialMap()).tensor(name, complex)
+    return p, np.linalg.inv(t) if inverted else t
 
 
 @dataclass(frozen=True)
@@ -187,16 +201,6 @@ def _element_matrices(
     return ElementMatrices(local, basis.local_indices(p, tids), cx.n_simplices(p))
 
 
-def _mass_matrix(
-    complex: SimplicialComplex,
-    p: int,
-    weight: np.ndarray,
-    basis: WhitneyBasis | None = None,
-) -> sparse.csr_matrix:
-    """The assembled weighted L2 pairing of the degree-p basis."""
-    return _element_matrices(complex, p, weight, basis).assemble()
-
-
 def star_elements(
     complex: SimplicialComplex,
     materials: MaterialMap | None = None,
@@ -204,13 +208,7 @@ def star_elements(
     basis: WhitneyBasis | None = None,
 ) -> ElementMatrices:
     """The per-tet matrices that :func:`assemble_hodge` sums."""
-    materials = materials or MaterialMap()
-    eps, mu = materials.tensors(complex)
-    if which == "eps":
-        return _element_matrices(complex, 1, eps, basis)
-    if which == "mu_inv":
-        return _element_matrices(complex, 2, np.linalg.inv(mu), basis)
-    raise ValueError("which must be 'eps' or 'mu_inv'")
+    return _element_matrices(complex, *_star_weight(complex, materials, which), basis)
 
 
 def assemble_hodge(
@@ -221,8 +219,8 @@ def assemble_hodge(
 ) -> sparse.csr_matrix:
     """Assemble a discrete Hodge star matrix.
 
-    ``which`` selects the star: ``"eps"`` (primal 1-cochains, permittivity
-    weight) or ``"mu_inv"`` (primal 2-cochains, inverse permeability).
+    ``which`` selects the star: ``"eps"`` or ``"mu_inv"`` (primal 1- and
+    2-cochains), or the Galerkin-dual ``"mu"`` or ``"eps_inv"``.
     """
     return star_elements(complex, materials, which, basis).assemble()
 
@@ -233,11 +231,9 @@ def assemble_galerkin_dual(
     basis: WhitneyBasis | None = None,
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """The swapped-assignment pair: (inverse-eps star on faces, mu star on edges)."""
-    materials = materials or MaterialMap()
-    eps, mu = materials.tensors(complex)
-    h_eps_inv = _mass_matrix(complex, 2, np.linalg.inv(eps), basis)
-    h_mu = _mass_matrix(complex, 1, mu, basis)
-    return h_eps_inv, h_mu
+    basis = basis or WhitneyBasis(complex)
+    return (assemble_hodge(complex, materials, "eps_inv", basis),
+            assemble_hodge(complex, materials, "mu", basis))
 
 
 # -- sparse approximate inverse ----------------------------------------------

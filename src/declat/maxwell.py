@@ -36,6 +36,7 @@ __all__ = [
     "DiscreteCodifferential",
     "SimulationConfig",
     "apply_pec",
+    "reduce_pec",
     "ampere_step",
     "leapfrog_run",
     "hamiltonian",
@@ -74,32 +75,39 @@ class MaxwellOperators:
         return self.C1.shape[0]
 
 
-def apply_pec(
+def reduce_pec(
     complex: SimplicialComplex,
     classification: BoundaryClassification,
-    materials: MaterialMap | None = None,
-    basis: WhitneyBasis | None = None,
+    Heps: sparse.spmatrix,
+    Hmu_inv: sparse.spmatrix,
 ) -> MaxwellOperators:
-    """Assemble operators and remove boundary (fixed) degrees of freedom.
+    """Remove boundary (fixed) degrees of freedom from C1, C2 and a star pair.
 
     Rows/columns of boundary edges and faces are dropped consistently from
     the incidence and Hodge matrices; the composition of the two reduced
     incidence matrices stays identically zero because every edge of a
     boundary face is itself a boundary edge.
     """
-    basis = basis or WhitneyBasis(complex)
     e_idx = classification.interior_edges
     f_idx = classification.interior_faces
-    heps = assemble_hodge(complex, materials, "eps", basis)
-    hmu = assemble_hodge(complex, materials, "mu_inv", basis)
-    C1 = complex.incidence(1)[f_idx][:, e_idx].tocsr()
-    C2 = complex.incidence(2)[:, f_idx].tocsr()
     return MaxwellOperators(
-        C1=C1,
-        Heps=heps[e_idx][:, e_idx].tocsr(),
-        Hmu_inv=hmu[f_idx][:, f_idx].tocsr(),
-        C2=C2,
+        C1=complex.incidence(1)[f_idx][:, e_idx].tocsr(),
+        Heps=Heps[e_idx][:, e_idx].tocsr(),
+        Hmu_inv=Hmu_inv[f_idx][:, f_idx].tocsr(),
+        C2=complex.incidence(2)[:, f_idx].tocsr(),
     )
+
+
+def apply_pec(
+    complex: SimplicialComplex,
+    classification: BoundaryClassification,
+    materials: MaterialMap | None = None,
+    basis: WhitneyBasis | None = None,
+) -> MaxwellOperators:
+    """Assemble both stars on one basis and reduce them (:func:`reduce_pec`)."""
+    basis = basis or WhitneyBasis(complex)
+    stars = [assemble_hodge(complex, materials, which, basis) for which in ("eps", "mu_inv")]
+    return reduce_pec(complex, classification, *stars)
 
 
 class DiscreteCodifferential:
@@ -257,6 +265,8 @@ def leapfrog_run(
     dt = config.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if config.trace_every < 1:
+        raise ValueError("trace_every must be at least 1")
     E = np.zeros(ops.n_edges) if E0 is None else np.array(E0, dtype=float)
     B = np.zeros(ops.n_faces) if B0 is None else np.array(B0, dtype=float)
     codiff = codiff or config.codifferential(ops)

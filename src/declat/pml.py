@@ -3,29 +3,29 @@
 Inside an absorbing slab the coordinate along the outward normal is
 analytically continued with a stretch s = a + i Omega / omega (a >= 1,
 Omega >= 0).  Because the metric enters the equations only through the
-Hodge stars, the layer is realized entirely as a material map: the
-permittivity and permeability tensors are multiplied by the diagonal
-stretch tensor diag(s_y s_z / s_x, s_x s_z / s_y, s_x s_y / s_z) evaluated
-at the assembly quadrature points.  The incidence matrices are untouched,
-so the pre-metric equations are bit-identical with and without the layer.
-
-With a trivial profile the assembly reproduces the real matrices exactly
-(same code path, real arithmetic).
+Hodge stars, a stretch is a per-point material: the checked eps and
+inverse-mu tensors of the real stars are scaled at the assembly quadrature
+points by the diagonal tensor diag(s_y s_z / s_x, s_x s_z / s_y,
+s_x s_y / s_z) and summed by the same element routine; a trivial profile
+returns the real stars.  The incidence matrices are untouched, so the
+pre-metric equations are bit-identical with and without the layer, and
+the PEC walls go by the reduction :func:`declat.maxwell.apply_pec` uses.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .hodge import MaterialMap, _mass_matrix
+from .hodge import MaterialMap, _element_matrices, _star_weight, assemble_hodge
+from .maxwell import MaxwellOperators, reduce_pec
 from .mesh import SimplicialComplex
-from .whitney import WhitneyBasis, _TET4
+from .whitney import Cochain, WhitneyBasis, _TET4, interpolate_at_points
 
 __all__ = [
     "StretchProfile",
@@ -39,8 +39,13 @@ __all__ = [
 
 
 @dataclass
-class AxisSlab:
-    """One absorbing slab: grows from ``start`` toward ``end`` (signed depth)."""
+class StretchProfile:
+    """A polynomial-graded stretch in one absorbing slab (1 outside it).
+
+    The slab grows from ``start`` toward ``end`` (signed depth) along
+    ``axis``; at depth fraction d, a = 1 + (a_max - 1) d^order and
+    Omega = omega_max d^order.
+    """
 
     axis: int
     start: float
@@ -49,70 +54,44 @@ class AxisSlab:
     a_max: float = 1.0
     order: int = 2
 
-    def depth_fraction(self, coord: np.ndarray) -> np.ndarray:
-        lo, hi = sorted((self.start, self.end))
-        thick = hi - lo
-        if thick <= 0:
-            return np.zeros_like(coord)
-        if self.end >= self.start:
-            d = (coord - self.start) / thick
-        else:
-            d = (self.start - coord) / thick
-        return np.clip(d, 0.0, 1.0)
-
-
-@dataclass
-class StretchProfile:
-    """Per-axis polynomial-graded stretch profiles (zero outside the slabs)."""
-
-    slabs: list = field(default_factory=list)
+    def __post_init__(self):
+        if self.a_max < 1.0:
+            raise ValueError("profile requires a >= 1")
+        if self.omega_max < 0.0:
+            raise ValueError("profile requires Omega >= 0")
 
     @classmethod
-    def slab(
-        cls,
-        axis: int,
-        start: float,
-        end: float,
-        omega_max: float,
-        a_max: float = 1.0,
-        order: int = 2,
-    ) -> "StretchProfile":
-        if a_max < 1.0:
-            raise ValueError("profile requires a >= 1")
-        if omega_max < 0.0:
-            raise ValueError("profile requires Omega >= 0")
-        return cls([AxisSlab(axis, start, end, omega_max, a_max, order)])
-
-    def add(self, other: "StretchProfile") -> "StretchProfile":
-        return StretchProfile(self.slabs + other.slabs)
+    def slab(cls, *args, **kwargs) -> "StretchProfile":
+        """The profile of one slab; the same as calling the class."""
+        return cls(*args, **kwargs)
 
     @property
     def is_trivial(self) -> bool:
-        return all(s.omega_max == 0.0 and s.a_max == 1.0 for s in self.slabs)
+        return self.omega_max == 0.0 and self.a_max == 1.0
+
+    def depth_fraction(self, coord: np.ndarray) -> np.ndarray:
+        thick = abs(self.end - self.start)
+        if thick <= 0:
+            return np.zeros_like(coord)
+        d = (coord - self.start if self.end >= self.start else self.start - coord) / thick
+        return np.clip(d, 0.0, 1.0)
 
     def stretch(self, points: np.ndarray, omega: float) -> np.ndarray:
         """Complex stretch factors s per axis at each point, shape (..., 3)."""
         if omega == 0.0:
             raise ValueError("stretch is singular at omega = 0")
         s = np.ones(points.shape[:-1] + (3,), dtype=complex)
-        for slab in self.slabs:
-            d = slab.depth_fraction(points[..., slab.axis])
-            grade = d**slab.order
-            a = 1.0 + (slab.a_max - 1.0) * grade
-            om = slab.omega_max * grade
-            s[..., slab.axis] = s[..., slab.axis] * (a + 1j * om / omega)
+        grade = self.depth_fraction(points[..., self.axis]) ** self.order
+        a = 1.0 + (self.a_max - 1.0) * grade
+        s[..., self.axis] *= a + 1j * (self.omega_max * grade) / omega
         return s
 
     def integrated_omega(self, axis: int, n: int = 2001) -> float:
-        """Accumulated damping rate along one axis across its slabs."""
-        total = 0.0
-        for slab in self.slabs:
-            if slab.axis != axis:
-                continue
-            lo, hi = sorted((slab.start, slab.end))
-            xs = np.linspace(lo, hi, n)
-            total += float(np.trapezoid(slab.omega_max * slab.depth_fraction(xs) ** slab.order, xs))
-        return total
+        """Accumulated damping rate along one axis (0 off the slab's axis)."""
+        if axis != self.axis:
+            return 0.0
+        xs = np.linspace(*sorted((self.start, self.end)), n)
+        return float(np.trapezoid(self.omega_max * self.depth_fraction(xs) ** self.order, xs))
 
 
 def stretch_tensor(point, omega: float, profile: StretchProfile) -> np.ndarray:
@@ -122,22 +101,18 @@ def stretch_tensor(point, omega: float, profile: StretchProfile) -> np.ndarray:
 
 @dataclass
 class ComplexHodge:
-    """Stretched Hodge pair; complex symmetric, reducing to the real pair
-    when the stretch is trivial."""
+    """Stretched Hodge pair: complex symmetric, or the real pair if trivial."""
 
     Heps: sparse.csr_matrix
     Hmu_inv: sparse.csr_matrix
-    omega: float
     trivial: bool
 
 
 def _lambda_diag(points: np.ndarray, omega: float, profile: StretchProfile) -> np.ndarray:
+    """(s_y s_z / s_x, s_x s_z / s_y, s_x s_y / s_z) at each point, shape (..., 3)."""
     s = profile.stretch(points, omega)
-    lam = np.empty_like(s)
-    lam[..., 0] = s[..., 1] * s[..., 2] / s[..., 0]
-    lam[..., 1] = s[..., 0] * s[..., 2] / s[..., 1]
-    lam[..., 2] = s[..., 0] * s[..., 1] / s[..., 2]
-    return lam
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    return np.stack([sy * sz / sx, sx * sz / sy, sx * sy / sz], axis=-1)
 
 
 def assemble_stretched(
@@ -147,51 +122,40 @@ def assemble_stretched(
     omega: float,
     basis: WhitneyBasis | None = None,
 ) -> ComplexHodge:
-    """Hodge assembly with materials replaced by their stretched tensors.
+    """The eps and mu-inverse stars with their tensors stretched per point.
 
-    A trivial profile short-circuits to the real assembly path, so the
-    no-layer operators are reproduced bit for bit.
+    A trivial profile returns the real stars of :func:`assemble_hodge`, so
+    the no-layer operators are reproduced bit for bit.
     """
     basis = basis or WhitneyBasis(complex)
-    materials = materials or MaterialMap()
-    eps, mu = materials.tensors(complex)
     if profile.is_trivial:
-        heps = _mass_matrix(complex, 1, eps, basis)
-        hmu = _mass_matrix(complex, 2, np.linalg.inv(mu), basis)
-        return ComplexHodge(heps, hmu, omega, trivial=True)
+        stars = [assemble_hodge(complex, materials, which, basis) for which in ("eps", "mu_inv")]
+        return ComplexHodge(*stars, trivial=True)
 
-    cx = complex
-    tv = cx.vertices[cx.tets]
-    pts = np.einsum("qa,mad->mqd", _TET4, tv)  # (M, Q, 3) quadrature points
-    lam = _lambda_diag(pts, omega, profile)  # (M, Q, 3)
-
-    # eps_eff = eps Lambda; (mu Lambda)^{-1} = Lambda^{-1} mu^{-1} (diagonal).
-    eps_eff = eps[:, None, :, :] * lam[:, :, None, :]
-    mu_inv = np.linalg.inv(mu)
-    mu_inv_eff = (1.0 / lam)[:, :, :, None] * mu_inv[:, None, :, :]
-    heps = _mass_matrix(complex, 1, eps_eff.astype(np.complex128), basis)
-    hmu = _mass_matrix(complex, 2, mu_inv_eff.astype(np.complex128), basis)
-    return ComplexHodge(heps, hmu, omega, trivial=False)
+    pts = np.einsum("qa,mad->mqd", _TET4, complex.vertices[complex.tets])
+    lam = _lambda_diag(pts, omega, profile)  # (M, Q, 3) at the quadrature points
+    # eps Lambda, and (mu Lambda)^{-1} = Lambda^{-1} mu^{-1} (Lambda diagonal).
+    p, eps = _star_weight(complex, materials, "eps")
+    heps = _element_matrices(complex, p, eps[:, None] * lam[:, :, None, :], basis)
+    p, mu_inv = _star_weight(complex, materials, "mu_inv")
+    hmu = _element_matrices(complex, p, (1.0 / lam)[..., None] * mu_inv[:, None], basis)
+    return ComplexHodge(heps.assemble(), hmu.assemble(), trivial=False)
 
 
 def harmonic_solve(
-    C1: sparse.spmatrix,
-    hodges: ComplexHodge,
-    J: np.ndarray,
-    omega: float | None = None,
+    ops: MaxwellOperators, J: np.ndarray, omega: float
 ) -> tuple[np.ndarray, float]:
     """Solve the time-harmonic curl-curl system for the electric cochain.
 
-    (C1^T Hmu_inv C1 - omega^2 Heps) E = i omega J, by sparse direct
-    factorization.  Returns (E, relative residual).
+    (C1^T Hmu_inv C1 - omega^2 Heps) E = i omega J on the (reduced)
+    operators ``ops``, by sparse direct factorization.  Returns
+    (E, relative residual).
     """
-    omega = hodges.omega if omega is None else omega
-    A = (C1.T @ hodges.Hmu_inv @ C1 - omega**2 * hodges.Heps).tocsc()
+    A = (ops.C1.T @ ops.Hmu_inv @ ops.C1 - omega**2 * ops.Heps).tocsc()
     b = 1j * omega * np.asarray(J, dtype=complex)
     if A.shape[0] == 0:
         return np.zeros(0, dtype=complex), 0.0
-    lu = splu(A.astype(complex))
-    E = lu.solve(b)
+    E = splu(A.astype(complex)).solve(b)
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(A @ E - b) / bnorm) if bnorm > 0 else 0.0
     return E, res
@@ -245,31 +209,21 @@ def reflection_sweep(
     along the guide axis, and extract the reflection magnitude from the
     standing-wave fit.
     """
-    from .whitney import Cochain, interpolate_at_points
-
     basis = basis or WhitneyBasis(complex)
     e_idx = classification.interior_edges
-    C1 = complex.incidence(1)[classification.interior_faces][:, e_idx].tocsr()
     J = np.zeros(complex.n_edges)
     J[source_edges] = source_values
-    J_red = J[e_idx]  # sources on boundary edges drop out
 
     rows = []
     thickness = abs(pml_end - pml_start)
     for om_max in omega_maxes:
         profile = StretchProfile.slab(2, pml_start, pml_end, om_max)
         hodges = assemble_stretched(complex, materials, profile, omega, basis)
-        heps_red = hodges.Heps[e_idx][:, e_idx].tocsr()
-        hmu_red = hodges.Hmu_inv[classification.interior_faces][
-            :, classification.interior_faces
-        ].tocsr()
-        E_red, _ = harmonic_solve(
-            C1, ComplexHodge(heps_red, hmu_red, omega, hodges.trivial), J_red
-        )
+        ops = reduce_pec(complex, classification, hodges.Heps, hodges.Hmu_inv)
+        E_red, _ = harmonic_solve(ops, J[e_idx], omega)  # boundary sources drop out
         full = np.zeros(complex.n_edges, dtype=np.complex128)
         full[e_idx] = E_red
-        cochain = Cochain(1, full)
-        samples = interpolate_at_points(basis, cochain, sample_points)
+        samples = interpolate_at_points(basis, Cochain(1, full), sample_points)
         refl, resid = measure_reflection(samples[:, 1], sample_points[:, 2], kz)
         rows.append(ReflectionRow(omega, om_max, thickness, refl, resid))
     return rows

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from declat.cli import main
+from declat.hodge import MaterialMap, assemble_galerkin_dual, read_coo
+from declat.mesh import load_mesh
 
 
 @pytest.fixture
@@ -58,6 +60,26 @@ def test_assemble_writes_coo(kuhn_file, tmp_path):
     out = tmp_path / "h.coo"
     assert main(["assemble", "--mesh", str(kuhn_file), "--out", str(out)]) == 0
     assert out.read_text().startswith("declat-coo 19 19")
+
+
+def test_assemble_galerkin_pair(kuhn_file, tmp_path):
+    out = tmp_path / "h.coo"
+    assert main(["assemble", "--mesh", str(kuhn_file), "--which", "galerkin",
+                 "--eps", "2.0", "--mu", "1.5", "--out", str(out)]) == 0
+    pair = assemble_galerkin_dual(load_mesh(kuhn_file), MaterialMap(eps=2.0, mu=1.5))
+    for suffix, H in zip((".eps_inv.coo", ".mu.coo"), pair):
+        back = read_coo(tmp_path / f"h{suffix}")
+        assert back.shape == H.shape
+        assert np.array_equal(back.toarray(), H.toarray())
+
+
+@pytest.mark.parametrize("flag, value", [("--trace-every", "0"), ("--steps", "0"),
+                                         ("--steps", "-3")])
+def test_simulate_rejects_counts_below_one(kuhn_file, tmp_path, flag, value):
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit, match=f"{flag} must be at least 1"):
+        main(["simulate", "--mesh", str(kuhn_file), flag, value, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_simulate_trace_and_force(kuhn_file, tmp_path):

@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from declat import generators, hodge
-from declat.audit import audit_hodge
+from declat.audit import audit_hodge, run_full_audit
 from declat.dual import DualComplex
 from declat.hodge import (
     MaterialMap,
@@ -21,7 +21,9 @@ from declat.hodge import (
     star_elements,
     write_coo,
 )
-from declat.mesh import SimplicialComplex
+from declat.maxwell import apply_pec
+from declat.mesh import SimplicialComplex, classify_boundary
+from declat.pml import StretchProfile, assemble_stretched
 
 from _oracles import spai_lstsq_loop, whitney_mass_oracle
 
@@ -129,10 +131,23 @@ class TestAssembly:
 
     def test_non_spd_material_rejected(self, single_tet):
         with pytest.raises(ValueError, match="positive definite"):
-            MaterialMap(eps=-1.0).tensors(single_tet)
+            MaterialMap(eps=-1.0).tensor("eps", single_tet)
         bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            MaterialMap(eps=bad).tensors(single_tet)
+            MaterialMap(mu=bad).tensor("mu", single_tet)
+
+    def test_each_material_resolved_once(self, kuhn, monkeypatch):
+        # Each star resolves and checks only the tensor it weighs with, so
+        # building the eps and mu-inverse pair resolves eps once and mu once.
+        resolved = []
+        per_tet = hodge._per_tet_tensor
+        monkeypatch.setattr(hodge, "_per_tet_tensor",
+                            lambda value, m, name: resolved.append(name) or per_tet(value, m, name))
+        apply_pec(kuhn, classify_boundary(kuhn))
+        assert sorted(resolved) == ["eps", "mu"]
+        resolved.clear()
+        run_full_audit(kuhn)
+        assert sorted(resolved) == ["eps", "mu"]
 
     def test_per_tet_materials(self, kuhn, basis_of):
         eps = np.linspace(1.0, 2.0, kuhn.n_tets)
@@ -324,12 +339,46 @@ _STAR_DIGESTS = {
 }
 
 
+# The Galerkin-dual pair and two stretched pairs (omega = 2) under
+# MaterialMap(eps=2.0, mu=1.5), recorded from the per-path assembly that
+# preceded the one material table; that table must reproduce them.
+_MATERIAL_DIGESTS = {
+    "kuhn/eps_inv": "ba9d9531c8ac062c170d6ee0a43e4bdcea19e62c9bdd20c8367d80cd850531dc",
+    "kuhn/mu": "e26d8c8e6c52b45c01ac27c56c948fc7aa5fe7ca0a63c54c0c83ef99477756f2",
+    "kuhn/pml_z/eps": "f876a7693e1d670b4a74d0b9912cd2d3c8cb3c94da1c5699ec5948d319b7bc40",
+    "kuhn/pml_z/mu_inv": "4a061b88302df91f16481ba0b7d7193c81b7ef764df8fc8937ce0d4e4eadd644",
+    "kuhn/pml_x/eps": "b24800a45707d03f988a863bc039247d2a0aa55638fa1a93f0a0e49a4b0cad07",
+    "kuhn/pml_x/mu_inv": "91b2c68aece252056f8d26442d40eb017c505aec8103681d67ff796fc38f501e",
+    "box4/eps_inv": "982b107b361dd179f23a33cb860c4ebc976eebeafd3e6600bf60cdf94da3d78b",
+    "box4/mu": "fe680fc38cc5e7c7fce87a523813519326a6bfe536952b51b62585f6a2340a71",
+    "box4/pml_z/eps": "c4e86f56430bbfd38d5f098594ca4311a18420b1827934525cae594dc182ec18",
+    "box4/pml_z/mu_inv": "ae21df819e3d817ec4c738e12cd484b7bbbcf9f4ed730e702cbfae458c96bfc5",
+    "box4/pml_x/eps": "0a7aaa2c6c321a04d8ec283015e4b107006794254bb448cfff3df59001e63921",
+    "box4/pml_x/mu_inv": "de4e6a4ba7c03c32f984b79b08294917e07aff16f700f4e0cb0f4a86692a46f7",
+}
+_PROFILES = {
+    "pml_z": StretchProfile.slab(2, 0.5, 1.0, omega_max=4.0),
+    "pml_x": StretchProfile.slab(0, 0.25, 1.0, omega_max=2.0, a_max=1.5, order=1),
+}
+
+
+def _golden_star(key: str):
+    name, *star = key.split("/")
+    mesh = _STAR_MESHES[name]()
+    if key in _STAR_DIGESTS:
+        return assemble_hodge(mesh, MaterialMap(), star[0])
+    materials = MaterialMap(eps=2.0, mu=1.5)
+    if star[0] in ("eps_inv", "mu"):
+        return assemble_galerkin_dual(mesh, materials)[star[0] == "mu"]
+    hodges = assemble_stretched(mesh, materials, _PROFILES[star[0]], 2.0)
+    return hodges.Heps if star[1] == "eps" else hodges.Hmu_inv
+
+
 class TestElementBound:
-    @pytest.mark.parametrize("key", sorted(_STAR_DIGESTS))
+    @pytest.mark.parametrize("key", sorted(_STAR_DIGESTS) + sorted(_MATERIAL_DIGESTS))
     def test_assembled_star_matches_golden_digest(self, key):
-        name, which = key.split("/")
-        H = assemble_hodge(_STAR_MESHES[name](), MaterialMap(), which)
-        assert _star_digest(H) == _STAR_DIGESTS[key]
+        digest = _STAR_DIGESTS.get(key) or _MATERIAL_DIGESTS[key]
+        assert _star_digest(_golden_star(key)) == digest
 
     def test_below_dense_lambda_min(self, all_meshes):
         for name, mesh in all_meshes.items():

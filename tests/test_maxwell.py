@@ -129,6 +129,12 @@ class TestLeapfrog:
         with pytest.raises(FloatingPointError, match="blow-up"):
             leapfrog_run(ops, SimulationConfig(dt=dt, steps=200), E0, B0)
 
+    @pytest.mark.parametrize("trace_every", [0, -1])
+    def test_trace_every_below_one_rejected(self, kuhn, classification_of, trace_every):
+        ops = apply_pec(kuhn, classification_of(kuhn))
+        with pytest.raises(ValueError, match="trace_every"):
+            leapfrog_run(ops, SimulationConfig(dt=0.1, steps=5, trace_every=trace_every))
+
     def test_trace_csv(self, tmp_path, kuhn, classification_of, rng):
         ops = apply_pec(kuhn, classification_of(kuhn))
         dt = 0.5 * stable_timestep(ops)
