@@ -46,6 +46,14 @@ def _add_material_args(p):
     p.add_argument("--mu", type=float, default=1.0, help="uniform permeability")
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` and a newline to the file ``out``, or print it."""
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_genmesh(args) -> int:
     kind = args.kind
     if kind == "tet1":
@@ -70,11 +78,7 @@ def cmd_genmesh(args) -> int:
 def cmd_audit(args) -> int:
     mesh = load_mesh(args.mesh)
     report = run_full_audit(mesh)
-    text = report.to_json() if args.json else report.to_text()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(report.to_json() if args.json else report.to_text(), args.out)
     return 0 if report.passed else 1
 
 
@@ -144,16 +148,14 @@ def cmd_eigen(args) -> int:
         "nonzero_mode_count_certified": report.theta_E,
         "zero_tol": res.zero_tol,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    Path(args.out).write_text(text + "\n") if args.out else print(text)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 
 
 def cmd_dof(args) -> int:
     mesh = load_mesh(args.mesh)
     report = dof_audit(mesh)
-    text = report.to_json()
-    Path(args.out).write_text(text + "\n") if args.out else print(text)
+    _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
@@ -202,8 +204,7 @@ def cmd_pic(args) -> int:
         a = lo + span * (0.02 + 0.96 * rng.random(3))
         b = lo + span * (0.02 + 0.96 * rng.random(3))
         worst = max(worst, verify_conservation(basis, a, b, q, tau))
-    text = conservation_report_json(worst, q / tau, args.paths)
-    Path(args.out).write_text(text + "\n") if args.out else print(text)
+    _emit(conservation_report_json(worst, q / tau, args.paths), args.out)
     return 0 if worst <= 1e-12 * abs(q / tau) else 1
 
 

@@ -40,17 +40,6 @@ __all__ = [
 ]
 
 
-def _to_int_rows(mat) -> list[list[int]]:
-    if sparse.issparse(mat):
-        mat = mat.toarray()
-    arr = np.asarray(mat)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.round(arr)):
-            raise ValueError("integer_rank requires an integer matrix")
-        arr = arr.astype(np.int64)
-    return [[int(x) for x in row] for row in arr]
-
-
 def integer_rank(mat) -> int:
     """Exact rank over the rationals via Bareiss fraction-free elimination.
 
@@ -58,7 +47,7 @@ def integer_rank(mat) -> int:
     rounding.  Cost is cubic; this is the desk-scale oracle for tests, not
     a runtime path.
     """
-    a = _to_int_rows(mat)
+    a = _int_csr(mat).toarray().tolist()
     if not a or not a[0]:
         return 0
     m, n = len(a), len(a[0])
@@ -100,23 +89,11 @@ def gf2_rank(mat) -> int:
     table keyed by lowest set bit, which behaves well on mesh incidence
     matrices ordered by construction.
     """
-    if sparse.issparse(mat):
-        coo = mat.tocoo()
-        odd = (np.asarray(coo.data) % 2) != 0
-        rows_idx = coo.row[odd]
-        cols_idx = coo.col[odd]
-        nrows = mat.shape[0]
-        packed = [0] * nrows
-        for r, c in zip(rows_idx.tolist(), cols_idx.tolist()):
-            packed[r] ^= 1 << c
-    else:
-        arr = (np.asarray(mat) % 2).astype(np.uint8)
-        packed = []
-        for row in arr:
-            x = 0
-            for c in np.flatnonzero(row).tolist():
-                x |= 1 << c
-            packed.append(x)
+    coo = sparse.coo_matrix(mat)
+    odd = coo.data % 2 != 0
+    packed = [0] * coo.shape[0]
+    for r, c in zip(coo.row[odd].tolist(), coo.col[odd].tolist()):
+        packed[r] ^= 1 << c
 
     pivots: dict[int, int] = {}
     rank = 0
@@ -416,7 +393,7 @@ def _int_csr(C) -> sparse.csr_matrix:
     C = sparse.csr_matrix(C)
     if not np.issubdtype(C.dtype, np.integer):
         if not np.all(C.data == np.round(C.data)):
-            raise ValueError("certify_ranks requires integer matrices")
+            raise ValueError("expected an integer matrix")
         C = C.astype(np.int64)
     return C
 

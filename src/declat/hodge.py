@@ -24,6 +24,10 @@ normal equations, a small Cholesky solve on a block of H^H H, so a block
 counts as singular once its condition number nears 1/eps (about 1e8 for
 the sliced columns of H): stricter than a dense least-squares rank rule,
 never looser.
+
+Stars go to text as ``declat-coo`` files (:func:`write_coo`, values in
+``repr``, so a round trip is bit-exact); :func:`read_coo` takes a path and
+rejects a body whose entry count differs from the header's nnz.
 """
 
 from __future__ import annotations
@@ -501,15 +505,19 @@ def write_coo(mat: sparse.spmatrix, path: str | Path) -> None:
 
 
 def read_coo(path: str | Path) -> sparse.csr_matrix:
-    text = Path(path).read_text().strip().splitlines()
-    head = text[0].split()
-    if head[:1] != ["declat-coo"]:
+    """Read a ``declat-coo`` file, complex when any entry holds a ``j``.
+
+    A body whose line count differs from the header's nnz is rejected.
+    """
+    text = Path(path).read_text().strip()
+    head, *body = text.splitlines()
+    if head.split()[:1] != ["declat-coo"]:
         raise ValueError("missing declat-coo header")
-    nr, nc, nnz = int(head[1]), int(head[2]), int(head[3])
-    rows, cols, vals = [], [], []
-    for line in text[1 : 1 + nnz]:
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(v) if "j" in v else float(v))
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()
+    nr, nc, nnz = map(int, head.split()[1:])
+    if len(body) != nnz:
+        raise ValueError(f"declat-coo header lists {nnz} entries, the body holds {len(body)}")
+    entry = np.dtype([("row", np.int64), ("col", np.int64),
+                      ("value", complex if "j" in text else float)])
+    # np.loadtxt warns on no lines
+    coo = np.loadtxt(body, dtype=entry, ndmin=1) if body else np.empty(0, entry)
+    return sparse.coo_matrix((coo["value"], (coo["row"], coo["col"])), shape=(nr, nc)).tocsr()

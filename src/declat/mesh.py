@@ -23,6 +23,10 @@ e*n + c for face (a, b, c), where n is the vertex count and e the index of
 edge (a, b).  Edge indices follow lexicographic order, so sorted face keys
 do too.  Keys stay below n * max(n, n_edges), about 7 n^2 on a lattice, so
 int64 holds them up to about 1e9 vertices.
+
+Meshes are stored as ``declat-mesh 1`` text: :func:`load_mesh` takes a
+path, :func:`parse_mesh` the text, and a section count that does not match
+its block is rejected with :class:`MeshError`.
 """
 
 from __future__ import annotations
@@ -392,66 +396,46 @@ def euler_audit(
 #   tets M
 #   a b c d        (M lines, zero-based vertex indices)
 #
-# Comments start with '#'.
+# Comments start with '#'.  Each count must match its block: a short block,
+# or any line after the tet block, is rejected.
 
 
 def parse_mesh(text: str) -> SimplicialComplex:
-    """Parse the ``declat-mesh 1`` text format into a complex."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    """Parse ``declat-mesh 1`` text into a complex; :func:`load_mesh` reads a file."""
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
     if not lines or lines[0].split() != ["declat-mesh", "1"]:
         raise MeshError("missing or unsupported header (want 'declat-mesh 1')")
     pos = 1
 
-    def expect_section(name: str) -> int:
+    def read_block(name: str, row: str, dtype) -> np.ndarray:
         nonlocal pos
         if pos >= len(lines):
             raise MeshError(f"unexpected end of file (expected '{name}')")
         parts = lines[pos].split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshError(f"expected '{name} <count>', got {lines[pos]!r}")
-        pos += 1
+        if not parts[1].isdecimal():
+            raise MeshError(f"bad count in '{name}' section")
+        start, pos = pos + 1, pos + 1 + int(parts[1])
+        if pos > len(lines):
+            raise MeshError(f"{row} section truncated")
+        if start == pos:  # np.loadtxt warns on no lines
+            return np.empty((0, 0), dtype)
         try:
-            return int(parts[1])
-        except ValueError as exc:
-            raise MeshError(f"bad count in '{name}' section") from exc
+            return np.loadtxt(lines[start:pos], dtype=dtype, ndmin=2)
+        except ValueError as exc:  # non-numeric, non-integer or ragged; names the row
+            raise MeshError(f"malformed {row} line") from exc
 
-    nv = expect_section("vertices")
-    if pos + nv > len(lines):
-        raise MeshError("vertex section truncated")
-    try:
-        vertices = np.array(
-            [[float(x) for x in lines[pos + i].split()] for i in range(nv)]
-        )
-    except ValueError as exc:
-        raise MeshError("malformed vertex line") from exc
-    if nv and vertices.shape[1] != 3:
-        raise MeshError("vertex lines must have three coordinates")
-    pos += nv
-
-    nt = expect_section("tets")
-    if pos + nt > len(lines):
-        raise MeshError("tet section truncated")
-    try:
-        tets = np.array(
-            [[int(x) for x in lines[pos + i].split()] for i in range(nt)], dtype=np.int64
-        )
-    except ValueError as exc:
-        raise MeshError("malformed tet line") from exc
-    if nt and tets.shape[1] != 4:
-        raise MeshError("tet lines must have four vertex indices")
+    vertices = read_block("vertices", "vertex", float)
+    tets = read_block("tets", "tet", np.int64)
+    if pos < len(lines):
+        raise MeshError(f"unexpected line after the tet section: {lines[pos]!r}")
     return SimplicialComplex(vertices, tets)
 
 
 def load_mesh(source: str | Path) -> SimplicialComplex:
-    """Load a mesh from a ``declat-mesh 1`` file path or literal text."""
-    text = str(source)
-    if "\n" not in text:
-        text = Path(source).read_text()
-    return parse_mesh(text)
+    """Load a ``declat-mesh 1`` file from a path; :func:`parse_mesh` reads text."""
+    return parse_mesh(Path(source).read_text())
 
 
 def write_mesh(complex: SimplicialComplex, path: str | Path) -> None:

@@ -393,7 +393,6 @@ def de_rham(
     form: AnalyticForm,
     complex: SimplicialComplex,
     p: int | None = None,
-    basis: WhitneyBasis | None = None,
 ) -> Cochain:
     """Reduce a smooth form to a primal cochain by integrating simplex-wise.
 

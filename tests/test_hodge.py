@@ -322,6 +322,7 @@ _STAR_MESHES = {
     "box4": lambda: generators.box_mesh(4),
     "annulus8": lambda: generators.annulus_mesh(8),
     "jittered6": lambda: generators.jittered_box_mesh(6, seed=5),
+    "waveguide": lambda: generators.box_mesh(4, 4, 24, lengths=(1.0, 1.0, 6.0)),
 }
 
 # Digests of the assembled stars' CSR arrays (float bytes included, numpy
@@ -356,6 +357,17 @@ _MATERIAL_DIGESTS = {
     "box4/pml_x/eps": "0a7aaa2c6c321a04d8ec283015e4b107006794254bb448cfff3df59001e63921",
     "box4/pml_x/mu_inv": "de4e6a4ba7c03c32f984b79b08294917e07aff16f700f4e0cb0f4a86692a46f7",
 }
+# The stretched pair of the default `declat pml --sweep` waveguide (the
+# criterion 9 guide: box_mesh(4, 4, 24) of length 6, slab 4.5-6.0, omega
+# 1.4 pi, unit materials) at omega_max 2 and 16, recorded before the mesh
+# and COO readers moved to numpy's parser.
+_SWEEP_DIGESTS = {
+    "waveguide/2/eps": "66b08bce7ed03d62fc8904186e9574558e4f8e9fed974bd5a8ccb0a9c3bc18e1",
+    "waveguide/2/mu_inv": "0a495952004f8313a89cecdb7bfad30debce683f0e77247badd3facb1ffaf998",
+    "waveguide/16/eps": "2a1697dc65478cc8c96252316e1f2312901d6462f85adb5718185bfd37e17834",
+    "waveguide/16/mu_inv": "055c4bc940bb4da489f70f8eaca27f6917571a7a032d82da1fe846448e8786f3",
+}
+_GOLDEN_DIGESTS = {**_STAR_DIGESTS, **_MATERIAL_DIGESTS, **_SWEEP_DIGESTS}
 _PROFILES = {
     "pml_z": StretchProfile.slab(2, 0.5, 1.0, omega_max=4.0),
     "pml_x": StretchProfile.slab(0, 0.25, 1.0, omega_max=2.0, a_max=1.5, order=1),
@@ -370,15 +382,18 @@ def _golden_star(key: str):
     materials = MaterialMap(eps=2.0, mu=1.5)
     if star[0] in ("eps_inv", "mu"):
         return assemble_galerkin_dual(mesh, materials)[star[0] == "mu"]
-    hodges = assemble_stretched(mesh, materials, _PROFILES[star[0]], 2.0)
+    if name == "waveguide":
+        profile = StretchProfile.slab(2, 4.5, 6.0, omega_max=float(star[0]))
+        hodges = assemble_stretched(mesh, None, profile, 1.4 * np.pi)
+    else:
+        hodges = assemble_stretched(mesh, materials, _PROFILES[star[0]], 2.0)
     return hodges.Heps if star[1] == "eps" else hodges.Hmu_inv
 
 
 class TestElementBound:
-    @pytest.mark.parametrize("key", sorted(_STAR_DIGESTS) + sorted(_MATERIAL_DIGESTS))
+    @pytest.mark.parametrize("key", sorted(_GOLDEN_DIGESTS))
     def test_assembled_star_matches_golden_digest(self, key):
-        digest = _STAR_DIGESTS.get(key) or _MATERIAL_DIGESTS[key]
-        assert _star_digest(_golden_star(key)) == digest
+        assert _star_digest(_golden_star(key)) == _GOLDEN_DIGESTS[key]
 
     def test_below_dense_lambda_min(self, all_meshes):
         for name, mesh in all_meshes.items():
@@ -447,9 +462,30 @@ class TestDualPairing:
 
 def test_coo_roundtrip(tmp_path, kuhn, basis_of):
     H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn))
+    # -0.0, subnormals and 1e+-300, real and complex, stored explicitly.
+    special = np.array([-0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308, 1 / 3])
+    rows, cols = np.array([0, 0, 1, 2, 2, 3, 4]), np.array([1, 4, 0, 2, 3, 3, 0])
+    real = sparse.csr_matrix((special, (rows, cols)), shape=(5, 6))
+    cplx = sparse.csr_matrix((special + 1j * special[::-1], (rows, cols)), shape=(5, 6))
+    mixed = sparse.csr_matrix((np.where(special > 0, special + 1j, special), (rows, cols)),
+                              shape=(5, 6))  # some entries real-valued
+    for M in (H, real, cplx, mixed):
+        path = tmp_path / "h.coo"
+        write_coo(M, path)
+        head = path.read_text().splitlines()[0].split()
+        assert head[0] == "declat-coo"
+        back = read_coo(path)
+        assert back.dtype == M.dtype and back.shape == M.shape
+        assert np.array_equal(back.indptr, M.indptr) and np.array_equal(back.indices, M.indices)
+        assert back.data.tobytes() == M.data.tobytes()  # bit for bit
+
+
+def test_read_coo_rejects_short_body(tmp_path, kuhn, basis_of):
     path = tmp_path / "h.coo"
-    write_coo(H, path)
-    head = path.read_text().splitlines()[0].split()
-    assert head[0] == "declat-coo"
-    back = read_coo(path)
-    assert np.abs((back - H).toarray()).max() == 0.0
+    write_coo(assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)), path)
+    lines = path.read_text().splitlines()
+    nnz = int(lines[0].split()[3])
+    assert len(lines) == 1 + nnz
+    path.write_text("\n".join(lines[:-5]) + "\n")
+    with pytest.raises(ValueError, match=f"{nnz} entries"):
+        read_coo(path)

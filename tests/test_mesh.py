@@ -204,37 +204,82 @@ def test_pinched_vertex_named_under_relabelling(name, seed):
 
 
 def test_parse_and_roundtrip(tmp_path, kuhn):
+    # One tet whose coordinates hold -0.0, subnormals and 1e+-300.
+    scales = SimplicialComplex([[-0.0, 5e-324, 1e-300], [1e300, -0.0, 0.0],
+                                [0.0, 1.0, -2.5e-310], [-1e-300, 0.0, 1.0]], [[0, 1, 2, 3]])
+    for mesh in (kuhn, generators.jittered_box_mesh(3, seed=5), scales):
+        path = tmp_path / "mesh.mesh"
+        write_mesh(mesh, path)
+        back = load_mesh(path)
+        assert back.counts() == mesh.counts()
+        assert back.tets.dtype == mesh.tets.dtype and np.array_equal(back.tets, mesh.tets)
+        assert back.vertices.dtype == mesh.vertices.dtype
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()  # bit for bit
+
+
+def test_parse_rejects_lines_after_tet_section(tmp_path, kuhn):
     path = tmp_path / "kuhn.mesh"
     write_mesh(kuhn, path)
-    back = load_mesh(path)
-    assert back.counts() == kuhn.counts()
-    assert np.array_equal(back.tets, kuhn.tets)
-    assert np.array_equal(back.vertices, kuhn.vertices)
-
-
-def test_parse_rejects_bad_header():
-    with pytest.raises(MeshError, match="header"):
-        parse_mesh("declat-mesh 2\nvertices 0\ntets 0\n")
+    text = path.read_text()
+    assert "tets 6\n" in text
+    last = text.splitlines()[-1]
+    with pytest.raises(MeshError) as err:
+        parse_mesh(text.replace("tets 6\n", "tets 5\n"))
+    assert str(err.value) == f"unexpected line after the tet section: {last!r}"
 
 
 def test_parse_handles_comments():
     text = """# a comment
 declat-mesh 1
+
 vertices 4   # four of them
 0 0 0
 1 0 0
-0 1 0
+   # an indented comment between rows
+0\t1 0
 0 0 1
+
 tets 1
-0 1 2 3
+0 1 2 3  # the only tet
+# trailing comment
+
 """
     mesh = parse_mesh(text)
     assert mesh.counts() == (4, 6, 4, 1)
 
 
-def test_parse_truncated_sections():
-    with pytest.raises(MeshError):
-        parse_mesh("declat-mesh 1\nvertices 2\n0 0 0\n")
+def _tet_text(vertices="vertices 4", rows=("0 0 0", "1 0 0", "0 1 0", "0 0 1"),
+              tets="tets 1", tet_rows=("0 1 2 3",)) -> str:
+    return "\n".join(["declat-mesh 1", vertices, *rows, tets, *tet_rows]) + "\n"
+
+
+_HEADER = "missing or unsupported header (want 'declat-mesh 1')"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("declat-mesh 2\nvertices 0\ntets 0\n", _HEADER),
+    ("# nothing but a comment\n", _HEADER),
+    ("declat-mesh 1\n", "unexpected end of file (expected 'vertices')"),
+    (_tet_text().split("tets")[0], "unexpected end of file (expected 'tets')"),
+    (_tet_text(vertices="verts 4"), "expected 'vertices <count>', got 'verts 4'"),
+    (_tet_text(tets="tets 1 2"), "expected 'tets <count>', got 'tets 1 2'"),
+    (_tet_text(vertices="vertices four"), "bad count in 'vertices' section"),
+    (_tet_text(tets="tets 1.0"), "bad count in 'tets' section"),
+    (_tet_text(vertices="vertices 7"), "vertex section truncated"),
+    ("declat-mesh 1\nvertices 2\n0 0 0\n", "vertex section truncated"),
+    (_tet_text(tets="tets 2"), "tet section truncated"),
+    (_tet_text(rows=("0 0 0", "1 0 0", "0 one 0", "0 0 1")), "malformed vertex line"),
+    (_tet_text(tet_rows=("0 1 2 3.5",)), "malformed tet line"),
+    (_tet_text(tet_rows=("0 1 2 x",)), "malformed tet line"),
+    (_tet_text(rows=("0 0 0", "1 0 0", "0 1 0", "0 0 1 0")), "malformed vertex line"),
+    (_tet_text(tets="tets 2", tet_rows=("0 1 2 3", "0 1 2")), "malformed tet line"),
+], ids=["header", "no-header", "no-vertices", "no-tets", "vertices-line", "tets-line",
+        "vertex-count", "tet-count", "vertex-rows", "vertex-rows-short", "tet-rows",
+        "vertex-value", "tet-float-index", "tet-word-index", "ragged-vertices", "ragged-tets"])
+def test_parse_names_each_syntax_error(text, message):
+    with pytest.raises(MeshError) as err:
+        parse_mesh(text)
+    assert str(err.value) == message
 
 
 def test_incidence_row_sizes(all_meshes):
