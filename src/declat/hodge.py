@@ -42,7 +42,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolve_triangular
 
 from .dual import DualComplex
-from .mesh import SimplicialComplex
+from .mesh import SimplicialComplex, _loadtxt
 from .whitney import WhitneyBasis, _TET4, _integrate
 
 __all__ = [
@@ -507,17 +507,17 @@ def write_coo(mat: sparse.spmatrix, path: str | Path) -> None:
 def read_coo(path: str | Path) -> sparse.csr_matrix:
     """Read a ``declat-coo`` file, complex when any entry holds a ``j``.
 
-    A body whose line count differs from the header's nnz is rejected.
+    A body whose entry count differs from the header's nnz, or whose row or column
+    is not an integer, is rejected with ``ValueError``.
     """
     text = Path(path).read_text().strip()
     head, *body = text.splitlines()
     if head.split()[:1] != ["declat-coo"]:
         raise ValueError("missing declat-coo header")
     nr, nc, nnz = map(int, head.split()[1:])
-    if len(body) != nnz:
-        raise ValueError(f"declat-coo header lists {nnz} entries, the body holds {len(body)}")
     entry = np.dtype([("row", np.int64), ("col", np.int64),
                       ("value", complex if "j" in text else float)])
-    # np.loadtxt warns on no lines
-    coo = np.loadtxt(body, dtype=entry, ndmin=1) if body else np.empty(0, entry)
+    coo = _loadtxt(body, entry, 1)
+    if len(coo) != nnz:
+        raise ValueError(f"declat-coo header lists {nnz} entries, the body holds {len(coo)}")
     return sparse.coo_matrix((coo["value"], (coo["row"], coo["col"])), shape=(nr, nc)).tocsr()

@@ -31,6 +31,7 @@ its block is rejected with :class:`MeshError`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -400,6 +401,14 @@ def euler_audit(
 # or any line after the tet block, is rejected.
 
 
+def _loadtxt(lines: list[str], dtype, ndmin: int) -> np.ndarray:
+    """``np.loadtxt`` of lines; a float in an integer column is a ``ValueError`` on every numpy."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy warns and truncates
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # counts checked
+        return np.loadtxt(lines, dtype=dtype, ndmin=ndmin)
+
+
 def parse_mesh(text: str) -> SimplicialComplex:
     """Parse ``declat-mesh 1`` text into a complex; :func:`load_mesh` reads a file."""
     lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
@@ -419,10 +428,10 @@ def parse_mesh(text: str) -> SimplicialComplex:
         start, pos = pos + 1, pos + 1 + int(parts[1])
         if pos > len(lines):
             raise MeshError(f"{row} section truncated")
-        if start == pos:  # np.loadtxt warns on no lines
+        if start == pos:  # np.loadtxt gives shape (0, 1)
             return np.empty((0, 0), dtype)
         try:
-            return np.loadtxt(lines[start:pos], dtype=dtype, ndmin=2)
+            return _loadtxt(lines[start:pos], dtype, 2)
         except ValueError as exc:  # non-numeric, non-integer or ragged; names the row
             raise MeshError(f"malformed {row} line") from exc
 

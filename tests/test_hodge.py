@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from declat.mesh import SimplicialComplex, classify_boundary
 from declat.pml import StretchProfile, assemble_stretched
 
 from _oracles import spai_lstsq_loop, whitney_mass_oracle
+from test_mesh import loadtxt_that_warns
 
 
 def _dense_by_tuples(mesh, H, degree):
@@ -489,3 +491,19 @@ def test_read_coo_rejects_short_body(tmp_path, kuhn, basis_of):
     path.write_text("\n".join(lines[:-5]) + "\n")
     with pytest.raises(ValueError, match=f"{nnz} entries"):
         read_coo(path)
+    # One entry short, padded to nnz lines by a blank line that the parser skips.
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:-1]) + "\n")
+    with pytest.raises(ValueError, match=f"{nnz} entries, the body holds {nnz - 1}"):
+        read_coo(path)
+
+
+@pytest.mark.parametrize("older_numpy", [False, True], ids=["numpy", "warn-and-truncate"])
+def test_read_coo_rejects_float_index(tmp_path, monkeypatch, older_numpy):
+    if older_numpy:
+        monkeypatch.setattr(np, "loadtxt", loadtxt_that_warns(np.loadtxt))
+    path = tmp_path / "h.coo"
+    path.write_text("declat-coo 3 3 2\n0 0 1.0\n0 2.7 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no error filter, as outside the test suite
+        with pytest.raises(ValueError, match="'2.7' to int64"):
+            read_coo(path)

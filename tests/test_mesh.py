@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,35 @@ def test_parse_names_each_syntax_error(text, message):
     with pytest.raises(MeshError) as err:
         parse_mesh(text)
     assert str(err.value) == message
+
+
+def loadtxt_that_warns(real):
+    """Older numpy's ``loadtxt``: a float in an int column warns (DeprecationWarning) and truncates."""
+    def loadtxt(lines, dtype, ndmin):
+        try:
+            return real(lines, dtype=dtype, ndmin=ndmin)
+        except ValueError as exc:
+            token = re.match(r"could not convert string '(\S+)' to int", str(exc))
+            if token is None:
+                raise
+            try:
+                warnings.warn("float to int cast", DeprecationWarning)
+            except DeprecationWarning as warning:
+                raise ValueError(str(exc)) from warning
+            tok = token.group(1)
+            cut = [re.sub(rf"(?<!\S){re.escape(tok)}(?!\S)", str(int(float(tok))), ln) for ln in lines]
+            return loadtxt(cut, dtype, ndmin)
+    return loadtxt
+
+
+@pytest.mark.parametrize("older_numpy", [False, True], ids=["numpy", "warn-and-truncate"])
+def test_float_tet_index_rejected_under_any_warning_filter(monkeypatch, older_numpy):
+    if older_numpy:
+        monkeypatch.setattr(np, "loadtxt", loadtxt_that_warns(np.loadtxt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no error filter, as outside the test suite
+        with pytest.raises(MeshError, match="^malformed tet line$"):
+            parse_mesh(_tet_text(tet_rows=("0 1 2 3.5",)))
 
 
 def test_incidence_row_sizes(all_meshes):
