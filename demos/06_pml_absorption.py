@@ -11,8 +11,9 @@ reproduces the bare resonator bit for bit.
 import numpy as np
 
 from declat import generators
+from declat.hodge import assemble_hodge
 from declat.mesh import classify_boundary
-from declat.pml import StretchProfile, reflection_sweep
+from declat.pml import StretchProfile, assemble_stretched, reflection_sweep
 
 length, nz, nx = 6.0, 24, 4
 mesh = generators.box_mesh(nx, nx, nz, lengths=(1.0, 1.0, length))
@@ -40,9 +41,16 @@ rows = reflection_sweep(
 )
 print(f"{'Omega_max':>10} {'integrated':>11} {'|R| measured':>13} {'|R| line model':>15}")
 for r in rows:
-    profile = StretchProfile.slab(2, 4.5, length, r.omega_max_profile)
+    profile = StretchProfile(2, 4.5, length, r.omega_max_profile)
     acc = profile.integrated_omega(2)
     model = np.exp(-2.0 * (kz / omega) * acc)
     print(f"{r.omega_max_profile:10.1f} {acc:11.2f} {r.reflection_mag:13.4e} "
           f"{model:15.4e}")
 print("(the measured values flatten at the mesh's discretization floor)")
+
+# A zero-strength profile returns the real (eps, mu_inv) star pair.
+stars = assemble_stretched(mesh, None, StretchProfile(2, 4.5, length, 0.0), omega)
+same = all((H != assemble_hodge(mesh, None, which)).nnz == 0
+           for H, which in zip(stars, ("eps", "mu_inv")))
+print(f"zero-strength profile reproduces the real stars bit for bit: {same}")
+assert same

@@ -38,7 +38,6 @@ from .whitney import (
 )
 from .hodge import (
     MaterialMap,
-    SparsityPattern,
     assemble_galerkin_dual,
     assemble_hodge,
     check_spd,
@@ -47,9 +46,7 @@ from .hodge import (
 )
 from .maxwell import (
     DiscreteCodifferential,
-    FieldState,
     MaxwellOperators,
-    SimulationConfig,
     apply_pec,
     ampere_step,
     compare_inverse_modes,
@@ -60,7 +57,6 @@ from .maxwell import (
     stable_timestep,
 )
 from .pml import (
-    ComplexHodge,
     StretchProfile,
     assemble_stretched,
     harmonic_solve,
@@ -76,7 +72,7 @@ from .pic import (
     scatter_current,
     verify_conservation,
 )
-from .dof import CorrespondenceTable, DofReport, dof_audit, hodge_correspondence
+from .dof import DofReport, dof_audit
 from .audit import AuditReport, audit_first_kind, audit_hodge, audit_second_kind, run_full_audit
 from . import generators
 

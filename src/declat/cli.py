@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .dof import dof_audit
 from .hodge import MaterialMap, assemble_galerkin_dual, assemble_hodge, write_coo
 from .maxwell import (
     DiscreteCodifferential,
-    SimulationConfig,
     apply_pec,
     eigenmodes,
     leapfrog_run,
@@ -44,6 +44,13 @@ def _add_mesh_arg(p, required=True):
 def _add_material_args(p):
     p.add_argument("--eps", type=float, default=1.0, help="uniform permittivity")
     p.add_argument("--mu", type=float, default=1.0, help="uniform permeability")
+
+
+def _require_counts(*flags: tuple[str, int]) -> None:
+    """Exit, before any work, on a count flag below 1."""
+    for flag, value in flags:
+        if value < 1:
+            raise SystemExit(f"{flag} must be at least 1, got {value}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,13 +106,12 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:  # a malformed spec or count fails before any work
-        SimulationConfig.spai_level(args.hodge_inverse)
-    except ValueError as exc:
-        raise SystemExit(f"--hodge-inverse: {exc}") from None
-    for flag, value in (("--steps", args.steps), ("--trace-every", args.trace_every)):
-        if value < 1:
-            raise SystemExit(f"{flag} must be at least 1, got {value}")
+    # A malformed spec or count fails before any work.
+    spec = re.fullmatch(r"exact|spai(?::(\d+))?", args.hodge_inverse)
+    if spec is None:
+        raise SystemExit(f"--hodge-inverse: unknown hodge_inverse {args.hodge_inverse!r}: "
+                         "expected 'exact', 'spai' or 'spai:<level>'")
+    _require_counts(("--steps", args.steps), ("--trace-every", args.trace_every))
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, _materials(args))
@@ -122,11 +128,8 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     E0 = rng.standard_normal(ops.n_edges) if args.init == "random" else None
     B0 = rng.standard_normal(ops.n_faces) if args.init == "random" else None
-    cfg = SimulationConfig(
-        dt=dt, steps=args.steps, hodge_inverse=args.hodge_inverse,
-        trace_every=args.trace_every,
-    )
-    _, trace = leapfrog_run(ops, cfg, E0, B0, cfg.codifferential(ops, exact))
+    codiff = exact if spec[0] == "exact" else DiscreteCodifferential(ops, int(spec[1] or 1))
+    _, _, trace = leapfrog_run(codiff, dt, args.steps, E0, B0, trace_every=args.trace_every)
     write_trace(trace, args.out)
     print(f"wrote {args.out}: {args.steps} steps at dt={float(dt)!r} "
           f"(bound {float(bound)!r}); invariant drift/step {trace.drift_per_step():.3e}")
@@ -134,6 +137,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    _require_counts(("--count", args.count))
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, _materials(args))
@@ -192,6 +196,7 @@ def cmd_pml(args) -> int:
 
 
 def cmd_pic(args) -> int:
+    _require_counts(("--paths", args.paths))
     mesh = load_mesh(args.mesh) if args.mesh else generators.box_mesh(3)
     basis = WhitneyBasis(mesh)
     rng = np.random.default_rng(args.seed)

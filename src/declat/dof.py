@@ -34,7 +34,7 @@ from .mesh import (
     euler_audit,
 )
 
-__all__ = ["DofReport", "dof_audit", "CorrespondenceTable", "hodge_correspondence"]
+__all__ = ["DofReport", "dof_audit"]
 
 
 @dataclass
@@ -176,55 +176,3 @@ def dof_audit(
         notes=notes,
     )
 
-
-@dataclass
-class CorrespondenceTable:
-    """Term-by-term match between polyhedron-formula counts and the
-    dimensions of the discrete decomposition of 1-cochains."""
-
-    n_edges: int
-    gradient_dim: int
-    coexact_dim: int
-    harmonic_dim: int
-    betti: tuple[int, int, int]
-
-    @property
-    def balanced(self) -> bool:
-        return self.n_edges == self.gradient_dim + self.coexact_dim + self.harmonic_dim
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "declat-correspondence-1",
-                "edges_total": self.n_edges,
-                "gradient_dim": self.gradient_dim,
-                "coexact_dim": self.coexact_dim,
-                "harmonic_dim": self.harmonic_dim,
-                "betti": list(self.betti),
-                "balanced": self.balanced,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
-
-def hodge_correspondence(complex: SimplicialComplex) -> CorrespondenceTable:
-    """Decompose the full (unreduced) edge count by certified ranks.
-
-    Edges split as gradients (rank of the node/edge incidence), coexact
-    images (rank of the edge/face incidence), and harmonic cochains (first
-    Betti number); the three dimensions always rebalance the edge count.
-    Raises ValueError naming the failed bound when a rank cannot be
-    certified.
-    """
-    cx = complex
-    cert = certify_ranks(*(cx.incidence(p) for p in range(3)))
-    rank0, rank1, _ = cert.require()
-    b = cert.betti
-    return CorrespondenceTable(
-        n_edges=cx.n_edges,
-        gradient_dim=rank0,
-        coexact_dim=rank1,
-        harmonic_dim=b[1],
-        betti=b,
-    )

@@ -115,16 +115,6 @@ class DualComplex:
 
     # -- combinatorics -------------------------------------------------------
 
-    def incidence(self, p: int) -> sparse.csr_matrix:
-        """Dual incidence: transpose of the primal matrix of degree 2-p.
-
-        Valid on interior elements; boundary rows/columns carry the primal
-        convention without the boundary closure.
-        """
-        if p not in (0, 1, 2):
-            raise ValueError("dual incidence degree must be 0, 1 or 2")
-        return self.complex.incidence(2 - p).T.tocsr()
-
     def geometric_edge_face_adjacency(self) -> sparse.csr_matrix:
         """(E, F) pattern: the faces whose dual segments bound each dual edge cell.
 

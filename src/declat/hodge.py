@@ -48,7 +48,6 @@ from .whitney import WhitneyBasis, _TET4, _integrate
 __all__ = [
     "ElementMatrices",
     "MaterialMap",
-    "SparsityPattern",
     "star_elements",
     "assemble_hodge",
     "assemble_galerkin_dual",
@@ -243,46 +242,35 @@ def assemble_galerkin_dual(
 # -- sparse approximate inverse ----------------------------------------------
 
 
-@dataclass
-class SparsityPattern:
-    """Admitted positions for the approximate inverse, by neighbor level.
+def _neighbor_pattern(H: sparse.spmatrix, level: int) -> sparse.csc_matrix:
+    """Admitted positions of the approximate inverse, by neighbor level.
 
-    Level 0 is the pattern of the matrix itself plus the diagonal; level k
-    multiplies that pattern k more times, so patterns are nested and encode
-    successive k-level neighbors.
+    Level 0 is the pattern of H plus the diagonal; level k multiplies that
+    pattern k more times, so patterns are nested and encode successive
+    k-level neighbors.
     """
-
-    level: int
-    pattern: sparse.csr_matrix
-
-    @classmethod
-    def build(cls, H: sparse.spmatrix, level: int) -> "SparsityPattern":
-        if level < 0:
-            raise ValueError("pattern level must be >= 0")
-        # Boolean products: a position's neighbour count never wraps.
-        base = ((abs(H) > 0) + sparse.eye(H.shape[0], dtype=bool)).tocsr()
-        pat = base
-        for _ in range(level):
-            pat = (pat @ base).tocsr()
-        return cls(level, pat.astype(np.int8))
+    if operator.index(level) < 0:
+        raise ValueError("pattern level must be >= 0")
+    # Boolean products: a position's neighbour count never wraps.
+    base = ((abs(H) > 0) + sparse.eye(H.shape[0], dtype=bool)).tocsr()
+    pat = base
+    for _ in range(level):
+        pat = (pat @ base).tocsr()
+    return pat.tocsc()
 
 
-def spai_inverse(
-    H: sparse.spmatrix,
-    pattern: SparsityPattern | int = 0,
-    drop_tol: float = 0.0,
-) -> tuple[sparse.csr_matrix, float]:
+def spai_inverse(H: sparse.spmatrix, level: int = 0) -> tuple[sparse.csr_matrix, float]:
     """Sparse approximate inverse M with M H close to the identity.
 
     Row j of M is the least-squares fit min ||H[:, J] x - e_j|| over the
-    pattern positions J of column j, which minimizes the Frobenius
+    positions J of column j of the neighbor pattern of ``level``
+    (:func:`_neighbor_pattern`), which minimizes the Frobenius
     deviation ||I - M H||_F position by position (H symmetric).  It is
     solved through its normal equations (H^H H)[J, J] x = conj(H[j, J]):
     G = H^H H is formed once, each |J| x |J| block is gathered from the CSC
     columns of G in J and solved by Cholesky.  Only the nonzero rows of
     H[:, J] contribute to G, so this is the fit a dense least-squares
-    solve on those rows makes.  Entries below ``drop_tol`` times the row
-    maximum are pruned afterwards.  Returns (M, residual).
+    solve on those rows makes.  Returns (M, residual).
 
     Raises ``LinAlgError`` when row j of H has no stored entry in J (the
     unit vector lies outside the restricted row set), and when G[J, J] is
@@ -298,13 +286,11 @@ def spai_inverse(
     """
     if not sparse.issparse(H):
         H = sparse.csr_matrix(H)
-    if not isinstance(pattern, SparsityPattern):
-        pattern = SparsityPattern.build(H, operator.index(pattern))
+    Pc = _neighbor_pattern(H, level)
     n = H.shape[0]
     Hr = H.tocsr(copy=True)
     Hr.sum_duplicates()
     G = (Hr.conj().T @ Hr).tocsc()
-    Pc = pattern.pattern.tocsc()
     dtype = np.result_type(G.dtype, float)
     (pocon,) = get_lapack_funcs(("pocon",), dtype=dtype)
     eps = np.finfo(float).eps
@@ -316,7 +302,6 @@ def spai_inverse(
     sizes = np.diff(Pc.indptr)
     buf = np.empty(sizes.max(initial=0) ** 2, dtype=dtype)
     vals_out = np.empty(Pc.nnz, dtype=dtype)
-    keep = np.ones(Pc.nnz, dtype=bool)
 
     for j in range(n):
         out = slice(Pc.indptr[j], Pc.indptr[j + 1])
@@ -355,16 +340,11 @@ def spai_inverse(
             raise np.linalg.LinAlgError(
                 f"column {j}: singular restricted least-squares block"
             )
-        x = cho_solve(factor, b, check_finite=False)
-        vals_out[out] = x
-        if drop_tol > 0.0:
-            keep[out] = np.abs(x) >= drop_tol * np.abs(x).max()
+        vals_out[out] = cho_solve(factor, b, check_finite=False)
 
     # Rows of M are the solved columns of the left inverse: M[j, J] = x.
     rows_out = np.repeat(np.arange(n), sizes)
-    M = sparse.coo_matrix(
-        (vals_out[keep], (rows_out[keep], Pc.indices[keep])), shape=(n, n)
-    ).tocsr()
+    M = sparse.coo_matrix((vals_out, (rows_out, Pc.indices)), shape=(n, n)).tocsr()
     R = M @ H - sparse.eye(n, format="csr")
     residual = float(np.sqrt((R.multiply(R.conjugate())).sum().real))
     return M, residual
@@ -495,12 +475,13 @@ def dual_pairing_check(
 def write_coo(mat: sparse.spmatrix, path: str | Path) -> None:
     """Write ``declat-coo <rows> <cols> <nnz>`` followed by one entry per line."""
     coo = sparse.coo_matrix(mat)
-    lines = [f"declat-coo {coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
     order = np.lexsort((coo.col, coo.row))
     cplx = np.iscomplexobj(coo.data)
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        val = repr(complex(v)).strip("()") if cplx else repr(float(v))
-        lines.append(f"{r} {c} {val}")
+    values = coo.data[order].astype(complex if cplx else float).tolist()
+    fmt = (lambda v: repr(v).strip("()")) if cplx else repr
+    lines = [f"declat-coo {coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    lines += [f"{r} {c} {fmt(v)}" for r, c, v in
+              zip(coo.row[order].tolist(), coo.col[order].tolist(), values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -8,6 +8,8 @@ recovers E = S D through one symmetric inverse S of the eps star.  For any
 symmetric S it conserves E.D + B_prev.Hmu_inv.B_next in exact arithmetic:
 the lattice energy oscillates within bounds and does not drift.  The
 step is written once, in ``_march``: runs and the A/B comparison march it.
+S is chosen in one place, :class:`DiscreteCodifferential`: the LU factor
+of the star, or a sparse approximate inverse of a given level.
 
 Perfectly conducting walls are imposed by removing boundary edge and face
 degrees of freedom from the operators and cochains.
@@ -16,7 +18,6 @@ degrees of freedom from the operators and cochains.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -31,10 +32,8 @@ from .mesh import BoundaryClassification, SimplicialComplex
 from .whitney import WhitneyBasis
 
 __all__ = [
-    "FieldState",
     "MaxwellOperators",
     "DiscreteCodifferential",
-    "SimulationConfig",
     "apply_pec",
     "reduce_pec",
     "ampere_step",
@@ -45,16 +44,6 @@ __all__ = [
     "compare_inverse_modes",
     "write_trace",
 ]
-
-
-@dataclass
-class FieldState:
-    """Electric 1-cochain at step n, magnetic 2-cochain at step n + 1/2."""
-
-    E: np.ndarray
-    B: np.ndarray
-    step: int = 0
-    time: float = 0.0
 
 
 @dataclass
@@ -115,21 +104,20 @@ class DiscreteCodifferential:
 
     Applies inverse-eps-star, transposed face/edge incidence, and the
     inverse-permeability star, with a symmetric inverse S of the eps star:
-    a factorization by ``hodge.SPD_SPLU``, or (M + M^T)/2 for the sparse
-    approximate inverse M on a neighbor pattern of ``level`` (``residual``
-    is M's).  It is the module's only realization of the inverse eps star:
-    a run passes one exact instance to every consumer.
+    with ``level`` None a factorization by ``hodge.SPD_SPLU``, with an
+    integer ``level`` (M + M^T)/2 for the sparse approximate inverse M on
+    the neighbor pattern of that level (``residual`` is M's).  It is the
+    only place the inverse eps star is chosen: a run passes one exact
+    instance to every consumer.
     """
 
-    def __init__(self, ops: MaxwellOperators, mode: str = "exact", level: int = 1):
-        if mode not in ("exact", "spai"):
-            raise ValueError("mode must be 'exact' or 'spai'")
+    def __init__(self, ops: MaxwellOperators, level: int | None = None):
         self.ops = ops
-        self.mode = mode
+        self.level = level
         self.residual = 0.0
         self._C1T = ops.C1.T.tocsr()
         self._lu = self.M = None
-        if ops.n_edges and mode == "exact":
+        if ops.n_edges and level is None:
             self._lu = splu(ops.Heps.tocsc(), **SPD_SPLU)
         elif ops.n_edges:
             M, self.residual = spai_inverse(ops.Heps, level)
@@ -139,7 +127,7 @@ class DiscreteCodifferential:
         """Apply the realized inverse of the eps star."""
         if self.ops.n_edges == 0:
             return x
-        return self._lu.solve(x) if self.mode == "exact" else self.M @ x
+        return self._lu.solve(x) if self.level is None else self.M @ x
 
     def apply(self, B: np.ndarray) -> np.ndarray:
         return self.solve_eps(self._C1T @ (self.ops.Hmu_inv @ B))
@@ -164,33 +152,6 @@ def hamiltonian(
     elec = float(E @ (Heps @ E))
     mag = float((Hmu_inv @ B) @ B)
     return elec + mag, elec, mag
-
-
-@dataclass
-class SimulationConfig:
-    dt: float
-    steps: int
-    hodge_inverse: str = "exact"  # 'exact', 'spai' or 'spai:<level>'
-    source: object = None  # callable t -> edge cochain values, or None
-    trace_every: int = 1
-
-    @staticmethod
-    def spai_level(spec: str) -> int | None:
-        """The SPAI level a ``hodge_inverse`` spec names, None for 'exact'."""
-        spai = re.fullmatch(r"exact|spai(?::(\d+))?", spec)
-        if spai is None:
-            raise ValueError(f"unknown hodge_inverse {spec!r}: "
-                             "expected 'exact', 'spai' or 'spai:<level>'")
-        return None if spec == "exact" else int(spai[1] or 1)
-
-    def codifferential(
-        self, ops: MaxwellOperators, exact: DiscreteCodifferential | None = None
-    ) -> DiscreteCodifferential:
-        """The codifferential ``hodge_inverse`` names; 'exact' reuses ``exact`` if given."""
-        level = self.spai_level(self.hodge_inverse)
-        if level is None:
-            return exact or DiscreteCodifferential(ops)
-        return DiscreteCodifferential(ops, "spai", level=level)
 
 
 @dataclass
@@ -249,27 +210,30 @@ def _march(codiff, dt, steps, E, B, source=None):
 
 
 def leapfrog_run(
-    ops: MaxwellOperators,
-    config: SimulationConfig,
+    codiff: DiscreteCodifferential,
+    dt: float,
+    steps: int,
     E0: np.ndarray | None = None,
     B0: np.ndarray | None = None,
-    codiff: DiscreteCodifferential | None = None,
-) -> tuple[FieldState, Trace]:
+    source=None,
+    trace_every: int = 1,
+) -> tuple[np.ndarray, np.ndarray, Trace]:
     """March the staggered leapfrog (``_march``) and record the energy trace.
 
-    Energies are reported at integer steps from the carried D and HB, with
-    the magnetic cochain averaged across the two neighboring half steps.
-    Divergence blow-up (non-finite values, checked every 25 steps and at
-    the last) aborts with a diagnostic.
+    The operators are ``codiff.ops``; ``source`` maps a time to the edge
+    current, or is None.  Returns E at the last step, B half a step later,
+    and the trace.  Energies are reported at integer steps from the carried
+    D and HB, with the magnetic cochain averaged across the two neighboring
+    half steps.  Divergence blow-up (non-finite values, checked every 25
+    steps and at the last) aborts with a diagnostic.
     """
-    dt = config.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if config.trace_every < 1:
+    if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
+    ops = codiff.ops
     E = np.zeros(ops.n_edges) if E0 is None else np.array(E0, dtype=float)
     B = np.zeros(ops.n_faces) if B0 is None else np.array(B0, dtype=float)
-    codiff = codiff or config.codifferential(ops)
 
     rows = []
     div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
@@ -288,26 +252,25 @@ def leapfrog_run(
         rows.append((step, step * dt, he + hm, he, hm, he + float(Bprev @ HBnext), divb))
         return he + hm
 
-    march = _march(codiff, dt, config.steps, E, B, config.source)
+    march = _march(codiff, dt, steps, E, B, source)
     fields = next(march)
     blowup_level = 1e10 * (abs(record(0, *fields)) + 1.0)
     for n, fields in enumerate(march, 1):
         E, D, _, B_half, _, HB = fields
-        if n % 25 == 0 or n == config.steps:
+        if n % 25 == 0 or n == steps:
             h = float(E @ D) + float(B_half @ HB)
             if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
                 raise FloatingPointError(
                     f"field blow-up detected at step {n}: energy {h!r} "
                     f"(dt={float(dt)!r} likely above the stability bound)"
                 )
-        if n % config.trace_every == 0 or n == config.steps:
+        if n % trace_every == 0 or n == steps:
             record(n, *fields)
 
     arr = np.array(rows, dtype=float)
     # Columns in field order: steps, times, the four energies, div B.
     trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
-    state = FieldState(E=fields[0], B=fields[3], step=config.steps, time=config.steps * dt)
-    return state, trace
+    return fields[0], fields[3], trace
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -342,7 +305,7 @@ def stable_timestep(
     if ops.n_edges == 0:
         raise ValueError("no electric degrees of freedom")
     inverse = inverse or DiscreteCodifferential(ops)
-    if inverse.mode != "exact" or inverse.ops is not ops:
+    if inverse.level is not None or inverse.ops is not ops:
         raise ValueError("stable_timestep needs the exact inverse of these operators")
     K = (ops.C1.T @ ops.Hmu_inv @ ops.C1).tocsr()
     if K.count_nonzero() == 0:
@@ -426,8 +389,8 @@ def compare_inverse_modes(
     rng = np.random.default_rng(11)
     E0 = rng.standard_normal(ops.n_edges) if E0 is None else E0
     B0 = rng.standard_normal(ops.n_faces) if B0 is None else B0
-    exact = DiscreteCodifferential(ops, "exact")
-    approx = DiscreteCodifferential(ops, "spai", level=level)
+    exact = DiscreteCodifferential(ops)
+    approx = DiscreteCodifferential(ops, level)
     if dt_max is None:
         dt_max = stable_timestep(ops, exact)
     c0 = 1.0 / np.sqrt(max(1.0 - (dt / dt_max) ** 2, 1e-12))

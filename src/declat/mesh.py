@@ -111,8 +111,9 @@ class SimplicialComplex:
     tets : (M, 4) int array of vertex indices; each tet is re-signed to
         positive volume, and duplicated tets (in any vertex order),
         degenerate (zero-volume) tets, folds (two tets on the same side
-        of a shared face) and pinched vertices (whose tets do not connect
-        through faces at the vertex) are rejected.
+        of a shared face), faces with more than two tets and pinched
+        vertices (whose tets do not connect through faces at the vertex)
+        are rejected.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
@@ -183,11 +184,20 @@ class SimplicialComplex:
             _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
         ]
         self._reject_folds()
-        # One stable sort of the face slots, by face and then by tet, serves
-        # the pinched-vertex check and face_tets.
-        self._face_order = np.argsort(self.tet_faces.ravel(), kind="stable")
-        _reject_pinched_vertices(ranked, flip, self.tet_faces, self._face_order)
-        self._face_tets = None
+        # One stable sort of the face slots, by face and then by tet, gives
+        # face_tets, (F, 2) tet indices per face (-1 where absent, lower tet
+        # first), and serves the pinched-vertex check.
+        flat = self.tet_faces.ravel()
+        order = np.argsort(flat, kind="stable")
+        faces = flat[order]
+        rank = np.arange(len(faces)) - np.searchsorted(faces, faces)
+        if rank.max() >= 2:
+            f = flat[order[rank == 2].min()]
+            raise MeshError(f"non-manifold face {self.faces[f].tolist()} "
+                            "(more than two incident tets)")
+        self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
+        self.face_tets[faces, rank] = order // 4
+        _reject_pinched_vertices(ranked, flip, self.tet_faces, order)
 
     # -- counts ----------------------------------------------------------
 
@@ -246,25 +256,6 @@ class SimplicialComplex:
 
     # -- adjacency ---------------------------------------------------------
 
-    @property
-    def face_tets(self) -> np.ndarray:
-        """(F, 2) tet indices per face, -1 where absent; >2 cofaces raise."""
-        if self._face_tets is None:
-            flat = self.tet_faces.ravel()
-            order = self._face_order
-            faces = flat[order]
-            rank = np.arange(len(faces)) - np.searchsorted(faces, faces)
-            if rank.max() >= 2:
-                f = flat[order[rank == 2].min()]
-                raise MeshError(
-                    f"non-manifold face {self.faces[f].tolist()} "
-                    "(more than two incident tets)"
-                )
-            ft = np.full((self.n_faces, 2), -1, dtype=np.int64)
-            ft[faces, rank] = order // 4
-            self._face_tets = ft
-        return self._face_tets
-
     def tet_neighbors(self) -> np.ndarray:
         """(M, 4) neighbor tet across each local face, -1 on the boundary."""
         ft = self.face_tets[self.tet_faces]  # (M, 4, 2)
@@ -298,11 +289,9 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
     """Split vertices, edges and faces into boundary and interior sets.
 
     A face is boundary when it has exactly one incident tet; edges and
-    vertices are boundary when contained in a boundary face.  Faces with
-    more than two incident tets raise :class:`MeshError` (non-manifold).
+    vertices are boundary when contained in a boundary face.
     """
-    ft = complex.face_tets  # raises on non-manifold input
-    bnd_face_mask = ft[:, 1] == -1
+    bnd_face_mask = complex.face_tets[:, 1] == -1
     bnd_faces = np.flatnonzero(bnd_face_mask)
 
     bnd_vert_mask = np.zeros(complex.n_vertices, dtype=bool)
@@ -450,7 +439,7 @@ def load_mesh(source: str | Path) -> SimplicialComplex:
 def write_mesh(complex: SimplicialComplex, path: str | Path) -> None:
     """Write a complex in the ``declat-mesh 1`` text format."""
     out = ["declat-mesh 1", f"vertices {complex.n_vertices}"]
-    out += [" ".join(repr(float(x)) for x in v) for v in complex.vertices]
+    out += [" ".join(map(repr, v)) for v in complex.vertices.tolist()]
     out.append(f"tets {complex.n_tets}")
-    out += [" ".join(str(int(i)) for i in t) for t in complex.tets]
+    out += [" ".join(map(str, t)) for t in complex.tets.tolist()]
     Path(path).write_text("\n".join(out) + "\n")

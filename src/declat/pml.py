@@ -6,8 +6,9 @@ Omega >= 0).  Because the metric enters the equations only through the
 Hodge stars, a stretch is a per-point material: the checked eps and
 inverse-mu tensors of the real stars are scaled at the assembly quadrature
 points by the diagonal tensor diag(s_y s_z / s_x, s_x s_z / s_y,
-s_x s_y / s_z) and summed by the same element routine; a trivial profile
-returns the real stars.  The incidence matrices are untouched, so the
+s_x s_y / s_z) and summed by the same element routine into the star pair
+:func:`assemble_stretched` returns; a trivial profile returns the real
+stars.  The incidence matrices are untouched, so the
 pre-metric equations are bit-identical with and without the layer, and
 the PEC walls go by the reduction :func:`declat.maxwell.apply_pec` uses.
 """
@@ -29,7 +30,6 @@ from .whitney import Cochain, WhitneyBasis, _TET4, interpolate_at_points
 
 __all__ = [
     "StretchProfile",
-    "ComplexHodge",
     "stretch_tensor",
     "assemble_stretched",
     "harmonic_solve",
@@ -60,11 +60,6 @@ class StretchProfile:
         if self.omega_max < 0.0:
             raise ValueError("profile requires Omega >= 0")
 
-    @classmethod
-    def slab(cls, *args, **kwargs) -> "StretchProfile":
-        """The profile of one slab; the same as calling the class."""
-        return cls(*args, **kwargs)
-
     @property
     def is_trivial(self) -> bool:
         return self.omega_max == 0.0 and self.a_max == 1.0
@@ -86,26 +81,17 @@ class StretchProfile:
         s[..., self.axis] *= a + 1j * (self.omega_max * grade) / omega
         return s
 
-    def integrated_omega(self, axis: int, n: int = 2001) -> float:
+    def integrated_omega(self, axis: int) -> float:
         """Accumulated damping rate along one axis (0 off the slab's axis)."""
         if axis != self.axis:
             return 0.0
-        xs = np.linspace(*sorted((self.start, self.end)), n)
+        xs = np.linspace(*sorted((self.start, self.end)), 2001)
         return float(np.trapezoid(self.omega_max * self.depth_fraction(xs) ** self.order, xs))
 
 
 def stretch_tensor(point, omega: float, profile: StretchProfile) -> np.ndarray:
     """Diagonal Maxwellian stretch tensor at one point (complex 3x3)."""
     return np.diag(_lambda_diag(np.asarray(point, dtype=float).reshape(1, 3), omega, profile)[0])
-
-
-@dataclass
-class ComplexHodge:
-    """Stretched Hodge pair: complex symmetric, or the real pair if trivial."""
-
-    Heps: sparse.csr_matrix
-    Hmu_inv: sparse.csr_matrix
-    trivial: bool
 
 
 def _lambda_diag(points: np.ndarray, omega: float, profile: StretchProfile) -> np.ndarray:
@@ -121,16 +107,17 @@ def assemble_stretched(
     profile: StretchProfile,
     omega: float,
     basis: WhitneyBasis | None = None,
-) -> ComplexHodge:
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """The eps and mu-inverse stars with their tensors stretched per point.
 
-    A trivial profile returns the real stars of :func:`assemble_hodge`, so
-    the no-layer operators are reproduced bit for bit.
+    Returns the pair (Heps, Hmu_inv), complex symmetric.  A trivial profile
+    returns the real stars of :func:`assemble_hodge`, so the no-layer
+    operators are reproduced bit for bit.
     """
     basis = basis or WhitneyBasis(complex)
     if profile.is_trivial:
-        stars = [assemble_hodge(complex, materials, which, basis) for which in ("eps", "mu_inv")]
-        return ComplexHodge(*stars, trivial=True)
+        return tuple(assemble_hodge(complex, materials, which, basis)
+                     for which in ("eps", "mu_inv"))
 
     pts = np.einsum("qa,mad->mqd", _TET4, complex.vertices[complex.tets])
     lam = _lambda_diag(pts, omega, profile)  # (M, Q, 3) at the quadrature points
@@ -139,7 +126,7 @@ def assemble_stretched(
     heps = _element_matrices(complex, p, eps[:, None] * lam[:, :, None, :], basis)
     p, mu_inv = _star_weight(complex, materials, "mu_inv")
     hmu = _element_matrices(complex, p, (1.0 / lam)[..., None] * mu_inv[:, None], basis)
-    return ComplexHodge(heps.assemble(), hmu.assemble(), trivial=False)
+    return heps.assemble(), hmu.assemble()
 
 
 def harmonic_solve(
@@ -167,7 +154,6 @@ class ReflectionRow:
     omega_max_profile: float
     thickness: float
     reflection_mag: float
-    fit_residual: float
 
 
 def measure_reflection(
@@ -217,15 +203,15 @@ def reflection_sweep(
     rows = []
     thickness = abs(pml_end - pml_start)
     for om_max in omega_maxes:
-        profile = StretchProfile.slab(2, pml_start, pml_end, om_max)
-        hodges = assemble_stretched(complex, materials, profile, omega, basis)
-        ops = reduce_pec(complex, classification, hodges.Heps, hodges.Hmu_inv)
+        profile = StretchProfile(2, pml_start, pml_end, om_max)
+        stars = assemble_stretched(complex, materials, profile, omega, basis)
+        ops = reduce_pec(complex, classification, *stars)
         E_red, _ = harmonic_solve(ops, J[e_idx], omega)  # boundary sources drop out
         full = np.zeros(complex.n_edges, dtype=np.complex128)
         full[e_idx] = E_red
         samples = interpolate_at_points(basis, Cochain(1, full), sample_points)
-        refl, resid = measure_reflection(samples[:, 1], sample_points[:, 2], kz)
-        rows.append(ReflectionRow(omega, om_max, thickness, refl, resid))
+        refl, _ = measure_reflection(samples[:, 1], sample_points[:, 2], kz)
+        rows.append(ReflectionRow(omega, om_max, thickness, refl))
     return rows
 
 

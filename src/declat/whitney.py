@@ -112,15 +112,6 @@ class Cochain:
         if self.lattice not in ("primal", "dual"):
             raise ValueError("lattice tag must be 'primal' or 'dual'")
 
-    @classmethod
-    def zeros(
-        cls, complex: SimplicialComplex, degree: int, lattice: str = "primal",
-        dtype=float,
-    ) -> "Cochain":
-        # Dual (3-p)-cells are in bijection with primal p-simplices, so the
-        # array length is the primal count either way.
-        return cls(degree, np.zeros(complex.n_simplices(degree), dtype=dtype), lattice)
-
     def to_json(self) -> str:
         vals = self.values
         if np.iscomplexobj(vals):
@@ -389,20 +380,13 @@ def _as_callable(form) -> AnalyticForm:
     raise TypeError("expected an AnalyticForm")
 
 
-def de_rham(
-    form: AnalyticForm,
-    complex: SimplicialComplex,
-    p: int | None = None,
-) -> Cochain:
-    """Reduce a smooth form to a primal cochain by integrating simplex-wise.
+def de_rham(form: AnalyticForm, complex: SimplicialComplex) -> Cochain:
+    """Reduce a smooth form to a primal cochain of its degree by integrating simplex-wise.
 
     Degree-2 Gaussian rules per simplex; exact for polynomial proxies up to
     quadratic, so reducing an interpolated lowest-order field is exact.
     """
-    form = _as_callable(form)
-    p = form.degree if p is None else p
-    if p != form.degree:
-        raise ValueError("form degree does not match requested cochain degree")
+    p = _as_callable(form).degree
     if p not in (0, 1, 2, 3):
         raise ValueError("degree must be in 0..3")
     return Cochain(p, _integrate(complex.vertices[complex.simplices(p)], form))

@@ -12,7 +12,7 @@ time, where the package works on all tets at once.  Another is the
 sparse approximate inverse as a dense least-squares solve per column
 (``lstsq`` on the sliced rows of H), where the package solves the normal
 equations by Cholesky; it builds its pattern with the package's
-``SparsityPattern``.  The walk from a given tet, the per-point
+``_neighbor_pattern``.  The walk from a given tet, the per-point
 interpolation and the per-crossing path split at the end are loop
 versions of the package's location and deposit: they call a basis's
 ``bary``, ``neighbors``, ``_scan`` and ``eval`` one point or one tet at a time, where
@@ -32,16 +32,8 @@ import numpy as np
 from scipy import sparse
 from scipy.special import roots_jacobi, roots_legendre
 
-from declat.hodge import SparsityPattern
-from declat.maxwell import (
-    DiscreteCodifferential,
-    FieldState,
-    MaxwellOperators,
-    SimulationConfig,
-    Trace,
-    ampere_step,
-    hamiltonian,
-)
+from declat.hodge import _neighbor_pattern
+from declat.maxwell import DiscreteCodifferential, Trace, ampere_step, hamiltonian
 from declat.mesh import MeshError
 from declat.whitney import _GAUSS2_EDGE, _TRI3
 
@@ -279,15 +271,13 @@ def partition_duality_loop(complex, p: int, basis) -> float:
     return dev
 
 
-def spai_lstsq_loop(H, pattern=0, drop_tol: float = 0.0):
+def spai_lstsq_loop(H, level: int = 0):
     """(M, residual) of the sparse approximate inverse, one dense lstsq per column."""
     if not sparse.issparse(H):
         H = sparse.csr_matrix(H)
-    if isinstance(pattern, int):
-        pattern = SparsityPattern.build(H, pattern)
     n = H.shape[0]
     Hc = H.tocsc()
-    Pc = pattern.pattern.tocsc()
+    Pc = _neighbor_pattern(H, level)
 
     rows_out = []
     cols_out = []
@@ -309,13 +299,9 @@ def spai_lstsq_loop(H, pattern=0, drop_tol: float = 0.0):
             raise np.linalg.LinAlgError(
                 f"column {j}: singular restricted least-squares block"
             )
-        if drop_tol > 0.0:
-            keep = np.abs(x) >= drop_tol * np.abs(x).max()
-        else:
-            keep = np.ones(len(J), dtype=bool)
-        rows_out.append(np.full(keep.sum(), j))
-        cols_out.append(J[keep])
-        vals_out.append(x[keep])
+        rows_out.append(np.full(len(J), j))
+        cols_out.append(J)
+        vals_out.append(x)
 
     # Rows of M are the solved columns of the left inverse: M[j, J] = x.
     M = sparse.coo_matrix(
@@ -439,12 +425,14 @@ def faraday_step(C1: sparse.spmatrix, E: np.ndarray) -> np.ndarray:
 
 
 def leapfrog_run_loop(
-    ops: MaxwellOperators,
-    config: SimulationConfig,
+    codiff: DiscreteCodifferential,
+    dt: float,
+    steps: int,
     E0: np.ndarray | None = None,
     B0: np.ndarray | None = None,
-    codiff: DiscreteCodifferential | None = None,
-) -> tuple[FieldState, Trace]:
+    source=None,
+    trace_every: int = 1,
+) -> tuple[np.ndarray, np.ndarray, Trace]:
     """March the staggered leapfrog and record the energy trace.
 
     The magnetic field is staggered to half steps by a half-step start
@@ -453,12 +441,11 @@ def leapfrog_run_loop(
     half steps.  Divergence blow-up (non-finite values, checked every 25
     steps and at the last) aborts with a diagnostic.
     """
-    dt = config.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
+    ops = codiff.ops
     E = np.zeros(ops.n_edges) if E0 is None else np.array(E0, dtype=float)
     B = np.zeros(ops.n_faces) if B0 is None else np.array(B0, dtype=float)
-    codiff = codiff or config.codifferential(ops)
 
     rows = []
     div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
@@ -481,23 +468,22 @@ def leapfrog_run_loop(
     B_half = B - 0.5 * dt * (ops.C1 @ E)
     h0 = record(0, 0.0, B, B_half)
     blowup_level = 1e10 * (abs(h0) + 1.0)
-    for n in range(config.steps):
+    for n in range(steps):
         B_prev = B_half
-        J = None if config.source is None else np.asarray(config.source((n + 0.5) * dt), float)
+        J = None if source is None else np.asarray(source((n + 0.5) * dt), float)
         E = E + dt * ampere_step(B_half, codiff, J)
         B_half = B_half - dt * (ops.C1 @ E)
-        if (n + 1) % 25 == 0 or n + 1 == config.steps:
+        if (n + 1) % 25 == 0 or n + 1 == steps:
             h, _, _ = hamiltonian(ops.Heps, ops.Hmu_inv, E, B_half)
             if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
                 raise FloatingPointError(
                     f"field blow-up detected at step {n + 1}: energy {h!r} "
                     f"(dt={float(dt)!r} likely above the stability bound)"
                 )
-        if (n + 1) % config.trace_every == 0 or n + 1 == config.steps:
+        if (n + 1) % trace_every == 0 or n + 1 == steps:
             record(n + 1, (n + 1) * dt, B_prev, B_half)
 
     arr = np.array(rows, dtype=float)
     # Columns in field order: steps, times, the four energies, div B.
     trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
-    state = FieldState(E=E, B=B_half, step=config.steps, time=config.steps * dt)
-    return state, trace
+    return E, B_half, trace

@@ -82,6 +82,18 @@ def test_simulate_rejects_counts_below_one(kuhn_file, tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [(["pic", "--paths", "-3"], "--paths"),
+                                        (["pic", "--paths", "0"], "--paths"),
+                                        (["eigen", "--count", "0"], "--count"),
+                                        (["eigen", "--count", "-2"], "--count")])
+def test_pic_and_eigen_reject_counts_below_one(tmp_path, argv, flag):
+    # The mesh path does not exist: the count is rejected before it is read.
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit, match=f"{flag} must be at least 1"):
+        main(argv + ["--mesh", str(tmp_path / "missing.mesh"), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_simulate_trace_and_force(kuhn_file, tmp_path):
     out = tmp_path / "trace.csv"
     assert (

@@ -6,11 +6,10 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from declat import cli, generators, hodge, maxwell
-from declat.hodge import MaterialMap, SparsityPattern, assemble_hodge
+from declat.hodge import MaterialMap, _neighbor_pattern, assemble_hodge
 from declat.maxwell import (
     DiscreteCodifferential,
     MaxwellOperators,
-    SimulationConfig,
     ampere_step,
     apply_pec,
     compare_inverse_modes,
@@ -73,8 +72,8 @@ class TestAmpere:
 
     def test_exact_vs_spai_within_residual(self, box3, classification_of, rng):
         ops = apply_pec(box3, classification_of(box3))
-        exact = DiscreteCodifferential(ops, "exact")
-        approx = DiscreteCodifferential(ops, "spai", level=3)
+        exact = DiscreteCodifferential(ops)
+        approx = DiscreteCodifferential(ops, level=3)
         B = rng.standard_normal(ops.n_faces)
         u = exact.apply(B)
         v = approx.apply(B)
@@ -86,13 +85,13 @@ class TestAmpere:
     def test_spai_support_containment(self, box3, classification_of):
         level = 2
         ops = apply_pec(box3, classification_of(box3))
-        approx = DiscreteCodifferential(ops, "spai", level=level)
+        approx = DiscreteCodifferential(ops, level)
         B = np.zeros(ops.n_faces)
         B[7] = 1.0
         out = ampere_step(B, approx)
         # Nonzeros confined to the pattern rows reachable from the touched edges.
         touched = ops.C1.T @ (ops.Hmu_inv @ B)
-        pattern = SparsityPattern.build(ops.Heps, level).pattern
+        pattern = _neighbor_pattern(ops.Heps, level)
         reachable = np.zeros(ops.n_edges, dtype=bool)
         for j in np.flatnonzero(touched):
             reachable |= np.asarray(pattern[:, j].todense()).ravel() > 0
@@ -102,8 +101,8 @@ class TestAmpere:
 class TestLeapfrog:
     def test_zero_state_stays_zero(self, kuhn, classification_of):
         ops = apply_pec(kuhn, classification_of(kuhn))
-        state, trace = leapfrog_run(ops, SimulationConfig(dt=0.1, steps=50))
-        assert np.all(state.E == 0.0) and np.all(state.B == 0.0)
+        E, B, trace = leapfrog_run(DiscreteCodifferential(ops), dt=0.1, steps=50)
+        assert np.all(E == 0.0) and np.all(B == 0.0)
         assert np.all(trace.h_total == 0.0)
 
     def test_energy_flat_and_divergence_frozen(self, kuhn, classification_of, rng):
@@ -111,9 +110,8 @@ class TestLeapfrog:
         dt = 0.9 * stable_timestep(ops)
         E0 = rng.standard_normal(ops.n_edges)
         B0 = rng.standard_normal(ops.n_faces)
-        _, trace = leapfrog_run(
-            ops, SimulationConfig(dt=dt, steps=10_000, trace_every=10), E0, B0
-        )
+        _, _, trace = leapfrog_run(DiscreteCodifferential(ops), dt, 10_000, E0, B0,
+                                   trace_every=10)
         assert abs(trace.drift_per_step()) <= 1e-10
         assert trace.div_b_residual.max() <= 1e-12
         # Bounded oscillation: second half is no wilder than the first.
@@ -127,19 +125,19 @@ class TestLeapfrog:
         E0 = rng.standard_normal(ops.n_edges)
         B0 = rng.standard_normal(ops.n_faces)
         with pytest.raises(FloatingPointError, match="blow-up"):
-            leapfrog_run(ops, SimulationConfig(dt=dt, steps=200), E0, B0)
+            leapfrog_run(DiscreteCodifferential(ops), dt, 200, E0, B0)
 
     @pytest.mark.parametrize("trace_every", [0, -1])
     def test_trace_every_below_one_rejected(self, kuhn, classification_of, trace_every):
         ops = apply_pec(kuhn, classification_of(kuhn))
         with pytest.raises(ValueError, match="trace_every"):
-            leapfrog_run(ops, SimulationConfig(dt=0.1, steps=5, trace_every=trace_every))
+            leapfrog_run(DiscreteCodifferential(ops), 0.1, 5, trace_every=trace_every)
 
     def test_trace_csv(self, tmp_path, kuhn, classification_of, rng):
         ops = apply_pec(kuhn, classification_of(kuhn))
         dt = 0.5 * stable_timestep(ops)
-        _, trace = leapfrog_run(
-            ops, SimulationConfig(dt=dt, steps=20),
+        _, _, trace = leapfrog_run(
+            DiscreteCodifferential(ops), dt, 20,
             rng.standard_normal(ops.n_edges), rng.standard_normal(ops.n_faces),
         )
         path = tmp_path / "trace.csv"
@@ -160,11 +158,9 @@ class TestLeapfrog:
             return np.sin(3.0 * t) * J0
 
         dt, steps = 0.5 * stable_timestep(ops), 300
-        state, _ = leapfrog_run(
-            ops, SimulationConfig(dt=dt, steps=steps, source=source),
-            B0=rng.standard_normal(ops.n_faces),
-        )
-        charge = G.T @ (ops.Heps @ state.E)
+        E, _, _ = leapfrog_run(DiscreteCodifferential(ops), dt, steps,
+                               B0=rng.standard_normal(ops.n_faces), source=source)
+        charge = G.T @ (ops.Heps @ E)
         expected = -dt * sum(G.T @ source((n + 0.5) * dt) for n in range(steps))
         assert np.linalg.norm(charge - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -180,15 +176,15 @@ class TestLeapfrog:
         E0, B0 = rng.standard_normal(ops.n_edges), rng.standard_normal(ops.n_faces)
         J0 = rng.standard_normal(ops.n_edges)
         codiff = DiscreteCodifferential(ops)
-        cfg = SimulationConfig(dt=0.5 * stable_timestep(ops, codiff), steps=200,
-                               source=lambda t: np.cos(2.0 * t) * J0, trace_every=trace_every)
-        state, trace = leapfrog_run(ops, cfg, E0, B0, codiff)
-        expect, oracle = leapfrog_run_loop(ops, cfg, E0, B0, codiff)
+        run = (codiff, 0.5 * stable_timestep(ops, codiff), 200, E0, B0,
+               lambda t: np.cos(2.0 * t) * J0, trace_every)
+        *state, trace = leapfrog_run(*run)
+        *expect, oracle = leapfrog_run_loop(*run)
         assert np.array_equal(trace.steps, oracle.steps)
         for column in ("h_total", "h_electric", "h_magnetic", "h_invariant"):
             got, want = getattr(trace, column), getattr(oracle, column)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), column
-        for got, want in ((state.E, expect.E), (state.B, expect.B)):
+        for got, want in zip(state, expect):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert trace.div_b_residual.max() <= 1e-12
 
@@ -198,30 +194,46 @@ class TestLeapfrog:
         mesh = generators.jittered_box_mesh(4, seed=3)
         ops = apply_pec(mesh, classify_boundary(mesh))
         rng = np.random.default_rng(0)
-        cfg = SimulationConfig(dt=0.9 * stable_timestep(ops), steps=2000, hodge_inverse="spai:1")
-        codiff = cfg.codifferential(ops)
+        codiff = DiscreteCodifferential(ops, level=1)
         assert (codiff.M != codiff.M.T).nnz == 0
-        _, trace = leapfrog_run(ops, cfg, rng.standard_normal(ops.n_edges),
-                                rng.standard_normal(ops.n_faces), codiff)
+        _, _, trace = leapfrog_run(codiff, 0.9 * stable_timestep(ops), 2000,
+                                   rng.standard_normal(ops.n_edges),
+                                   rng.standard_normal(ops.n_faces))
         assert abs(trace.drift_per_step()) <= 1e-10
 
 
 class TestInverseSpec:
-    def test_accepted_forms(self, box3, classification_of):
-        ops = apply_pec(box3, classification_of(box3))
-        exact = DiscreteCodifferential(ops)
-        assert SimulationConfig(1.0, 1, "exact").codifferential(ops, exact) is exact
-        assert SimulationConfig(1.0, 1, "exact").codifferential(ops).mode == "exact"
-        spai, spai1, spai2 = (SimulationConfig(1.0, 1, spec).codifferential(ops)
-                              for spec in ("spai", "spai:1", "spai:2"))
-        assert spai.mode == spai1.mode == spai2.mode == "spai"
-        assert (spai.M != spai1.M).nnz == 0 and spai2.M.nnz > spai1.M.nnz
+    """``declat simulate --hodge-inverse`` is the one parser of the spec."""
 
-    def test_malformed_rejected(self, kuhn, classification_of):
-        ops = apply_pec(kuhn, classification_of(kuhn))
+    @pytest.fixture
+    def kuhn_file(self, tmp_path, kuhn):
+        path = tmp_path / "kuhn.mesh"
+        write_mesh(kuhn, path)
+        return path
+
+    def test_accepted_forms(self, tmp_path, kuhn_file, monkeypatch):
+        levels = []
+
+        class Recorded(DiscreteCodifferential):
+            def __init__(self, ops, level=None):
+                levels.append(level)
+                super().__init__(ops, level)
+
+        monkeypatch.setattr(cli, "DiscreteCodifferential", Recorded)
+        # The exact inverse serves the bound, and an exact run reuses it.
+        for spec, built in (("exact", [None]), ("spai", [None, 1]), ("spai:1", [None, 1]),
+                            ("spai:2", [None, 2]), ("spai:10", [None, 10])):
+            levels.clear()
+            assert cli.main(["simulate", "--mesh", str(kuhn_file), "--steps", "3",
+                             "--hodge-inverse", spec,
+                             "--out", str(tmp_path / "trace.csv")]) == 0
+            assert levels == built, spec
+
+    def test_malformed_rejected(self, tmp_path, kuhn_file):
         for spec in ("spaix", "spai:1:2", "spai:", "spai:x", "spai:-1", "Exact", "lu"):
-            with pytest.raises(ValueError, match=re.escape(repr(spec))):
-                SimulationConfig(1.0, 1, spec).codifferential(ops)
+            with pytest.raises(SystemExit, match=re.escape(repr(spec))):
+                cli.main(["simulate", "--mesh", str(kuhn_file), "--hodge-inverse", spec,
+                          "--out", str(tmp_path / "trace.csv")])
 
 
 class CountedLU:
@@ -284,8 +296,8 @@ class TestSharedInverse:
         dt = 0.5 * stable_timestep(ops, codiff)
         splu_calls[0].solves = 0
         J0 = rng.standard_normal(ops.n_edges)
-        cfg = SimulationConfig(dt=dt, steps=40, source=lambda t: np.sin(t) * J0)
-        leapfrog_run(ops, cfg, B0=rng.standard_normal(ops.n_faces), codiff=codiff)
+        leapfrog_run(codiff, dt, 40, B0=rng.standard_normal(ops.n_faces),
+                     source=lambda t: np.sin(t) * J0)
         assert len(splu_calls) == 1 and splu_calls[0].solves == 40
 
     def test_compare_inverse_modes_factors_once(self, box3, classification_of, splu_calls):
@@ -298,7 +310,7 @@ class TestSharedInverse:
         ops = apply_pec(box3, classification_of(box3))
         assert stable_timestep(ops, DiscreteCodifferential(ops)) == stable_timestep(ops)
         others = apply_pec(kuhn, classification_of(kuhn))
-        for inverse in (DiscreteCodifferential(ops, "spai"), DiscreteCodifferential(others)):
+        for inverse in (DiscreteCodifferential(ops, 1), DiscreteCodifferential(others)):
             with pytest.raises(ValueError, match="exact inverse"):
                 stable_timestep(ops, inverse)
 
@@ -306,7 +318,7 @@ class TestSharedInverse:
 class TestCodifferential:
     def test_apply_matches_the_triple_product_exactly(self, box3, classification_of, rng):
         ops = apply_pec(box3, classification_of(box3))
-        for codiff in (DiscreteCodifferential(ops), DiscreteCodifferential(ops, "spai")):
+        for codiff in (DiscreteCodifferential(ops), DiscreteCodifferential(ops, 1)):
             for _ in range(20):
                 B = rng.standard_normal(ops.n_faces)
                 expect = codiff.solve_eps(ops.C1.T @ (ops.Hmu_inv @ B))
@@ -477,8 +489,8 @@ class TestInverseModeComparison:
         E0, B0 = rng.standard_normal(ops.n_edges), rng.standard_normal(ops.n_faces)
         dt, steps = 0.5 * dt_max, 200
         out = compare_inverse_modes(ops, dt, steps, level, E0, B0, dt_max)
-        ends = [leapfrog_run(ops, SimulationConfig(dt, steps, inverse), E0, B0)[0]
-                for inverse in ("exact", f"spai:{level}")]
-        dE, dB = ends[0].E - ends[1].E, ends[0].B - ends[1].B
+        ends = [leapfrog_run(DiscreteCodifferential(ops, inverse), dt, steps, E0, B0)
+                for inverse in (None, level)]
+        dE, dB = ends[0][0] - ends[1][0], ends[0][1] - ends[1][1]
         gap = np.sqrt(dE @ (ops.Heps @ dE) + dB @ (ops.Hmu_inv @ dB))
         np.testing.assert_allclose(out["divergence"][-1], gap, rtol=1e-12)

@@ -1,6 +1,8 @@
 import hashlib
 import re
 import warnings
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -382,11 +384,9 @@ def test_nonmanifold_face_rejected():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
         dtype=float,
     )
-    mesh = SimplicialComplex(
-        verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
-    )
-    with pytest.raises(MeshError, match="non-manifold"):
-        classify_boundary(mesh)
+    with pytest.raises(MeshError, match=re.escape(
+            "non-manifold face [0, 1, 2] (more than two incident tets)")):
+        SimplicialComplex(verts, np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]))
 
 
 def test_adjacency_matches_loop(all_meshes):
@@ -399,21 +399,49 @@ def test_adjacency_matches_loop(all_meshes):
 
 
 def test_nonmanifold_message_matches_loop():
-    # Faces (0, 1, 2) and (0, 1, 3) each have three tets; the loop raises
-    # at the one whose third tet comes first in tet order.
+    # Faces (0, 1, 2) and (0, 1, 3) each have three tets; a loop over the
+    # sorted tet rows names the one whose third tet comes first.
     verts = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1], [1, 1, -1]],
         dtype=float,
     )
-    mesh = SimplicialComplex(
-        verts,
-        np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 6], [0, 1, 2, 5], [0, 1, 3, 5]]),
-    )
-    with pytest.raises(MeshError) as want:
-        face_tets_loop(mesh)
+    tets = [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 6], [0, 1, 2, 5], [0, 1, 3, 5]]
+    count = Counter()
+    for tet in sorted(sorted(t) for t in tets):
+        count.update(combinations(tet, 3))
+        full = [face for face in combinations(tet, 3) if count[face] == 3]
+        if full:
+            break
     with pytest.raises(MeshError) as got:
-        mesh.face_tets
-    assert str(got.value) == str(want.value)
+        SimplicialComplex(verts, np.array(tets))
+    assert str(got.value) == f"non-manifold face {list(full[0])} (more than two incident tets)"
+
+
+def _with_tet_on_interior_face(mesh):
+    # The mesh plus one tet on its first interior face, which then has three.
+    face = mesh.faces[np.flatnonzero(mesh.face_tets[:, 1] >= 0)[0]]
+    apex = mesh.vertices[face].mean(axis=0) + [2.0, 3.0, 5.0]
+    tets = np.vstack([mesh.tets, [*face, mesh.n_vertices]])
+    return (np.vstack([mesh.vertices, apex]), tets), face
+
+
+# Meshes with one face shared by three tets, and that face.
+_OVERFULL = {
+    "fan": ((np.vstack([_UNIT_TET, [[0, 0, -1], [1, 1, 1]]]),
+             np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])), np.array([0, 1, 2])),
+    "kuhn": _with_tet_on_interior_face(_KUHN),
+    "box2": _with_tet_on_interior_face(_BOX2),
+}
+
+
+@given(name=st.sampled_from(sorted(_OVERFULL)), seed=st.integers(0, 2**32 - 1))
+def test_overfull_face_named_under_relabelling(name, seed):
+    (verts, tets), face = _OVERFULL[name]
+    moved, moved_tets, perm = _relabel(verts, tets, seed)
+    with pytest.raises(MeshError) as err:
+        SimplicialComplex(moved, moved_tets)
+    assert str(err.value) == (f"non-manifold face {sorted(perm[face].tolist())} "
+                              "(more than two incident tets)")
 
 
 def test_euler_single_tet(single_tet):

@@ -161,9 +161,9 @@ class TestDeRham:
         c = de_rham(AnalyticForm(0, lambda p: p[:, 0]), mesh)
         assert c.values[0] == 2.0
 
-    def test_degree_mismatch_raises(self, single_tet):
-        with pytest.raises(ValueError):
-            de_rham(constant_form(1, [1, 0, 0]), single_tet, p=2)
+    def test_degree_out_of_range_raises(self, single_tet):
+        with pytest.raises(ValueError, match="degree must be in 0..3"):
+            de_rham(constant_form(4, [1, 0, 0]), single_tet)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_quadratic_proxies_reduce_exactly(self, jittered3, rng, p):
@@ -227,7 +227,7 @@ class TestInterpolate:
         for p in range(4):
             c = Cochain(p, rng.standard_normal(box3.n_simplices(p)))
             form = AnalyticForm(p, lambda q, c=c: interpolate_at_points(basis, c, q))
-            back = de_rham(form, box3, p)
+            back = de_rham(form, box3)
             assert np.abs(back.values - c.values).max() <= 1e-12
 
     @pytest.mark.parametrize("name", ["jittered3", "box3", "annulus8"])
