@@ -45,6 +45,7 @@ __all__ = [
     "SimplicialComplex",
     "BoundaryClassification",
     "EulerReport",
+    "classify_boundary",
     "load_mesh",
     "parse_mesh",
     "write_mesh",

@@ -1,4 +1,4 @@
-"""Every exported name resolves: each module's ``__all__`` and the package's imports."""
+"""Every exported name resolves, and the package re-exports only declared names."""
 
 import ast
 import importlib
@@ -19,9 +19,12 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-def test_package_imports_resolve():
-    # The names ``declat/__init__.py`` imports from its modules, read from its source.
+def test_package_imports_are_declared():
+    # Each name ``declat/__init__.py`` imports from a module is in that
+    # module's ``__all__`` (a stale import already fails ``import declat``).
     tree = ast.parse(Path(declat.__file__).read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert imported and [name for name in imported if not hasattr(declat, name)] == []
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module]
+    assert imports
+    for node in imports:
+        declared = importlib.import_module(f"declat.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in declared] == [], node.module
