@@ -53,6 +53,14 @@ def _require_counts(*flags: tuple[str, int]) -> None:
             raise SystemExit(f"{flag} must be at least 1, got {value}")
 
 
+def _require_positive(*flags: tuple[str, float | None]) -> None:
+    """Exit, before any work, on a value flag that is given but is not a
+    finite number above 0."""
+    for flag, value in flags:
+        if value is not None and not 0 < value < float("inf"):
+            raise SystemExit(f"{flag} must be a finite number above 0, got {value!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` and a newline to the file ``out``, or print it."""
     if out:
@@ -106,12 +114,13 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # A malformed spec or count fails before any work.
+    # A malformed spec, count or time step fails before any work.
     spec = re.fullmatch(r"exact|spai(?::(\d+))?", args.hodge_inverse)
     if spec is None:
         raise SystemExit(f"--hodge-inverse: unknown hodge_inverse {args.hodge_inverse!r}: "
                          "expected 'exact', 'spai' or 'spai:<level>'")
     _require_counts(("--steps", args.steps), ("--trace-every", args.trace_every))
+    _require_positive(("--dt", args.dt), ("--dt-factor", args.dt_factor))
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, _materials(args))
@@ -197,6 +206,7 @@ def cmd_pml(args) -> int:
 
 def cmd_pic(args) -> int:
     _require_counts(("--paths", args.paths))
+    _require_positive(("--tau", args.tau))
     mesh = load_mesh(args.mesh) if args.mesh else generators.box_mesh(3)
     basis = WhitneyBasis(mesh)
     rng = np.random.default_rng(args.seed)

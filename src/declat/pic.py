@@ -11,7 +11,8 @@ for the canonical edge (a, b) (the integrand is affine along the segment,
 so the midpoint average is exact).  Summing incident edge currents at a
 node then telescopes to qdot times the change of that node's barycentric
 coordinate: charge conservation holds to rounding, segment by segment,
-also across cell-boundary splits.
+also across cell-boundary splits.  One face-crossing walk splits a path;
+it also finds the start tet, walking in from the start's grid seed.
 
 Fields gather back to particles by Whitney interpolation, and a rotating
 (Boris-style) split advances velocities with half-step electric kicks.
@@ -83,6 +84,33 @@ def scatter_charge(
     return basis.complex.tets[t], particle.charge * lam
 
 
+def _walk(basis, t: int, ends: np.ndarray, tol: float):
+    """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
+    ``t``: the within-tet segments (tet and both chord ends' coordinates), the
+    chord parameters where each is entered and left, and whether the chord
+    left the mesh; None if the walk reaches its step cap."""
+    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    segments, bounds = [], [0.0]
+    for _ in range(8 * basis.complex.n_tets + 16):
+        # Raw affine coordinates of both chord ends in t (identical endpoints
+        # give exact zeros); along the chord they are affine in the parameter.
+        a, b = ((ends - origin[t]) @ grads[t].T + _E0).tolist()
+        segments.append((t, a, b))
+        if min(b) >= -tol:
+            bounds.append(1.0)
+            return segments, bounds, False
+        # Leave t by the face whose coordinate reaches zero first (lowest index on a tie).
+        s, worst = np.inf, 0
+        for i in range(4):
+            if b[i] - a[i] < -tol and a[i] / (a[i] - b[i]) < s:
+                s, worst = a[i] / (a[i] - b[i]), i
+        bounds.append(min(max(s, bounds[-1]), 1.0))
+        t = int(neighbors[t, worst])
+        if t < 0:
+            return segments, bounds, True
+    return None
+
+
 def scatter_current(
     complex_or_basis,
     x_start: np.ndarray,
@@ -93,10 +121,13 @@ def scatter_current(
 ) -> ScatterResult:
     """Deposit the current of a charge moving in a straight line.
 
-    The path is split at cell boundaries, one face crossing at a time from
-    the tet that holds the start; then all within-tet segments are
-    deposited in closed form at once.  If the path leaves the mesh the
-    scatter is partial up to the exit point and flagged.
+    The start tet is where a walk along the chord from the centroid of the
+    start's grid seed tet ends; if that walk leaves the mesh (a non-convex
+    mesh) or reaches its step cap, ``basis.locate`` finds it instead, and
+    raises OutsideMeshError for a start in no tet.  The path is then split
+    at cell boundaries, one face crossing at a time, and all within-tet
+    segments are deposited in closed form at once.  If the path leaves the
+    mesh the scatter is partial up to the exit point and flagged.
     """
     basis = _as_basis(complex_or_basis)
     if tau <= 0:
@@ -104,29 +135,13 @@ def scatter_current(
     cx = basis.complex
     qdot = q / tau
     ends = np.array([x_start, x_end], dtype=float)
-    t, _ = basis.locate(ends[0])
-    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
-    segments = []  # per within-tet segment: its tet and both chord ends' coordinates
-    bounds = [0.0]  # chord parameter where the path enters, then leaves, each segment
-    exited = False
-    for _ in range(8 * cx.n_tets + 16):
-        # Raw affine coordinates of both chord ends in t (identical endpoints
-        # give exact zeros); along the chord they are affine in the parameter.
-        a, b = ((ends - origin[t]) @ grads[t].T + _E0).tolist()
-        segments.append((t, a, b))
-        if min(b) >= -tol:
-            bounds.append(1.0)
-            break
-        # The path leaves t through the face whose coordinate reaches zero first.
-        s, worst = min(((ai / (ai - bi), i) for i, (ai, bi) in enumerate(zip(a, b))
-                        if bi - ai < -tol), default=(np.inf, 0))
-        bounds.append(min(max(s, bounds[-1]), 1.0))
-        t = int(neighbors[t, worst])
-        if t < 0:
-            exited = True
-            break
-    else:
+    seed = int(basis._seeds(ends[:1])[0])
+    found = _walk(basis, seed, np.array([cx.vertices[cx.tets[seed]].mean(axis=0), ends[0]]), tol)
+    t = found[0][-1][0] if found and not found[2] else basis.locate(ends[0])[0]
+    walked = _walk(basis, t, ends, tol)
+    if walked is None:
         raise RuntimeError("path splitting did not terminate")
+    segments, bounds, exited = walked
 
     tets, lam_a, lam_b = (np.array(c) for c in zip(*segments))
     dlam = lam_b - lam_a

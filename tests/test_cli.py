@@ -6,6 +6,7 @@ import pytest
 from declat.cli import main
 from declat.hodge import MaterialMap, assemble_galerkin_dual, read_coo
 from declat.mesh import load_mesh
+from declat.whitney import WhitneyBasis
 
 
 @pytest.fixture
@@ -94,6 +95,23 @@ def test_pic_and_eigen_reject_counts_below_one(tmp_path, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [(["simulate", "--dt", "-0.1"], "--dt"),
+                                        (["simulate", "--dt", "0"], "--dt"),
+                                        (["simulate", "--dt", "nan"], "--dt"),
+                                        (["simulate", "--dt", "inf"], "--dt"),
+                                        (["simulate", "--dt-factor", "0"], "--dt-factor"),
+                                        (["simulate", "--dt-factor", "nan"], "--dt-factor"),
+                                        (["pic", "--tau", "0"], "--tau"),
+                                        (["pic", "--tau", "-1"], "--tau"),
+                                        (["pic", "--tau", "nan"], "--tau")])
+def test_time_steps_rejected_before_work(tmp_path, argv, flag):
+    # The mesh path does not exist: the value is rejected before it is read.
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit, match=f"^{flag} must be a finite number above 0"):
+        main(argv + ["--mesh", str(tmp_path / "missing.mesh"), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_simulate_trace_and_force(kuhn_file, tmp_path):
     out = tmp_path / "trace.csv"
     assert (
@@ -150,6 +168,25 @@ def test_pic_conservation_exit_zero(tmp_path):
     assert main(["pic", "--paths", "300", "--seed", "7", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["max_residual_relative"] <= 1e-12
+
+
+def test_pic_on_convex_mesh_locates_no_point(tmp_path, monkeypatch):
+    # Every path's start tet comes from the walk in from its grid seed,
+    # which on a convex mesh never needs point location or bary.
+    mesh = tmp_path / "box3.mesh"
+    assert main(["genmesh", "--kind", "box", "--n", "3", "--out", str(mesh)]) == 0
+    calls = {"locate": 0, "bary": 0}
+    for name in calls:
+        method = getattr(WhitneyBasis, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(WhitneyBasis, name, counted)
+    out = tmp_path / "cons.json"
+    assert main(["pic", "--mesh", str(mesh), "--paths", "50", "--out", str(out)]) == 0
+    assert calls == {"locate": 0, "bary": 0}
 
 
 def test_pml_sweep_csv(tmp_path):

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from declat import generators
+from declat import generators, pic
 from declat.pic import (
     Particle,
     gather,
@@ -11,7 +13,7 @@ from declat.pic import (
     scatter_current,
     verify_conservation,
 )
-from declat.whitney import AnalyticForm, WhitneyBasis, de_rham
+from declat.whitney import AnalyticForm, OutsideMeshError, WhitneyBasis, de_rham
 
 from _oracles import scatter_current_loop
 
@@ -153,6 +155,14 @@ def _interior_point(mesh, rng) -> np.ndarray:
     return rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
 
 
+def _path_end(mesh, a, rng, leave: bool) -> np.ndarray:
+    """Another interior point, or a point past the far side of the mesh from ``a``."""
+    if not leave:
+        return _interior_point(mesh, rng)
+    u = rng.standard_normal(3)
+    return a + 1.2 * np.ptp(mesh.vertices, axis=0).max() * np.sqrt(3) * u / np.linalg.norm(u)
+
+
 @given(
     name=st.sampled_from(["jittered3", "box3", "annulus8"]),
     seed=st.integers(0, 2**32 - 1),
@@ -167,11 +177,7 @@ def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, 
     basis = basis_of(mesh)
     rng = np.random.default_rng(seed)
     a = _interior_point(mesh, rng)
-    if leave:
-        u = rng.standard_normal(3)
-        b = a + 1.2 * np.ptp(mesh.vertices, axis=0).max() * np.sqrt(3) * u / np.linalg.norm(u)
-    else:
-        b = _interior_point(mesh, rng)
+    b = _path_end(mesh, a, rng, leave)
     res = scatter_current(basis, a, b, q, tau)
     final, rate, current, exited = scatter_current_loop(basis, a, b, q, tau)
     assert res.exited == exited and (res.exited or not leave)
@@ -179,6 +185,73 @@ def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, 
         assert np.abs(got.values - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
     residual = verify_conservation(basis, a, b, q, tau)
     assert residual <= 1e-12 * abs(q / tau)
+
+
+def _scatter_from_locate(basis, a, b, q, tau):
+    """``scatter_current`` with its start tet from ``basis.locate``: the walk
+    from the grid seed is made to report its step cap, so the fallback runs."""
+    walk, calls = pic._walk, []
+
+    def capped_first(*args):
+        calls.append(None)
+        return None if len(calls) == 1 else walk(*args)
+
+    with mock.patch.object(pic, "_walk", capped_first):
+        return scatter_current(basis, a, b, q, tau)
+
+
+def _assert_same_scatter(got, want):
+    assert got.exited == want.exited
+    for name in ("edge_current", "node_rate", "node_charge"):
+        assert np.array_equal(getattr(got, name).values, getattr(want, name).values), name
+
+
+@given(
+    name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
+    seed=st.integers(0, 2**32 - 1),
+    leave=st.booleans(),
+)
+def test_seed_walk_start_matches_locate_start(all_meshes, basis_of, name, seed, leave):
+    # A generic interior start lies in one tet only, so both ways to find
+    # it agree and the deposit must be bit-identical.
+    mesh = all_meshes[name]
+    basis = basis_of(mesh)
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(mesh.n_tets))
+    a = rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
+    assume(basis.bary(np.array([t]), a.reshape(1, 3)).min() > 1e-9)
+    b = _path_end(mesh, a, rng, leave)
+    _assert_same_scatter(scatter_current(basis, a, b, 1.3, 0.7),
+                         _scatter_from_locate(basis, a, b, 1.3, 0.7))
+
+
+def test_seed_chord_across_annulus_hole_falls_back(annulus8, basis_of, monkeypatch):
+    # The start's grid seed lies on the far side of the ring's hole: the
+    # walk from the seed leaves the mesh, and basis.locate finds the start.
+    basis = basis_of(annulus8)
+    a, b = np.array([1.05, -1.371, 0.598]), np.array([1.6, 0.2, 0.4])
+    want = _scatter_from_locate(basis, a, b, 1.0, 1.0)
+    calls = []
+    locate = WhitneyBasis.locate
+
+    def counted(self, point, tol=1e-10):
+        calls.append(point)
+        return locate(self, point, tol)
+
+    monkeypatch.setattr(WhitneyBasis, "locate", counted)
+    _assert_same_scatter(scatter_current(basis, a, b, 1.0, 1.0), want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, start, end", [
+    ("annulus8", (0.0, 0.0, 0.5), (1.5, 0.0, 0.5)),  # in the ring's hole
+    ("box3", (1.5, 0.5, 0.5), (0.5, 0.5, 0.5)),  # outside the unit box
+])
+def test_start_outside_mesh_raises(all_meshes, basis_of, name, start, end):
+    basis = basis_of(all_meshes[name])
+    for deposit in (scatter_current, verify_conservation):
+        with pytest.raises(OutsideMeshError):
+            deposit(basis, np.array(start), np.array(end), 1.0, 1.0)
 
 
 class TestGather:
