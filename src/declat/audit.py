@@ -23,7 +23,7 @@ margin, get a factored estimate, and the row says it is not a proof.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -55,15 +55,6 @@ class AuditCheck:
     threshold: float
     passed: bool
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -109,7 +100,7 @@ class AuditReport:
                     {
                         "name": s.name,
                         "passed": s.passed,
-                        "checks": [c.as_dict() for c in s.checks],
+                        "checks": [asdict(c) for c in s.checks],
                     }
                     for s in self.sections
                 ],

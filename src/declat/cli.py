@@ -175,27 +175,11 @@ def cmd_dof(args) -> int:
 def cmd_pml(args) -> int:
     if not args.sweep:
         raise SystemExit("pml currently supports --sweep")
-    nx, nz = args.nx, args.nz
-    length = args.length
-    mesh = generators.box_mesh(nx, nx, nz, lengths=(1.0, 1.0, length))
-    cls = classify_boundary(mesh)
-    omega = args.omega_factor * np.pi
-    kz = float(np.sqrt(omega**2 - np.pi**2))
-    mids = mesh.vertices[mesh.edges].mean(axis=1)
-    evec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    h = length / nz
-    ydir = (np.abs(evec[:, 0]) < 1e-12) & (np.abs(evec[:, 2]) < 1e-12)
-    sel = ydir & (np.abs(mids[:, 2] - args.source_z) < 0.51 * h)
-    src_edges = np.flatnonzero(sel)
-    src_vals = np.sin(np.pi * mids[sel, 0]) * np.abs(evec[sel, 1])
-    zs = np.linspace(args.window_lo, args.window_hi, 49)
-    pts = np.stack([np.full_like(zs, 0.5), np.full_like(zs, 0.5), zs], axis=1)
     omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
     rows = reflection_sweep(
-        mesh, cls, omega, omega_maxes,
-        pml_start=args.pml_start, pml_end=length,
-        source_edges=src_edges, source_values=src_vals,
-        sample_points=pts, kz=kz,
+        args.nx, args.nz, args.length, args.omega_factor * np.pi, omega_maxes,
+        pml_start=args.pml_start, source_z=args.source_z,
+        sample_z=np.linspace(args.window_lo, args.window_hi, 49),
     )
     write_sweep(rows, args.out)
     print(f"wrote {args.out}")

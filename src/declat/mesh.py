@@ -144,7 +144,7 @@ class SimplicialComplex:
             i = int(dup.argmax())
             raise MeshError(f"duplicated tet {tets[i].tolist()} at rows {order[i:i + 2].tolist()}")
         vols = _signed_volumes(vertices, tets)
-        if np.any(np.abs(vols) < 1e-14 * np.abs(vols).max(initial=1.0)) or np.any(vols == 0.0):
+        if np.any(np.abs(vols) <= 1e-14 * np.abs(vols).max()):
             bad = int(np.argmin(np.abs(vols)))
             raise MeshError(f"degenerate tet {tets[bad].tolist()} (zero volume)")
         flip = vols < 0
@@ -184,10 +184,9 @@ class SimplicialComplex:
                          self.n_edges),
             _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
         ]
-        self._reject_folds()
         # One stable sort of the face slots, by face and then by tet, gives
         # face_tets, (F, 2) tet indices per face (-1 where absent, lower tet
-        # first), and serves the pinched-vertex check.
+        # first), and serves the fold and pinched-vertex checks.
         flat = self.tet_faces.ravel()
         order = np.argsort(flat, kind="stable")
         faces = flat[order]
@@ -196,6 +195,15 @@ class SimplicialComplex:
             f = flat[order[rank == 2].min()]
             raise MeshError(f"non-manifold face {self.faces[f].tolist()} "
                             "(more than two incident tets)")
+        # Two tets on opposite sides of a face see it with opposite signs.
+        signs = self.tet_face_signs.ravel()[order]
+        second = np.flatnonzero(rank == 1)
+        folded = second[signs[second] == signs[second - 1]]
+        if len(folded):
+            i = folded[0]
+            raise MeshError(f"folded tets {self.tets[order[i - 1] // 4].tolist()} and "
+                            f"{self.tets[order[i] // 4].tolist()} lie on the same side "
+                            f"of face {self.faces[faces[i]].tolist()}")
         self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
         self.face_tets[faces, rank] = order // 4
         _reject_pinched_vertices(ranked, flip, self.tet_faces, order)
@@ -240,20 +248,6 @@ class SimplicialComplex:
         if p not in (0, 1, 2):
             raise ValueError("incidence degree must be 0, 1 or 2")
         return self._incidence[p]
-
-    def _reject_folds(self) -> None:
-        # Two tets on opposite sides of a face see it with opposite signs,
-        # so a C2 column summing to +-2 is a pair on the same side.
-        col_sum = np.bincount(self.tet_faces.ravel(), weights=self.tet_face_signs.ravel(),
-                              minlength=self.n_faces)
-        folded = np.flatnonzero(np.abs(col_sum) == 2)
-        if len(folded):
-            f = int(folded[0])
-            t, _ = np.nonzero((self.tet_faces == f) & (self.tet_face_signs == np.sign(col_sum[f])))
-            raise MeshError(
-                f"folded tets {self.tets[t[0]].tolist()} and {self.tets[t[1]].tolist()} "
-                f"lie on the same side of face {self.faces[f].tolist()}"
-            )
 
     # -- adjacency ---------------------------------------------------------
 

@@ -11,6 +11,11 @@ s_x s_y / s_z) and summed by the same element routine into the star pair
 stars.  The incidence matrices are untouched, so the
 pre-metric equations are bit-identical with and without the layer, and
 the PEC walls go by the reduction :func:`declat.maxwell.apply_pec` uses.
+
+:func:`reflection_sweep` is the module's one experiment: it builds a PEC
+box waveguide, drives its TE10 mode from a band of transverse edges,
+backs the guide with a slab of each given strength against the far wall,
+and fits the field sampled on the guide's axis for the reflection.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .generators import box_mesh
 from .hodge import MaterialMap, _element_matrices, _star_weight, assemble_hodge
 from .maxwell import MaxwellOperators, reduce_pec
-from .mesh import SimplicialComplex
+from .mesh import SimplicialComplex, classify_boundary
 from .whitney import Cochain, WhitneyBasis, _TET4, interpolate_at_points
 
 __all__ = [
@@ -174,43 +180,53 @@ def measure_reflection(
 
 
 def reflection_sweep(
-    complex: SimplicialComplex,
-    classification,
+    nx: int,
+    nz: int,
+    length: float,
     omega: float,
     omega_maxes: list[float],
     pml_start: float,
-    pml_end: float,
-    source_edges: np.ndarray,
-    source_values: np.ndarray,
-    sample_points: np.ndarray,
-    kz: float,
-    materials: MaterialMap | None = None,
-    basis: WhitneyBasis | None = None,
+    source_z: float,
+    sample_z: np.ndarray,
 ) -> list[ReflectionRow]:
-    """Reflection magnitude versus layer strength on a waveguide mesh.
+    """Reflection magnitude versus layer strength in a PEC box waveguide.
 
-    For each profile strength, solve the driven harmonic problem with a
-    z-directed slab of quadratic profile between ``pml_start`` and
-    ``pml_end`` (PEC-backed outer wall), sample the transverse (y) field
-    along the guide axis, and extract the reflection magnitude from the
-    standing-wave fit.
+    The guide is ``box_mesh(nx, nx, nz)`` on the box 1 x 1 x ``length``,
+    PEC on every wall, so its TE10 cutoff is pi and kz = sqrt(omega^2 -
+    pi^2).  The source drives the y-directed edges within 0.51 cells of
+    the plane z = ``source_z``, each weighted by sin(pi x)|dy|.  For each
+    strength in ``omega_maxes`` a z-directed quadratic slab runs from
+    ``pml_start`` to the PEC far wall at z = ``length``; the driven
+    harmonic problem is solved, the y field is sampled on the axis
+    x = y = 0.5 at the heights ``sample_z``, and the standing-wave fit of
+    :func:`measure_reflection` gives |R|.
     """
-    basis = basis or WhitneyBasis(complex)
+    mesh = box_mesh(nx, nx, nz, lengths=(1.0, 1.0, length))
+    classification = classify_boundary(mesh)
+    basis = WhitneyBasis(mesh)
+    kz = float(np.sqrt(omega**2 - np.pi**2))
+    mids = mesh.vertices[mesh.edges].mean(axis=1)
+    evec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    h = length / nz
+    ydir = (np.abs(evec[:, 0]) < 1e-12) & (np.abs(evec[:, 2]) < 1e-12)
+    sel = ydir & (np.abs(mids[:, 2] - source_z) < 0.51 * h)
+    J = np.zeros(mesh.n_edges)
+    J[sel] = np.sin(np.pi * mids[sel, 0]) * np.abs(evec[sel, 1])
+    zs = np.asarray(sample_z, dtype=float)
+    points = np.stack([np.full_like(zs, 0.5), np.full_like(zs, 0.5), zs], axis=1)
     e_idx = classification.interior_edges
-    J = np.zeros(complex.n_edges)
-    J[source_edges] = source_values
 
     rows = []
-    thickness = abs(pml_end - pml_start)
+    thickness = abs(length - pml_start)
     for om_max in omega_maxes:
-        profile = StretchProfile(2, pml_start, pml_end, om_max)
-        stars = assemble_stretched(complex, materials, profile, omega, basis)
-        ops = reduce_pec(complex, classification, *stars)
+        profile = StretchProfile(2, pml_start, length, om_max)
+        stars = assemble_stretched(mesh, None, profile, omega, basis)
+        ops = reduce_pec(mesh, classification, *stars)
         E_red, _ = harmonic_solve(ops, J[e_idx], omega)  # boundary sources drop out
-        full = np.zeros(complex.n_edges, dtype=np.complex128)
+        full = np.zeros(mesh.n_edges, dtype=np.complex128)
         full[e_idx] = E_red
-        samples = interpolate_at_points(basis, Cochain(1, full), sample_points)
-        refl, _ = measure_reflection(samples[:, 1], sample_points[:, 2], kz)
+        samples = interpolate_at_points(basis, Cochain(1, full), points)
+        refl, _ = measure_reflection(samples[:, 1], zs, kz)
         rows.append(ReflectionRow(omega, om_max, thickness, refl))
     return rows
 

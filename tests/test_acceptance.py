@@ -266,24 +266,11 @@ def test_criterion_08_charge_conservation():
 
 
 def test_criterion_09_pml_reflection():
-    mesh = generators.box_mesh(4, 4, 24, lengths=(1.0, 1.0, 6.0))
-    cls = classify_boundary(mesh)
     omega = 1.4 * np.pi
     kz = float(np.sqrt(omega**2 - np.pi**2))
-    mids = mesh.vertices[mesh.edges].mean(axis=1)
-    evec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    ydir = (np.abs(evec[:, 0]) < 1e-12) & (np.abs(evec[:, 2]) < 1e-12)
-    sel = ydir & (np.abs(mids[:, 2] - 0.625) < 0.13)
-    src_edges = np.flatnonzero(sel)
-    src_vals = np.sin(np.pi * mids[sel, 0]) * np.abs(evec[sel, 1])
-    zs = np.linspace(1.2, 4.2, 49)
-    pts = np.stack([np.full_like(zs, 0.5), np.full_like(zs, 0.5), zs], axis=1)
     om_maxes = [0.0, 2.0, 4.0, 8.0, 16.0]
-    rows = reflection_sweep(
-        mesh, cls, omega, om_maxes, pml_start=4.5, pml_end=6.0,
-        source_edges=src_edges, source_values=src_vals,
-        sample_points=pts, kz=kz,
-    )
+    rows = reflection_sweep(4, 24, 6.0, omega, om_maxes, pml_start=4.5,
+                            source_z=0.625, sample_z=np.linspace(1.2, 4.2, 49))
     refl = np.array([r.reflection_mag for r in rows])
     floor = refl.min()
     # Trend against the line-model oracle while it sits above the floor.
@@ -301,14 +288,7 @@ def test_criterion_09_pml_reflection():
 
     # Trivial profile: stretched assembly must reproduce the real operators
     # bit for bit, hence the identical solution.
-    e_idx = cls.interior_edges
-    f_idx = cls.interior_faces
-    C1 = mesh.incidence(1)[f_idx][:, e_idx].tocsr()
-    J = np.zeros(len(e_idx))
-    lookup = {int(e): i for i, e in enumerate(e_idx)}
-    for e, v in zip(src_edges, src_vals):
-        if int(e) in lookup:
-            J[lookup[int(e)]] = v
+    mesh = generators.box_mesh(4, 4, 24, lengths=(1.0, 1.0, 6.0))
     trivial = StretchProfile(2, 4.5, 6.0, 0.0)
     Heps, Hmu_inv = assemble_stretched(mesh, MaterialMap(), trivial, omega)
     real_eps = assemble_hodge(mesh, MaterialMap(), "eps")

@@ -49,6 +49,10 @@ CASES = {
        for inv in ("exact", "spai:2")},
     "pic": ["pic", "--paths", "200"],
     "pml": ["pml", "--sweep", "--out", "{out}/sweep.csv"],
+    "pml/flags": ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
+                  "--pml-start", "1.5", "--source-z", "0.375", "--omega-factor", "1.6",
+                  "--window-lo", "0.9", "--window-hi", "1.4", "--omega-maxes", "0,3,6",
+                  "--out", "{out}/sweep.csv"],
     **{f"genmesh/{kind}": ["genmesh", "--kind", kind, "--n", "3", "--out", "{out}/m.mesh"]
        for kind in ("tet1", "kuhn", "box", "annulus")},
 }
@@ -146,6 +150,11 @@ GOLDEN = {
         "exit": 0,
         "stdout": "9b60aecd0b3aca6d3748f4d10f55796a4d82e1cf3ab67c58607de933f2c90e7c",
         "sweep.csv": "618c6c77a39376d7551273744c3ddf6f390620176c14b77ec040c2eadf3fa806",
+    },
+    "pml/flags": {
+        "exit": 0,
+        "stdout": "8dd1b0e693d11e77a836c9b49eb9419438a8d5cadbafbfd3d3df52facddc3eef",
+        "sweep.csv": "5915f5306aca1cc3a297af472dd4f1e6f6ba120784c206c4b2dd6c123d0ad884",
     },
     "genmesh/tet1": {
         "exit": 0,

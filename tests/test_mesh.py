@@ -47,6 +47,23 @@ def test_degenerate_tet_rejected():
         SimplicialComplex(verts, np.array([[0, 1, 2, 3]]))
 
 
+def test_micrometre_box_builds_like_unit_box():
+    # The degeneracy bound is relative to the largest tet, so scale alone
+    # never makes a valid mesh degenerate.
+    unit, tiny = generators.box_mesh(2), generators.box_mesh(2, lengths=(1e-5,) * 3)
+    for name in ("edges", "faces", "tets", "tet_edges", "tet_faces"):
+        assert np.array_equal(getattr(tiny, name), getattr(unit, name)), name
+
+
+def test_flat_tet_in_unit_mesh_named():
+    mesh = generators.box_mesh(2)
+    flat = np.flatnonzero(mesh.vertices[:, 2] == 0.0)[[0, 1, 3, 4]]
+    tets = np.vstack([mesh.tets, flat])
+    with pytest.raises(MeshError, match=re.escape(f"degenerate tet {sorted(flat.tolist())} "
+                                                  "(zero volume)")):
+        SimplicialComplex(mesh.vertices, tets)
+
+
 def test_repeated_vertex_rejected():
     verts = np.eye(4, 3)
     with pytest.raises(MeshError, match="repeated"):

@@ -14,22 +14,8 @@ from declat.pml import (
     stretch_tensor,
     write_sweep,
 )
-from declat.whitney import WhitneyBasis
 
 from _oracles import transfer_matrix_reflection
-
-
-def _waveguide(nx=4, nz=16, length=4.0):
-    mesh = generators.box_mesh(nx, nx, nz, lengths=(1.0, 1.0, length))
-    return mesh, classify_boundary(mesh)
-
-
-def _te10_source(mesh, z0, h):
-    mids = mesh.vertices[mesh.edges].mean(axis=1)
-    evec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    ydir = (np.abs(evec[:, 0]) < 1e-12) & (np.abs(evec[:, 2]) < 1e-12)
-    sel = ydir & (np.abs(mids[:, 2] - z0) < 0.51 * h)
-    return np.flatnonzero(sel), np.sin(np.pi * mids[sel, 0]) * np.abs(evec[sel, 1])
 
 
 class TestStretchTensor:
@@ -109,7 +95,8 @@ class TestHarmonicSolve:
         assert np.all(E == 0.0) and res == 0.0
 
     def test_residual_small(self):
-        mesh, cls = _waveguide(nx=2, nz=8)
+        mesh = generators.box_mesh(2, 2, 8, lengths=(1.0, 1.0, 4.0))
+        cls = classify_boundary(mesh)
         prof = StretchProfile(2, 3.0, 4.0, omega_max=6.0)
         omega = 1.4 * np.pi
         ops = reduce_pec(mesh, cls, *assemble_stretched(mesh, MaterialMap(), prof, omega))
@@ -129,19 +116,11 @@ class TestReflection:
         assert abs(refl - 0.05 / 1.3) <= 1e-12 and resid <= 1e-12
 
     def test_sweep_monotone_and_oracle_trend(self, tmp_path):
-        mesh, cls = _waveguide(nx=4, nz=20, length=5.0)
         omega = 1.4 * np.pi
         kz = float(np.sqrt(omega**2 - np.pi**2))
-        h = 5.0 / 20
-        src_edges, src_vals = _te10_source(mesh, 0.625, h)
-        zs = np.linspace(1.2, 3.2, 33)
-        pts = np.stack([np.full_like(zs, 0.5), np.full_like(zs, 0.5), zs], axis=1)
         om_maxes = [0.0, 2.0, 4.0, 8.0]
-        rows = reflection_sweep(
-            mesh, cls, omega, om_maxes, pml_start=3.5, pml_end=5.0,
-            source_edges=src_edges, source_values=src_vals,
-            sample_points=pts, kz=kz,
-        )
+        rows = reflection_sweep(4, 20, 5.0, omega, om_maxes, pml_start=3.5,
+                                source_z=0.625, sample_z=np.linspace(1.2, 3.2, 33))
         refl = np.array([r.reflection_mag for r in rows])
         # No layer: the far wall reflects everything.
         assert abs(refl[0] - 1.0) <= 0.15
