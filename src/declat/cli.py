@@ -175,6 +175,15 @@ def cmd_dof(args) -> int:
 def cmd_pml(args) -> int:
     if not args.sweep:
         raise SystemExit("pml currently supports --sweep")
+    # Checked before any mesh is built: at or below the cutoff kz is not
+    # real, and a source or window outside the guide drives or samples nothing.
+    if not 1 < args.omega_factor < float("inf"):
+        raise SystemExit(f"--omega-factor must be finite and above 1, got {args.omega_factor!r}")
+    if not 0 < args.source_z < args.length:
+        raise SystemExit(f"--source-z must lie between 0 and --length, got {args.source_z!r}")
+    for flag, z in (("--window-lo", args.window_lo), ("--window-hi", args.window_hi)):
+        if not 0 <= z <= args.length:
+            raise SystemExit(f"{flag} must lie in [0, --length], got {z!r}")
     omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
     rows = reflection_sweep(
         args.nx, args.nz, args.length, args.omega_factor * np.pi, omega_maxes,

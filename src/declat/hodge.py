@@ -20,7 +20,8 @@ The numerical inverse of a star is dense in general but its entries decay
 away from the diagonal, which justifies the sparse approximate inverse
 built here: a per-column Frobenius-norm least-squares fit restricted to a
 neighbor-pattern of prescribed level.  Each fit is solved through its
-normal equations, a small Cholesky solve on a block of H^H H, so a block
+normal equations: only the upper triangle of a small block of H^H H is
+gathered, and LAPACK's potrf, pocon and potrs run on it directly.  A block
 counts as singular once its condition number nears 1/eps (about 1e8 for
 the sliced columns of H): stricter than a dense least-squares rank rule,
 never looser.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs
+from scipy.linalg import eigh, get_lapack_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolve_triangular
 
 from .dual import DualComplex
@@ -267,10 +268,11 @@ def spai_inverse(H: sparse.spmatrix, level: int = 0) -> tuple[sparse.csr_matrix,
     (:func:`_neighbor_pattern`), which minimizes the Frobenius
     deviation ||I - M H||_F position by position (H symmetric).  It is
     solved through its normal equations (H^H H)[J, J] x = conj(H[j, J]):
-    G = H^H H is formed once, each |J| x |J| block is gathered from the CSC
-    columns of G in J and solved by Cholesky.  Only the nonzero rows of
-    H[:, J] contribute to G, so this is the fit a dense least-squares
-    solve on those rows makes.  Returns (M, residual).
+    the upper triangle G of H^H H is formed once, and the upper triangle of
+    each |J| x |J| block, all that LAPACK's potrf, pocon and potrs read, is
+    gathered from the CSC columns of G in J and factored and solved by them
+    directly.  Only the nonzero rows of H[:, J] contribute, so this is the
+    fit a dense least-squares solve on those rows makes.  Returns (M, residual).
 
     Raises ``LinAlgError`` when row j of H has no stored entry in J (the
     unit vector lies outside the restricted row set), and when G[J, J] is
@@ -280,9 +282,8 @@ def spai_inverse(H: sparse.spmatrix, level: int = 0) -> tuple[sparse.csr_matrix,
     cond(H[:, J]) of about 1e8 and above, which the rank rule of a dense
     SVD solve (singular values above eps max(|I|, |J|) times the largest)
     accepted.  It is stricter than that rule and, on every rank-deficient
-    block tried, never looser: such a block either breaks the
-    factorization or leaves a factor whose condition estimate is far
-    beyond 1/eps.
+    block tried, never looser: such a block either breaks the factorization
+    or leaves a factor whose condition estimate is far beyond 1/eps.
     """
     if not sparse.issparse(H):
         H = sparse.csr_matrix(H)
@@ -290,9 +291,10 @@ def spai_inverse(H: sparse.spmatrix, level: int = 0) -> tuple[sparse.csr_matrix,
     n = H.shape[0]
     Hr = H.tocsr(copy=True)
     Hr.sum_duplicates()
-    G = (Hr.conj().T @ Hr).tocsc()
+    # Each J is sorted, so the upper triangle of G holds that of every block.
+    G = sparse.triu(Hr.conj().T @ Hr, format="csc")
     dtype = np.result_type(G.dtype, float)
-    (pocon,) = get_lapack_funcs(("pocon",), dtype=dtype)
+    potrf, pocon, potrs = get_lapack_funcs(("potrf", "pocon", "potrs"), dtype=dtype)
     eps = np.finfo(float).eps
     # slot[i] is the position of index i in the current J, -1 elsewhere.
     slot = np.full(n, -1, dtype=np.int64)
@@ -308,39 +310,36 @@ def spai_inverse(H: sparse.spmatrix, level: int = 0) -> tuple[sparse.csr_matrix,
         J = Pc.indices[out]
         k = len(J)
         slot[J] = np.arange(k)
-        # Gather G[J, J] from the CSC columns of G in J.
+        # Gather the upper triangle of G[J, J] from the CSC columns of G in J.
         starts = G.indptr[J]
         counts = G.indptr[J + 1] - starts
         at = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
         row = slot[G.indices[at]]
         inside = row >= 0
+        row = row[inside]
         col = np.repeat(np.arange(k), counts)[inside]
         vals = G.data[at[inside]]
         A = buf[: k * k].reshape((k, k), order="F")
         A.fill(0)
-        A[row[inside], col] = vals
-        norm1 = np.bincount(col, weights=np.abs(vals), minlength=k).max()
+        A[row, col] = vals
+        # 1-norm of the Hermitian block from its upper triangle: column sums
+        # plus row sums, less the diagonal that both count.
+        mags = np.abs(vals)
+        norm1 = (np.bincount(col, mags, k) + np.bincount(row, mags, k) - abs(A.diagonal())).max()
         # Right-hand side conj(H[j, J]) from CSR row j of H.
         lo, hi = Hr.indptr[j], Hr.indptr[j + 1]
         hit = slot[Hr.indices[lo:hi]]
         slot[J] = -1
         found = hit >= 0
         if not found.any():
-            raise np.linalg.LinAlgError(
-                f"column {j}: unit vector outside restricted row set"
-            )
+            raise np.linalg.LinAlgError(f"column {j}: unit vector outside restricted row set")
         b = np.zeros(k, dtype=dtype)
         b[hit[found]] = Hr.data[lo:hi][found].conj()
-        try:
-            factor = cho_factor(A, overwrite_a=True, check_finite=False)
-            rcond, _ = pocon(factor[0], norm1)
-        except np.linalg.LinAlgError:
-            rcond = 0.0
+        factor, info = potrf(A, overwrite_a=1, clean=0)
+        rcond = pocon(factor, norm1)[0] if info == 0 else 0.0
         if not rcond > eps:
-            raise np.linalg.LinAlgError(
-                f"column {j}: singular restricted least-squares block"
-            )
-        vals_out[out] = cho_solve(factor, b, check_finite=False)
+            raise np.linalg.LinAlgError(f"column {j}: singular restricted least-squares block")
+        vals_out[out] = potrs(factor, b, overwrite_b=1)[0]
 
     # Rows of M are the solved columns of the left inverse: M[j, J] = x.
     rows_out = np.repeat(np.arange(n), sizes)

@@ -199,8 +199,11 @@ def reflection_sweep(
     ``pml_start`` to the PEC far wall at z = ``length``; the driven
     harmonic problem is solved, the y field is sampled on the axis
     x = y = 0.5 at the heights ``sample_z``, and the standing-wave fit of
-    :func:`measure_reflection` gives |R|.
+    :func:`measure_reflection` gives |R|.  Raises ``ValueError`` for omega
+    at or below the cutoff, where kz is not real.
     """
+    if not omega > np.pi:
+        raise ValueError(f"omega must be above the TE10 cutoff pi, got {omega!r}")
     mesh = box_mesh(nx, nx, nz, lengths=(1.0, 1.0, length))
     classification = classify_boundary(mesh)
     basis = WhitneyBasis(mesh)

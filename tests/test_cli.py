@@ -189,14 +189,31 @@ def test_pic_on_convex_mesh_locates_no_point(tmp_path, monkeypatch):
     assert calls == {"locate": 0, "bary": 0}
 
 
+_PML_GUIDE = ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
+              "--pml-start", "1.5", "--window-lo", "0.9", "--window-hi", "1.4"]
+
+
+@pytest.mark.parametrize("flags, flag", [(["--omega-factor", "0.9"], "--omega-factor"),
+                                         (["--omega-factor", "1.0"], "--omega-factor"),
+                                         (["--omega-factor", "nan"], "--omega-factor"),
+                                         (["--source-z", "3.0"], "--source-z"),
+                                         (["--source-z", "0"], "--source-z"),
+                                         (["--window-lo", "1.2", "--window-hi", "4.2"], "--window-hi"),
+                                         (["--window-lo", "-0.1"], "--window-lo")])
+def test_pml_rejects_frequency_and_geometry_before_work(tmp_path, monkeypatch, flags, flag):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran for rejected flags")
+
+    monkeypatch.setattr("declat.cli.reflection_sweep", no_sweep)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit, match=f"^{flag} must"):
+        main(_PML_GUIDE + flags + ["--out", str(out)])
+    assert not out.exists()
+
+
 def test_pml_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    code = main(
-        ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
-         "--pml-start", "1.5", "--window-lo", "0.9", "--window-hi", "1.4",
-         "--omega-maxes", "0,6", "--out", str(out)]
-    )
-    assert code == 0
+    assert main(_PML_GUIDE + ["--omega-maxes", "0,6", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "omega,omega_max_profile,thickness,reflection_mag"
     assert len(lines) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from declat import generators
+from declat import generators, pml
 from declat.hodge import MaterialMap, assemble_hodge
 from declat.maxwell import reduce_pec
 from declat.mesh import classify_boundary
@@ -131,3 +131,13 @@ class TestReflection:
         out = tmp_path / "sweep.csv"
         write_sweep(rows, out)
         assert out.read_text().startswith("omega,omega_max_profile,thickness")
+
+    @pytest.mark.parametrize("omega", [0.9 * np.pi, np.pi, float("nan")])
+    def test_sweep_rejects_omega_at_or_below_cutoff(self, omega, monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("mesh built for a rejected omega")
+
+        monkeypatch.setattr(pml, "box_mesh", no_mesh)
+        with pytest.raises(ValueError, match="above the TE10 cutoff"):
+            reflection_sweep(2, 10, 2.5, omega, [0.0], pml_start=1.5, source_z=0.375,
+                             sample_z=np.linspace(0.9, 1.4, 5))
