@@ -159,7 +159,8 @@ class SimplicialComplex:
         # and face slots list their vertices in increasing order.
         n = len(vertices)
         edge_keys, tet_edges = np.unique(ranked[:, _TET_EDGE_SLOTS] @ [n, 1], return_inverse=True)
-        self.edges = np.stack(np.divmod(edge_keys, n), axis=1)
+        # Column-major, so that each end's column is contiguous (bincounts over it).
+        self.edges = np.stack(np.divmod(edge_keys, n)).T
 
         def edge_id(pairs):
             return np.searchsorted(edge_keys, pairs @ [n, 1])

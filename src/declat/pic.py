@@ -12,7 +12,9 @@ so the midpoint average is exact).  Summing incident edge currents at a
 node then telescopes to qdot times the change of that node's barycentric
 coordinate: charge conservation holds to rounding, segment by segment,
 also across cell-boundary splits.  One face-crossing walk splits a path;
-it also finds the start tet, walking in from the start's grid seed.
+it also finds the start tet, walking in from the centroid of the start's
+grid seed.  Each step of the walk is scalar float arithmetic in a fixed
+order (no BLAS call), since a path is split one tet at a time.
 
 Fields gather back to particles by Whitney interpolation, and a rotating
 (Boris-style) split advances velocities with half-step electric kicks.
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whitney import BarycentricPoint, Cochain, _as_basis, interpolate
-
-_E0 = np.array([1.0, 0.0, 0.0, 0.0])  # lambda_0 = 1 + grad(lambda_0) . (x - v0)
 
 __all__ = [
     "Particle",
@@ -86,15 +86,23 @@ def scatter_charge(
 
 def _walk(basis, t: int, ends: np.ndarray, tol: float):
     """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
-    ``t``: the within-tet segments (tet and both chord ends' coordinates), the
-    chord parameters where each is entered and left, and whether the chord
-    left the mesh; None if the walk reaches its step cap."""
+    ``t`` in fixed-order scalar float arithmetic: the within-tet segments (tet
+    and both chord ends' coordinates), the chord parameters where each is
+    entered and left, and whether the chord left the mesh; None if the walk
+    reaches its step cap."""
     origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    (xa, ya, za), (xb, yb, zb) = ends.tolist()
     segments, bounds = [], [0.0]
     for _ in range(8 * basis.complex.n_tets + 16):
-        # Raw affine coordinates of both chord ends in t (identical endpoints
-        # give exact zeros); along the chord they are affine in the parameter.
-        a, b = ((ends - origin[t]) @ grads[t].T + _E0).tolist()
+        # Raw affine coordinates (x - v0) . grad(lambda_i), plus 1 for lambda_0,
+        # of both chord ends in t (identical endpoints give exact zeros); along
+        # the chord they are affine in the parameter.
+        (ox, oy, oz), g = origin[t].tolist(), grads[t].tolist()
+        ax, ay, az, bx, by, bz = xa - ox, ya - oy, za - oz, xb - ox, yb - oy, zb - oz
+        a = [ax * gx + ay * gy + az * gz for gx, gy, gz in g]
+        b = [bx * gx + by * gy + bz * gz for gx, gy, gz in g]
+        a[0] += 1.0
+        b[0] += 1.0
         segments.append((t, a, b))
         if min(b) >= -tol:
             bounds.append(1.0)
@@ -124,10 +132,11 @@ def scatter_current(
     The start tet is where a walk along the chord from the centroid of the
     start's grid seed tet ends; if that walk leaves the mesh (a non-convex
     mesh) or reaches its step cap, ``basis.locate`` finds it instead, and
-    raises OutsideMeshError for a start in no tet.  The path is then split
-    at cell boundaries, one face crossing at a time, and all within-tet
-    segments are deposited in closed form at once.  If the path leaves the
-    mesh the scatter is partial up to the exit point and flagged.
+    raises OutsideMeshError for a start in no tet (as the seed grid does for
+    a non-finite end).  The path is then split at cell boundaries, one face
+    crossing at a time, and all within-tet segments are deposited in closed
+    form at once.  If the path leaves the mesh the scatter is partial up to
+    the exit point and flagged.
     """
     basis = _as_basis(complex_or_basis)
     if tau <= 0:
@@ -135,8 +144,8 @@ def scatter_current(
     cx = basis.complex
     qdot = q / tau
     ends = np.array([x_start, x_end], dtype=float)
-    seed = int(basis._seeds(ends[:1])[0])
-    found = _walk(basis, seed, np.array([cx.vertices[cx.tets[seed]].mean(axis=0), ends[0]]), tol)
+    seed = int(basis._seeds(ends)[0])
+    found = _walk(basis, seed, np.array([basis._grid[-1][seed], ends[0]]), tol)
     t = found[0][-1][0] if found and not found[2] else basis.locate(ends[0])[0]
     walked = _walk(basis, t, ends, tol)
     if walked is None:
@@ -150,7 +159,7 @@ def scatter_current(
     mean = 0.5 * (lam_in + lam_out)
     delta = lam_out - lam_in
     k = np.arange(len(tets))[:, None]
-    a, b = basis.edge_local[tets, :, 0], basis.edge_local[tets, :, 1]
+    a, b = basis.edge_local[tets].transpose(2, 0, 1)
     coeff = qdot * (mean[k, a] * delta[k, b] - mean[k, b] * delta[k, a])
     current = np.bincount(cx.tet_edges[tets].ravel(), coeff.ravel(), minlength=cx.n_edges)
     # Charge leaves the start nodes and arrives at the end (or exit) nodes.

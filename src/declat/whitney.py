@@ -212,13 +212,17 @@ class WhitneyBasis:
 
     @staticmethod
     def _buckets(points: np.ndarray, lo: np.ndarray, h: float, shape: np.ndarray) -> np.ndarray:
-        cell = np.minimum(np.maximum(np.floor((points - lo) / h), 0), shape - 1).astype(np.int64)
-        return np.ravel_multi_index(cell.T, shape)
+        cell = np.clip(np.floor((points - lo) / h), 0, shape - 1).astype(np.int64)
+        return cell @ (shape[1] * shape[2], shape[2], 1)  # row-major bucket index
 
     def _seeds(self, points: np.ndarray) -> np.ndarray:
         """Start tet per point: the first tet whose centroid lies in the point's
         bucket, on a grid of one cube per three tets over the bounding box
-        (finer grids leave more buckets empty), built on first use."""
+        (finer grids leave more buckets empty), built on first use with every
+        tet's centroid (kept as the grid's last entry).  Raises
+        OutsideMeshError for a point with a non-finite coordinate."""
+        if not np.isfinite(points).all():
+            raise OutsideMeshError("a point with a non-finite coordinate lies in no tet")
         if self._grid is None:
             v = self.complex.vertices
             lo, hi = v.min(axis=0), v.max(axis=0)
@@ -228,8 +232,8 @@ class WhitneyBasis:
             buckets, first = np.unique(self._buckets(centroids, lo, h, shape), return_index=True)
             # A bucket without a centroid borrows the seed of the last filled one before it.
             below = np.searchsorted(buckets, np.arange(np.prod(shape)), side="right") - 1
-            self._grid = (lo, h, shape, first[np.maximum(below, 0)])
-        lo, h, shape, seeds = self._grid
+            self._grid = (lo, h, shape, first[np.maximum(below, 0)], centroids)
+        lo, h, shape, seeds, _ = self._grid
         return seeds[self._buckets(points, lo, h, shape)]
 
     def locate_all(self, points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

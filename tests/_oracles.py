@@ -17,7 +17,10 @@ interpolation and the per-crossing path split at the end are loop
 versions of the package's location and deposit: they call a basis's
 ``bary``, ``neighbors``, ``_scan`` and ``eval`` one point or one tet at a time, where
 the package seeds from a grid, walks all points at once and deposits all
-segments of a path in one pass.  The last is the electric-field form of
+segments of a path in one pass.  Between them, ``walk_matmul`` is the
+package's face-crossing walk as it was when one (2, 3) @ (3, 4) product
+gave both chord ends' coordinates in a tet; the package now computes
+them as scalar floats in a fixed order.  The last is the electric-field form of
 the leapfrog, which applies the stars through ``ampere_step`` and
 ``hamiltonian`` every step, where the package carries D = Heps E and
 Hmu_inv B from step to step; next to it sits ``faraday_step``, the
@@ -365,6 +368,36 @@ def _deposit_segment(basis, tet, lam_start, lam_end, qdot, current) -> None:
     b = basis.edge_local[tet, :, 1]
     coeff = qdot * (mean[a] * delta[b] - mean[b] * delta[a])
     np.add.at(current, basis.complex.tet_edges[tet], coeff)
+
+
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])  # lambda_0 = 1 + grad(lambda_0) . (x - v0)
+
+
+def walk_matmul(basis, t: int, ends: np.ndarray, tol: float):
+    """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
+    ``t``: the within-tet segments (tet and both chord ends' coordinates), the
+    chord parameters where each is entered and left, and whether the chord
+    left the mesh; None if the walk reaches its step cap."""
+    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    segments, bounds = [], [0.0]
+    for _ in range(8 * basis.complex.n_tets + 16):
+        # Raw affine coordinates of both chord ends in t (identical endpoints
+        # give exact zeros); along the chord they are affine in the parameter.
+        a, b = ((ends - origin[t]) @ grads[t].T + _E0).tolist()
+        segments.append((t, a, b))
+        if min(b) >= -tol:
+            bounds.append(1.0)
+            return segments, bounds, False
+        # Leave t by the face whose coordinate reaches zero first (lowest index on a tie).
+        s, worst = np.inf, 0
+        for i in range(4):
+            if b[i] - a[i] < -tol and a[i] / (a[i] - b[i]) < s:
+                s, worst = a[i] / (a[i] - b[i]), i
+        bounds.append(min(max(s, bounds[-1]), 1.0))
+        t = int(neighbors[t, worst])
+        if t < 0:
+            return segments, bounds, True
+    return None
 
 
 def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float = 1e-12):

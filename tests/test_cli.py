@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,27 @@ def test_genmesh_kinds(tmp_path):
         assert out.read_text().startswith("declat-mesh 1")
     out = tmp_path / "box.mesh"
     assert main(["genmesh", "--kind", "box", "--n", "2", "--out", str(out)]) == 0
+
+
+def test_genmesh_box_reads_each_axis_count(tmp_path):
+    out = tmp_path / "box.mesh"
+    assert main(["genmesh", "--kind", "box", "--n", "2", "--ny", "1", "--nz", "3",
+                 "--out", str(out)]) == 0
+    assert load_mesh(out).n_tets == 6 * 2 * 1 * 3
+
+
+@pytest.mark.parametrize("flags, flag", [(["--kind", "box", "--n", "0"], "--n"),
+                                         (["--kind", "box", "--n", "2", "--ny", "0"], "--ny"),
+                                         (["--kind", "box", "--nz", "0"], "--nz"),
+                                         (["--kind", "box", "--nz", "-1"], "--nz"),
+                                         (["--kind", "annulus", "--segments", "2"], "--segments")])
+def test_genmesh_rejects_counts_before_work(tmp_path, monkeypatch, flags, flag):
+    for make in ("box_mesh", "annulus_mesh"):  # a call would raise TypeError
+        monkeypatch.setattr(f"declat.generators.{make}", None)
+    out = tmp_path / "m.mesh"
+    with pytest.raises(SystemExit, match=f"^{flag} must be at least"):
+        main(["genmesh", *flags, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_audit_clean_mesh_exit_zero(kuhn_file, tmp_path):
@@ -168,6 +190,30 @@ def test_pic_conservation_exit_zero(tmp_path):
     assert main(["pic", "--paths", "300", "--seed", "7", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["max_residual_relative"] <= 1e-12
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_pic_rejects_charge_that_is_not_finite(tmp_path, value):
+    # The mesh path does not exist: the charge is rejected before it is read.
+    out = tmp_path / "cons.json"
+    with pytest.raises(SystemExit, match="^--charge must be a finite number"):
+        main(["pic", f"--charge={value}", "--mesh", str(tmp_path / "missing.mesh"),
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_pic_reports_nan_residual_and_fails(tmp_path, monkeypatch):
+    # q / tau overflows: every residual is NaN.  A NaN among finite
+    # residuals must not be dropped either.
+    out = tmp_path / "cons.json"
+    argv = ["pic", "--paths", "3", "--charge", "1e300", "--tau", "1e-10", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert main(argv) == 1
+    assert math.isnan(json.loads(out.read_text())["max_residual"])
+    residuals = iter([0.0, math.nan, 0.0])
+    monkeypatch.setattr("declat.cli.verify_conservation", lambda *args: next(residuals))
+    assert main(["pic", "--paths", "3", "--out", str(out)]) == 1
+    assert math.isnan(json.loads(out.read_text())["max_residual"])
 
 
 def test_pic_on_convex_mesh_locates_no_point(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from declat.pic import (
 )
 from declat.whitney import AnalyticForm, OutsideMeshError, WhitneyBasis, de_rham
 
-from _oracles import scatter_current_loop
+from _oracles import scatter_current_loop, walk_matmul
 
 
 def constant_form(degree, vec):
@@ -187,6 +187,34 @@ def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, 
     assert residual <= 1e-12 * abs(q / tau)
 
 
+@given(
+    name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
+    seed=st.integers(0, 2**32 - 1),
+    chord=st.sampled_from(["interior", "leave", "still"]),
+)
+def test_scalar_walk_matches_matmul_walk(all_meshes, basis_of, name, seed, chord):
+    # The scalar step rounds differently from the (2, 3) @ (3, 4) product,
+    # but on generic chords it takes the same faces to the same tets.
+    mesh = all_meshes[name]
+    basis = basis_of(mesh)
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(mesh.n_tets))
+    a = rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
+    b = a if chord == "still" else _path_end(mesh, a, rng, chord == "leave")
+    ends = np.array([a, b])
+    segments, bounds, exited = pic._walk(basis, t, ends, 1e-12)
+    want_segments, want_bounds, want_exited = walk_matmul(basis, t, ends, 1e-12)
+    assert exited == want_exited and (exited or chord != "leave")
+    assert [s[0] for s in segments] == [s[0] for s in want_segments]
+    coords = np.array([s[1] + s[2] for s in segments])
+    want = np.array([s[1] + s[2] for s in want_segments])
+    assert np.abs(coords - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert np.abs(np.array(bounds) - want_bounds).max() <= 1e-14
+    if chord == "still":
+        # Identical endpoints give identical coordinates: exact zero motion.
+        assert bounds == [0.0, 1.0] and segments[0][1] == segments[0][2]
+
+
 def _scatter_from_locate(basis, a, b, q, tau):
     """``scatter_current`` with its start tet from ``basis.locate``: the walk
     from the grid seed is made to report its step cap, so the fallback runs."""
@@ -252,6 +280,17 @@ def test_start_outside_mesh_raises(all_meshes, basis_of, name, start, end):
     for deposit in (scatter_current, verify_conservation):
         with pytest.raises(OutsideMeshError):
             deposit(basis, np.array(start), np.array(end), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("start, end", [((np.nan, 0.5, 0.5), (0.5, 0.5, 0.5)),
+                                        ((np.inf, 0.5, 0.5), (0.5, 0.5, 0.5)),
+                                        ((0.5, 0.5, 0.5), (0.5, -np.inf, 0.5)),
+                                        ((0.5, 0.5, 0.5), (0.5, 0.5, np.nan))])
+def test_non_finite_path_end_raises(box3, basis_of, start, end):
+    # A non-finite end lies in no tet; the walk would otherwise run on NaN
+    # coordinates (whose comparisons are all false) to the boundary.
+    with pytest.raises(OutsideMeshError, match="non-finite"):
+        scatter_current(basis_of(box3), np.array(start), np.array(end), 1.0, 1.0)
 
 
 class TestGather:

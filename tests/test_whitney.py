@@ -45,6 +45,12 @@ class TestBarycentric:
         with pytest.raises(OutsideMeshError):
             barycentric(single_tet, np.array([2.0, 2.0, 2.0]), basis_of(single_tet))
 
+    def test_non_finite_point_raises(self, box3, basis_of):
+        points = np.array([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.5]])
+        for k in (1, 2):
+            with pytest.raises(OutsideMeshError, match="non-finite"):
+                basis_of(box3).locate_all(points[: k + 1])
+
     def test_affine_reproduction(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
         pts = rng.random((40, 3)) * 0.9 + 0.05
