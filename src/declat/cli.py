@@ -34,6 +34,8 @@ from .whitney import WhitneyBasis
 
 
 def _materials(args) -> MaterialMap:
+    """The uniform materials of ``--eps`` and ``--mu``; call before any work."""
+    _require_positive(("--eps", args.eps), ("--mu", args.mu))
     return MaterialMap(eps=args.eps, mu=args.mu)
 
 
@@ -73,6 +75,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_genmesh(args) -> int:
     _require_counts(("--n", args.n), ("--ny", args.ny), ("--nz", args.nz))
     _require_counts(("--segments", args.segments), least=3)
+    _require_positive(("--lx", args.lx), ("--ly", args.ly), ("--lz", args.lz))
     kind = args.kind
     if kind == "tet1":
         mesh = generators.single_tet()
@@ -98,8 +101,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    mesh = load_mesh(args.mesh)
     materials = _materials(args)
+    mesh = load_mesh(args.mesh)
     if args.which == "galerkin":
         base = Path(args.out)
         paths = [base.with_suffix(f".{which}{base.suffix}") for which in ("eps_inv", "mu")]
@@ -121,9 +124,10 @@ def cmd_simulate(args) -> int:
                          "expected 'exact', 'spai' or 'spai:<level>'")
     _require_counts(("--steps", args.steps), ("--trace-every", args.trace_every))
     _require_positive(("--dt", args.dt), ("--dt-factor", args.dt_factor))
+    materials = _materials(args)
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
-    ops = apply_pec(mesh, cls, _materials(args))
+    ops = apply_pec(mesh, cls, materials)
     if ops.n_edges == 0:
         raise SystemExit("mesh has no interior edges after PEC reduction")
     # One exact inverse serves the bound and, for an exact run, the loop.
@@ -147,9 +151,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_eigen(args) -> int:
     _require_counts(("--count", args.count))
+    # The dense path never reads sigma, so a NaN would pass unseen there.
+    if args.sigma is not None and not np.isfinite(args.sigma):
+        raise SystemExit(f"--sigma must be a finite number, got {args.sigma!r}")
+    materials = _materials(args)
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
-    ops = apply_pec(mesh, cls, _materials(args))
+    ops = apply_pec(mesh, cls, materials)
     res = eigenmodes(ops, count=args.count, sigma=args.sigma)
     report = dof_audit(mesh, cls)
     payload = {
@@ -202,6 +210,9 @@ def cmd_pic(args) -> int:
     _require_positive(("--tau", args.tau))
     if not np.isfinite(args.charge):
         raise SystemExit(f"--charge must be a finite number, got {args.charge!r}")
+    if not np.isfinite(args.charge / args.tau):
+        raise SystemExit(f"--charge/--tau must be a finite ratio, "
+                         f"got {args.charge!r}/{args.tau!r}")
     mesh = load_mesh(args.mesh) if args.mesh else generators.box_mesh(3)
     basis = WhitneyBasis(mesh)
     rng = np.random.default_rng(args.seed)

@@ -62,8 +62,10 @@ __all__ = [
 
 
 def _per_tet_tensor(value, n_tets: int, name: str) -> np.ndarray:
-    """Broadcast a scalar / per-tet scalar / per-tet 3x3 field to (M, 3, 3)."""
+    """Broadcast a finite scalar / per-tet scalar / per-tet 3x3 field to (M, 3, 3)."""
     arr = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
+    if not np.isfinite(arr).all():  # before inf * 0 turns it into NaN
+        raise ValueError(f"{name} tensor must be finite")
     eye = np.eye(3)
     if arr.ndim == 0:
         out = arr * np.broadcast_to(eye, (n_tets, 3, 3))
@@ -89,7 +91,7 @@ class MaterialMap:
 
     def tensor(self, name: str, complex: SimplicialComplex) -> np.ndarray:
         """The ``"eps"`` or ``"mu"`` field as (M, 3, 3) tensors, checked
-        symmetric and, when real, positive definite."""
+        finite, symmetric and, when real, positive definite."""
         t = _per_tet_tensor(getattr(self, name), complex.n_tets, name)
         if not np.allclose(t, np.transpose(t, (0, 2, 1)), rtol=0, atol=1e-12):
             raise ValueError(f"{name} tensor must be symmetric")
@@ -185,22 +187,20 @@ def _element_matrices(
 ) -> ElementMatrices:
     """Weighted L2 pairing of the degree-p basis per tet, degree-2 quadrature.
 
-    ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point.
+    ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point,
+    real or complex.  One broadcast evaluation gives the basis values w_q
+    (n_loc, 3) at all Q points of every tet, and sum_q (w_q W_q) w_q^T is
+    one batched (M, n_loc, 3Q) @ (M, 3Q, n_loc) product, scaled by the
+    tet's volume over Q.
     """
     basis = basis or WhitneyBasis(complex)
     cx = complex
     m = cx.n_tets
     tids = np.arange(m)
-    vals_q = []
-    for lam_t in _TET4:
-        lam = np.broadcast_to(lam_t, (m, 4))
-        vals_q.append(basis.eval(p, tids, lam))
-    w = np.stack(vals_q, axis=1)  # (M, Q, n_loc, 3)
-
-    if weight.ndim == 3:
-        local = np.einsum("mqad,mde,mqbe->mab", w, weight, w)
-    else:
-        local = np.einsum("mqad,mqde,mqbe->mab", w, weight, w)
+    w = basis.eval(p, tids[:, None], _TET4)  # (M, Q, n_loc, 3)
+    n = w.shape[2]
+    y = (w @ weight.reshape(m, -1, 3, 3)).transpose(0, 2, 1, 3).reshape(m, n, -1)
+    local = y @ w.transpose(0, 1, 3, 2).reshape(m, -1, n)
     local = local * (cx.volumes / len(_TET4))[:, None, None]
     return ElementMatrices(local, basis.local_indices(p, tids), cx.n_simplices(p))
 

@@ -285,29 +285,35 @@ class WhitneyBasis:
         return np.asarray(lam)
 
     def eval1(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        g = self.grads[tets]  # (K, 4, 3)
-        a = self.edge_local[tets, :, 0]
-        b = self.edge_local[tets, :, 1]
-        k = np.arange(len(tets))[:, None]
-        la, lb = lam[k, a], lam[k, b]
-        ga, gb = g[k, a], g[k, b]
-        return la[..., None] * gb - lb[..., None] * ga  # (K, 6, 3)
+        t = np.asarray(tets)[..., None]
+        a, b = self.edge_local[tets, :, 0], self.edge_local[tets, :, 1]
+        pts = np.arange(len(lam))[:, None]
+        la, lb = lam[pts, a], lam[pts, b]
+        ga, gb = self.grads[t, a], self.grads[t, b]
+        return la[..., None] * gb - lb[..., None] * ga  # (..., 6, 3)
 
     def eval2(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        g = self.grads[tets]
-        k = np.arange(len(tets))[:, None]
+        t = np.asarray(tets)[..., None]
+        f = self.face_local[tets]
+        pts = np.arange(len(lam))[:, None]
         out = 0.0
         for (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            pa = self.face_local[tets, :, ia]
-            pb = self.face_local[tets, :, ib]
-            pc = self.face_local[tets, :, ic]
-            out = out + lam[k, pa][..., None] * np.cross(g[k, pb], g[k, pc])
-        return 2.0 * out  # (K, 4, 3)
+            cross = np.cross(self.grads[t, f[..., ib]], self.grads[t, f[..., ic]])
+            out = out + lam[pts, f[..., ia]][..., None] * cross
+        return 2.0 * out  # (..., 4, 3)
 
     def eval3(self, tets: np.ndarray) -> np.ndarray:
         return 1.0 / self.volumes[tets]
 
     def eval(self, p: int, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Degree-p basis values in ``tets`` at barycentric points ``lam``.
+
+        ``tets`` (K,) with ``lam`` (K, 4) is one point per tet: (K, 4) values
+        for degree 0, (K,) for 3 and (K, n, 3) for 1 and 2.  For degrees 1
+        and 2, the column ``tets[:, None]`` with ``lam`` (P, 4) takes the same
+        P points in every tet: the per-tet gradient factors are gathered once
+        and broadcast over the points, giving (K, P, n, 3).
+        """
         if p == 0:
             return self.eval0(tets, lam)
         if p == 1:
@@ -469,8 +475,8 @@ def verify_coboundary(
     """Max pointwise deviation of d(basis^{p-1}) from its coboundary expansion.
 
     Both sides are evaluated at the degree-2 tet quadrature nodes and the
-    barycenter of every tet; the expansion's signs are read from the
-    complex's incidence matrix C^{p-1}.
+    barycenter of every tet, in one broadcast evaluation; the expansion's
+    signs are read from the complex's incidence matrix C^{p-1}.
     """
     basis = basis or WhitneyBasis(complex)
     m = complex.n_tets
@@ -487,10 +493,7 @@ def verify_coboundary(
     else:
         raise ValueError("coboundary check covers degrees 1, 2, 3")
     signs = basis.local_signs(p).astype(float)  # (M, n_p, n_{p-1})
-
-    dev = 0.0
-    for lam_t in np.vstack([_TET4, np.full((1, 4), 0.25)]):
-        w = basis.eval(p, np.arange(m), np.broadcast_to(lam_t, (m, 4)))
-        rhs = np.einsum("mts,mtd->msd", signs, w.reshape(m, signs.shape[1], -1))
-        dev = max(dev, float(np.abs(rhs - d_prev).max()))
-    return dev
+    nodes = np.vstack([_TET4, np.full((1, 4), 0.25)])
+    w = basis.eval(p, k, nodes)  # (M, 5, n_p, 3), or (M, 1) for p = 3
+    rhs = np.einsum("mts,mqtd->mqsd", signs, w.reshape(m, -1, signs.shape[1], d_prev.shape[2]))
+    return float(np.abs(rhs - d_prev[:, None]).max())

@@ -12,8 +12,12 @@ time, where the package works on all tets at once.  Another is the
 sparse approximate inverse as a dense least-squares solve per column
 (``lstsq`` on the sliced rows of H), where the package solves the normal
 equations by Cholesky; it builds its pattern with the package's
-``_neighbor_pattern``.  The walk from a given tet, the per-point
-interpolation and the per-crossing path split at the end are loop
+``_neighbor_pattern``.  The Hodge element matrices are built one
+quadrature point at a time, with a three-operand ``einsum`` over the
+stacked values, where the package evaluates all points in one broadcast
+call and contracts them in one batched product.  The walk from a given
+tet, the per-point interpolation and the per-crossing path split at the
+end are loop
 versions of the package's location and deposit: they call a basis's
 ``bary``, ``neighbors``, ``_scan`` and ``eval`` one point or one tet at a time, where
 the package seeds from a grid, walks all points at once and deposits all
@@ -38,7 +42,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from declat.hodge import _neighbor_pattern
 from declat.maxwell import DiscreteCodifferential, Trace, ampere_step, hamiltonian
 from declat.mesh import MeshError
-from declat.whitney import _GAUSS2_EDGE, _TRI3
+from declat.whitney import _GAUSS2_EDGE, _TET4, _TRI3
 
 
 def enumerate_skeleton(tets) -> tuple[set, set]:
@@ -151,6 +155,17 @@ def whitney_mass_oracle(vertices, tets, degree: int, weight=None, order: int = 4
             for b, gb in enumerate(gids):
                 out[ga, gb] += loc[a, b]
     return simplices, out
+
+
+def element_matrices_loop(basis, p: int, weight: np.ndarray) -> np.ndarray:
+    """(M, n, n) weighted pairing of the degree-p basis per tet: one ``eval``
+    per quadrature point and a three-operand ``einsum`` over the stack;
+    ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per point."""
+    m = basis.complex.n_tets
+    tids = np.arange(m)
+    w = np.stack([basis.eval(p, tids, np.broadcast_to(lam, (m, 4))) for lam in _TET4], axis=1)
+    spec = "mqad,mde,mqbe->mab" if weight.ndim == 3 else "mqad,mqde,mqbe->mab"
+    return np.einsum(spec, w, weight, w) * (basis.complex.volumes / len(_TET4))[:, None, None]
 
 
 def transfer_matrix_reflection(

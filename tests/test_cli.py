@@ -134,6 +134,34 @@ def test_time_steps_rejected_before_work(tmp_path, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command, flag", [(command, flag)
+                                           for command in ("simulate", "eigen", "assemble")
+                                           for flag in ("--eps", "--mu")]
+                         + [("genmesh", flag) for flag in ("--lx", "--ly", "--lz")])
+def test_materials_and_lengths_rejected_before_work(tmp_path, monkeypatch, command, flag, value):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was read or built for a rejected flag")
+
+    monkeypatch.setattr("declat.cli.load_mesh", no_mesh)
+    monkeypatch.setattr("declat.generators.box_mesh", no_mesh)
+    where = ["--kind", "box"] if command == "genmesh" else ["--mesh", str(tmp_path / "m.mesh")]
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit, match=f"^{flag} must be a finite number above 0, got"):
+        main([command, *where, f"{flag}={value}", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eigen_rejects_sigma_that_is_not_finite(tmp_path, value):
+    # The mesh path does not exist: the shift is rejected before it is read.
+    out = tmp_path / "eigen.json"
+    with pytest.raises(SystemExit, match="^--sigma must be a finite number"):
+        main(["eigen", f"--sigma={value}", "--mesh", str(tmp_path / "missing.mesh"),
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_simulate_trace_and_force(kuhn_file, tmp_path):
     out = tmp_path / "trace.csv"
     assert (
@@ -202,14 +230,18 @@ def test_pic_rejects_charge_that_is_not_finite(tmp_path, value):
     assert not out.exists()
 
 
-def test_pic_reports_nan_residual_and_fails(tmp_path, monkeypatch):
-    # q / tau overflows: every residual is NaN.  A NaN among finite
-    # residuals must not be dropped either.
+def test_pic_rejects_charge_over_tau_that_overflows(tmp_path):
+    # Each is finite, but q / tau is inf: every residual would be NaN.
     out = tmp_path / "cons.json"
-    argv = ["pic", "--paths", "3", "--charge", "1e300", "--tau", "1e-10", "--out", str(out)]
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert main(argv) == 1
-    assert math.isnan(json.loads(out.read_text())["max_residual"])
+    with pytest.raises(SystemExit, match="^--charge/--tau must be a finite ratio"):
+        main(["pic", "--charge", "1e300", "--tau", "1e-10",
+              "--mesh", str(tmp_path / "missing.mesh"), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_pic_reports_nan_residual_and_fails(tmp_path, monkeypatch):
+    # A NaN among finite residuals must not be dropped.
+    out = tmp_path / "cons.json"
     residuals = iter([0.0, math.nan, 0.0])
     monkeypatch.setattr("declat.cli.verify_conservation", lambda *args: next(residuals))
     assert main(["pic", "--paths", "3", "--out", str(out)]) == 1

@@ -7,8 +7,9 @@ meshes, so the whole set runs in about a second.
 
 The digests belong to this toolchain: numpy 2.4 and scipy 1.17 with their
 bundled BLAS and LAPACK.  Another BLAS, or another release of either
-library, may move last digits of the floating-point outputs (simulate,
-eigen, pml) and fail those cases without any change to declat.  The
+library, may move last digits of the floating-point outputs (audit,
+assemble, simulate, eigen, pml: every Hodge element matrix is a batched
+BLAS product) and fail those cases without any change to declat.  The
 ``pic`` case makes no BLAS call while it splits and deposits its paths:
 the face-crossing walk is scalar float arithmetic in a fixed order, so
 only the per-tet gradients (``numpy.linalg.inv``) come from LAPACK.
@@ -64,22 +65,22 @@ GOLDEN = {
     "audit/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "49dca642d71811cec6ceacba90466617569b067f3a96dd20bbfde4eac491e9a4",
+        "audit.json": "754ac447f39e0bf30d3976630f4d8fbd69df5dd006cbec4accfeea6016cf4661",
     },
     "audit/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "e88c96ba53040dae72387f8e259b47351ac4b448bdeed4ef556a37c77d8334e9",
+        "audit.json": "9a019812a34307b21e130ebb8147ad51fcf63f54706cea7d33fe4c9b3f5f26ee",
     },
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "7bfafc371fc94929bf015d77efd48943e1a4e0816f2c9672e27ba1770be744b1",
+        "audit.json": "ed48d315ce31fc626e45552b9505eaa13ddf24912579fec8353de1f4fab01d97",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "d6708e8a609454a419badad6a1ca8edd9f335be64b574c3917d30e5e9247a71b",
+        "audit.json": "a3588fb8844699b62b3c7bc46ff305729f5e2adc4968cd7b1d81079e977db69f",
     },
     "dof/kuhn": {
         "exit": 0,
@@ -104,46 +105,46 @@ GOLDEN = {
     "assemble/kuhn": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "1062137c37dc667d1c8c2cdc5f5f5361e70a9b2b47c90f96294c878919c1c1ba",
-        "star.mu.coo": "f13ba88d0529adc7bebfcc864d5e86eb658c8eb3056faa84bfd093c60ce0cdc7",
+        "star.eps_inv.coo": "8fcfd968c9bd179ae256477b19b120c81dd415290ecf7830c60002acb4a4aa44",
+        "star.mu.coo": "b935206b67aae3d31ca4ac843eef11942ce6fa15cd1effe6a85f637d207e094a",
     },
     "assemble/box4": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "4c750cfb8c70e2faf57dc8004fbe39d3f41ca7ea5906786ab0fd81841219b360",
-        "star.mu.coo": "a9675018b888a014bcabbeef0e133fefbc5cfde5b997e347a77cc21b337d7e3f",
+        "star.eps_inv.coo": "e45156b2b74fd128da44d5c3436b42e51aa47b3bb915947b3b14340380df83c5",
+        "star.mu.coo": "15e42c5cc8e141f6ddcfabb6e79c363e5cb3959188daa563f22ddd3770544d71",
     },
     "assemble/annulus8": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "e0c520e38bb49b1f9a718781bffa103b613872fdd1383aa3273435b87b5cff70",
-        "star.mu.coo": "b0696956489ad9f23bda1a089db91c7b8a6e6e65e6d9498ae3276a84fc842b05",
+        "star.eps_inv.coo": "fdf431a25403899c9fb5211187e1f424e8da4232249fe2b93d74561dfdceb370",
+        "star.mu.coo": "8db8b706e2dd708489a4f8970a5248f679bffbfc2d4940d20c3a21cf94cc96ba",
     },
     "assemble/jittered3": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "0c49bca964f2d5084eadd48f91b80e76414939d7186a8f4b5dafa168a9fc999c",
-        "star.mu.coo": "9dc8980a91ecc5a06416fc53367ed0f808cec418c1e4a620466ce629c23d1d67",
+        "star.eps_inv.coo": "2ba16f713cbeaf97bd2baecaf81d50d6f096f059cfff09ee8b5cf4a69e6603fc",
+        "star.mu.coo": "9270071c071a1102d9cf255cdcb5e9acc3e6d252bcab3bb7d1df8d6d6b02bf12",
     },
     "eigen/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "92835dc274d8a10f0cf5d1f2510a89e7fc5d2d8b1032876f02fcdc4e1ea824b8",
+        "eigen.json": "6db983c966b92135280d0f98e2494c12fbd497ed1cf59c3f8bfdc5950d5b9bef",
     },
     "eigen/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "cc8b342e03feb9c9b79db23523831019ae69023947bd30024c730a363640c3d5",
+        "eigen.json": "ff160173bc5e1fdbebb1cdb3bb2b57399e931ca6fede112d84b4490e1d1e7211",
     },
     "simulate/exact": {
         "exit": 0,
-        "stdout": "8aa2fac832392eba58b10436d7d9cc716aafa35107bf57d8c03065d5e6af2365",
-        "trace.csv": "bb3ab3805a7f5057b0fb600fb7aebb7ae0bdbdc8465c2d2d7d14006418477ffd",
+        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
+        "trace.csv": "44ed05e38633979fddfd6fa2bdee05cfbdf274bc6d9f8be57a797bb0b0c1e8a3",
     },
     "simulate/spai:2": {
         "exit": 0,
-        "stdout": "cae4b7cd17c3a32e2ff7788083714f5b58de35b1d391af53e1761649311bfb30",
-        "trace.csv": "102517a73b5b6d9f6ffa01f965a8415ff4f88e5482ab60e8a6aac2988d97daad",
+        "stdout": "c23fc2402ed32084ca59a813ad56494aef4b93a9a09350aee16cb97de6fdf20c",
+        "trace.csv": "b7706ab187d28d22070535ffde2a917328a74ebe430bd743ef909604694861f1",
     },
     "pic": {
         "exit": 0,
@@ -152,12 +153,12 @@ GOLDEN = {
     "pml": {
         "exit": 0,
         "stdout": "9b60aecd0b3aca6d3748f4d10f55796a4d82e1cf3ab67c58607de933f2c90e7c",
-        "sweep.csv": "618c6c77a39376d7551273744c3ddf6f390620176c14b77ec040c2eadf3fa806",
+        "sweep.csv": "210f9d058ad06de5f0440d3abdd8c5f3e8f3494543b98f56609cfc534a26211d",
     },
     "pml/flags": {
         "exit": 0,
         "stdout": "8dd1b0e693d11e77a836c9b49eb9419438a8d5cadbafbfd3d3df52facddc3eef",
-        "sweep.csv": "5915f5306aca1cc3a297af472dd4f1e6f6ba120784c206c4b2dd6c123d0ad884",
+        "sweep.csv": "39cc26e63267c3422e5eca37e9134af204462035be51ecee26b18fda0ae7f147",
     },
     "genmesh/tet1": {
         "exit": 0,

@@ -26,7 +26,7 @@ from declat.maxwell import apply_pec
 from declat.mesh import SimplicialComplex, classify_boundary
 from declat.pml import StretchProfile, assemble_stretched
 
-from _oracles import spai_lstsq_loop, whitney_mass_oracle
+from _oracles import element_matrices_loop, spai_lstsq_loop, whitney_mass_oracle
 from test_mesh import loadtxt_that_warns
 
 
@@ -138,6 +138,44 @@ class TestAssembly:
         with pytest.raises(ValueError, match="symmetric"):
             MaterialMap(mu=bad).tensor("mu", single_tet)
 
+    @pytest.mark.parametrize("name", ["eps", "mu"])
+    def test_non_finite_material_rejected(self, kuhn, name):
+        # NaN != NaN, so without its own check a NaN tensor fails as asymmetric.
+        per_tet = np.ones(kuhn.n_tets)
+        per_tet[3] = np.nan
+        tensor = np.eye(3)
+        tensor[0, 1] = tensor[1, 0] = np.inf
+        for value in (np.nan, np.inf, -np.inf, 1.0 + 1j * np.nan, per_tet, tensor):
+            with pytest.raises(ValueError, match=f"^{name} tensor must be finite$"):
+                MaterialMap(**{name: value}).tensor(name, kuhn)
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
+           p=st.sampled_from([1, 2]),
+           kind=st.sampled_from(["scalar", "per_tet", "anisotropic", "pml"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_element_matrices_match_loop(self, all_meshes, basis_of, name, p, kind, seed):
+        # One broadcast evaluation and one batched product against one
+        # evaluation per quadrature point and a three-operand einsum.
+        mesh = all_meshes[name]
+        m = mesh.n_tets
+        rng = np.random.default_rng(seed)
+        if kind == "scalar":
+            weight = rng.uniform(0.1, 10.0) * np.broadcast_to(np.eye(3), (m, 3, 3))
+        elif kind == "per_tet":
+            weight = 10.0 ** rng.uniform(-3.0, 3.0, m)[:, None, None] * np.eye(3)
+        elif kind == "anisotropic":
+            a = rng.standard_normal((m, 3, 3))
+            weight = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        else:  # complex diagonal stretch per quadrature point, as the PML weighs
+            stretch = rng.uniform(0.5, 2.0, (m, 4, 3)) + 1j * rng.uniform(0.0, 3.0, (m, 4, 3))
+            weight = stretch[..., None] * np.eye(3)
+        basis = basis_of(mesh)
+        got = hodge._element_matrices(mesh, p, weight, basis).local
+        want = element_matrices_loop(basis, p, weight)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_each_material_resolved_once(self, kuhn, monkeypatch):
         # Each star resolves and checks only the tensor it weighs with, so
         # building the eps and mu-inverse pair resolves eps once and mu once.
@@ -165,17 +203,17 @@ def _complex_kuhn_star(kuhn, basis):
 
 # SHA-256 of the CSR arrays of M (as _star_digest hashes them) and
 # repr(residual), for the eps star of jittered n=3 and the complex kuhn star,
-# recorded before the column loop gathered only the upper triangle of H^H H:
-# the factorisations see the same values, so M and its residual must not
-# move by a bit.
+# re-recorded when the element matrices became one batched product (the
+# stars moved by rounding; at level 0 the pattern of H gained the entries
+# that had summed to exactly 0).
 _SPAI_DIGESTS = {
-    "jittered3/0": "dcc79c9d3e23089572d9cc492422fe433af3a02faf91dc2721e77814f1e3f5bd",
-    "jittered3/1": "ee30732cacc33a0da9a7ffa158f4203ae8d42ca77e5b5c80cacd04edc5f6ea80",
-    "jittered3/2": "95bef57ad049e5d9b11bdddf49288c2762c16e839c508a56e69eb69b941614f8",
-    "jittered3/3": "79dca7cd9e0ddd257e63286a39a20ef51c2520eaa523879cff2522a98fdd421c",
-    "kuhn_complex/0": "974174461086493b8b0ad667c95ecc451618e732932cf57fbc0ed09229bdfb96",
-    "kuhn_complex/1": "675774d2633822db739ed7305c4a549635f31eb50de6cda433e029fdf4094bb2",
-    "kuhn_complex/2": "675774d2633822db739ed7305c4a549635f31eb50de6cda433e029fdf4094bb2",
+    "jittered3/0": "abdbd10f0e696992a5f2782619cb39a76ecc6f73e67639845fd136500018e476",
+    "jittered3/1": "e704e1a9751d9ed658de3d15d20853ceae7796bd148c9da280485ef2c917df08",
+    "jittered3/2": "647c3f39ad89960f85d31da3ea912b7dcc7fcfb1efb762b77c18013095f863e0",
+    "jittered3/3": "120ff53aace8806de0a5af979e27dc60c64b0ac7fb4da514f80ccece3f7b8737",
+    "kuhn_complex/0": "e85cbcd8a0bce6da46c2aa036381de693d7a8c0a1e33c9ede7816cf59e29e54f",
+    "kuhn_complex/1": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",
+    "kuhn_complex/2": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",
 }
 
 
@@ -349,46 +387,46 @@ _STAR_MESHES = {
 }
 
 # Digests of the assembled stars' CSR arrays (float bytes included, numpy
-# 2.4 on x86-64), recorded before the per-tet matrices were split from
-# their sum; the stars feed the simulation, so the split must not move them.
+# 2.4 and its bundled OpenBLAS on x86-64), re-recorded when the element
+# matrices became one batched product; the stars feed the simulation, so
+# nothing else may move them.
 _STAR_DIGESTS = {
-    "kuhn/eps": "976bed3f6423e1f55a8d45b85089e3208e5f6fdbf969959cf7bb729526fb820f",
-    "kuhn/mu_inv": "a72b73a504cf1828007369f485e8d84bfe45c89e44660f0e51c3f5cf4ccc2379",
-    "box4/eps": "966285eaff375776cbb49762b93663b98139deceff787ddf0e79d01e24926cfc",
-    "box4/mu_inv": "efc53038cf97ab8c52f15eaf29cb624c62fb17932fa41f7c7fa109793551fc1a",
-    "annulus8/eps": "0c8eaf867ef1fc30e3d6c701169d2165d0982322412b8872def33155f3f4ed7c",
-    "annulus8/mu_inv": "1cb9d240daa095d0cea1de7de7370168dc9c1e8a6e74ea47a56698404b8da851",
-    "jittered6/eps": "60eabdd64d5778157fea82c075f3b4c9c772e7b316d190ecdb6ff0d2decb783f",
-    "jittered6/mu_inv": "aec3ad5d3ea0c123030168ca6559e107cf7a0886891395b0dda21ba7ecef640c",
+    "kuhn/eps": "c8ea3e4bfb15e4091617fa62d7a2b30d61957869facb09f62193c4772195f8c8",
+    "kuhn/mu_inv": "9faadbbd09ef00b049e6563a5f395f6e57f94761d56938925526b3c5ec53d71f",
+    "box4/eps": "a7a48716b86eb5d1944b3c8ad86629d78a52fb8dd0dcdb14ee090e8264e0a9b4",
+    "box4/mu_inv": "8cd31e2350cefe47f3ab72bb5210d1f94ce03abc3021cc6e64316021b4179d47",
+    "annulus8/eps": "10eb20c3bac403a29f6578e52d22ce456321b26d98f7da9a1fd58ac2972e35dc",
+    "annulus8/mu_inv": "f80acf8811963406375ad594b0bb496d04ef0abeb464200a54a7307b96130426",
+    "jittered6/eps": "6c1e71a5dd8a1c1203aad866f82ac1afcf196e4ab892885d0b7640edc504a03d",
+    "jittered6/mu_inv": "5c433533ad4bcddcd1933a2d53b910a06dad2a9b798986e4b3491dc7186f05f1",
 }
 
 
 # The Galerkin-dual pair and two stretched pairs (omega = 2) under
-# MaterialMap(eps=2.0, mu=1.5), recorded from the per-path assembly that
-# preceded the one material table; that table must reproduce them.
+# MaterialMap(eps=2.0, mu=1.5), re-recorded with the stars above.
 _MATERIAL_DIGESTS = {
-    "kuhn/eps_inv": "ba9d9531c8ac062c170d6ee0a43e4bdcea19e62c9bdd20c8367d80cd850531dc",
-    "kuhn/mu": "e26d8c8e6c52b45c01ac27c56c948fc7aa5fe7ca0a63c54c0c83ef99477756f2",
-    "kuhn/pml_z/eps": "f876a7693e1d670b4a74d0b9912cd2d3c8cb3c94da1c5699ec5948d319b7bc40",
-    "kuhn/pml_z/mu_inv": "4a061b88302df91f16481ba0b7d7193c81b7ef764df8fc8937ce0d4e4eadd644",
-    "kuhn/pml_x/eps": "b24800a45707d03f988a863bc039247d2a0aa55638fa1a93f0a0e49a4b0cad07",
-    "kuhn/pml_x/mu_inv": "91b2c68aece252056f8d26442d40eb017c505aec8103681d67ff796fc38f501e",
-    "box4/eps_inv": "982b107b361dd179f23a33cb860c4ebc976eebeafd3e6600bf60cdf94da3d78b",
-    "box4/mu": "fe680fc38cc5e7c7fce87a523813519326a6bfe536952b51b62585f6a2340a71",
-    "box4/pml_z/eps": "c4e86f56430bbfd38d5f098594ca4311a18420b1827934525cae594dc182ec18",
-    "box4/pml_z/mu_inv": "ae21df819e3d817ec4c738e12cd484b7bbbcf9f4ed730e702cbfae458c96bfc5",
-    "box4/pml_x/eps": "0a7aaa2c6c321a04d8ec283015e4b107006794254bb448cfff3df59001e63921",
-    "box4/pml_x/mu_inv": "de4e6a4ba7c03c32f984b79b08294917e07aff16f700f4e0cb0f4a86692a46f7",
+    "kuhn/eps_inv": "12ec41b5df757d6dc7766d6f3586bf5428a2e3ceb9591a97a48e5ff75b5062a2",
+    "kuhn/mu": "e4974a2a5038f6349503a3c178ecbc7fb169e03786aa96c361316953d38b77e8",
+    "kuhn/pml_z/eps": "5cf3798e157d60c1aa03a31ba065751c7543fe0920268cd73dab50eb0179c317",
+    "kuhn/pml_z/mu_inv": "dd105dc4b05fb6661aefcc7fab4d4b68403290f6975395e8ec3b652210b13307",
+    "kuhn/pml_x/eps": "97105fc6f3ad119ae870ac925bbb4ee6d9f3437ddbb12ebbe82fc49eb5f3fbab",
+    "kuhn/pml_x/mu_inv": "6635e8b29bf7bfcbc2a453433436753a95e12c9417550a8f2587758678a4c0e3",
+    "box4/eps_inv": "a6dbdb41bf8701a08a06818cb65b3cf7f9ce186ee327b519cc92dc31298b8110",
+    "box4/mu": "e3c30bfb6b3c8055130823002860fc0544c14f6245679bf07b0d36304e1cb702",
+    "box4/pml_z/eps": "f25664522f4f23c3a93cd5a25949c7146eba1298211b4364a59885a68e2ee003",
+    "box4/pml_z/mu_inv": "efad588a710270cb31aaa6c149c8a63d8c3d25c7e94b4270a9a0e5a87b5b2af4",
+    "box4/pml_x/eps": "90f94cb6920e5fd6af26424cba4bd2b28a02b2afd41906167f261f5e48076a61",
+    "box4/pml_x/mu_inv": "900c11ffa09ba2c8264f4d5985dbf63d7733cec656e1678e17048fdcca7d504b",
 }
 # The stretched pair of the default `declat pml --sweep` waveguide (the
 # criterion 9 guide: box_mesh(4, 4, 24) of length 6, slab 4.5-6.0, omega
-# 1.4 pi, unit materials) at omega_max 2 and 16, recorded before the mesh
-# and COO readers moved to numpy's parser.
+# 1.4 pi, unit materials) at omega_max 2 and 16, re-recorded with the
+# stars above.
 _SWEEP_DIGESTS = {
-    "waveguide/2/eps": "66b08bce7ed03d62fc8904186e9574558e4f8e9fed974bd5a8ccb0a9c3bc18e1",
-    "waveguide/2/mu_inv": "0a495952004f8313a89cecdb7bfad30debce683f0e77247badd3facb1ffaf998",
-    "waveguide/16/eps": "2a1697dc65478cc8c96252316e1f2312901d6462f85adb5718185bfd37e17834",
-    "waveguide/16/mu_inv": "055c4bc940bb4da489f70f8eaca27f6917571a7a032d82da1fe846448e8786f3",
+    "waveguide/2/eps": "5e5e5b326c1989c80879f04ebcb56bab64295d91e3cad51d3a605c75ac0f2ed6",
+    "waveguide/2/mu_inv": "4d4e4e3cd4c17dc1c0cef9cd1d4e911f8d736e2af5d400cf61ad54ead415ba24",
+    "waveguide/16/eps": "3d1e290725a80ca6c01d002de00b59482ae1d5330107adf6b4ad0d2b31ac9169",
+    "waveguide/16/mu_inv": "d24de8693124a088fe79841c0dbf804f295dbfa7f2d311da213357c62dea2b3b",
 }
 _GOLDEN_DIGESTS = {**_STAR_DIGESTS, **_MATERIAL_DIGESTS, **_SWEEP_DIGESTS}
 _PROFILES = {

@@ -16,6 +16,7 @@ from declat.whitney import (
     verify_coboundary,
     verify_partition_duality,
     whitney_eval,
+    _TET4,
 )
 
 from _oracles import interpolate_at_points_loop, partition_duality_loop, tet_quadrature
@@ -142,6 +143,23 @@ class TestWhitneyEval:
             w2d = lam_a * gb - lam_b * ga
             tang = (vb - va) / np.linalg.norm(vb - va)
             assert abs(val3d @ tang - w2d @ tang) <= 1e-12
+
+
+class TestBroadcastEval:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_shared_points_match_per_point_bit_for_bit(self, all_meshes, basis_of, rng, p):
+        # The same P points in every tet, through the column tets[:, None],
+        # against one per-point call per point; all tets, then some, repeated.
+        lam = rng.dirichlet(np.ones(4), size=5)
+        for name, mesh in all_meshes.items():
+            basis = basis_of(mesh)
+            for tets in (np.arange(mesh.n_tets), rng.integers(0, mesh.n_tets, 7)):
+                for points in (_TET4, lam):
+                    shared = basis.eval(p, tets[:, None], points)
+                    assert shared.shape == (len(tets), len(points), 6 if p == 1 else 4, 3)
+                    for q, point in enumerate(points):
+                        one = basis.eval(p, tets, np.broadcast_to(point, (len(tets), 4)))
+                        assert np.array_equal(shared[:, q], one), (name, p, q)
 
 
 class TestDeRham:
