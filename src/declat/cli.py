@@ -183,8 +183,11 @@ def cmd_dof(args) -> int:
 def cmd_pml(args) -> int:
     if not args.sweep:
         raise SystemExit("pml currently supports --sweep")
+    _require_counts(("--nx", args.nx), ("--nz", args.nz))
+    _require_positive(("--length", args.length))
     # Checked before any mesh is built: at or below the cutoff kz is not
-    # real, and a source or window outside the guide drives or samples nothing.
+    # real, a source or window outside the guide drives or samples nothing,
+    # and a layer that starts outside it absorbs nothing.
     if not 1 < args.omega_factor < float("inf"):
         raise SystemExit(f"--omega-factor must be finite and above 1, got {args.omega_factor!r}")
     if not 0 < args.source_z < args.length:
@@ -192,7 +195,15 @@ def cmd_pml(args) -> int:
     for flag, z in (("--window-lo", args.window_lo), ("--window-hi", args.window_hi)):
         if not 0 <= z <= args.length:
             raise SystemExit(f"{flag} must lie in [0, --length], got {z!r}")
-    omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
+    if not 0 < args.pml_start < args.length:
+        raise SystemExit(f"--pml-start must lie between 0 and --length, got {args.pml_start!r}")
+    try:
+        omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
+        if not all(0 <= w < float("inf") for w in omega_maxes):
+            raise ValueError
+    except ValueError:
+        raise SystemExit(f"--omega-maxes must be a comma-separated list of finite numbers "
+                         f">= 0, got {args.omega_maxes!r}") from None
     rows = reflection_sweep(
         args.nx, args.nz, args.length, args.omega_factor * np.pi, omega_maxes,
         pml_start=args.pml_start, source_z=args.source_z,

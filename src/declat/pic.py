@@ -86,23 +86,23 @@ def scatter_charge(
 
 def _walk(basis, t: int, ends: np.ndarray, tol: float):
     """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
-    ``t`` in fixed-order scalar float arithmetic: the within-tet segments (tet
-    and both chord ends' coordinates), the chord parameters where each is
-    entered and left, and whether the chord left the mesh; None if the walk
-    reaches its step cap."""
-    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    ``t`` in fixed-order scalar float arithmetic on one ``basis.frames`` row
+    per step: the within-tet segments (tet and both chord ends' coordinates),
+    the chord parameters where each is entered and left, and whether the
+    chord left the mesh; None if the walk reaches its step cap."""
+    frames, neighbors = basis.frames, basis.neighbors
     (xa, ya, za), (xb, yb, zb) = ends.tolist()
     segments, bounds = [], [0.0]
     for _ in range(8 * basis.complex.n_tets + 16):
         # Raw affine coordinates (x - v0) . grad(lambda_i), plus 1 for lambda_0,
         # of both chord ends in t (identical endpoints give exact zeros); along
         # the chord they are affine in the parameter.
-        (ox, oy, oz), g = origin[t].tolist(), grads[t].tolist()
+        ox, oy, oz, g0x, g0y, g0z, g1x, g1y, g1z, g2x, g2y, g2z, g3x, g3y, g3z = frames[t].tolist()
         ax, ay, az, bx, by, bz = xa - ox, ya - oy, za - oz, xb - ox, yb - oy, zb - oz
-        a = [ax * gx + ay * gy + az * gz for gx, gy, gz in g]
-        b = [bx * gx + by * gy + bz * gz for gx, gy, gz in g]
-        a[0] += 1.0
-        b[0] += 1.0
+        a = [ax * g0x + ay * g0y + az * g0z + 1.0, ax * g1x + ay * g1y + az * g1z,
+             ax * g2x + ay * g2y + az * g2z, ax * g3x + ay * g3y + az * g3z]
+        b = [bx * g0x + by * g0y + bz * g0z + 1.0, bx * g1x + by * g1y + bz * g1z,
+             bx * g2x + by * g2y + bz * g2z, bx * g3x + by * g3y + bz * g3z]
         segments.append((t, a, b))
         if min(b) >= -tol:
             bounds.append(1.0)
@@ -189,12 +189,15 @@ def verify_conservation(
     For every node, the rate of deposited charge must equal the signed sum
     of scattered currents on its incident edges; the return value is the
     largest absolute mismatch (scale it by 1/|qdot| for a relative read).
+    Only edges that carry current are summed: the rest add exact zeros.
     """
     basis = _as_basis(complex_or_basis)
     cx = basis.complex
     res = scatter_current(basis, x_start, x_end, q, tau)
     current, nv = res.edge_current.values, cx.n_vertices
-    inflow = np.bincount(cx.edges[:, 1], current, nv) - np.bincount(cx.edges[:, 0], current, nv)
+    hit = (current != 0).nonzero()[0]
+    edges, current = cx.edges[hit], current[hit]
+    inflow = np.bincount(edges[:, 1], current, nv) - np.bincount(edges[:, 0], current, nv)
     return float(np.abs(inflow - res.node_rate.values).max())
 
 

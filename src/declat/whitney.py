@@ -160,7 +160,9 @@ class AnalyticForm:
 
 
 class WhitneyBasis:
-    """Per-tet caches for barycentric gradients and local index maps."""
+    """Per-tet caches for barycentric gradients and local index maps; the
+    tet adjacency, the seed grid and the (M, 15) walk frames (v0, then the
+    four barycentric gradients, one row per tet) are built on first use."""
 
     def __init__(self, complex: SimplicialComplex):
         cx = complex
@@ -184,7 +186,7 @@ class WhitneyBasis:
         self.face_local = np.argmax(
             tets[:, None, None, :] == ftri[:, :, :, None], axis=3
         )  # (M, 4, 3)
-        self._neighbors = None
+        self._neighbors = self._frames = None
         self._grid = None  # seed grid for point location, built on first use
         self.scans = 0  # points located by the exhaustive-scan fallback
 
@@ -209,6 +211,12 @@ class WhitneyBasis:
         if self._neighbors is None:
             self._neighbors = self.complex.tet_neighbors()
         return self._neighbors
+
+    @property
+    def frames(self) -> np.ndarray:
+        if self._frames is None:
+            self._frames = np.concatenate([self.origin, self.grads.reshape(-1, 12)], axis=1)
+        return self._frames
 
     @staticmethod
     def _buckets(points: np.ndarray, lo: np.ndarray, h: float, shape: np.ndarray) -> np.ndarray:

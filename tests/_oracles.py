@@ -23,8 +23,12 @@ versions of the package's location and deposit: they call a basis's
 the package seeds from a grid, walks all points at once and deposits all
 segments of a path in one pass.  Between them, ``walk_matmul`` is the
 package's face-crossing walk as it was when one (2, 3) @ (3, 4) product
-gave both chord ends' coordinates in a tet; the package now computes
-them as scalar floats in a fixed order.  The last is the electric-field form of
+gave both chord ends' coordinates in a tet, and ``walk_row_reads`` the
+same scalar walk as the package's, except that it reads the tet's vertex
+and gradients as two rows per step, where the package reads one
+``frames`` row; ``conservation_residual_all_edges`` is the conservation
+residual with its bincounts over every edge, where the package sums only
+the edges that carry current.  The last is the electric-field form of
 the leapfrog, which applies the stars through ``ampere_step`` and
 ``hamiltonian`` every step, where the package carries D = Heps E and
 Hmu_inv B from step to step; next to it sits ``faraday_step``, the
@@ -413,6 +417,50 @@ def walk_matmul(basis, t: int, ends: np.ndarray, tol: float):
         if t < 0:
             return segments, bounds, True
     return None
+
+
+def walk_row_reads(basis, t: int, ends: np.ndarray, tol: float):
+    """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
+    ``t`` in fixed-order scalar float arithmetic: the within-tet segments (tet
+    and both chord ends' coordinates), the chord parameters where each is
+    entered and left, and whether the chord left the mesh; None if the walk
+    reaches its step cap."""
+    origin, grads, neighbors = basis.origin, basis.grads, basis.neighbors
+    (xa, ya, za), (xb, yb, zb) = ends.tolist()
+    segments, bounds = [], [0.0]
+    for _ in range(8 * basis.complex.n_tets + 16):
+        # Raw affine coordinates (x - v0) . grad(lambda_i), plus 1 for lambda_0,
+        # of both chord ends in t (identical endpoints give exact zeros); along
+        # the chord they are affine in the parameter.
+        (ox, oy, oz), g = origin[t].tolist(), grads[t].tolist()
+        ax, ay, az, bx, by, bz = xa - ox, ya - oy, za - oz, xb - ox, yb - oy, zb - oz
+        a = [ax * gx + ay * gy + az * gz for gx, gy, gz in g]
+        b = [bx * gx + by * gy + bz * gz for gx, gy, gz in g]
+        a[0] += 1.0
+        b[0] += 1.0
+        segments.append((t, a, b))
+        if min(b) >= -tol:
+            bounds.append(1.0)
+            return segments, bounds, False
+        # Leave t by the face whose coordinate reaches zero first (lowest index on a tie).
+        s, worst = np.inf, 0
+        for i in range(4):
+            if b[i] - a[i] < -tol and a[i] / (a[i] - b[i]) < s:
+                s, worst = a[i] / (a[i] - b[i]), i
+        bounds.append(min(max(s, bounds[-1]), 1.0))
+        t = int(neighbors[t, worst])
+        if t < 0:
+            return segments, bounds, True
+    return None
+
+
+def conservation_residual_all_edges(complex, current: np.ndarray, rate: np.ndarray) -> float:
+    """Max node residual between ``rate`` and the signed edge ``current``
+    summed into each node, with both bincounts over every edge."""
+    nv = complex.n_vertices
+    head, tail = complex.edges[:, 1], complex.edges[:, 0]
+    inflow = np.bincount(head, current, nv) - np.bincount(tail, current, nv)
+    return float(np.abs(inflow - rate).max())
 
 
 def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float = 1e-12):

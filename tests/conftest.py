@@ -1,3 +1,12 @@
+import os
+
+# One BLAS and OpenMP thread, set before numpy loads: OpenBLAS's threaded
+# kernels (potrf from 100 x 100 blocks up, dense eigh) round differently
+# from its one-thread ones, so the golden digests would otherwise depend on
+# the host's core count.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -277,7 +277,19 @@ _PML_GUIDE = ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
                                          (["--source-z", "3.0"], "--source-z"),
                                          (["--source-z", "0"], "--source-z"),
                                          (["--window-lo", "1.2", "--window-hi", "4.2"], "--window-hi"),
-                                         (["--window-lo", "-0.1"], "--window-lo")])
+                                         (["--window-lo", "-0.1"], "--window-lo"),
+                                         (["--nx", "0"], "--nx"),
+                                         (["--nz", "0"], "--nz"),
+                                         (["--length", "inf"], "--length"),
+                                         (["--pml-start", "nan"], "--pml-start"),
+                                         (["--pml-start", "100"], "--pml-start"),
+                                         (["--pml-start", "-1"], "--pml-start"),
+                                         (["--pml-start", "0"], "--pml-start"),
+                                         (["--omega-maxes", "0,x"], "--omega-maxes"),
+                                         (["--omega-maxes", ","], "--omega-maxes"),
+                                         (["--omega-maxes", "nan"], "--omega-maxes"),
+                                         (["--omega-maxes", "0,inf"], "--omega-maxes"),
+                                         (["--omega-maxes", "-1"], "--omega-maxes")])
 def test_pml_rejects_frequency_and_geometry_before_work(tmp_path, monkeypatch, flags, flag):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran for rejected flags")

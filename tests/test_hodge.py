@@ -209,8 +209,8 @@ def _complex_kuhn_star(kuhn, basis):
 _SPAI_DIGESTS = {
     "jittered3/0": "abdbd10f0e696992a5f2782619cb39a76ecc6f73e67639845fd136500018e476",
     "jittered3/1": "e704e1a9751d9ed658de3d15d20853ceae7796bd148c9da280485ef2c917df08",
-    "jittered3/2": "647c3f39ad89960f85d31da3ea912b7dcc7fcfb1efb762b77c18013095f863e0",
-    "jittered3/3": "120ff53aace8806de0a5af979e27dc60c64b0ac7fb4da514f80ccece3f7b8737",
+    "jittered3/2": "fd298cb11b428c2ce4bae00d6718fb63bae8cd18b56da0e383620e4053e7dbb8",
+    "jittered3/3": "297d34770e28b3879d2fadae630012b2677e0496290a14893650db0585e5df9a",
     "kuhn_complex/0": "e85cbcd8a0bce6da46c2aa036381de693d7a8c0a1e33c9ede7816cf59e29e54f",
     "kuhn_complex/1": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",
     "kuhn_complex/2": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",

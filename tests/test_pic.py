@@ -15,7 +15,12 @@ from declat.pic import (
 )
 from declat.whitney import AnalyticForm, OutsideMeshError, WhitneyBasis, de_rham
 
-from _oracles import scatter_current_loop, walk_matmul
+from _oracles import (
+    conservation_residual_all_edges,
+    scatter_current_loop,
+    walk_matmul,
+    walk_row_reads,
+)
 
 
 def constant_form(degree, vec):
@@ -185,6 +190,9 @@ def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, 
         assert np.abs(got.values - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
     residual = verify_conservation(basis, a, b, q, tau)
     assert residual <= 1e-12 * abs(q / tau)
+    # Edges without current add exact zeros: the same residual as over every edge.
+    assert residual == conservation_residual_all_edges(
+        mesh, res.edge_current.values, res.node_rate.values)
 
 
 @given(
@@ -213,6 +221,8 @@ def test_scalar_walk_matches_matmul_walk(all_meshes, basis_of, name, seed, chord
     if chord == "still":
         # Identical endpoints give identical coordinates: exact zero motion.
         assert bounds == [0.0, 1.0] and segments[0][1] == segments[0][2]
+    # One frame row per step gives the two-row walk's floats exactly.
+    assert (segments, bounds, exited) == walk_row_reads(basis, t, ends, 1e-12)
 
 
 def _scatter_from_locate(basis, a, b, q, tau):
