@@ -8,6 +8,7 @@ carry a schema or header line identifying the format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -123,6 +124,7 @@ def cmd_simulate(args) -> int:
         raise SystemExit(f"--hodge-inverse: unknown hodge_inverse {args.hodge_inverse!r}: "
                          "expected 'exact', 'spai' or 'spai:<level>'")
     _require_counts(("--steps", args.steps), ("--trace-every", args.trace_every))
+    _require_counts(("--seed", args.seed), least=0)
     _require_positive(("--dt", args.dt), ("--dt-factor", args.dt_factor))
     materials = _materials(args)
     mesh = load_mesh(args.mesh)
@@ -187,7 +189,8 @@ def cmd_pml(args) -> int:
     _require_positive(("--length", args.length))
     # Checked before any mesh is built: at or below the cutoff kz is not
     # real, a source or window outside the guide drives or samples nothing,
-    # and a layer that starts outside it absorbs nothing.
+    # a layer that starts outside it absorbs nothing, and a window that
+    # reaches into the layer fits its decaying field as a standing wave.
     if not 1 < args.omega_factor < float("inf"):
         raise SystemExit(f"--omega-factor must be finite and above 1, got {args.omega_factor!r}")
     if not 0 < args.source_z < args.length:
@@ -197,6 +200,12 @@ def cmd_pml(args) -> int:
             raise SystemExit(f"{flag} must lie in [0, --length], got {z!r}")
     if not 0 < args.pml_start < args.length:
         raise SystemExit(f"--pml-start must lie between 0 and --length, got {args.pml_start!r}")
+    if not args.window_lo < args.window_hi:
+        raise SystemExit(f"--window-lo must lie below --window-hi, "
+                         f"got {args.window_lo!r} and {args.window_hi!r}")
+    if not args.window_hi <= args.pml_start:
+        raise SystemExit(f"--window-hi must not exceed --pml-start, "
+                         f"got {args.window_hi!r} and {args.pml_start!r}")
     try:
         omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
         if not all(0 <= w < float("inf") for w in omega_maxes):
@@ -218,6 +227,7 @@ def cmd_pml(args) -> int:
 
 def cmd_pic(args) -> int:
     _require_counts(("--paths", args.paths))
+    _require_counts(("--seed", args.seed), least=0)
     _require_positive(("--tau", args.tau))
     if not np.isfinite(args.charge):
         raise SystemExit(f"--charge must be a finite number, got {args.charge!r}")
@@ -238,6 +248,7 @@ def cmd_pic(args) -> int:
     return 0 if worst <= 1e-12 * abs(q / tau) else 1
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="declat",

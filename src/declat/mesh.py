@@ -20,9 +20,10 @@ boundary triple is re-sorted.
 
 Edges and faces are found from integer keys: a*n + b for edge (a, b) and
 e*n + c for face (a, b, c), where n is the vertex count and e the index of
-edge (a, b).  Edge indices follow lexicographic order, so sorted face keys
-do too.  Keys stay below n * max(n, n_edges), about 7 n^2 on a lattice, so
-int64 holds them up to about 1e9 vertices.
+edge (a, b), read with each face's boundary edges from a tet's own edge
+slots through constant slot tables.  Edge indices follow lexicographic
+order, so sorted face keys do too.  Keys stay below n * max(n, n_edges),
+about 7 n^2 on a lattice, so int64 holds them up to about 1e9 vertices.
 
 Meshes are stored as ``declat-mesh 1`` text: :func:`load_mesh` takes a
 path, :func:`parse_mesh` the text, and a section count that does not match
@@ -56,6 +57,22 @@ __all__ = [
 # Local vertex pairs/triples of a tet, in positions (not vertex ids).
 _TET_EDGE_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _TET_FACE_SLOTS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+# In a sorted row, the edge slots of each face slot's boundary (b, c),
+# (a, c), (a, b).
+_FACE_EDGE_SLOTS = np.array([(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)])
+# The positions of the first two tables in a row stored with its last pair
+# swapped, each simplex's vertices still in increasing id order.
+_SWAPPED_EDGE_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 2)])
+_SWAPPED_FACE_SLOTS = np.array([(1, 3, 2), (0, 3, 2), (0, 1, 3), (0, 1, 2)])
+
+
+def _local_slots(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 6, 2) and (M, 4, 3) positions in each stored tet row of the
+    vertices of its edge and face slots, in increasing vertex id; a row's
+    last pair is swapped exactly where ``tets[:, 2] > tets[:, 3]``."""
+    swapped = (tets[:, 2] > tets[:, 3])[:, None, None]
+    return (np.where(swapped, _SWAPPED_EDGE_SLOTS, _TET_EDGE_SLOTS),
+            np.where(swapped, _SWAPPED_FACE_SLOTS, _TET_FACE_SLOTS))
 
 
 class MeshError(ValueError):
@@ -109,8 +126,11 @@ class SimplicialComplex:
     Parameters
     ----------
     vertices : (N, 3) float array of vertex coordinates.
-    tets : (M, 4) int array of vertex indices; each tet is re-signed to
-        positive volume, and duplicated tets (in any vertex order),
+    tets : (M, 4) int array of vertex indices; each tet is stored as its
+        sorted row, with the last pair swapped exactly when the sorted
+        orientation has negative volume (so exactly where
+        ``tets[:, 2] > tets[:, 3]``; the local maps of :func:`_local_slots`
+        rely on it), and duplicated tets (in any vertex order),
         degenerate (zero-volume) tets, folds (two tets on the same side
         of a shared face), faces with more than two tets and pinched
         vertices (whose tets do not connect through faces at the vertex)
@@ -159,32 +179,23 @@ class SimplicialComplex:
         # and face slots list their vertices in increasing order.
         n = len(vertices)
         edge_keys, tet_edges = np.unique(ranked[:, _TET_EDGE_SLOTS] @ [n, 1], return_inverse=True)
+        tet_edges = tet_edges.reshape(-1, 6)
         # Column-major, so that each end's column is contiguous (bincounts over it).
         self.edges = np.stack(np.divmod(edge_keys, n)).T
-
-        def edge_id(pairs):
-            return np.searchsorted(edge_keys, pairs @ [n, 1])
-
-        rows = ranked[:, _TET_FACE_SLOTS]
-        face_keys, tet_faces = np.unique(edge_id(rows[..., :2]) * n + rows[..., 2],
-                                         return_inverse=True)
+        face_keys, tet_faces = np.unique(
+            tet_edges[:, _FACE_EDGE_SLOTS[:, 2]] * n + ranked[:, _TET_FACE_SLOTS[:, 2]],
+            return_inverse=True)
         face_edge, face_last = np.divmod(face_keys, n)
         self.faces = np.column_stack([self.edges[face_edge], face_last])
 
         # A swapped last pair exchanges a tet's edge slots 1/2 and 3/4 and
         # its face slots 2/3, and negates its faces in slots 0 and 1.
         swapped = flip[:, None]
-        tet_edges, tet_faces = tet_edges.reshape(-1, 6), tet_faces.reshape(-1, 4)
+        tet_faces = tet_faces.reshape(-1, 4)
         self.tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
         self.tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
         self.tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
 
-        self._incidence = [
-            _signed_rows(self.edges, np.array([-1, 1]), n),
-            _signed_rows(edge_id(self.faces[:, [[1, 2], [0, 2], [0, 1]]]), np.array([1, -1, 1]),
-                         self.n_edges),
-            _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
-        ]
         # One stable sort of the face slots, by face and then by tet, gives
         # face_tets, (F, 2) tet indices per face (-1 where absent, lower tet
         # first), and serves the fold and pinched-vertex checks.
@@ -208,6 +219,15 @@ class SimplicialComplex:
         self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
         self.face_tets[faces, rank] = order // 4
         _reject_pinched_vertices(ranked, flip, self.tet_faces, order)
+        # Each face's boundary edges, read from the sorted row of its first tet.
+        tet, slot = np.divmod(order[rank == 0], 4)
+        slot = np.where(flip[tet], np.array([0, 1, 3, 2])[slot], slot)
+        self._incidence = [
+            _signed_rows(self.edges, np.array([-1, 1]), n),
+            _signed_rows(tet_edges[tet[:, None], _FACE_EDGE_SLOTS[slot]], np.array([1, -1, 1]),
+                         self.n_edges),
+            _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
+        ]
 
     # -- counts ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SimplicialComplex
+from .mesh import SimplicialComplex, _local_slots
 
 __all__ = [
     "Cochain",
@@ -177,15 +177,7 @@ class WhitneyBasis:
 
         # Local edge/face vertex positions, ordered by ascending global id so
         # that every local basis function matches its canonical simplex.
-        tets = cx.tets
-        epair = cx.edges[cx.tet_edges]  # (M, 6, 2) global vertex ids
-        self.edge_local = np.argmax(
-            tets[:, None, None, :] == epair[:, :, :, None], axis=3
-        )  # (M, 6, 2)
-        ftri = cx.faces[cx.tet_faces]  # (M, 4, 3)
-        self.face_local = np.argmax(
-            tets[:, None, None, :] == ftri[:, :, :, None], axis=3
-        )  # (M, 4, 3)
+        self.edge_local, self.face_local = _local_slots(cx.tets)  # (M, 6, 2), (M, 4, 3)
         self._neighbors = self._frames = None
         self._grid = None  # seed grid for point location, built on first use
         self.scans = 0  # points located by the exhaustive-scan fallback

@@ -8,7 +8,11 @@ tet-at-a-time dihedral angles.
 None of it shares code paths with the package, except the loop versions
 of the face/tet adjacency and the partition-duality scan at the end: they
 read a complex's arrays (and a basis's pointwise values) one tet at a
-time, where the package works on all tets at once.  Another is the
+time, where the package works on all tets at once.  Next to them,
+``skeleton_by_search`` finds each face's edges by ``np.searchsorted`` over
+the edge keys and ``local_maps_by_argmax`` each tet's local edge and face
+positions by comparing vertex ids, where the package reads both from
+constant slot tables.  Another is the
 sparse approximate inverse as a dense least-squares solve per column
 (``lstsq`` on the sliced rows of H), where the package solves the normal
 equations by Cholesky; it builds its pattern with the package's
@@ -246,6 +250,71 @@ def tet_neighbors_loop(complex) -> np.ndarray:
             a, b = ft[f]
             neigh[t, k] = b if a == t else a
     return neigh
+
+
+def skeleton_by_search(vertices, tets) -> dict:
+    """The canonical arrays and incidence matrices of a complex, derived as
+    before the slot tables: the flip from the sorted rows' signed volumes,
+    each face's first edge and each C1 column by ``np.searchsorted`` over
+    the edge keys."""
+    tets = np.sort(np.asarray(tets, dtype=np.int64), axis=1)
+    tets = tets[np.lexsort(tets.T[::-1])]
+    a, b, c, d = (vertices[tets[:, k]] for k in range(4))
+    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) < 0
+    ranked = tets.copy()
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+
+    def signed_rows(cols, signs, n_cols):
+        m, k = cols.shape
+        return sparse.csr_matrix(
+            (np.broadcast_to(signs, (m, k)).ravel(), (np.repeat(np.arange(m), k), cols.ravel())),
+            shape=(m, n_cols),
+        )
+
+    n = len(vertices)
+    edge_slots = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    face_slots = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+    edge_keys, tet_edges = np.unique(ranked[:, edge_slots] @ [n, 1], return_inverse=True)
+    edges = np.stack(np.divmod(edge_keys, n)).T
+
+    def edge_id(pairs):
+        return np.searchsorted(edge_keys, pairs @ [n, 1])
+
+    rows = ranked[:, face_slots]
+    face_keys, tet_faces = np.unique(edge_id(rows[..., :2]) * n + rows[..., 2],
+                                     return_inverse=True)
+    face_edge, face_last = np.divmod(face_keys, n)
+    faces = np.column_stack([edges[face_edge], face_last])
+
+    swapped = flip[:, None]
+    tet_edges, tet_faces = tet_edges.reshape(-1, 6), tet_faces.reshape(-1, 4)
+    tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
+    tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
+    tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
+    return {
+        "edges": edges, "faces": faces, "tets": tets, "tet_edges": tet_edges,
+        "tet_faces": tet_faces, "tet_face_signs": tet_face_signs,
+        "C0": signed_rows(edges, np.array([-1, 1]), n),
+        "C1": signed_rows(edge_id(faces[:, [[1, 2], [0, 2], [0, 1]]]), np.array([1, -1, 1]),
+                          len(edges)),
+        "C2": signed_rows(tet_faces, tet_face_signs, len(faces)),
+    }
+
+
+def local_maps_by_argmax(complex) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 6, 2) and (M, 4, 3) positions in each stored tet of its edges'
+    and faces' vertices, found by comparing global vertex ids."""
+    cx = complex
+    tets = cx.tets
+    epair = cx.edges[cx.tet_edges]  # (M, 6, 2) global vertex ids
+    edge_local = np.argmax(
+        tets[:, None, None, :] == epair[:, :, :, None], axis=3
+    )  # (M, 6, 2)
+    ftri = cx.faces[cx.tet_faces]  # (M, 4, 3)
+    face_local = np.argmax(
+        tets[:, None, None, :] == ftri[:, :, :, None], axis=3
+    )  # (M, 4, 3)
+    return edge_local, face_local
 
 
 def partition_duality_loop(complex, p: int, basis) -> float:

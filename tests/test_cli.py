@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from declat.cli import main
+from declat.cli import build_parser, main
 from declat.hodge import MaterialMap, assemble_galerkin_dual, read_coo
 from declat.mesh import load_mesh
 from declat.whitney import WhitneyBasis
@@ -45,6 +45,20 @@ def test_genmesh_rejects_counts_before_work(tmp_path, monkeypatch, flags, flag):
     with pytest.raises(SystemExit, match=f"^{flag} must be at least"):
         main(["genmesh", *flags, "--out", str(out)])
     assert not out.exists()
+
+
+def test_main_calls_share_one_parser_and_parse_afresh(kuhn_file, tmp_path, monkeypatch):
+    # The second call omits --json, which must be back at its default.
+    parser = build_parser()
+    seen = []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or parse(argv))
+    a, b = tmp_path / "a.json", tmp_path / "b.txt"
+    assert main(["audit", "--mesh", str(kuhn_file), "--json", "--out", str(a)]) == 0
+    assert main(["audit", "--mesh", str(kuhn_file), "--out", str(b)]) == 0
+    assert len(seen) == 2 and build_parser() is parser
+    assert json.loads(a.read_text())["schema"] == "declat-audit-1"
+    assert "overall: PASS" in b.read_text() and not b.read_text().startswith("{")
 
 
 def test_audit_clean_mesh_exit_zero(kuhn_file, tmp_path):
@@ -220,6 +234,18 @@ def test_pic_conservation_exit_zero(tmp_path):
     assert payload["max_residual_relative"] <= 1e-12
 
 
+@pytest.mark.parametrize("command", ["simulate", "pic"])
+def test_negative_seed_rejected_before_work(tmp_path, monkeypatch, command):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was read for a rejected seed")
+
+    monkeypatch.setattr("declat.cli.load_mesh", no_mesh)
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit, match="^--seed must be at least 0, got -1$"):
+        main([command, "--mesh", str(tmp_path / "m.mesh"), "--seed", "-1", "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_pic_rejects_charge_that_is_not_finite(tmp_path, value):
     # The mesh path does not exist: the charge is rejected before it is read.
@@ -289,7 +315,15 @@ _PML_GUIDE = ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
                                          (["--omega-maxes", ","], "--omega-maxes"),
                                          (["--omega-maxes", "nan"], "--omega-maxes"),
                                          (["--omega-maxes", "0,inf"], "--omega-maxes"),
-                                         (["--omega-maxes", "-1"], "--omega-maxes")])
+                                         (["--omega-maxes", "-1"], "--omega-maxes"),
+                                         (["--window-lo", "1.0", "--window-hi", "1.0"],
+                                          "--window-lo"),
+                                         (["--window-lo", "1.4", "--window-hi", "0.9"],
+                                          "--window-lo"),
+                                         (["--pml-start", "1.2"], "--window-hi"),
+                                         (["--length", "6", "--pml-start", "3.0",
+                                           "--window-lo", "1.2", "--window-hi", "4.2"],
+                                          "--window-hi")])
 def test_pml_rejects_frequency_and_geometry_before_work(tmp_path, monkeypatch, flags, flag):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran for rejected flags")

@@ -20,7 +20,16 @@ from declat.mesh import (
     write_mesh,
 )
 
-from _oracles import boundary_faces, enumerate_skeleton, face_tets_loop, tet_neighbors_loop
+from declat.whitney import WhitneyBasis
+
+from _oracles import (
+    boundary_faces,
+    enumerate_skeleton,
+    face_tets_loop,
+    local_maps_by_argmax,
+    skeleton_by_search,
+    tet_neighbors_loop,
+)
 from test_exact import hollow_box3
 
 
@@ -130,6 +139,50 @@ def _relabel(verts, tets, seed):
 def _relabelled_box(n, seed):
     box = generators.box_mesh(n)
     return SimplicialComplex(*_relabel(box.vertices, box.tets, seed)[:2])
+
+
+_SLOT_MESHES = {
+    "kuhn": generators.kuhn_cube(),
+    "box3": generators.box_mesh(3),
+    "annulus8": generators.annulus_mesh(8),
+    "jittered3": generators.jittered_box_mesh(3, seed=5),
+}
+
+
+def _assert_same(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+
+
+@given(name=st.sampled_from(sorted(_SLOT_MESHES)), seed=st.integers(0, 2**32 - 1))
+def test_slot_tables_match_search_and_argmax(name, seed):
+    # Under any vertex labelling, tet order and corner order, the arrays
+    # read from slot tables equal those found by search and comparison.
+    mesh = _SLOT_MESHES[name]
+    verts, tets, _ = _relabel(mesh.vertices, mesh.tets, seed)
+    cx = SimplicialComplex(verts, tets)
+    want = skeleton_by_search(verts, tets)
+    for key in ("edges", "faces", "tets", "tet_edges", "tet_faces", "tet_face_signs"):
+        _assert_same(getattr(cx, key), want[key], key)
+    for p in range(3):
+        got, ref = cx.incidence(p), want[f"C{p}"]
+        for part in ("indptr", "indices", "data"):
+            _assert_same(getattr(got, part), getattr(ref, part), f"C{p}.{part}")
+    _assert_same(cx.face_tets, face_tets_loop(cx), "face_tets")
+    basis = WhitneyBasis(cx)
+    edge_local, face_local = local_maps_by_argmax(cx)
+    _assert_same(basis.edge_local, edge_local, "edge_local")
+    _assert_same(basis.face_local, face_local, "face_local")
+
+
+@pytest.mark.parametrize("name", sorted(_SLOT_MESHES))
+def test_relabelled_meshes_store_both_orientations(name):
+    # The slot-table property above sees rows stored as sorted and rows
+    # stored with their last pair swapped.
+    mesh = _SLOT_MESHES[name]
+    swapped = SimplicialComplex(*_relabel(mesh.vertices, mesh.tets, 0)[:2]).tets
+    swapped = swapped[:, 2] > swapped[:, 3]
+    assert swapped.any() and not swapped.all()
 
 
 def _skeleton_digest(mesh) -> str:
