@@ -3,6 +3,7 @@
 Subcommands: audit, assemble, simulate, eigen, dof, pml, pic, genmesh.
 All flags are long-form; outputs are deterministic for a fixed seed and
 carry a schema or header line identifying the format.
+Exit codes: 0 pass, 1 a failed check or a refused run, 2 a bad or conflicting flag.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -34,35 +36,65 @@ from .pml import reflection_sweep, write_sweep
 from .whitney import WhitneyBasis
 
 
-def _materials(args) -> MaterialMap:
-    """The uniform materials of ``--eps`` and ``--mu``; call before any work."""
-    _require_positive(("--eps", args.eps), ("--mu", args.mu))
-    return MaterialMap(eps=args.eps, mu=args.mu)
+def _rule(rule: str, parse, ok=lambda value: True):
+    """An argparse ``type=`` keeping ``parse(text)`` if ``ok`` holds for it; any
+    other text exits 2, naming the flag and stating ``rule``."""
+    def checked(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return checked
 
 
-def _add_mesh_arg(p, required=True):
-    p.add_argument("--mesh", required=required, help="path to a declat-mesh file")
+def _inverse_level(spec: str) -> int | None:
+    """The SPAI level of a ``spai[:k]`` spec (``spai`` is 1); None for ``exact``."""
+    match = re.fullmatch(r"exact|spai(?::(\d+))?", spec)
+    if match is None:
+        raise ValueError(spec)
+    return None if match[0] == "exact" else int(match[1] or 1)
+
+
+_COUNT = _rule("an integer of at least 1", int, lambda n: n >= 1)
+_SEED = _rule("an integer of at least 0", int, lambda n: n >= 0)
+_SEGMENTS = _rule("an integer of at least 3", int, lambda n: n >= 3)
+_FINITE = _rule("a finite number", float, math.isfinite)
+_POSITIVE = _rule("a finite number above 0", float, lambda x: 0 < x < math.inf)
+_ABOVE_ONE = _rule("a finite number above 1", float, lambda x: 1 < x < math.inf)
+_RATES = _rule("a comma-separated list of finite numbers >= 0",
+               lambda text: [float(w) for w in text.split(",")],
+               lambda rates: all(0 <= w < math.inf for w in rates))
+_INVERSE = _rule("'exact', 'spai' or 'spai:<level>'", _inverse_level)
+
+
+def _check_pml(args) -> None:
+    """Refuse pml flags that conflict: a source, layer or window outside the
+    guide drives, absorbs or samples nothing, and a window that reaches into
+    the layer fits its decaying field as a standing wave."""
+    if not args.source_z < args.length:
+        args.error(f"--source-z must lie below --length, got {args.source_z!r}")
+    if not 0 <= args.window_lo < args.window_hi <= args.pml_start < args.length:
+        args.error("need 0 <= --window-lo < --window-hi <= --pml-start < --length, got "
+                   f"{args.window_lo!r}, {args.window_hi!r}, {args.pml_start!r}, {args.length!r}")
+
+
+def _check_pic(args) -> None:
+    """Refuse a charge over tau that overflows, which makes every residual NaN."""
+    if not math.isfinite(args.charge / args.tau):
+        args.error(f"--charge/--tau must be a finite ratio, got {args.charge!r}/{args.tau!r}")
+
+
+def _add_mesh_arg(p):
+    p.add_argument("--mesh", required=True, help="path to a declat-mesh file")
 
 
 def _add_material_args(p):
-    p.add_argument("--eps", type=float, default=1.0, help="uniform permittivity")
-    p.add_argument("--mu", type=float, default=1.0, help="uniform permeability")
-
-
-def _require_counts(*flags: tuple[str, int | None], least: int = 1) -> None:
-    """Exit, before any work, on a count flag that is given but is below
-    ``least``."""
-    for flag, value in flags:
-        if value is not None and value < least:
-            raise SystemExit(f"{flag} must be at least {least}, got {value}")
-
-
-def _require_positive(*flags: tuple[str, float | None]) -> None:
-    """Exit, before any work, on a value flag that is given but is not a
-    finite number above 0."""
-    for flag, value in flags:
-        if value is not None and not 0 < value < float("inf"):
-            raise SystemExit(f"{flag} must be a finite number above 0, got {value!r}")
+    p.add_argument("--eps", type=_POSITIVE, default=1.0, help="uniform permittivity")
+    p.add_argument("--mu", type=_POSITIVE, default=1.0, help="uniform permeability")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,9 +106,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_genmesh(args) -> int:
-    _require_counts(("--n", args.n), ("--ny", args.ny), ("--nz", args.nz))
-    _require_counts(("--segments", args.segments), least=3)
-    _require_positive(("--lx", args.lx), ("--ly", args.ly), ("--lz", args.lz))
     kind = args.kind
     if kind == "tet1":
         mesh = generators.single_tet()
@@ -84,10 +113,8 @@ def cmd_genmesh(args) -> int:
         mesh = generators.kuhn_cube()
     elif kind == "box":
         mesh = generators.box_mesh(args.n, args.ny, args.nz, lengths=(args.lx, args.ly, args.lz))
-    elif kind == "annulus":
-        mesh = generators.annulus_mesh(args.segments)
     else:
-        raise SystemExit(f"unknown mesh kind {kind!r}")
+        mesh = generators.annulus_mesh(args.segments)
     write_mesh(mesh, args.out)
     print(f"wrote {args.out}: N_V={mesh.n_vertices} N_E={mesh.n_edges} "
           f"N_F={mesh.n_faces} N_P={mesh.n_tets}")
@@ -102,7 +129,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    materials = _materials(args)
+    materials = MaterialMap(eps=args.eps, mu=args.mu)
     mesh = load_mesh(args.mesh)
     if args.which == "galerkin":
         base = Path(args.out)
@@ -118,15 +145,7 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # A malformed spec, count or time step fails before any work.
-    spec = re.fullmatch(r"exact|spai(?::(\d+))?", args.hodge_inverse)
-    if spec is None:
-        raise SystemExit(f"--hodge-inverse: unknown hodge_inverse {args.hodge_inverse!r}: "
-                         "expected 'exact', 'spai' or 'spai:<level>'")
-    _require_counts(("--steps", args.steps), ("--trace-every", args.trace_every))
-    _require_counts(("--seed", args.seed), least=0)
-    _require_positive(("--dt", args.dt), ("--dt-factor", args.dt_factor))
-    materials = _materials(args)
+    materials = MaterialMap(eps=args.eps, mu=args.mu)
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, materials)
@@ -143,20 +162,19 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     E0 = rng.standard_normal(ops.n_edges) if args.init == "random" else None
     B0 = rng.standard_normal(ops.n_faces) if args.init == "random" else None
-    codiff = exact if spec[0] == "exact" else DiscreteCodifferential(ops, int(spec[1] or 1))
+    level = args.hodge_inverse
+    codiff = exact if level is None else DiscreteCodifferential(ops, level)
     _, _, trace = leapfrog_run(codiff, dt, args.steps, E0, B0, trace_every=args.trace_every)
     write_trace(trace, args.out)
+    drift = trace.drift_per_step()
+    drift = "not measured (too few trace rows)" if math.isnan(drift) else f"{drift:.3e}"
     print(f"wrote {args.out}: {args.steps} steps at dt={float(dt)!r} "
-          f"(bound {float(bound)!r}); invariant drift/step {trace.drift_per_step():.3e}")
+          f"(bound {float(bound)!r}); invariant drift/step {drift}")
     return 0
 
 
 def cmd_eigen(args) -> int:
-    _require_counts(("--count", args.count))
-    # The dense path never reads sigma, so a NaN would pass unseen there.
-    if args.sigma is not None and not np.isfinite(args.sigma):
-        raise SystemExit(f"--sigma must be a finite number, got {args.sigma!r}")
-    materials = _materials(args)
+    materials = MaterialMap(eps=args.eps, mu=args.mu)
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
     ops = apply_pec(mesh, cls, materials)
@@ -183,38 +201,8 @@ def cmd_dof(args) -> int:
 
 
 def cmd_pml(args) -> int:
-    if not args.sweep:
-        raise SystemExit("pml currently supports --sweep")
-    _require_counts(("--nx", args.nx), ("--nz", args.nz))
-    _require_positive(("--length", args.length))
-    # Checked before any mesh is built: at or below the cutoff kz is not
-    # real, a source or window outside the guide drives or samples nothing,
-    # a layer that starts outside it absorbs nothing, and a window that
-    # reaches into the layer fits its decaying field as a standing wave.
-    if not 1 < args.omega_factor < float("inf"):
-        raise SystemExit(f"--omega-factor must be finite and above 1, got {args.omega_factor!r}")
-    if not 0 < args.source_z < args.length:
-        raise SystemExit(f"--source-z must lie between 0 and --length, got {args.source_z!r}")
-    for flag, z in (("--window-lo", args.window_lo), ("--window-hi", args.window_hi)):
-        if not 0 <= z <= args.length:
-            raise SystemExit(f"{flag} must lie in [0, --length], got {z!r}")
-    if not 0 < args.pml_start < args.length:
-        raise SystemExit(f"--pml-start must lie between 0 and --length, got {args.pml_start!r}")
-    if not args.window_lo < args.window_hi:
-        raise SystemExit(f"--window-lo must lie below --window-hi, "
-                         f"got {args.window_lo!r} and {args.window_hi!r}")
-    if not args.window_hi <= args.pml_start:
-        raise SystemExit(f"--window-hi must not exceed --pml-start, "
-                         f"got {args.window_hi!r} and {args.pml_start!r}")
-    try:
-        omega_maxes = [float(x) for x in args.omega_maxes.split(",")]
-        if not all(0 <= w < float("inf") for w in omega_maxes):
-            raise ValueError
-    except ValueError:
-        raise SystemExit(f"--omega-maxes must be a comma-separated list of finite numbers "
-                         f">= 0, got {args.omega_maxes!r}") from None
     rows = reflection_sweep(
-        args.nx, args.nz, args.length, args.omega_factor * np.pi, omega_maxes,
+        args.nx, args.nz, args.length, args.omega_factor * np.pi, args.omega_maxes,
         pml_start=args.pml_start, source_z=args.source_z,
         sample_z=np.linspace(args.window_lo, args.window_hi, 49),
     )
@@ -226,14 +214,6 @@ def cmd_pml(args) -> int:
 
 
 def cmd_pic(args) -> int:
-    _require_counts(("--paths", args.paths))
-    _require_counts(("--seed", args.seed), least=0)
-    _require_positive(("--tau", args.tau))
-    if not np.isfinite(args.charge):
-        raise SystemExit(f"--charge must be a finite number, got {args.charge!r}")
-    if not np.isfinite(args.charge / args.tau):
-        raise SystemExit(f"--charge/--tau must be a finite ratio, "
-                         f"got {args.charge!r}/{args.tau!r}")
     mesh = load_mesh(args.mesh) if args.mesh else generators.box_mesh(3)
     basis = WhitneyBasis(mesh)
     rng = np.random.default_rng(args.seed)
@@ -259,13 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genmesh", help="write one of the shipped test meshes")
     p.add_argument("--kind", required=True,
                    choices=["tet1", "kuhn", "box", "annulus"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--nz", type=int, default=None)
-    p.add_argument("--lx", type=float, default=1.0)
-    p.add_argument("--ly", type=float, default=1.0)
-    p.add_argument("--lz", type=float, default=1.0)
-    p.add_argument("--segments", type=int, default=8)
+    p.add_argument("--n", type=_COUNT, default=3)
+    p.add_argument("--ny", type=_COUNT, default=None)
+    p.add_argument("--nz", type=_COUNT, default=None)
+    p.add_argument("--lx", type=_POSITIVE, default=1.0)
+    p.add_argument("--ly", type=_POSITIVE, default=1.0)
+    p.add_argument("--lz", type=_POSITIVE, default=1.0)
+    p.add_argument("--segments", type=_SEGMENTS, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_genmesh)
 
@@ -285,15 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="leapfrog run with energy trace")
     _add_mesh_arg(p)
     _add_material_args(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--dt-factor", type=float, default=0.9,
+    p.add_argument("--dt", type=_POSITIVE, default=None)
+    p.add_argument("--dt-factor", type=_POSITIVE, default=0.9,
                    help="fraction of the stability bound when --dt is omitted")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--hodge-inverse", default="exact",
+    p.add_argument("--steps", type=_COUNT, default=1000)
+    p.add_argument("--hodge-inverse", type=_INVERSE, default="exact",
                    help="'exact', 'spai' or 'spai:<level>'")
     p.add_argument("--init", default="random", choices=["random", "zero"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-every", type=int, default=1)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--trace-every", type=_COUNT, default=1)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
@@ -301,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="curl-curl eigenvalues and mode counts")
     _add_mesh_arg(p)
     _add_material_args(p)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--count", type=_COUNT, default=8)
+    p.add_argument("--sigma", type=_FINITE, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eigen)
 
@@ -312,34 +292,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dof)
 
     p = sub.add_parser("pml", help="absorbing-layer reflection sweep")
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--nx", type=int, default=4)
-    p.add_argument("--nz", type=int, default=24)
-    p.add_argument("--length", type=float, default=6.0)
-    p.add_argument("--omega-factor", type=float, default=1.4,
+    p.add_argument("--sweep", action="store_true", required=True)
+    p.add_argument("--nx", type=_COUNT, default=4)
+    p.add_argument("--nz", type=_COUNT, default=24)
+    p.add_argument("--length", type=_POSITIVE, default=6.0)
+    p.add_argument("--omega-factor", type=_ABOVE_ONE, default=1.4,
                    help="angular frequency in units of the cutoff pi")
-    p.add_argument("--omega-maxes", default="0,2,4,8,12,16")
-    p.add_argument("--pml-start", type=float, default=4.5)
-    p.add_argument("--source-z", type=float, default=0.625)
-    p.add_argument("--window-lo", type=float, default=1.2)
-    p.add_argument("--window-hi", type=float, default=4.2)
+    p.add_argument("--omega-maxes", type=_RATES, default="0,2,4,8,12,16")
+    p.add_argument("--pml-start", type=_POSITIVE, default=4.5)
+    p.add_argument("--source-z", type=_POSITIVE, default=0.625)
+    p.add_argument("--window-lo", type=_FINITE, default=1.2)
+    p.add_argument("--window-hi", type=_FINITE, default=4.2)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_pml)
+    p.set_defaults(fn=cmd_pml, check=_check_pml, error=p.error)
 
     p = sub.add_parser("pic", help="charge-conservation check on random paths")
     p.add_argument("--mesh", default=None)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--charge", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--paths", type=_COUNT, default=10000)
+    p.add_argument("--seed", type=_SEED, default=7)
+    p.add_argument("--charge", type=_FINITE, default=1.0)
+    p.add_argument("--tau", type=_POSITIVE, default=1.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_pic)
+    p.set_defaults(fn=cmd_pic, check=_check_pic, error=p.error)
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "check" in args:  # rules between two flags, refused like one flag's: exit 2
+        args.check(args)
     return args.fn(args)
 
 

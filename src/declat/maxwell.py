@@ -18,6 +18,7 @@ degrees of freedom from the operators and cochains.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -177,9 +178,12 @@ class Trace:
         """Linear-fit slope of the invariant energy, relative, per step.
 
         The step-0 sample is excluded: the invariant pairs consecutive
-        magnetic half steps, which only exist from the first step on.
+        magnetic half steps, which only exist from the first step on.  With
+        fewer than two samples after it no line is defined, and it is NaN.
         """
         keep = self.steps > 0
+        if keep.sum() < 2:
+            return math.nan
         h = self.h_invariant[keep]
         scale = np.abs(h).mean()
         if scale == 0.0:
@@ -227,8 +231,8 @@ def leapfrog_run(
     half steps.  Divergence blow-up (non-finite values, checked every 25
     steps and at the last) aborts with a diagnostic.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number above 0, got {dt!r}")
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
     ops = codiff.ops

@@ -23,6 +23,7 @@ Fields gather back to particles by Whitney interpolation, and a rotating
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,10 +140,12 @@ def scatter_current(
     the exit point and flagged.
     """
     basis = _as_basis(complex_or_basis)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    cx = basis.complex
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be a finite number above 0, got {tau!r}")
     qdot = q / tau
+    if not math.isfinite(qdot):
+        raise ValueError(f"q/tau must be finite, got {q!r}/{tau!r}")
+    cx = basis.complex
     ends = np.array([x_start, x_end], dtype=float)
     seed = int(basis._seeds(ends)[0])
     found = _walk(basis, seed, np.array([basis._grid[-1][seed], ends[0]]), tol)
@@ -217,8 +220,8 @@ def gather(
 def push(particle: Particle, E: np.ndarray, B: np.ndarray, dt: float) -> Particle:
     """Boris-style rotation split: half electric kick, magnetic rotation,
     half kick, then drift."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number above 0, got {dt!r}")
     qm = particle.charge / particle.mass
     v_minus = particle.velocity + 0.5 * dt * qm * np.asarray(E, dtype=float)
     t_vec = 0.5 * dt * qm * np.asarray(B, dtype=float)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from declat import generators, pic
+from declat.maxwell import DiscreteCodifferential, apply_pec, leapfrog_run
 from declat.pic import (
     Particle,
     gather,
@@ -301,6 +303,26 @@ def test_non_finite_path_end_raises(box3, basis_of, start, end):
     # coordinates (whose comparisons are all false) to the boundary.
     with pytest.raises(OutsideMeshError, match="non-finite"):
         scatter_current(basis_of(box3), np.array(start), np.array(end), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in ("leapfrog_run dt", "push dt", "scatter_current tau")
+      for value in (0.0, -1.0, math.nan, math.inf)),
+    ("scatter_current q", math.nan), ("scatter_current q", math.inf),
+    ("scatter_current q", 1e300)])  # over tau = 1e-10: q/tau overflows
+def test_step_and_time_guards_refuse_before_work(kuhn, basis_of, classification_of, name, value):
+    # NaN fails every comparison, so a guard written as `x <= 0` lets it pass.
+    ops = apply_pec(kuhn, classification_of(kuhn))
+    a, b = np.full(3, 0.2), np.full(3, 0.7)
+    call = {
+        "leapfrog_run dt": lambda: leapfrog_run(DiscreteCodifferential(ops), value, 30,
+                                                np.ones(ops.n_edges)),
+        "push dt": lambda: push(Particle(1.0, 1.0, a, b), np.ones(3), np.ones(3), value),
+        "scatter_current tau": lambda: scatter_current(basis_of(kuhn), a, b, 1.0, value),
+        "scatter_current q": lambda: scatter_current(basis_of(kuhn), a, b, value, 1e-10),
+    }[name]
+    with pytest.raises(ValueError, match=f"^{name.split()[1]}"):
+        call()
 
 
 class TestGather:
