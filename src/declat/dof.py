@@ -15,10 +15,10 @@ which is also the number of nonzero curl-curl eigenvalues.
 
 Ranks of the boundary-reduced incidence matrices come from
 :func:`declat.exact.certify_ranks`: graph components pin the gradient and
-tet/face ranks exactly, and a GF(2) rank (which can only undershoot) that
-meets a chain-complex upper bound pins the curl rank.  A rank whose
-bounds do not meet is reported as its proved lower bound, with
-``rank_certified`` False and a note naming the bound that failed.
+tet/face ranks exactly, and a peel (plus a GF(2) rank where it stalls) that
+meets a chain-complex upper bound pins the curl rank.  A rank whose bounds
+do not meet is reported as its proved lower bound, with ``rank_certified``
+False and a note naming the bound that failed.
 """
 
 from __future__ import annotations

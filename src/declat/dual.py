@@ -16,6 +16,7 @@ adjacency geometrically, which is what the reciprocity audit checks.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -35,8 +36,8 @@ _EDGE_FLAGS = np.array([(a, b, c) for a, b in _TET_EDGE_SLOTS.tolist()
 class DualComplex:
     """Barycentric dual cells of a tetrahedral complex, piece by piece.
 
-    Pieces are stored flat with owner indices, ready for vectorized
-    subdivision quadrature:
+    Pieces are stored flat with owner indices, ready for vectorized subdivision
+    quadrature; coordinates, centres and signs are built on first use:
 
     ``vertex_pieces``   (24 M, 4, 3) sub-tet corner coordinates
     ``edge_pieces``     (12 M, 3, 3) sub-triangle corners, plus a sign that
@@ -46,58 +47,49 @@ class DualComplex:
     """
 
     def __init__(self, complex: SimplicialComplex):
-        cx = complex
-        self.complex = cx
-        verts = cx.vertices
-        tv = verts[cx.tets]  # (M, 4, 3)
-        self.tet_centers = tv.mean(axis=1)
-        self.face_centers = verts[cx.faces].mean(axis=1)
-        self.edge_midpoints = verts[cx.edges].mean(axis=1)
-
-        m = cx.n_tets
-        ctr = np.broadcast_to(self.tet_centers[:, None], (m, len(_FLAGS), 3))
-        i, j, k = (_FLAGS[:, c] for c in range(3))
-        e_mid = 0.5 * (tv[:, i] + tv[:, j])
-        f_ctr = (tv[:, i] + tv[:, j] + tv[:, k]) / 3.0
-        # Flag-major order: all tets' pieces of flag 0, then of flag 1, ...
-        pieces = np.stack([tv[:, i], e_mid, f_ctr, ctr], axis=2)  # (M, 24, 4, 3)
-        self.vertex_pieces = pieces.transpose(1, 0, 2, 3).reshape(-1, 4, 3)
-        self.vertex_piece_owner = cx.tets[:, i].T.ravel()
-        self.vertex_piece_tet = np.tile(np.arange(m), len(_FLAGS))
-
-        # Edge duals: one triangle per (tet, edge of tet, face of tet
-        # containing that edge); exactly two faces qualify per edge per tet.
-        a, b, c = (_EDGE_FLAGS[:, q] for q in range(3))
-        e_mid = 0.5 * (tv[:, a] + tv[:, b])
-        f_ctr = (tv[:, a] + tv[:, b] + tv[:, c]) / 3.0
-        pieces = np.stack([e_mid, f_ctr, ctr[:, : len(a)]], axis=2)  # (M, 12, 3, 3)
-        self.edge_pieces = pieces.transpose(1, 0, 2, 3).reshape(-1, 3, 3)
+        cx = self.complex = complex
+        self.vertex_piece_owner = cx.tets[:, _FLAGS[:, 0]].T.ravel()
+        self.vertex_piece_tet = np.tile(np.arange(cx.n_tets), len(_FLAGS))
+        # Edge duals: one triangle per (tet, edge of tet, face of tet containing
+        # that edge), two per edge per tet.  Face a-b-c is opposite the fourth corner.
         self.edge_piece_owner = cx.tet_edges[:, np.repeat(np.arange(6), 2)].T.ravel()
-        self.edge_piece_tet = np.tile(np.arange(m), len(a))
-        # The face of a-b-c is the one opposite the fourth corner.
-        self.edge_piece_face = cx.tet_faces[:, 6 - a - b - c].T.ravel()
-        edir = verts[cx.edges[:, 1]] - verts[cx.edges[:, 0]]
-        tri = self.edge_pieces
-        nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        sgn = np.einsum("kd,kd->k", nrm, edir[self.edge_piece_owner])
-        self.edge_piece_sign = np.where(sgn >= 0.0, 1.0, -1.0)
+        self.edge_piece_tet = np.tile(np.arange(cx.n_tets), len(_EDGE_FLAGS))
+        self.edge_piece_face = cx.tet_faces[:, 6 - _EDGE_FLAGS.sum(axis=1)].T.ravel()
+        # Face duals: a segment from face center to each incident tet center,
+        # for every face's first tet, then for the second ones.
+        col, self.face_piece_owner = np.nonzero(cx.face_tets.T >= 0)
+        self.face_piece_tet = cx.face_tets[self.face_piece_owner, col]
 
-        # Face duals: a segment from face center to each incident tet center.
-        # Pieces of every face's first tet, then of the second ones.
-        ft = cx.face_tets
-        col, self.face_piece_owner = np.nonzero(ft.T >= 0)
-        self.face_piece_tet = ft[self.face_piece_owner, col]
-        self.face_pieces = np.stack(
-            [self.face_centers[self.face_piece_owner], self.tet_centers[self.face_piece_tet]],
-            axis=1,
-        )
-        fv = cx.faces
-        fnrm = 0.5 * np.cross(
-            verts[fv[:, 1]] - verts[fv[:, 0]], verts[fv[:, 2]] - verts[fv[:, 0]]
-        )
-        seg = self.face_pieces[:, 1] - self.face_pieces[:, 0]
-        sgn = np.einsum("kd,kd->k", seg, fnrm[self.face_piece_owner])
-        self.face_piece_sign = np.where(sgn >= 0.0, 1.0, -1.0)
+    tet_centers = cached_property(lambda self: self.complex.vertices[self.complex.tets].mean(1))
+    face_centers = cached_property(lambda self: self.complex.vertices[self.complex.faces].mean(1))
+    vertex_pieces = cached_property(lambda self: self._chains(_FLAGS, 0))
+    edge_pieces = cached_property(lambda self: self._chains(_EDGE_FLAGS, 1))
+
+    def _chains(self, flags: np.ndarray, skip: int) -> np.ndarray:
+        """Flag-major pieces: barycenters of each flag's nested vertex sets, less ``skip``."""
+        tv = self.complex.vertices[self.complex.tets]  # (M, 4, 3)
+        i, j, k = flags.T
+        ctr = np.broadcast_to(self.tet_centers[:, None], (len(tv), len(flags), 3))
+        corners = [tv[:, i], 0.5 * (tv[:, i] + tv[:, j]), (tv[:, i] + tv[:, j] + tv[:, k]) / 3.0, ctr]
+        return np.stack(corners[skip:], axis=2).transpose(1, 0, 2, 3).reshape(-1, 4 - skip, 3)
+
+    @cached_property
+    def edge_piece_sign(self) -> np.ndarray:
+        tri, ends = self.edge_pieces, self.complex.vertices[self.complex.edges]
+        nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        sgn = np.einsum("kd,kd->k", nrm, (ends[:, 1] - ends[:, 0])[self.edge_piece_owner])
+        return np.where(sgn >= 0.0, 1.0, -1.0)
+
+    @cached_property
+    def face_pieces(self) -> np.ndarray:
+        return np.stack([self.face_centers[self.face_piece_owner],
+                         self.tet_centers[self.face_piece_tet]], axis=1)
+
+    @cached_property
+    def face_piece_sign(self) -> np.ndarray:
+        f, seg = self.complex.vertices[self.complex.faces], np.diff(self.face_pieces, axis=1)[:, 0]
+        fnrm = 0.5 * np.cross(f[:, 1] - f[:, 0], f[:, 2] - f[:, 0])
+        return np.where(np.einsum("kd,kd->k", seg, fnrm[self.face_piece_owner]) >= 0.0, 1.0, -1.0)
 
     # -- measures -----------------------------------------------------------
 

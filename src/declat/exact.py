@@ -1,24 +1,26 @@
 """Exact (no floating tolerance) linear algebra over the integers and GF(2).
 
 Rank computations back the homology and degree-of-freedom bookkeeping.
-:func:`certify_ranks` proves the ranks of a chain of incidence matrices
-in near-linear time, or says which bound it could not close:
+:func:`certify_ranks` proves the ranks of a chain of incidence matrices,
+or says which bound it could not close:
 
 * a matrix whose rows are graph edges (one ``+a`` and one ``-a``) or
   grounds (one nonzero) has rank ``columns - ungrounded components``, read
   off the graph's connected components; this pins C0 (rows) and C2
   (columns) exactly;
-* the rank of C1 is squeezed between a GF(2) rank from below (reduction
-  mod 2 can only lose rank) and the chain-complex bounds ``N_E - r0`` and
+* the rank of C1 is squeezed between a peel (:func:`_peel_rank`) or, when
+  that falls short, a GF(2) rank of C1 from below (reduction mod 2 can
+  only lose rank) and the chain-complex bounds ``N_E - r0`` and
   ``N_F - r2 - w`` from above, where ``w`` counts 2-cycles (inner boundary
   surfaces) proved independent by dual tet paths that pair with them to
   +-1;
 * on the boundary-reduced chain the cavities instead tighten
   ``N_E - r0``, as relative 1-cocycles paired with interior-edge paths.
 
-Every certificate is exact over Q.  :func:`integer_rank` (fraction-free
-Bareiss elimination, cubic cost) is kept as the desk-scale oracle that
-tests compare against.
+Every certificate is exact over Q.  The graph and peel certificates take
+near-linear time, GF(2) elimination does not, and :func:`integer_rank`
+(fraction-free Bareiss elimination, cubic cost) is the desk-scale oracle
+that tests compare against.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def integer_rank(mat) -> int:
         piv = a[row][col]
         for r in range(row + 1, m):
             arc = a[r][col]
-            if arc == 0 and prev == 1:
+            if arc == 0 and piv == prev:
                 continue
             ar = a[r]
             ap = a[row]
@@ -111,7 +113,7 @@ def gf2_rank(mat) -> int:
 
 def graph_components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the graph on ``n`` nodes with edges ``a[i]-b[i]``."""
-    graph = sparse.coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+    graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))  # float: no copy
     return csgraph.connected_components(graph, directed=False)
 
 
@@ -209,22 +211,23 @@ def _graph_rank(mat: sparse.spmatrix, what: str) -> RankBound:
     components.  Any other row shape leaves only the trivial bounds.
     """
     m, n = mat.shape
-    coo = sparse.coo_matrix(mat)
-    keep = coo.data != 0
-    order = np.argsort(coo.row[keep], kind="stable")
-    rows, cols, vals = coo.row[keep][order], coo.col[keep][order], coo.data[keep][order]
-    per_row = np.bincount(rows, minlength=m)
+    csr = sparse.csr_matrix(mat, copy=True)
+    csr.eliminate_zeros()  # a stored 0 is no entry
+    per_row, first = np.diff(csr.indptr), csr.indptr[:-1]
     if per_row.max(initial=0) > 2:
         r = int(np.argmax(per_row))
         return RankBound(0, min(m, n), f"{what} {r} has {per_row[r]} nonzeros")
-    pair = per_row[rows] == 2
-    head, tail = vals[pair][0::2], vals[pair][1::2]
+    pair = np.flatnonzero(per_row == 2)
+    head, tail = csr.data[first[pair]], csr.data[first[pair] + 1]
     if np.any(head != -tail):
-        r = int(rows[pair][0::2][np.argmax(head != -tail)])
+        r = int(pair[np.argmax(head != -tail)])
         return RankBound(0, min(m, n), f"{what} {r} is not one +a and one -a")
-    n_comp, labels = graph_components(n, cols[pair][0::2], cols[pair][1::2])
-    grounded = np.zeros(n_comp, dtype=bool)
-    grounded[labels[cols[~pair]]] = True
+    # Columns, then a node per row joined to them: columns keep the pair graph's labels.
+    graph = sparse.csr_matrix((np.ones(len(csr.indices)), csr.indices, np.concatenate(
+        [np.zeros(n, dtype=csr.indptr.dtype), csr.indptr])), shape=(n + m, n + m))
+    labels = csgraph.connected_components(graph, directed=False)[1][:n]
+    grounded = np.zeros(labels.max(initial=-1) + 1, dtype=bool)
+    grounded[labels[csr.indices[first[per_row == 1]]]] = True
     rank = n - int(np.count_nonzero(~grounded))
     return RankBound(rank, rank, "graph components")
 
@@ -398,6 +401,50 @@ def _int_csr(C) -> sparse.csr_matrix:
     return C
 
 
+def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix, target: int) -> tuple[int, str]:
+    """A lower bound on rank C1 over Q by a peel, and how it was proved.
+
+    Kept faces (one per tet is dropped along a spanning forest of tets, faces and
+    the ground) that own an edge, by an odd entry, no other live kept face touches
+    are peeled: triangular rows with odd pivots, where the rows left over vanish.
+    Their GF(2) rank adds to the count, or below ``target`` C1's GF(2) rank is taken."""
+    (n_faces, n_edges), C2 = C1.shape, sparse.csr_matrix(C2, copy=True)
+    C2.eliminate_zeros()
+    live = np.ones(n_faces, dtype=bool)
+    if C2.shape[1] == n_faces:
+        # Nodes: faces, tets, the ground (on one-entry columns); weight: face + 1.
+        per_face = np.bincount(C2.indices, minlength=n_faces)
+        faces = np.concatenate([C2.indices, np.flatnonzero(per_face == 1)])
+        indptr, n = np.concatenate([np.zeros(n_faces, int), C2.indptr, [len(faces)]]), len(C2.indptr)
+        tree = csgraph.minimum_spanning_tree(sparse.csr_matrix(
+            (faces + 1.0, faces, indptr), shape=(n_faces + n, n_faces + n)))
+        degree = np.bincount(tree.indices, minlength=tree.shape[0]) + np.diff(tree.indptr)
+        live[(degree[:n_faces] == 2) & (per_face <= 2)] = False
+    # Entries on kept faces keyed 2 face + odd.  Per edge: its live faces and their
+    # key sum, which names the face and parity once one is left.
+    face = np.repeat(np.arange(n_faces), np.diff(C1.indptr))
+    on = (C1.data != 0) & live[face]
+    face, edge, key = face[on], C1.indices[on], 2.0 * face[on] + (C1.data[on] % 2 != 0)
+    ptr, kept = np.searchsorted(face, np.arange(n_faces + 1)), int(np.count_nonzero(live))
+    deg, code = np.bincount(edge, minlength=n_edges), np.bincount(edge, key, n_edges)
+    free = np.flatnonzero((deg == 1) & (code % 2 == 1))
+    while len(free):
+        peeled = np.unique(code[free] // 2).astype(np.int64)
+        live[peeled] = False
+        lens = ptr[peeled + 1] - ptr[peeled]
+        at = np.repeat(ptr[peeled + 1] - np.cumsum(lens), lens) + np.arange(lens.sum())
+        e, hit = np.unique(edge[at], return_inverse=True)
+        deg[e] -= np.bincount(hit)
+        code[e] -= np.bincount(hit, key[at])
+        free = e[(deg[e] == 1) & (code[e] % 2 == 1)]
+    left = np.flatnonzero(live)
+    lower = kept - len(left) + (gf2_rank(C1[left]) if len(left) else 0)
+    if lower < target:
+        return gf2_rank(C1), "GF(2) rank"
+    how = f"peel of {kept - len(left)} faces"
+    return lower, how + (f" and GF(2) rank of {len(left)} rows left over" if len(left) else "")
+
+
 def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
     """Certified ranks over Q of a chain of integer incidence matrices.
 
@@ -418,7 +465,6 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
     r0 = _graph_rank(C0, "C0 row")
     r2 = _graph_rank(C2.T, "C2 column")
     n_faces, n_edges = C1.shape
-    lower = gf2_rank(C1)
     bounds = {"matrix size": min(n_faces, n_edges)}
     failed = []
     if not r0.certified:
@@ -433,6 +479,7 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
         failed.append("N_F - r2 needs C2 C1 = 0")
     else:
         bounds["N_F - r2"] = n_faces - r2.lower
+    lower, via = _peel_rank(C1, C2, min(bounds.values()))
     # N_E - r0 exceeds the rank by b1 and N_F - r2 by b2.  Cavities close
     # the gap as 2-cycles of the full chain, or as 1-cocycles of the
     # reduced one (where the roles of b1 and b2 swap).
@@ -445,7 +492,7 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
             bounds[f"N_E - r0 - {w} witnessed 1-cocycles"] = bounds.pop("N_E - r0") - w
     how, upper = min(bounds.items(), key=lambda item: item[1])
     if lower == upper:
-        r1 = RankBound(lower, upper, f"GF(2) rank meets {how}")
+        r1 = RankBound(lower, upper, f"{via} meets {how}")
     else:
         listed = ", ".join(f"{name} = {value}" for name, value in bounds.items())
         r1 = RankBound(lower, upper, "; ".join([f"GF(2) rank {lower} below {listed}"] + failed))

@@ -37,6 +37,11 @@ the leapfrog, which applies the stars through ``ampere_step`` and
 ``hamiltonian`` every step, where the package carries D = Heps E and
 Hmu_inv B from step to step; next to it sits ``faraday_step``, the
 face circulation C1 E, which the package's step writes inline.
+``graph_rank_coo`` is the graph-shaped rank certificate by a COO copy, a
+stable argsort of its rows and an int8 COO graph, where the package reads
+the CSR arrays in place; ``symmetry_deviation_multiply`` takes both norms
+from elementwise sparse products, where the package sums the squares of
+the stored entries of H and of one sparse difference.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ import numpy as np
 from scipy import sparse
 from scipy.special import roots_jacobi, roots_legendre
 
+from scipy.sparse import csgraph
+
+from declat.exact import RankBound
 from declat.hodge import _neighbor_pattern
 from declat.maxwell import DiscreteCodifferential, Trace, ampere_step, hamiltonian
 from declat.mesh import MeshError
@@ -652,3 +660,36 @@ def leapfrog_run_loop(
     # Columns in field order: steps, times, the four energies, div B.
     trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
     return E, B_half, trace
+
+
+def graph_rank_coo(mat: sparse.spmatrix, what: str) -> RankBound:
+    """Rank of a matrix whose rows are graph edges ``(a, -a)`` or grounds ``(a)``."""
+    m, n = mat.shape
+    coo = sparse.coo_matrix(mat)
+    keep = coo.data != 0
+    order = np.argsort(coo.row[keep], kind="stable")
+    rows, cols, vals = coo.row[keep][order], coo.col[keep][order], coo.data[keep][order]
+    per_row = np.bincount(rows, minlength=m)
+    if per_row.max(initial=0) > 2:
+        r = int(np.argmax(per_row))
+        return RankBound(0, min(m, n), f"{what} {r} has {per_row[r]} nonzeros")
+    pair = per_row[rows] == 2
+    head, tail = vals[pair][0::2], vals[pair][1::2]
+    if np.any(head != -tail):
+        r = int(rows[pair][0::2][np.argmax(head != -tail)])
+        return RankBound(0, min(m, n), f"{what} {r} is not one +a and one -a")
+    a, b = cols[pair][0::2], cols[pair][1::2]
+    graph = sparse.coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(n, n))
+    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    grounded = np.zeros(n_comp, dtype=bool)
+    grounded[labels[cols[~pair]]] = True
+    rank = n - int(np.count_nonzero(~grounded))
+    return RankBound(rank, rank, "graph components")
+
+
+def symmetry_deviation_multiply(H: sparse.spmatrix) -> float:
+    """Relative asymmetry ||H - H^T||_F / ||H||_F."""
+    H = sparse.csr_matrix(H)
+    d = H - H.T
+    hnorm = np.sqrt(abs((H.multiply(H.conjugate())).sum()))
+    return float(np.sqrt(abs((d.multiply(d.conjugate())).sum())) / hnorm)

@@ -196,6 +196,18 @@ class TestElementBoundPath:
 
 
 class TestFullReport:
+    def test_dual_pieces_stay_unbuilt(self):
+        # The reciprocity check reads owner and face indices only, so the
+        # audit builds no sub-simplex coordinates, centres or signs.
+        box4 = generators.box_mesh(4)
+        dual = DualComplex(box4)
+        assert run_full_audit(box4, dual=dual).passed
+        lazy = {"tet_centers", "face_centers", "vertex_pieces", "edge_pieces",
+                "edge_piece_sign", "face_pieces", "face_piece_sign"}
+        assert not lazy & set(vars(dual))
+        assert dual.face_pieces.shape == (len(dual.face_piece_owner), 2, 3)
+        assert lazy & set(vars(dual)) == {"tet_centers", "face_centers", "face_pieces"}
+
     def test_all_sections_pass_on_clean_mesh(self, kuhn):
         report = run_full_audit(kuhn)
         assert report.passed

@@ -20,13 +20,19 @@ from declat.hodge import (
     read_coo,
     spai_inverse,
     star_elements,
+    symmetry_deviation,
     write_coo,
 )
 from declat.maxwell import apply_pec
 from declat.mesh import SimplicialComplex, classify_boundary
 from declat.pml import StretchProfile, assemble_stretched
 
-from _oracles import element_matrices_loop, spai_lstsq_loop, whitney_mass_oracle
+from _oracles import (
+    element_matrices_loop,
+    spai_lstsq_loop,
+    symmetry_deviation_multiply,
+    whitney_mass_oracle,
+)
 from test_mesh import loadtxt_that_warns
 
 
@@ -566,3 +572,20 @@ def test_read_coo_rejects_float_index(tmp_path, monkeypatch, older_numpy):
         warnings.simplefilter("ignore")  # no error filter, as outside the test suite
         with pytest.raises(ValueError, match="'2.7' to int64"):
             read_coo(path)
+
+
+@pytest.mark.parametrize("key", ["kuhn/eps", "box4/mu_inv", "jittered6/eps", "kuhn/pml_z/eps",
+                                 "kuhn/pml_x/mu_inv", "box4/pml_z/eps", "waveguide/16/eps"])
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_symmetry_deviation_matches_multiply_oracle(key, seed):
+    # Bit for bit, on real and complex (PML) stars as assembled, and with
+    # an asymmetric perturbation and stored zeros on their pattern.
+    H = _golden_star(key).tocsr()
+    assert symmetry_deviation(H) == symmetry_deviation_multiply(H)
+    rng = np.random.default_rng(seed)
+    P = H.copy()
+    P.data = P.data * (1.0 + 1e-6 * rng.standard_normal(P.nnz))
+    P.data[rng.random(P.nnz) < 0.05] = 0.0
+    dev = symmetry_deviation(P)
+    assert dev > 0.0 and dev == symmetry_deviation_multiply(P)
