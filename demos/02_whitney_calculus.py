@@ -39,7 +39,7 @@ for p in range(4):
     c = Cochain(p, rng.standard_normal(mesh.n_simplices(p)))
     form = AnalyticForm(p, lambda q, c=c: interpolate_at_points(basis, c, q))
     back = de_rham(form, mesh)
-    print(f"reduce(interpolate(c)) == c for degree {p}: "
+    print(f"de_rham(interpolate_at_points(c)) == c for degree {p}: "
           f"max dev {np.abs(back.values - c.values).max():.2e}")
 
 # Structural identities, integrated / differentiated numerically.

@@ -29,7 +29,7 @@ p = Particle(charge=1.0, mass=1.0,
 dt = 0.02
 worst = 0.0
 for step in range(200):
-    Ev, Bv = gather(basis, E, B, p.position)
+    (Ev,), (Bv,) = gather(basis, E, B, p.position[None])
     moved = push(p, Ev, Bv, dt)
     # Keep the gyrating particle inside the unit box for the demo.
     if np.any(moved.position < 0.02) or np.any(moved.position > 0.98):

@@ -24,17 +24,13 @@ from .mesh import (
 from .dual import DualComplex
 from .whitney import (
     AnalyticForm,
-    BarycentricPoint,
     Cochain,
     OutsideMeshError,
     WhitneyBasis,
-    barycentric,
     de_rham,
-    interpolate,
     interpolate_at_points,
     verify_coboundary,
     verify_partition_duality,
-    whitney_eval,
 )
 from .hodge import (
     MaterialMap,
@@ -68,7 +64,6 @@ from .pic import (
     ScatterResult,
     gather,
     push,
-    scatter_charge,
     scatter_current,
     verify_conservation,
 )

@@ -9,11 +9,11 @@ or says which bound it could not close:
   off the graph's connected components; this pins C0 (rows) and C2
   (columns) exactly;
 * the rank of C1 is squeezed between a peel (:func:`_peel_rank`) or, when
-  that falls short, a GF(2) rank of C1 from below (reduction mod 2 can
-  only lose rank) and the chain-complex bounds ``N_E - r0`` and
-  ``N_F - r2 - w`` from above, where ``w`` counts 2-cycles (inner boundary
-  surfaces) proved independent by dual tet paths that pair with them to
-  +-1;
+  that falls short of the upper bound even after the witness step, a GF(2)
+  rank of C1 from below (reduction mod 2 can only lose rank) and the
+  chain-complex bounds ``N_E - r0`` and ``N_F - r2 - w`` from above, where
+  ``w`` counts 2-cycles (inner boundary surfaces) proved independent by
+  dual tet paths that pair with them to +-1;
 * on the boundary-reduced chain the cavities instead tighten
   ``N_E - r0``, as relative 1-cocycles paired with interior-edge paths.
 
@@ -401,13 +401,13 @@ def _int_csr(C) -> sparse.csr_matrix:
     return C
 
 
-def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix, target: int) -> tuple[int, str]:
+def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix) -> tuple[int, str]:
     """A lower bound on rank C1 over Q by a peel, and how it was proved.
 
     Kept faces (one per tet is dropped along a spanning forest of tets, faces and
     the ground) that own an edge, by an odd entry, no other live kept face touches
     are peeled: triangular rows with odd pivots, where the rows left over vanish.
-    Their GF(2) rank adds to the count, or below ``target`` C1's GF(2) rank is taken."""
+    Their GF(2) rank adds to the count."""
     (n_faces, n_edges), C2 = C1.shape, sparse.csr_matrix(C2, copy=True)
     C2.eliminate_zeros()
     live = np.ones(n_faces, dtype=bool)
@@ -439,8 +439,6 @@ def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix, target: int) -> tup
         free = e[(deg[e] == 1) & (code[e] % 2 == 1)]
     left = np.flatnonzero(live)
     lower = kept - len(left) + (gf2_rank(C1[left]) if len(left) else 0)
-    if lower < target:
-        return gf2_rank(C1), "GF(2) rank"
     how = f"peel of {kept - len(left)} faces"
     return lower, how + (f" and GF(2) rank of {len(left)} rows left over" if len(left) else "")
 
@@ -479,7 +477,7 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
         failed.append("N_F - r2 needs C2 C1 = 0")
     else:
         bounds["N_F - r2"] = n_faces - r2.lower
-    lower, via = _peel_rank(C1, C2, min(bounds.values()))
+    lower, via = _peel_rank(C1, C2)
     # N_E - r0 exceeds the rank by b1 and N_F - r2 by b2.  Cavities close
     # the gap as 2-cycles of the full chain, or as 1-cocycles of the
     # reduced one (where the roles of b1 and b2 swap).
@@ -491,6 +489,8 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
             w = _witnessed_1cocycles(*full, interior, C0, C1)
             bounds[f"N_E - r0 - {w} witnessed 1-cocycles"] = bounds.pop("N_E - r0") - w
     how, upper = min(bounds.items(), key=lambda item: item[1])
+    if lower < upper:  # the peel falls short (a faulted chain): C1's GF(2) rank
+        lower, via = gf2_rank(C1), "GF(2) rank"
     if lower == upper:
         r1 = RankBound(lower, upper, f"{via} meets {how}")
     else:

@@ -331,7 +331,8 @@ def eigenmodes(
     sigma: float | None = None,
     dense_cutoff: int = 600,
 ) -> EigenResult:
-    """Smallest generalized eigenvalues of the curl-curl pencil.
+    """The ``count`` generalized eigenvalues of the curl-curl pencil nearest
+    ``sigma`` (the smallest when it is None), in ascending order.
 
     Solves C1^T Hmu_inv C1 e = k^2 Heps e on the given (usually
     PEC-reduced) space by shift-invert Lanczos, or densely below
@@ -346,7 +347,10 @@ def eigenmodes(
     zero_tol = 1e-8 * scale
 
     if n <= dense_cutoff:
-        vals = eigh(K.toarray(), ops.Heps.toarray(), eigvals_only=True)[: max(count, 0)]
+        vals = eigh(K.toarray(), ops.Heps.toarray(), eigvals_only=True)
+        if sigma is not None:  # the count nearest sigma, as shift-invert finds them
+            vals = np.sort(vals[np.argsort(np.abs(vals - sigma), kind="stable")[: max(count, 0)]])
+        vals = vals[: max(count, 0)]
     else:
         # Shift-invert with an explicit factorization; near the zero-mode
         # cluster (huge multiplicity: all gradients) Lanczos stalls, so a

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .whitney import BarycentricPoint, Cochain, _as_basis, interpolate
+from .whitney import Cochain, WhitneyBasis, _interpolate_located
 
 __all__ = [
     "Particle",
     "ScatterResult",
-    "scatter_charge",
     "scatter_current",
     "verify_conservation",
     "gather",
@@ -60,7 +59,9 @@ class Particle:
 class ScatterResult:
     """Node charge weights and edge currents deposited over one interval.
 
-    ``node_charge`` holds the end-of-interval deposit (weights sum to q);
+    ``node_charge`` holds the end-of-interval deposit, q times the
+    barycentric coordinates of the path's end (weights sum to q; a
+    zero-length path deposits a point charge);
     ``node_rate`` holds the per-node charge rate over the interval, which
     the incident edge currents must match exactly.
     """
@@ -70,19 +71,6 @@ class ScatterResult:
     edge_current: Cochain  # degree 1, dual-current weights on primal edges
     tau: float
     exited: bool = False
-
-
-def scatter_charge(
-    complex_or_basis, particle: Particle
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deposit a particle's charge on the four nodes of its tet.
-
-    Returns (node indices, weights); the weights are q times the
-    barycentric coordinates and always sum to q.
-    """
-    basis = _as_basis(complex_or_basis)
-    t, lam = basis.locate(particle.position)
-    return basis.complex.tets[t], particle.charge * lam
 
 
 def _walk(basis, t: int, ends: np.ndarray, tol: float):
@@ -121,7 +109,7 @@ def _walk(basis, t: int, ends: np.ndarray, tol: float):
 
 
 def scatter_current(
-    complex_or_basis,
+    basis: WhitneyBasis,
     x_start: np.ndarray,
     x_end: np.ndarray,
     q: float,
@@ -139,7 +127,6 @@ def scatter_current(
     form at once.  If the path leaves the mesh the scatter is partial up to
     the exit point and flagged.
     """
-    basis = _as_basis(complex_or_basis)
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be a finite number above 0, got {tau!r}")
     qdot = q / tau
@@ -181,7 +168,7 @@ def scatter_current(
 
 
 def verify_conservation(
-    complex_or_basis,
+    basis: WhitneyBasis,
     x_start: np.ndarray,
     x_end: np.ndarray,
     q: float,
@@ -194,7 +181,6 @@ def verify_conservation(
     largest absolute mismatch (scale it by 1/|qdot| for a relative read).
     Only edges that carry current are summed: the rest add exact zeros.
     """
-    basis = _as_basis(complex_or_basis)
     cx = basis.complex
     res = scatter_current(basis, x_start, x_end, q, tau)
     current, nv = res.edge_current.values, cx.n_vertices
@@ -205,16 +191,12 @@ def verify_conservation(
 
 
 def gather(
-    complex_or_basis,
-    E: Cochain,
-    B: Cochain,
-    position: np.ndarray,
+    basis: WhitneyBasis, E: Cochain, B: Cochain, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolate the electric and magnetic proxies at a particle position."""
-    basis = _as_basis(complex_or_basis)
-    t, lam = basis.locate(np.asarray(position, dtype=float))
-    at = BarycentricPoint(t, lam)
-    return interpolate(basis, E, at), interpolate(basis, B, at)
+    """The electric and magnetic proxies (K, 3) at particle ``positions`` (K, 3),
+    interpolated from one location of the points."""
+    located = basis.locate_all(positions)
+    return _interpolate_located(basis, E, *located), _interpolate_located(basis, B, *located)
 
 
 def push(particle: Particle, E: np.ndarray, B: np.ndarray, dt: float) -> Particle:

@@ -95,14 +95,10 @@ class StretchProfile:
         return float(np.trapezoid(self.omega_max * self.depth_fraction(xs) ** self.order, xs))
 
 
-def stretch_tensor(point, omega: float, profile: StretchProfile) -> np.ndarray:
-    """Diagonal Maxwellian stretch tensor at one point (complex 3x3)."""
-    return np.diag(_lambda_diag(np.asarray(point, dtype=float).reshape(1, 3), omega, profile)[0])
-
-
-def _lambda_diag(points: np.ndarray, omega: float, profile: StretchProfile) -> np.ndarray:
-    """(s_y s_z / s_x, s_x s_z / s_y, s_x s_y / s_z) at each point, shape (..., 3)."""
-    s = profile.stretch(points, omega)
+def stretch_tensor(points: np.ndarray, omega: float, profile: StretchProfile) -> np.ndarray:
+    """Diagonal of the Maxwellian stretch tensor, (s_y s_z / s_x, s_x s_z / s_y,
+    s_x s_y / s_z), at each of ``points`` (..., 3): complex, shape (..., 3)."""
+    s = profile.stretch(np.asarray(points, dtype=float), omega)
     sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
     return np.stack([sy * sz / sx, sx * sz / sy, sx * sy / sz], axis=-1)
 
@@ -126,7 +122,7 @@ def assemble_stretched(
                      for which in ("eps", "mu_inv"))
 
     pts = np.einsum("qa,mad->mqd", _TET4, complex.vertices[complex.tets])
-    lam = _lambda_diag(pts, omega, profile)  # (M, Q, 3) at the quadrature points
+    lam = stretch_tensor(pts, omega, profile)  # (M, Q, 3) at the quadrature points
     # eps Lambda, and (mu Lambda)^{-1} = Lambda^{-1} mu^{-1} (Lambda diagonal).
     p, eps = _star_weight(complex, materials, "eps")
     heps = _element_matrices(complex, p, eps[:, None] * lam[:, :, None, :], basis)

@@ -22,7 +22,6 @@ cell, so the structural integrals are exact up to rounding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,10 @@ from .mesh import SimplicialComplex, _local_slots
 
 __all__ = [
     "Cochain",
-    "BarycentricPoint",
     "AnalyticForm",
     "OutsideMeshError",
     "WhitneyBasis",
-    "barycentric",
-    "whitney_eval",
     "de_rham",
-    "interpolate",
     "interpolate_at_points",
     "verify_partition_duality",
     "verify_coboundary",
@@ -112,41 +107,6 @@ class Cochain:
         if self.lattice not in ("primal", "dual"):
             raise ValueError("lattice tag must be 'primal' or 'dual'")
 
-    def to_json(self) -> str:
-        vals = self.values
-        if np.iscomplexobj(vals):
-            payload = {"real": vals.real.tolist(), "imag": vals.imag.tolist()}
-        else:
-            payload = vals.tolist()
-        return json.dumps(
-            {"degree": self.degree, "lattice": self.lattice, "values": payload}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Cochain":
-        obj = json.loads(text)
-        vals = obj["values"]
-        if isinstance(vals, dict):
-            arr = np.asarray(vals["real"]) + 1j * np.asarray(vals["imag"])
-        else:
-            arr = np.asarray(vals, dtype=float)
-        return cls(obj["degree"], arr, obj["lattice"])
-
-
-@dataclass
-class BarycentricPoint:
-    """A point expressed as barycentric coordinates within one tet."""
-
-    tet: int
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if self.lam.shape != (4,):
-            raise ValueError("barycentric coordinates must have length 4")
-        if self.lam.min() < -1e-12 or abs(self.lam.sum() - 1.0) > 1e-12:
-            raise ValueError("invalid barycentric coordinates")
-
 
 @dataclass
 class AnalyticForm:
@@ -193,10 +153,6 @@ class WhitneyBasis:
         lam123 = np.einsum("kid,kd->ki", self.grads[tets, 1:], rel)
         lam0 = 1.0 - lam123.sum(axis=1, keepdims=True)
         return np.concatenate([lam0, lam123], axis=1)
-
-    def points_from_bary(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        tv = self.complex.vertices[self.complex.tets[tets]]
-        return np.einsum("kq,kqd->kd", lam, tv)
 
     @property
     def neighbors(self) -> np.ndarray:
@@ -347,43 +303,6 @@ class WhitneyBasis:
         return np.asarray(self.complex.incidence(p - 1)[r, c]).reshape(shape)
 
 
-def _as_basis(complex_or_basis) -> WhitneyBasis:
-    """The given basis, or a fresh one built on the given complex."""
-    if isinstance(complex_or_basis, WhitneyBasis):
-        return complex_or_basis
-    return WhitneyBasis(complex_or_basis)
-
-
-def barycentric(
-    complex: SimplicialComplex, point, basis: WhitneyBasis | None = None
-) -> BarycentricPoint:
-    """Locate a point and return its tet index and barycentric coordinates."""
-    basis = basis or WhitneyBasis(complex)
-    t, lam = basis.locate(np.asarray(point, dtype=float))
-    return BarycentricPoint(t, lam)
-
-
-def whitney_eval(
-    complex_or_basis, p: int, element: int, at: BarycentricPoint
-) -> np.ndarray | float:
-    """Value of the degree-p basis form of ``element`` at a located point.
-
-    Returns 0 when the element is not a face of the point's tet (compact
-    support).
-    """
-    basis = _as_basis(complex_or_basis)
-    tids = np.array([at.tet])
-    lam = at.lam.reshape(1, 4)
-    local = basis.local_indices(p, tids)[0]
-    hits = np.flatnonzero(local == element)
-    if len(hits) == 0:
-        return 0.0 if p in (0, 3) else np.zeros(3)
-    vals = basis.eval(p, tids, lam)
-    if p in (0, 3):
-        return float(vals[0, hits[0]]) if p == 0 else float(vals[0])
-    return vals[0, hits[0]]
-
-
 def _as_callable(form) -> AnalyticForm:
     if isinstance(form, AnalyticForm):
         return form
@@ -416,15 +335,6 @@ def _interpolate_located(
     if cochain.degree == 3:
         return coeffs[:, 0] * vals
     return np.einsum("kq,kqd->kd", coeffs, vals)
-
-
-def interpolate(
-    complex_or_basis, cochain: Cochain, at: BarycentricPoint
-) -> np.ndarray | float:
-    """Whitney interpolation of a primal cochain at a located point."""
-    basis = _as_basis(complex_or_basis)
-    vals = _interpolate_located(basis, cochain, np.array([at.tet]), at.lam.reshape(1, 4))
-    return vals[0].item() if cochain.degree in (0, 3) else vals[0]
 
 
 def interpolate_at_points(

@@ -240,7 +240,7 @@ def test_corner_tet_drops_one_face(mesh, links):
     assert np.bincount(mesh.face_tets[boundary, 0]).max() == links
     C1, C2 = (exact._int_csr(mesh.incidence(p)) for p in (1, 2))
     kept = mesh.n_faces - mesh.n_tets
-    assert exact._peel_rank(C1, C2, 0) == (kept, f"peel of {kept} faces")
+    assert exact._peel_rank(C1, C2) == (kept, f"peel of {kept} faces")
     assert integer_rank(C1) == kept
 
 
@@ -296,7 +296,7 @@ def test_peel_bound_is_sound_on_faulted_chains(name, faults, seed):
     C0, C1, C2 = faulted_chain(mesh, faults, seed)
     rank, rank2 = integer_rank(C1), gf2_rank(C1)
     # The peel count plus the GF(2) rank of the rows left over.
-    lower, _ = exact._peel_rank(C1, C2, 0)
+    lower, _ = exact._peel_rank(C1, C2)
     assert lower <= rank2 <= rank
     # The certificate reports what the GF(2) rank reported: a certified
     # value is the rank, and an open bound is the GF(2) rank itself.
@@ -338,6 +338,25 @@ def test_box10_certifies_without_gf2(monkeypatch):
     cert = certify_ranks(*chain(generators.box_mesh(10)))
     assert cert.betti == (1, 0, 0)
     assert cert.ranks[1].how == "peel of 6600 faces meets N_E - r0"
+
+
+@pytest.mark.parametrize("name", ["tunnel_and_cavity", "annulus8_and_hollow_box3"])
+def test_handle_and_cavity_certify_by_peel(monkeypatch, name):
+    # With a handle and a cavity, the peel meets only the bound its witness
+    # tightens; C1's GF(2) rank (all of its rows) is never taken.
+    mesh = tunnel_and_cavity() if name == "tunnel_and_cavity" else disjoint_union(
+        generators.annulus_mesh(8), hollow_box3(), 10.0)
+    interior = interior_of(mesh)
+    sizes = {mesh.n_faces, len(interior[2])}
+    gf2 = exact.gf2_rank
+
+    def spy(mat):
+        assert mat.shape[0] not in sizes, "gf2_rank took all of C1"
+        return gf2(mat)
+
+    monkeypatch.setattr(exact, "gf2_rank", spy)
+    for cert in (certify_ranks(*chain(mesh)), certify_ranks(*chain(mesh), interior=interior)):
+        assert cert.certified and cert.ranks[1].how.startswith("peel of"), cert.ranks[1].how
 
 
 @settings(max_examples=60)

@@ -473,6 +473,14 @@ class TestEigenmodes:
                                 dense_cutoff=1)
         lowest = np.sort(sparse_res.k2)[:3]
         np.testing.assert_allclose(lowest, nonzero_dense, rtol=1e-8)
+        # Given a sigma, both paths return the count eigenvalues nearest it.
+        box4 = generators.box_mesh(4)
+        ops = apply_pec(box4, classify_boundary(box4))
+        for sigma in (10.0, 20.0):  # at 10 the nearest four include a zero mode
+            dense = eigenmodes(ops, count=4, sigma=sigma, dense_cutoff=10**9)
+            sparse_res = eigenmodes(ops, count=4, sigma=sigma, dense_cutoff=1)
+            assert dense.k2.shape == (4,) and np.all(np.diff(dense.k2) >= 0)
+            np.testing.assert_allclose(dense.k2, sparse_res.k2, rtol=1e-8, atol=dense.zero_tol)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from declat.pic import (
     Particle,
     gather,
     push,
-    scatter_charge,
     scatter_current,
     verify_conservation,
 )
@@ -19,6 +18,7 @@ from declat.whitney import AnalyticForm, OutsideMeshError, WhitneyBasis, de_rham
 
 from _oracles import (
     conservation_residual_all_edges,
+    interpolate_at_points_loop,
     scatter_current_loop,
     walk_matmul,
     walk_row_reads,
@@ -30,37 +30,37 @@ def constant_form(degree, vec):
     return AnalyticForm(degree, lambda pts: np.broadcast_to(vec, pts.shape))
 
 
+def point_charge(basis, x, q):
+    """Node weights of a charge q resting at x: a zero-length path's deposit."""
+    return scatter_current(basis, x, x, q, 1.0).node_charge.values
+
+
 class TestScatterCharge:
     def test_tet_barycenter_quarters(self, single_tet, basis_of):
         center = single_tet.vertices[single_tet.tets[0]].mean(axis=0)
-        p = Particle(2.0, 1.0, center, np.zeros(3))
-        idx, w = scatter_charge(basis_of(single_tet), p)
+        w = point_charge(basis_of(single_tet), center, 2.0)
         np.testing.assert_allclose(w, 0.5, atol=1e-14)
         assert abs(w.sum() - 2.0) <= 1e-14
 
     def test_at_node_full_charge(self, single_tet, basis_of):
-        p = Particle(-1.5, 1.0, single_tet.vertices[1], np.zeros(3))
-        idx, w = scatter_charge(basis_of(single_tet), p)
-        assert abs(w[list(idx).index(1)] + 1.5) <= 1e-14
+        w = point_charge(basis_of(single_tet), single_tet.vertices[1], -1.5)
+        assert abs(w[1] + 1.5) <= 1e-14
         assert abs(w.sum() + 1.5) <= 1e-14
 
     def test_face_barycenter_thirds(self, single_tet, basis_of):
         # The planar reference case: a charge sitting on a triangle spreads
         # q/3 to each of that triangle's nodes.
         face = single_tet.vertices[[0, 1, 2]].mean(axis=0)
-        p = Particle(3.0, 1.0, face, np.zeros(3))
-        idx, w = scatter_charge(basis_of(single_tet), p)
-        by_node = dict(zip(idx.tolist(), w))
+        w = point_charge(basis_of(single_tet), face, 3.0)
         for node in (0, 1, 2):
-            assert abs(by_node[node] - 1.0) <= 1e-13
-        assert abs(by_node[3]) <= 1e-13
+            assert abs(w[node] - 1.0) <= 1e-13
+        assert abs(w[3]) <= 1e-13
 
     def test_weights_always_sum_to_charge(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
         for _ in range(50):
             x = rng.random(3) * 0.98 + 0.01
-            _, w = scatter_charge(basis, Particle(0.7, 1.0, x, np.zeros(3)))
-            assert abs(w.sum() - 0.7) <= 1e-13
+            assert abs(point_charge(basis, x, 0.7).sum() - 0.7) <= 1e-13
 
 
 class TestScatterCurrent:
@@ -326,23 +326,29 @@ def test_step_and_time_guards_refuse_before_work(kuhn, basis_of, classification_
 
 
 class TestGather:
-    def test_constant_fields(self, jittered3, basis_of, rng):
+    def test_constant_fields(self, jittered3, box3, annulus8, basis_of, rng):
         u = np.array([0.2, -0.4, 0.9])
         w = np.array([-1.0, 0.5, 0.25])
-        E = de_rham(constant_form(1, u), jittered3)
-        B = de_rham(constant_form(2, w), jittered3)
-        for _ in range(20):
-            x = rng.random(3) * 0.9 + 0.05
-            Ev, Bv = gather(basis_of(jittered3), E, B, x)
+        for mesh in (jittered3, box3, annulus8):
+            basis = basis_of(mesh)
+            E = de_rham(constant_form(1, u), mesh)
+            B = de_rham(constant_form(2, w), mesh)
+            tets = rng.integers(mesh.n_tets, size=20)
+            pts = np.einsum("kq,kqd->kd", rng.dirichlet(np.ones(4), size=20),
+                            mesh.vertices[mesh.tets[tets]])
+            Ev, Bv = gather(basis, E, B, pts)
+            assert Ev.shape == Bv.shape == (20, 3)
             assert np.abs(Ev - u).max() <= 1e-12
             assert np.abs(Bv - w).max() <= 1e-12
+            assert np.abs(Ev - interpolate_at_points_loop(basis, E, pts)).max() <= 1e-14
+            assert np.abs(Bv - interpolate_at_points_loop(basis, B, pts)).max() <= 1e-14
 
     def test_zero_cochains(self, single_tet, basis_of):
         from declat.whitney import Cochain
 
         E = Cochain(1, np.zeros(single_tet.n_edges))
         B = Cochain(2, np.zeros(single_tet.n_faces))
-        Ev, Bv = gather(basis_of(single_tet), E, B, np.array([0.2, 0.2, 0.2]))
+        Ev, Bv = gather(basis_of(single_tet), E, B, np.full((1, 3), 0.2))
         assert np.all(Ev == 0) and np.all(Bv == 0)
 
     def test_tangential_continuity_across_faces(self, box3, basis_of, rng):

@@ -21,21 +21,23 @@ from _oracles import transfer_matrix_reflection
 class TestStretchTensor:
     def test_identity_outside_layer(self):
         prof = StretchProfile(2, 3.0, 4.0, omega_max=5.0)
-        lam = stretch_tensor([0.5, 0.5, 1.0], omega=2.0, profile=prof)
-        np.testing.assert_array_equal(lam, np.eye(3))
+        lam = stretch_tensor(np.array([[0.5, 0.5, 1.0], [0.0, 0.0, 3.0]]), omega=2.0, profile=prof)
+        np.testing.assert_array_equal(lam, np.ones((2, 3)))
 
     def test_single_axis_entries(self):
-        # Uniform-strength slab probed at full depth: s = 1 + i Omega/omega.
+        # Uniform-strength slab probed at full depth (s = 1 + i Omega/omega),
+        # and half depth (s = 1 + i Omega/(2 omega)), in one call.
         prof = StretchProfile(0, 1.0, 2.0, omega_max=3.0, order=1)
         omega = 1.5
-        s = 1.0 + 1j * 3.0 / omega
-        lam = stretch_tensor([2.0, 0.0, 0.0], omega=omega, profile=prof)
-        np.testing.assert_allclose(np.diag(lam), [1.0 / s, s, s], rtol=1e-14)
+        lam = stretch_tensor(np.array([[2.0, 0.0, 0.0], [1.5, 0.3, 0.0]]), omega=omega, profile=prof)
+        for row, s in zip(lam, (1.0 + 1j * 3.0 / omega, 1.0 + 1j * 1.5 / omega)):
+            np.testing.assert_allclose(row, [1.0 / s, s, s], rtol=1e-14)
 
     def test_frequency_conjugation(self):
         prof = StretchProfile(1, 0.0, 1.0, omega_max=2.0)
-        a = stretch_tensor([0.0, 0.7, 0.0], omega=1.0, profile=prof)
-        b = stretch_tensor([0.0, 0.7, 0.0], omega=-1.0, profile=prof)
+        pts = np.array([[0.0, 0.7, 0.0], [0.2, 0.4, 0.9]])
+        a = stretch_tensor(pts, omega=1.0, profile=prof)
+        b = stretch_tensor(pts, omega=-1.0, profile=prof)
         np.testing.assert_allclose(a.conj(), b, rtol=1e-14)
 
     def test_invalid_profiles_rejected(self):

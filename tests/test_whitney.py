@@ -5,17 +5,13 @@ from scipy.special import roots_jacobi, roots_legendre
 from declat import generators
 from declat.whitney import (
     AnalyticForm,
-    BarycentricPoint,
     Cochain,
     OutsideMeshError,
     WhitneyBasis,
-    barycentric,
     de_rham,
-    interpolate,
     interpolate_at_points,
     verify_coboundary,
     verify_partition_duality,
-    whitney_eval,
     _TET4,
 )
 
@@ -28,23 +24,25 @@ def constant_form(degree, vec):
 
 
 class TestBarycentric:
-    def test_tet_center(self, single_tet, basis_of):
-        center = single_tet.vertices[single_tet.tets[0]].mean(axis=0)
-        at = barycentric(single_tet, center, basis_of(single_tet))
-        np.testing.assert_allclose(at.lam, 0.25, atol=1e-14)
+    @pytest.fixture(scope="class")
+    def located(self, single_tet, basis_of):
+        # The center, vertex 0 and the midpoint of edge (0, 1), in one call.
+        v = single_tet.vertices
+        points = np.array([v[single_tet.tets[0]].mean(axis=0), v[0], 0.5 * (v[0] + v[1])])
+        return basis_of(single_tet).locate_all(points)[1]
 
-    def test_vertex(self, single_tet, basis_of):
-        at = barycentric(single_tet, single_tet.vertices[0], basis_of(single_tet))
-        np.testing.assert_allclose(at.lam, [1, 0, 0, 0], atol=1e-14)
+    def test_tet_center(self, located):
+        np.testing.assert_allclose(located[0], 0.25, atol=1e-14)
 
-    def test_edge_midpoint(self, single_tet, basis_of):
-        mid = 0.5 * (single_tet.vertices[0] + single_tet.vertices[1])
-        at = barycentric(single_tet, mid, basis_of(single_tet))
-        np.testing.assert_allclose(at.lam, [0.5, 0.5, 0, 0], atol=1e-14)
+    def test_vertex(self, located):
+        np.testing.assert_allclose(located[1], [1, 0, 0, 0], atol=1e-14)
+
+    def test_edge_midpoint(self, located):
+        np.testing.assert_allclose(located[2], [0.5, 0.5, 0, 0], atol=1e-14)
 
     def test_outside_raises(self, single_tet, basis_of):
         with pytest.raises(OutsideMeshError):
-            barycentric(single_tet, np.array([2.0, 2.0, 2.0]), basis_of(single_tet))
+            basis_of(single_tet).locate_all(np.array([[0.2, 0.2, 0.2], [2.0, 2.0, 2.0]]))
 
     def test_non_finite_point_raises(self, box3, basis_of):
         points = np.array([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.5]])
@@ -55,15 +53,14 @@ class TestBarycentric:
     def test_affine_reproduction(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
         pts = rng.random((40, 3)) * 0.9 + 0.05
-        for x in pts:
-            t, lam = basis.locate(x)
-            back = basis.points_from_bary(np.array([t]), lam.reshape(1, 4))[0]
-            np.testing.assert_allclose(back, x, atol=1e-12)
+        tets, lam = basis.locate_all(pts)
+        back = np.einsum("kq,kqd->kd", lam, jittered3.vertices[jittered3.tets[tets]])
+        np.testing.assert_allclose(back, pts, atol=1e-12)
 
     def test_walk_matches_scan(self, box3, basis_of, rng):
         basis = basis_of(box3)
-        for x in rng.random((30, 3)) * 0.98 + 0.01:
-            t_walk, _ = basis.locate(x)
+        pts = rng.random((30, 3)) * 0.98 + 0.01
+        for x, t_walk in zip(pts, basis.locate_all(pts)[0]):
             t_scan, _ = basis._scan(x, 1e-10)
             lam_w = basis.bary(np.array([t_walk]), x.reshape(1, 3))[0]
             lam_s = basis.bary(np.array([t_scan]), x.reshape(1, 3))[0]
@@ -99,15 +96,11 @@ class TestBarycentric:
             basis.locate(x)
         assert sum(rows) / len(pts) <= 4.0 and basis.scans == 0
 
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            BarycentricPoint(0, np.array([0.5, 0.5, 0.5, -0.5]))
-
 
 class TestWhitneyEval:
     def test_node_value_at_own_vertex(self, single_tet, basis_of):
-        at = barycentric(single_tet, single_tet.vertices[2], basis_of(single_tet))
-        assert whitney_eval(basis_of(single_tet), 0, 2, at) == 1.0
+        hat = Cochain(0, np.eye(single_tet.n_vertices)[2])
+        assert interpolate_at_points(basis_of(single_tet), hat, single_tet.vertices[[2]])[0] == 1.0
 
     def test_edge_integral_is_one(self, box3, basis_of):
         # 2-point Gauss along each edge against its own basis form.
@@ -117,10 +110,10 @@ class TestWhitneyEval:
 
     def test_compact_support(self, box3, basis_of):
         basis = basis_of(box3)
-        center = box3.vertices[box3.tets[0]].mean(axis=0)
-        at = barycentric(box3, center, basis)
-        outside = [e for e in range(box3.n_edges) if e not in set(box3.tet_edges[at.tet])]
-        val = whitney_eval(basis, 1, outside[0], at)
+        center = box3.vertices[box3.tets[0]].mean(axis=0)[None]
+        (t,), _ = basis.locate_all(center)
+        outside = [e for e in range(box3.n_edges) if e not in set(box3.tet_edges[t])]
+        val = interpolate_at_points(basis, Cochain(1, np.eye(box3.n_edges)[outside[0]]), center)
         assert np.all(val == 0.0)
 
     def test_matches_planar_formula_on_shared_face(self, single_tet, basis_of):
@@ -128,11 +121,11 @@ class TestWhitneyEval:
         # lambda_i d(lambda_j) - lambda_j d(lambda_i) written in the face plane.
         basis = basis_of(single_tet)
         va, vb, vc = single_tet.vertices[[0, 1, 2]]
-        for (lam_a, lam_b) in [(0.6, 0.3), (0.2, 0.5), (1 / 3, 1 / 3)]:
-            pt = lam_a * va + lam_b * vb + (1 - lam_a - lam_b) * vc
-            at = barycentric(single_tet, pt, basis)
-            edges = [tuple(e) for e in single_tet.edges.tolist()]
-            val3d = whitney_eval(basis, 1, edges.index((0, 1)), at)
+        face_lam = [(0.6, 0.3), (0.2, 0.5), (1 / 3, 1 / 3)]
+        pts = np.array([la * va + lb * vb + (1 - la - lb) * vc for la, lb in face_lam])
+        edges = [tuple(e) for e in single_tet.edges.tolist()]
+        hat = Cochain(1, np.eye(single_tet.n_edges)[edges.index((0, 1))])
+        for (lam_a, lam_b), val3d in zip(face_lam, interpolate_at_points(basis, hat, pts)):
             # 2D formula inside the plane of face (0,1,2): gradients of the
             # face barycentric coordinates, computed independently.
             e1, e2 = vb - va, vc - va
@@ -236,8 +229,7 @@ class TestInterpolate:
 
     def test_zero_cochain(self, single_tet, basis_of):
         c = Cochain(1, np.zeros(single_tet.n_edges))
-        at = barycentric(single_tet, np.array([0.2, 0.2, 0.2]), basis_of(single_tet))
-        assert np.all(interpolate(basis_of(single_tet), c, at) == 0.0)
+        assert np.all(interpolate_at_points(basis_of(single_tet), c, np.full((1, 3), 0.2)) == 0.0)
 
     def test_affine_nodal_field(self, box3, basis_of, rng):
         f = AnalyticForm(0, lambda p: 1.0 + 2 * p[:, 0] - 0.5 * p[:, 1] + 3 * p[:, 2])
@@ -273,9 +265,8 @@ class TestInterpolate:
     def test_partition_of_unity(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
         pts = rng.random((50, 3)) * 0.9 + 0.05
-        for x in pts:
-            t, lam = basis.locate(x)
-            assert abs(lam.sum() - 1.0) <= 1e-14
+        _, lam = basis.locate_all(pts)
+        assert np.abs(lam.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 class TestStructuralIdentities:
@@ -315,14 +306,9 @@ class TestStructuralIdentities:
     def test_gradient_closed_form_single_tet(self, single_tet, basis_of):
         # d of the node-0 hat function must equal its coboundary expansion,
         # and both equal the constant (-1, -1, -1) on the unit right tet.
-        basis = basis_of(single_tet)
-        at = BarycentricPoint(0, np.full(4, 0.25))
-        total = np.zeros(3)
-        C0 = single_tet.incidence(0)
-        for e in range(single_tet.n_edges):
-            coef = C0[e, 0]
-            if coef:
-                total += coef * whitney_eval(basis, 1, e, at)
+        d_hat0 = Cochain(1, single_tet.incidence(0)[:, 0].toarray().ravel())
+        center = single_tet.vertices.mean(axis=0)[None]
+        total = interpolate_at_points(basis_of(single_tet), d_hat0, center)[0]
         np.testing.assert_allclose(total, [-1.0, -1.0, -1.0], atol=1e-14)
 
 
@@ -346,16 +332,6 @@ class TestConvergence:
             vals = interpolate_at_points(basis, c, pts)
             errs.append(np.abs(vals - field(pts)).max())
         assert errs[1] < errs[0] and errs[2] < errs[1]
-
-
-def test_cochain_json_roundtrip(rng):
-    c = Cochain(2, rng.standard_normal(5), "primal")
-    back = Cochain.from_json(c.to_json())
-    assert back.degree == 2 and back.lattice == "primal"
-    np.testing.assert_array_equal(back.values, c.values)
-    z = Cochain(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    back = Cochain.from_json(z.to_json())
-    np.testing.assert_array_equal(back.values, z.values)
 
 
 def test_cochain_validation():
