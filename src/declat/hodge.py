@@ -6,9 +6,12 @@ the Galerkin-dual pair swaps the roles (inverse permittivity on faces,
 permeability on edges).  One table names all four.  Entries couple only
 simplices sharing a tet, so the matrices are sparse with ultra-local
 stencils; they are symmetric and positive definite for admissible materials.
+A material is checked and inverted once per distinct tensor (one for a
+uniform field, one per tet otherwise) and reaches the tets as a broadcast.
 
 Each star is the sum over tets of small element matrices
-(:class:`ElementMatrices`), and those prove its positive definiteness
+(:class:`ElementMatrices`), built and bounded in fixed blocks of tets, so
+the transient memory is one block's; they prove its positive definiteness
 without a factorisation: lambda_min(H) >= min diag(H) times the smallest
 eigenvalue of any element matrix scaled to unit diagonal (Wathen), less a
 stated allowance for rounding in ``eigvalsh`` and in the assembly sum.
@@ -62,24 +65,19 @@ __all__ = [
 
 
 def _per_tet_tensor(value, n_tets: int, name: str) -> np.ndarray:
-    """Broadcast a finite scalar / per-tet scalar / per-tet 3x3 field to (M, 3, 3)."""
+    """The distinct tensors of a finite field: (1, 3, 3) if uniform, else (M, 3, 3)."""
     arr = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
     if not np.isfinite(arr).all():  # before inf * 0 turns it into NaN
         raise ValueError(f"{name} tensor must be finite")
-    eye = np.eye(3)
     if arr.ndim == 0:
-        out = arr * np.broadcast_to(eye, (n_tets, 3, 3))
-    elif arr.ndim == 1:
+        return (arr * np.eye(3))[None]
+    if arr.ndim == 1:
         if arr.shape[0] != n_tets:
             raise ValueError(f"{name}: per-tet array must have length {n_tets}")
-        out = arr[:, None, None] * eye
-    elif arr.shape == (3, 3):
-        out = np.broadcast_to(arr, (n_tets, 3, 3)).copy()
-    elif arr.shape == (n_tets, 3, 3):
-        out = arr.copy()
-    else:
-        raise ValueError(f"{name}: unsupported material shape {arr.shape}")
-    return out
+        return arr[:, None, None] * np.eye(3)
+    if arr.shape in ((3, 3), (n_tets, 3, 3)):
+        return arr.reshape(-1, 3, 3).copy()
+    raise ValueError(f"{name}: unsupported material shape {arr.shape}")
 
 
 @dataclass
@@ -89,15 +87,20 @@ class MaterialMap:
     eps: object = 1.0
     mu: object = 1.0
 
-    def tensor(self, name: str, complex: SimplicialComplex) -> np.ndarray:
-        """The ``"eps"`` or ``"mu"`` field as (M, 3, 3) tensors, checked
-        finite, symmetric and, when real, positive definite."""
-        t = _per_tet_tensor(getattr(self, name), complex.n_tets, name)
-        if not np.allclose(t, np.transpose(t, (0, 2, 1)), rtol=0, atol=1e-12):
+    def _distinct(self, name: str, n_tets: int) -> np.ndarray:
+        """The distinct ``"eps"`` or ``"mu"`` tensors, checked finite, symmetric to
+        16 eps of each one's largest entry and, when real, positive definite."""
+        t = _per_tet_tensor(getattr(self, name), n_tets, name)
+        tol = 16 * np.finfo(float).eps * np.abs(t).max(axis=(1, 2), keepdims=True)
+        if not np.all(np.abs(t - np.transpose(t, (0, 2, 1))) <= tol):
             raise ValueError(f"{name} tensor must be symmetric")
         if not np.iscomplexobj(t) and np.linalg.eigvalsh(t).min() <= 0:
             raise ValueError(f"{name} tensor must be positive definite")
         return t
+
+    def tensor(self, name: str, complex: SimplicialComplex) -> np.ndarray:
+        """The checked ``"eps"`` or ``"mu"`` field as a read-only (M, 3, 3) broadcast."""
+        return np.broadcast_to(self._distinct(name, complex.n_tets), (complex.n_tets, 3, 3))
 
 
 # The four stars as (degree of the basis forms paired, material, inverted?):
@@ -105,16 +108,20 @@ class MaterialMap:
 _STARS = {"eps": (1, "eps", False), "mu_inv": (2, "mu", True),
           "eps_inv": (2, "eps", True), "mu": (1, "mu", False)}
 
+# Tets per block of the element build and bound: transient memory is one
+# block's, and every tet's values are those of a single whole-mesh pass.
+_TET_BLOCK = 1024
+
 
 def _star_weight(
     complex: SimplicialComplex, materials: MaterialMap | None, which: str
 ) -> tuple[int, np.ndarray]:
-    """The degree of star ``which`` and its checked per-tet weight tensors."""
+    """The degree of star ``which`` and its checked weights, each distinct one inverted once."""
     if which not in _STARS:
         raise ValueError(f"which must be one of {', '.join(map(repr, _STARS))}")
     p, name, inverted = _STARS[which]
-    t = (materials or MaterialMap()).tensor(name, complex)
-    return p, np.linalg.inv(t) if inverted else t
+    t = (materials or MaterialMap())._distinct(name, complex.n_tets)
+    return p, np.broadcast_to(np.linalg.inv(t) if inverted else t, (complex.n_tets, 3, 3))
 
 
 @dataclass(frozen=True)
@@ -162,20 +169,23 @@ class ElementMatrices:
         if np.iscomplexobj(self.local):
             raise ValueError("element bound needs real symmetric element matrices")
         eps = np.finfo(float).eps
-        n_loc = self.ids.shape[1]
+        m, n_loc = self.ids.shape
         d_loc = np.diagonal(self.local, axis1=1, axis2=2)
         if not np.all(d_loc > 0):
             return float("-inf")
-        s = 1.0 / np.sqrt(d_loc)
-        A = self.local * s[:, :, None] * s[:, None, :]
-        theta = np.linalg.eigvalsh(A)[:, 0] - 8 * n_loc * eps * np.linalg.norm(A, axis=(1, 2))
-        theta = float(theta.min())
+        theta, row_sums = np.inf, np.empty((m, n_loc))
+        for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
+            s = 1.0 / np.sqrt(d_loc[blk])
+            A = self.local[blk] * s[:, :, None] * s[:, None, :]
+            lam = np.linalg.eigvalsh(A)[:, 0] - 8 * n_loc * eps * np.linalg.norm(A, axis=(1, 2))
+            theta = float(np.minimum(theta, lam.min()))  # NaN stays NaN
+            np.abs(self.local[blk]).sum(axis=2, out=row_sums[blk])
         if not theta > 0:
             return float("-inf")
         ids = self.ids.ravel()
         k = int(np.bincount(ids).max())
         diag = np.bincount(ids, weights=d_loc.ravel(), minlength=self.n)
-        rows = np.bincount(ids, weights=np.abs(self.local).sum(axis=2).ravel(), minlength=self.n)
+        rows = np.bincount(ids, weights=row_sums.ravel(), minlength=self.n)
         return theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
 
 
@@ -188,21 +198,26 @@ def _element_matrices(
     """Weighted L2 pairing of the degree-p basis per tet, degree-2 quadrature.
 
     ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point,
-    real or complex.  One broadcast evaluation gives the basis values w_q
-    (n_loc, 3) at all Q points of every tet, and sum_q (w_q W_q) w_q^T is
-    one batched (M, n_loc, 3Q) @ (M, 3Q, n_loc) product, scaled by the
-    tet's volume over Q.
+    real or complex.  Per block of tets, one broadcast evaluation gives the
+    basis values w_q (n_loc, 3) at all Q points of every tet, and
+    sum_q (w_q W_q) w_q^T is one batched (B, n_loc, 3Q) @ (B, 3Q, n_loc)
+    product, scaled by the tet's volume over Q into the block's rows of
+    ``local``.
     """
     basis = basis or WhitneyBasis(complex)
     cx = complex
     m = cx.n_tets
     tids = np.arange(m)
-    w = basis.eval(p, tids[:, None], _TET4)  # (M, Q, n_loc, 3)
-    n = w.shape[2]
-    y = (w @ weight.reshape(m, -1, 3, 3)).transpose(0, 2, 1, 3).reshape(m, n, -1)
-    local = y @ w.transpose(0, 1, 3, 2).reshape(m, -1, n)
-    local = local * (cx.volumes / len(_TET4))[:, None, None]
-    return ElementMatrices(local, basis.local_indices(p, tids), cx.n_simplices(p))
+    ids = basis.local_indices(p, tids)
+    n = ids.shape[1]
+    local = np.empty((m, n, n), dtype=np.result_type(weight.dtype, float))
+    weight, scale = weight.reshape(m, -1, 3, 3), cx.volumes / len(_TET4)
+    for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
+        w = basis.eval(p, tids[blk, None], _TET4)  # (B, Q, n_loc, 3)
+        y = (w @ weight[blk]).transpose(0, 2, 1, 3).reshape(len(w), n, -1)
+        np.matmul(y, w.transpose(0, 1, 3, 2).reshape(len(w), -1, n), out=local[blk])
+        local[blk] *= scale[blk, None, None]
+    return ElementMatrices(local, ids, cx.n_simplices(p))
 
 
 def star_elements(
@@ -246,14 +261,17 @@ def assemble_galerkin_dual(
 def _neighbor_pattern(H: sparse.spmatrix, level: int) -> sparse.csc_matrix:
     """Admitted positions of the approximate inverse, by neighbor level.
 
-    Level 0 is the pattern of H plus the diagonal; level k multiplies that
-    pattern k more times, so patterns are nested and encode successive
-    k-level neighbors.
+    Level 0 is the stored positions of H plus the diagonal, so a stored
+    entry that cancels to 0 stays in and the pattern is metric-free; level
+    k multiplies that pattern k more times, so patterns are nested and
+    encode successive k-level neighbors.
     """
     if operator.index(level) < 0:
         raise ValueError("pattern level must be >= 0")
     # Boolean products: a position's neighbour count never wraps.
-    base = ((abs(H) > 0) + sparse.eye(H.shape[0], dtype=bool)).tocsr()
+    stored = H.tocsr().astype(bool)  # a copy, stored zeros included
+    stored.data[:] = True
+    base = (stored + sparse.eye(H.shape[0], dtype=bool)).tocsr()
     pat = base
     for _ in range(level):
         pat = (pat @ base).tocsr()

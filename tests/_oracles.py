@@ -18,8 +18,8 @@ sparse approximate inverse as a dense least-squares solve per column
 equations by Cholesky; it builds its pattern with the package's
 ``_neighbor_pattern``.  The Hodge element matrices are built one
 quadrature point at a time, with a three-operand ``einsum`` over the
-stacked values, where the package evaluates all points in one broadcast
-call and contracts them in one batched product.  The walk from a given
+stacked values, where the package evaluates all points of a block of
+tets in one broadcast call and contracts them in one batched product.  The walk from a given
 tet, the per-point interpolation and the per-crossing path split at the
 end are loop
 versions of the package's location and deposit: they call a basis's

@@ -1,5 +1,7 @@
 import hashlib
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from declat.hodge import (
 from declat.maxwell import apply_pec
 from declat.mesh import SimplicialComplex, classify_boundary
 from declat.pml import StretchProfile, assemble_stretched
+from declat.whitney import WhitneyBasis
 
 from _oracles import (
     element_matrices_loop,
@@ -144,6 +147,52 @@ class TestAssembly:
         with pytest.raises(ValueError, match="symmetric"):
             MaterialMap(mu=bad).tensor("mu", single_tet)
 
+    def test_symmetry_checked_relative_to_tensor_size(self, kuhn):
+        # A rotated mu of size 4e5 carries a rounding asymmetry far above
+        # 1e-12 but far below eps of its size: it is symmetric.
+        a, b = 0.5, 1.1
+        rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+        rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+        r = rz @ rx
+        mu = r @ np.diag([4e5, 2e5, 1e5]) @ r.T
+        asym = np.abs(mu - mu.T).max()
+        assert 1e-12 < asym < 1e-16 * np.abs(mu).max()
+        assert np.array_equal(MaterialMap(mu=mu).tensor("mu", kuhn)[3], mu)
+        # An eps of size 1e-11 with a 5% off-diagonal asymmetry is not.
+        eps = 1e-11 * np.eye(3)
+        eps[0, 1] += 5e-13
+        with pytest.raises(ValueError, match="eps tensor must be symmetric"):
+            MaterialMap(eps=eps).tensor("eps", kuhn)
+        per_tet = np.broadcast_to(np.eye(3), (kuhn.n_tets, 3, 3)).copy()
+        per_tet[4] = eps
+        with pytest.raises(ValueError, match="eps tensor must be symmetric"):
+            MaterialMap(eps=per_tet).tensor("eps", kuhn)
+
+    def test_uniform_tensor_checked_once(self, kuhn, monkeypatch):
+        # A uniform material is one (1, 3, 3) tensor: checked and inverted
+        # once, then broadcast read-only over the tets, however many.
+        huge = SimpleNamespace(n_tets=10**12)  # any per-tet copy would not fit
+        W = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
+        t = MaterialMap(eps=W).tensor("eps", huge)
+        assert t.shape == (10**12, 3, 3) and not t.flags.writeable
+        p, mu_inv = hodge._star_weight(huge, MaterialMap(mu=W), "mu_inv")
+        assert p == 2 and np.array_equal(mu_inv[-1], np.linalg.inv(W))
+        bad = W.copy()
+        bad[0, 1] = 0.4
+        for value, match in ((bad, "symmetric"), (-W, "positive definite")):
+            with pytest.raises(ValueError, match=match):
+                MaterialMap(mu=value).tensor("mu", huge)
+            with pytest.raises(ValueError, match=match):
+                hodge._star_weight(huge, MaterialMap(mu=value), "mu_inv")
+
+        def per_tet_work(*args, **kwargs):
+            raise AssertionError("per-tet work before the material check")
+
+        monkeypatch.setattr(WhitneyBasis, "eval", per_tet_work)
+        monkeypatch.setattr(WhitneyBasis, "local_indices", per_tet_work)
+        with pytest.raises(ValueError, match="mu tensor must be symmetric"):
+            star_elements(kuhn, MaterialMap(mu=bad), "mu_inv", WhitneyBasis(kuhn))
+
     @pytest.mark.parametrize("name", ["eps", "mu"])
     def test_non_finite_material_rejected(self, kuhn, name):
         # NaN != NaN, so without its own check a NaN tensor fails as asymmetric.
@@ -255,6 +304,29 @@ class TestSpai:
                     gained = (prev - (prev.multiply(pat))).nnz
                     assert gained == 0  # previous level contained in this one
                 prev = pat
+
+    def test_pattern_from_stored_positions(self, jittered3, basis_of):
+        # An entry that cancels to 0 in exact arithmetic stays in the
+        # pattern whatever its last bits: perturbed by 1e-16 of max|H|, or
+        # set to exactly 0.0, H gives the same patterns and M moves by rounding only.
+        H = assemble_hodge(jittered3, MaterialMap(), "eps", basis_of(jittered3))
+        rng = np.random.default_rng(3)
+        nudged = H.copy()
+        nudged.data = H.data + 1e-16 * abs(H.data).max() * rng.uniform(-1.0, 1.0, H.nnz)
+        zeroed = H.copy()
+        off = np.flatnonzero(np.repeat(np.arange(H.shape[0]), np.diff(H.indptr)) != H.indices)
+        zeroed.data[off[np.argmin(abs(H.data[off]))]] = 0.0
+        assert (zeroed.data == 0.0).sum() == 1
+        assert abs(H.data[off]).min() < 1e-12 * abs(H.data).max()  # cancelled in exact arithmetic
+        for P in (nudged, zeroed):
+            for k in range(3):
+                want, got = _neighbor_pattern(H, k), _neighbor_pattern(P, k)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+            M, _ = spai_inverse(H, 0)
+            M_p, _ = spai_inverse(P, 0)
+            assert np.array_equal(M_p.indptr, M.indptr) and np.array_equal(M_p.indices, M.indices)
+            assert abs(M_p - M).max() <= 1e-10 * abs(M).max()
 
     def test_numpy_integer_level(self, kuhn, basis_of):
         H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn))
@@ -489,6 +561,85 @@ class TestElementBound:
     def test_complex_elements_rejected(self, kuhn):
         with pytest.raises(ValueError, match="real symmetric"):
             star_elements(kuhn, MaterialMap(eps=1.0 + 0.1j), "eps").lower_bound()
+
+
+def _block_outputs(mesh, materials, basis):
+    """Element matrices, CSR arrays and bounds of the four stars, and the
+    stretched pair, as bytes."""
+    out = []
+    for which in ("eps", "mu_inv", "eps_inv", "mu"):
+        elements = star_elements(mesh, materials, which, basis)
+        out.append(elements.local.tobytes())
+        if not np.iscomplexobj(elements.local):
+            out.append(repr(elements.lower_bound()))
+        H = elements.assemble()
+        out += [H.indptr.tobytes(), H.indices.tobytes(), H.data.tobytes()]
+    profile = StretchProfile(2, 0.3, 1.0, omega_max=4.0, a_max=1.5)
+    for H in assemble_stretched(mesh, materials, profile, 2.0, basis):
+        out += [H.indptr.tobytes(), H.indices.tobytes(), H.data.tobytes()]
+    return out
+
+
+class TestTetBlocks:
+    @pytest.mark.parametrize("name", ["annulus8", "jittered3"])
+    @pytest.mark.parametrize("kind", ["scalar", "per_tet", "tensor", "complex"])
+    def test_block_boundaries_bit_identical(self, all_meshes, basis_of, monkeypatch, name, kind):
+        mesh = all_meshes[name]
+        m = mesh.n_tets
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((m, 3, 3))
+        materials = {
+            "scalar": MaterialMap(eps=2.0, mu=1.5),
+            "per_tet": MaterialMap(eps=rng.uniform(0.5, 4.0, m), mu=rng.uniform(0.5, 4.0, m)),
+            "tensor": MaterialMap(eps=a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3), mu=np.eye(3)),
+            "complex": MaterialMap(eps=1.0 + 0.05j * rng.uniform(0.0, 1.0, m), mu=1.5),
+        }[kind]
+        basis = basis_of(mesh)
+        monkeypatch.setattr(hodge, "_TET_BLOCK", m)
+        want = _block_outputs(mesh, materials, basis)
+        for block in (1, 7, m - 1):
+            monkeypatch.setattr(hodge, "_TET_BLOCK", block)
+            assert _block_outputs(mesh, materials, basis) == want, block
+
+    @settings(max_examples=20)
+    @given(entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+           shift=st.floats(1e-3, 10.0))
+    def test_uniform_tensor_matches_explicit_per_tet(self, jittered3, basis_of, entries, shift):
+        a = np.reshape(entries, (3, 3))
+        t = a @ a.T
+        t = 0.5 * (t + t.T) + shift * np.eye(3)  # exactly symmetric, SPD
+        per_tet = np.repeat(t[None], jittered3.n_tets, axis=0)
+        basis = basis_of(jittered3)
+        for which in ("eps", "mu_inv"):
+            one = star_elements(jittered3, MaterialMap(eps=t, mu=t), which, basis).assemble()
+            each = star_elements(jittered3, MaterialMap(eps=per_tet, mu=per_tet), which,
+                                 basis).assemble()
+            for x, y in ((one.indptr, each.indptr), (one.indices, each.indices),
+                         (one.data, each.data)):
+                assert x.tobytes() == y.tobytes(), which
+
+    @pytest.mark.parametrize("which", ["eps", "mu_inv"])
+    def test_transient_memory_one_block(self, monkeypatch, which):
+        # tracemalloc counts numpy's allocations exactly, so the peak is
+        # deterministic: the retained matrices plus a few blocks' basis
+        # values, where one whole-mesh block (box8, 3,072 tets) needs more.
+        mesh = generators.box_mesh(8)
+        basis = WhitneyBasis(mesh)
+        block = 512
+        n_loc = 6 if which == "eps" else 4
+        values = block * 4 * n_loc * 3 * 8  # one block's (B, Q, n_loc, 3) basis values
+        peaks = {}
+        for size in (block, mesh.n_tets):
+            monkeypatch.setattr(hodge, "_TET_BLOCK", size)
+            star_elements(mesh, None, which, basis)  # the basis's lazy tables
+            tracemalloc.start()
+            try:
+                elements = star_elements(mesh, None, which, basis)
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = elements.local.nbytes + elements.ids.nbytes + 8 * values
+        assert peaks[block] < bound < peaks[mesh.n_tets]
 
 
 class TestDualPairing:
