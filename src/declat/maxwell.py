@@ -1,7 +1,8 @@
 """Semi-discrete Maxwell evolution on the lattice.
 
-The metric-free half of the update is the integer incidence (C1 and C1^T);
-the metric half is the pair of Hodge stars.  Time stepping is the staggered
+The metric-free half of the update is the incidence (C1 and C1^T, whose
++-1 entries the reduced operators store as exact float64); the metric
+half is the pair of Hodge stars.  Time stepping is the staggered
 explicit leapfrog (E at integer steps, B at half steps) in displacement
 form: it carries D = Heps E and H = Hmu_inv B, updates D by C1^T H, and
 recovers E = S D through one symmetric inverse S of the eps star.  For any
@@ -17,7 +18,6 @@ degrees of freedom from the operators and cochains.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -49,7 +49,11 @@ __all__ = [
 
 @dataclass
 class MaxwellOperators:
-    """Incidence and Hodge matrices over one consistent index space."""
+    """Incidence and Hodge matrices over one consistent index space.
+
+    ``reduce_pec`` stores C1 and C2 as float64: their +-1 entries are
+    exact, and products with the float cochains skip a per-call cast.
+    """
 
     C1: sparse.csr_matrix
     Heps: sparse.csr_matrix
@@ -76,15 +80,17 @@ def reduce_pec(
     Rows/columns of boundary edges and faces are dropped consistently from
     the incidence and Hodge matrices; the composition of the two reduced
     incidence matrices stays identically zero because every edge of a
-    boundary face is itself a boundary edge.
+    boundary face is itself a boundary edge.  The reduced incidence is
+    exact float64 +-1; ``complex.incidence`` keeps the integers.
     """
     e_idx = classification.interior_edges
     f_idx = classification.interior_faces
+    C1 = complex.incidence(1)[f_idx][:, e_idx].tocsr()
+    C2 = complex.incidence(2)[:, f_idx].tocsr()
+    for C in (C1, C2):  # cast in place: astype would also re-check the format
+        C.data = C.data.astype(float)
     return MaxwellOperators(
-        C1=complex.incidence(1)[f_idx][:, e_idx].tocsr(),
-        Heps=Heps[e_idx][:, e_idx].tocsr(),
-        Hmu_inv=Hmu_inv[f_idx][:, f_idx].tocsr(),
-        C2=complex.incidence(2)[:, f_idx].tocsr(),
+        C1, Heps[e_idx][:, e_idx].tocsr(), Hmu_inv[f_idx][:, f_idx].tocsr(), C2
     )
 
 
@@ -199,17 +205,20 @@ def _march(codiff, dt, steps, E, B, source=None):
     Yields at step 0 (B_prev = B(0)) and after each step; HB is Hmu_inv B.
     """
     ops = codiff.ops
+    C1, C1T, Hmu_inv, solve = ops.C1, codiff._C1T, ops.Hmu_inv, codiff.solve_eps
     D = ops.Heps @ E
-    B_half = B - 0.5 * dt * (ops.C1 @ E)
-    HB = ops.Hmu_inv @ B_half
-    yield E, D, B, B_half, ops.Hmu_inv @ B, HB
+    B_half = B - 0.5 * dt * (C1 @ E)
+    HB = Hmu_inv @ B_half
+    yield E, D, B, B_half, Hmu_inv @ B, HB
     for n in range(steps):
         B_prev, HB_prev = B_half, HB
-        J = 0.0 if source is None else np.asarray(source((n + 0.5) * dt), float)
-        D = D + dt * (codiff._C1T @ HB - J)
-        E = codiff.solve_eps(D)
-        B_half = B_half - dt * (ops.C1 @ E)
-        HB = ops.Hmu_inv @ B_half
+        curl = C1T @ HB
+        if source is not None:  # x - 0.0 is x, so a sourceless step skips it
+            curl = curl - np.asarray(source((n + 0.5) * dt), float)
+        D = D + dt * curl
+        E = solve(D)
+        B_half = B_half - dt * (C1 @ E)
+        HB = Hmu_inv @ B_half
         yield E, D, B_prev, B_half, HB_prev, HB
 
 
@@ -278,17 +287,16 @@ def leapfrog_run(
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
-    """CSV trace; energies in joules, times in seconds."""
+    """CSV trace (comma-separated, CRLF rows); energies in joules, times in seconds."""
+    columns = [np.asarray(trace.steps).astype(int).tolist()] + [
+        np.asarray(c, dtype=float).tolist()
+        for c in (trace.times, trace.h_total, trace.h_electric, trace.h_magnetic,
+                  trace.h_invariant, trace.div_b_residual)
+    ]
+    lines = ["step,time_s,H_total_J,H_electric_J,H_magnetic_J,H_invariant_J,div_B_residual_rel"]
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["step", "time_s", "H_total_J", "H_electric_J", "H_magnetic_J",
-             "H_invariant_J", "div_B_residual_rel"]
-        )
-        columns = (trace.times, trace.h_total, trace.h_electric, trace.h_magnetic,
-                   trace.h_invariant, trace.div_b_residual)
-        for step, *values in zip(trace.steps, *columns):
-            w.writerow([int(step)] + [repr(float(v)) for v in values])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def stable_timestep(
@@ -392,16 +400,21 @@ def compare_inverse_modes(
     E2 = A D2 - g, so the error (A (D1 - D2), B1 - B2) follows the exact
     leapfrog forced by (0, -dt C1 g_n) each step, and the power-bound
     constant c0 bounds it by c0 sum_k dt |C1 g_k|_Hmu_inv.  dE is its E
-    part plus g_n, so divergence_n <= that + |g_n|_Heps.
+    part plus g_n, so divergence_n <= that + |g_n|_Heps.  c0 exists only for
+    dt below dt_max: any other dt raises ``ValueError`` before any march.
     """
     rng = np.random.default_rng(11)
     E0 = rng.standard_normal(ops.n_edges) if E0 is None else E0
     B0 = rng.standard_normal(ops.n_faces) if B0 is None else B0
-    exact = DiscreteCodifferential(ops)
-    approx = DiscreteCodifferential(ops, level)
+    exact = None
     if dt_max is None:
+        exact = DiscreteCodifferential(ops)
         dt_max = stable_timestep(ops, exact)
-    c0 = 1.0 / np.sqrt(max(1.0 - (dt / dt_max) ** 2, 1e-12))
+    if not dt < dt_max:
+        raise ValueError(f"dt={float(dt)!r} is not below the bound dt_max={float(dt_max)!r}")
+    exact = exact or DiscreteCodifferential(ops)
+    approx = DiscreteCodifferential(ops, level)
+    c0 = 1.0 / np.sqrt(1.0 - (dt / dt_max) ** 2)
 
     runs = zip(_march(exact, dt, steps, E0, B0), _march(approx, dt, steps, E0, B0))
     forcing_sum = 0.0

@@ -32,11 +32,16 @@ same scalar walk as the package's, except that it reads the tet's vertex
 and gradients as two rows per step, where the package reads one
 ``frames`` row; ``conservation_residual_all_edges`` is the conservation
 residual with its bincounts over every edge, where the package sums only
-the edges that carry current.  The last is the electric-field form of
-the leapfrog, which applies the stars through ``ampere_step`` and
+the edges that carry current.  ``leapfrog_e_form_loop`` is the
+electric-field form of the leapfrog, which applies the stars through ``ampere_step`` and
 ``hamiltonian`` every step, where the package carries D = Heps E and
 Hmu_inv B from step to step; next to it sits ``faraday_step``, the
 face circulation C1 E, which the package's step writes inline.
+``leapfrog_run_loop`` is the package's displacement-form step as it was
+on int64 incidence, with J = 0.0 subtracted when there is no source, and
+``write_trace_csv`` its trace writer through ``csv.writer``, where the
+package carries float64 incidence, skips the zero source and joins the
+rows itself.
 ``graph_rank_coo`` is the graph-shaped rank certificate by a COO copy, a
 stable argsort of its rows and an int8 COO graph, where the package reads
 the CSR arrays in place; ``symmetry_deviation_multiply`` takes both norms
@@ -46,6 +51,7 @@ the stored entries of H and of one sparse difference.
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -597,7 +603,7 @@ def faraday_step(C1: sparse.spmatrix, E: np.ndarray) -> np.ndarray:
     return C1 @ E
 
 
-def leapfrog_run_loop(
+def leapfrog_e_form_loop(
     codiff: DiscreteCodifferential,
     dt: float,
     steps: int,
@@ -660,6 +666,84 @@ def leapfrog_run_loop(
     # Columns in field order: steps, times, the four energies, div B.
     trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
     return E, B_half, trace
+
+
+# -- D-form leapfrog on integer incidence -------------------------------------
+
+
+def leapfrog_run_loop(codiff, dt, steps, E0=None, B0=None, source=None, trace_every=1):
+    """The displacement-form leapfrog and its record, step for step as
+    ``leapfrog_run`` marched them on integer incidence.
+
+    C1, C1^T and C2 are int64 copies of the operators' incidence, so every
+    product with them casts their data to float64; a step without a source
+    still subtracts J = 0.0; the operators are read off ``codiff`` at each
+    use.  Returns (E, B, trace) as ``leapfrog_run`` does.
+    """
+    ops = codiff.ops
+    C1 = ops.C1.astype(np.int64)
+    C1T, C2 = C1.T.tocsr(), ops.C2.astype(np.int64)
+
+    def march(E, B):
+        D = ops.Heps @ E
+        B_half = B - 0.5 * dt * (C1 @ E)
+        HB = ops.Hmu_inv @ B_half
+        yield E, D, B, B_half, ops.Hmu_inv @ B, HB
+        for n in range(steps):
+            B_prev, HB_prev = B_half, HB
+            J = 0.0 if source is None else np.asarray(source((n + 0.5) * dt), float)
+            D = D + dt * (C1T @ HB - J)
+            E = codiff.solve_eps(D)
+            B_half = B_half - dt * (C1 @ E)
+            HB = ops.Hmu_inv @ B_half
+            yield E, D, B_prev, B_half, HB_prev, HB
+
+    E = np.zeros(ops.n_edges) if E0 is None else np.array(E0, dtype=float)
+    B = np.zeros(ops.n_faces) if B0 is None else np.array(B0, dtype=float)
+    rows = []
+    div_scale = max(float(np.abs(B).max(initial=0.0)), 1.0)
+    div_ref = None
+
+    def record(step, E, D, Bprev, Bnext, HBprev, HBnext):
+        nonlocal div_ref
+        he = float(E @ D)
+        hm = 0.25 * float((HBprev + HBnext) @ (Bprev + Bnext))
+        div_now = C2 @ Bnext
+        if div_ref is None:
+            div_ref = div_now
+        divb = float(np.abs(div_now - div_ref).max(initial=0.0))
+        rows.append((step, step * dt, he + hm, he, hm, he + float(Bprev @ HBnext), divb))
+        return he + hm
+
+    fields_iter = march(E, B)
+    fields = next(fields_iter)
+    blowup_level = 1e10 * (abs(record(0, *fields)) + 1.0)
+    for n, fields in enumerate(fields_iter, 1):
+        E, D, _, B_half, _, HB = fields
+        if n % 25 == 0 or n == steps:
+            h = float(E @ D) + float(B_half @ HB)
+            if not (np.isfinite(h) and h <= blowup_level and np.all(np.isfinite(B_half))):
+                raise FloatingPointError(f"field blow-up detected at step {n}")
+        if n % trace_every == 0 or n == steps:
+            record(n, *fields)
+
+    arr = np.array(rows, dtype=float)
+    trace = Trace(arr[:, 0].astype(int), *arr[:, 1:6].T, arr[:, 6] / div_scale)
+    return fields[0], fields[3], trace
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """The trace CSV written row by row through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["step", "time_s", "H_total_J", "H_electric_J", "H_magnetic_J",
+             "H_invariant_J", "div_B_residual_rel"]
+        )
+        columns = (trace.times, trace.h_total, trace.h_electric, trace.h_magnetic,
+                   trace.h_invariant, trace.div_b_residual)
+        for step, *values in zip(trace.steps, *columns):
+            w.writerow([int(step)] + [repr(float(v)) for v in values])
 
 
 def graph_rank_coo(mat: sparse.spmatrix, what: str) -> RankBound:

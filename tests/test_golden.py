@@ -53,6 +53,8 @@ CASES = {
     **{f"simulate/{inv}": ["simulate", "--mesh", "{jittered4}", "--steps", "200", "--seed", "5",
                            "--hodge-inverse", inv, "--out", "{out}/trace.csv"]
        for inv in ("exact", "spai:2")},
+    "simulate/every7": ["simulate", "--mesh", "{jittered4}", "--steps", "200", "--seed", "5",
+                        "--trace-every", "7", "--out", "{out}/trace.csv"],
     "pic": ["pic", "--paths", "200"],
     "pml": ["pml", "--sweep", "--out", "{out}/sweep.csv"],
     "pml/flags": ["pml", "--sweep", "--nx", "2", "--nz", "10", "--length", "2.5",
@@ -147,6 +149,11 @@ GOLDEN = {
         "exit": 0,
         "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
         "trace.csv": "0af3a4bb46e0eac39c0f841bb12d7a0368ac47688e402f67badc19d79a21607c",
+    },
+    "simulate/every7": {
+        "exit": 0,
+        "stdout": "a3f6d2ff2e9d983d186cfa2fb6064f52e42c7ac713f0910ffd9bf34c7b0abbc9",
+        "trace.csv": "7c3eeed2f4249dd1d9ba9ecdcb593c69e091cdff6ef757cd962da865cd7fcf4c",
     },
     "pic": {
         "exit": 0,

@@ -1,5 +1,12 @@
+import dataclasses
+import functools
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -8,6 +15,7 @@ from declat.hodge import MaterialMap, _neighbor_pattern, assemble_hodge
 from declat.maxwell import (
     DiscreteCodifferential,
     MaxwellOperators,
+    Trace,
     ampere_step,
     apply_pec,
     compare_inverse_modes,
@@ -20,7 +28,7 @@ from declat.maxwell import (
 from declat.mesh import SimplicialComplex, classify_boundary, write_mesh
 from declat.whitney import AnalyticForm, de_rham
 
-from _oracles import faraday_step, leapfrog_run_loop
+from _oracles import faraday_step, leapfrog_e_form_loop, leapfrog_run_loop, write_trace_csv
 
 
 def unreduced_operators(mesh, materials=None):
@@ -186,7 +194,7 @@ class TestLeapfrog:
         run = (codiff, 0.5 * stable_timestep(ops, codiff), 200, E0, B0,
                lambda t: np.cos(2.0 * t) * J0, trace_every)
         *state, trace = leapfrog_run(*run)
-        *expect, oracle = leapfrog_run_loop(*run)
+        *expect, oracle = leapfrog_e_form_loop(*run)
         assert np.array_equal(trace.steps, oracle.steps)
         for column in ("h_total", "h_electric", "h_magnetic", "h_invariant"):
             got, want = getattr(trace, column), getattr(oracle, column)
@@ -447,6 +455,25 @@ class TestPecReduction:
         comp = ops.C2 @ ops.C1
         assert abs(comp).max() == 0
 
+    @pytest.mark.parametrize("name", ["kuhn", "box3", "annulus8"])
+    def test_reduced_incidence_is_exact_float(self, request, classification_of, name):
+        # The time loop multiplies float cochains by C1, C1^T and C2; float64
+        # +-1 saves scipy a cast per product.  The complex keeps the integers.
+        mesh = request.getfixturevalue(name)
+        cls = classification_of(mesh)
+        ops = apply_pec(mesh, cls)
+        C1 = mesh.incidence(1)[cls.interior_faces][:, cls.interior_edges].tocsr()
+        C2 = mesh.incidence(2)[:, cls.interior_faces].tocsr()
+        pairs = ((ops.C1, C1), (ops.C2, C2),
+                 (DiscreteCodifferential(ops)._C1T, C1.T.tocsr()))
+        for got, want in pairs:
+            assert got.dtype == np.float64 and want.dtype.kind == "i"
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data) and set(got.data) <= {-1.0, 1.0}
+        assert (ops.C2 @ ops.C1).nnz == 0
+
 
 class TestEigenmodes:
     def test_zero_multiplicity_counts_gradients(self, classification_of):
@@ -491,6 +518,26 @@ def jittered4_ops():
 
 
 class TestInverseModeComparison:
+    def test_step_at_or_above_the_bound_rejected(self, box3, classification_of, monkeypatch):
+        # c0 = 1/sqrt(1 - (dt/dt_max)^2) bounds the exact leapfrog only below
+        # the bound.  Clamped, it "certified" a 4.5e27 divergence at 1.2x.
+        ops = apply_pec(box3, classification_of(box3))
+        dt_max = stable_timestep(ops)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built or marched past a refused step")
+
+        monkeypatch.setattr(maxwell, "spai_inverse", refused)
+        monkeypatch.setattr(maxwell, "_march", refused)
+        with pytest.raises(ValueError, match=re.escape(f"dt={float(1.2 * dt_max)!r}")):
+            compare_inverse_modes(ops, 1.2 * dt_max, 50, level=1)
+        # Given the bound, it refuses before the exact factor as well.
+        monkeypatch.setattr(maxwell, "splu", refused)
+        for dt in (dt_max, 1.2 * dt_max, np.inf, np.nan):
+            with pytest.raises(ValueError, match=re.escape(f"dt={float(dt)!r}") + ".*"
+                               + re.escape(f"dt_max={float(dt_max)!r}")):
+                compare_inverse_modes(ops, dt, 50, level=1, dt_max=dt_max)
+
     def test_divergence_within_envelope(self, box3, classification_of, jittered4_ops):
         ops = apply_pec(box3, classification_of(box3))
         cases = [(ops, stable_timestep(ops), 2)] + [(*jittered4_ops, k) for k in (1, 2, 3)]
@@ -514,3 +561,69 @@ class TestInverseModeComparison:
         dE, dB = ends[0][0] - ends[1][0], ends[0][1] - ends[1][1]
         gap = np.sqrt(dE @ (ops.Heps @ dE) + dB @ (ops.Hmu_inv @ dB))
         np.testing.assert_allclose(out["divergence"][-1], gap, rtol=1e-12)
+
+
+@functools.cache
+def _codiff(name: str, level: int | None):
+    """A codifferential of a PEC-reduced mesh, and its exact time-step bound."""
+    make = {"kuhn": generators.kuhn_cube, "box3": lambda: generators.box_mesh(3),
+            "jittered4": lambda: generators.jittered_box_mesh(4, seed=3),
+            "annulus8": lambda: generators.annulus_mesh(8)}[name]
+    mesh = make()
+    ops = apply_pec(mesh, classify_boundary(mesh))
+    exact = DiscreteCodifferential(ops)
+    dt_max = stable_timestep(ops, exact)
+    return (exact if level is None else DiscreteCodifferential(ops, level)), dt_max
+
+
+def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _csv_bytes(write, trace: Trace) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write(trace, f"{tmp}/trace.csv")
+        with open(f"{tmp}/trace.csv", "rb") as fh:
+            return fh.read()
+
+
+class TestBitIdentity:
+    """The step and the writer give the bytes of the integer-incidence loop."""
+
+    @pytest.mark.parametrize("level", [None, 1, 2])
+    @pytest.mark.parametrize("name", ["kuhn", "box3", "jittered4", "annulus8"])
+    @settings(max_examples=8)
+    @given(trace_every=st.sampled_from([1, 3, 7]), sourced=st.booleans(),
+           steps=st.integers(1, 80), seed=st.integers(0, 2**16))
+    def test_run_matches_integer_loop(self, name, level, trace_every, sourced, steps, seed):
+        codiff, dt_max = _codiff(name, level)
+        ops = codiff.ops
+        rng = np.random.default_rng(seed)
+        E0, B0 = rng.standard_normal(ops.n_edges), rng.standard_normal(ops.n_faces)
+        J0 = rng.standard_normal(ops.n_edges)
+        source = (lambda t: np.cos(2.0 * t) * J0) if sourced else None
+        run = (codiff, 0.5 * dt_max, steps, E0, B0, source, trace_every)
+        *state, trace = leapfrog_run(*run)
+        *expect, oracle = leapfrog_run_loop(*run)
+        for got, want in zip(state, expect):
+            _assert_same_bytes(got, want)
+        for field in dataclasses.fields(Trace):
+            _assert_same_bytes(getattr(trace, field.name), getattr(oracle, field.name))
+        assert _csv_bytes(write_trace, trace) == _csv_bytes(write_trace_csv, oracle)
+
+    def test_writer_special_values(self):
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.5e308, 0.1])
+        trace = Trace(np.arange(len(values)), *(np.roll(values, -k) for k in range(6)))
+        got = _csv_bytes(write_trace, trace)
+        assert got == _csv_bytes(write_trace_csv, trace)
+        assert got.split(b"\r\n")[1] == b"0,nan,inf,-inf,-0.0,0.0,5e-324"
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_writer_matches_csv_writer(self, data):
+        rows = data.draw(st.integers(0, 30))
+        steps = data.draw(arrays(np.int64, rows, elements=st.integers(-2**62, 2**62)))
+        columns = data.draw(arrays(np.float64, (6, rows), elements=st.floats(width=64)))
+        trace = Trace(steps, *columns)
+        assert _csv_bytes(write_trace, trace) == _csv_bytes(write_trace_csv, trace)
