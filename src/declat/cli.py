@@ -30,7 +30,7 @@ from .maxwell import (
     stable_timestep,
     write_trace,
 )
-from .mesh import classify_boundary, load_mesh, write_mesh
+from .mesh import MeshError, classify_boundary, load_mesh, write_mesh
 from .pic import conservation_report_json, verify_conservation
 from .pml import reflection_sweep, write_sweep
 from .whitney import WhitneyBasis
@@ -322,7 +322,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "check" in args:  # rules between two flags, refused like one flag's: exit 2
         args.check(args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MeshError as err:  # a refused mesh: exit 1 with its message
+        raise SystemExit(f"declat {args.command}: {err}") from None
 
 
 if __name__ == "__main__":

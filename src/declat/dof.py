@@ -15,8 +15,8 @@ which is also the number of nonzero curl-curl eigenvalues.
 
 Ranks of the boundary-reduced incidence matrices come from
 :func:`declat.exact.certify_ranks`: graph components pin the gradient and
-tet/face ranks exactly, and a peel (plus a GF(2) rank where it stalls) that
-meets a chain-complex upper bound pins the curl rank.  A rank whose bounds
+tet/face ranks exactly, and a peel (plus a GF(2) rank of the rows it leaves)
+that meets a chain-complex upper bound pins the curl rank.  A rank whose bounds
 do not meet is reported as its proved lower bound, with ``rank_certified``
 False and a note naming the bound that failed.
 """
@@ -27,12 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 from .exact import certify_ranks, grounded_components
-from .mesh import (
-    BoundaryClassification,
-    SimplicialComplex,
-    classify_boundary,
-    euler_audit,
-)
+from .mesh import BoundaryClassification, MeshError, SimplicialComplex, classify_boundary
 
 __all__ = ["DofReport", "dof_audit"]
 
@@ -91,12 +86,12 @@ def dof_audit(
 ) -> DofReport:
     """Count dynamic degrees of freedom and verify the counting identities.
 
-    Raises on a disconnected mesh (the volume-constraint count assumes one
-    component).
+    Raises MeshError on a disconnected mesh (the volume-constraint count
+    assumes one component).
     """
     cx = complex
     if cx.vertex_components() != 1:
-        raise ValueError("dof audit requires a connected mesh")
+        raise MeshError("dof audit requires a connected mesh")
     cls = classification or classify_boundary(cx)
     nv, ne, nf, npp = cx.counts()
     n0h, n1h, n2h = (cls.n_interior(p) for p in range(3))
@@ -128,13 +123,13 @@ def dof_audit(
     theta_B = n2h - (npp - 1) - h2
 
     # Relative harmonic dimensions count handles (h2 = b1) and cavities
-    # (h1 = b2).
-    er = euler_audit(cx, cls, genus=h2, cavities=h1)
+    # (h1 = b2): the combined polyhedron identity of mesh.euler_audit.
+    combined = (n1h - n0h, n2h - (npp - 1) - h2 + h1)
 
     identities = {
         "theta_equality": theta_E == theta_B,
         "theta_equals_rank": theta_E == rank1,
-        "euler_combined": er.combined[0] == er.combined[1],
+        "euler_combined": combined[0] == combined[1],
         "gradients_grounded": grounded,
     }
 
@@ -167,7 +162,7 @@ def dof_audit(
         theta_B=theta_B,
         rank_curl=rank1,
         rank_certified=cert.certified,
-        euler_combined=er.combined,
+        euler_combined=combined,
         identities=identities,
         # The closed-lattice shorthand N_E - N_V differs from the interior
         # count whenever the boundary is nonempty; both are reported.

@@ -8,19 +8,18 @@ or says which bound it could not close:
   grounds (one nonzero) has rank ``columns - ungrounded components``, read
   off the graph's connected components; this pins C0 (rows) and C2
   (columns) exactly;
-* the rank of C1 is squeezed between a peel (:func:`_peel_rank`) or, when
-  that falls short of the upper bound even after the witness step, a GF(2)
-  rank of C1 from below (reduction mod 2 can only lose rank) and the
-  chain-complex bounds ``N_E - r0`` and ``N_F - r2 - w`` from above, where
-  ``w`` counts 2-cycles (inner boundary surfaces) proved independent by
-  dual tet paths that pair with them to +-1;
+* the rank of C1 is squeezed between a peel (:func:`_peel_rank`), which
+  counts C1's GF(2) rank exactly (reduction mod 2 can only lose rank),
+  from below and the chain-complex bounds ``N_E - r0`` and ``N_F - r2 - w``
+  from above, where ``w`` counts 2-cycles (inner boundary surfaces) proved
+  independent by dual tet paths that pair with them to +-1;
 * on the boundary-reduced chain the cavities instead tighten
   ``N_E - r0``, as relative 1-cocycles paired with interior-edge paths.
 
 Every certificate is exact over Q.  The graph and peel certificates take
-near-linear time, GF(2) elimination does not, and :func:`integer_rank`
-(fraction-free Bareiss elimination, cubic cost) is the desk-scale oracle
-that tests compare against.
+near-linear time, GF(2) elimination of the rows a peel leaves does not,
+and :func:`integer_rank` (fraction-free Bareiss elimination, cubic cost)
+is the desk-scale oracle that tests compare against.
 """
 
 from __future__ import annotations
@@ -320,12 +319,7 @@ def _witnessed_2cycles(C1: sparse.csr_matrix, C2: sparse.csr_matrix) -> int:
             c[f] = int(C2[t, f])
         cocycles.append(c)
         cycles.append(dict(zip(bnd[surf == s].tolist(), bnd_sign[surf == s].tolist())))
-    if not cycles:
-        return 0
-    z, c = _stack(cycles, C2.shape[1]), _stack(cocycles, C2.shape[1])
-    if (C1.T @ z.T).count_nonzero() or (C2 @ c.T).count_nonzero():
-        return 0
-    return len(cycles) if _diagonal_nonsingular(c @ z.T) else 0
+    return _independent(cycles, cocycles, C2.shape[1], C1.T, C2)
 
 
 def _witnessed_1cocycles(C0, C1, C2, interior, C0_red, C1_red) -> int:
@@ -371,12 +365,7 @@ def _witnessed_1cocycles(C0, C1, C2, interior, C0_red, C1_red) -> int:
         cycles.append(g)
         x = C0_int @ on_surface[s].toarray().ravel()
         cocycles.append({int(k): int(x[k]) for k in np.flatnonzero(x)})
-    if not cycles:
-        return 0
-    g, x = _stack(cycles, C0_int.shape[0]), _stack(cocycles, C0_int.shape[0])
-    if (C0_red.T @ g.T).count_nonzero() or (C1_red @ x.T).count_nonzero():
-        return 0
-    return len(cycles) if _diagonal_nonsingular(g @ x.T) else 0
+    return _independent(cocycles, cycles, C0_int.shape[0], C1_red, C0_red.T)
 
 
 def _stack(rows: list[dict], n: int) -> sparse.csr_matrix:
@@ -386,10 +375,18 @@ def _stack(rows: list[dict], n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((v, (i, k)), shape=(len(rows), n))
 
 
-def _diagonal_nonsingular(pairing: sparse.spmatrix) -> bool:
-    dense = pairing.toarray()
-    diag = np.diag(dense)
-    return not np.count_nonzero(dense - np.diag(diag)) and bool(np.all(diag))
+def _independent(counted: list[dict], witnesses: list[dict], n: int, A, B) -> int:
+    """``len(counted)`` if the ``{index: value}`` rows ``z`` of ``counted`` and
+    ``c`` of ``witnesses`` (length ``n``) satisfy ``A z = 0`` and ``B c = 0``
+    exactly and pair diagonally and nonsingularly (``<c_i, z_j>``), else 0."""
+    if not counted:
+        return 0
+    z, c = _stack(counted, n), _stack(witnesses, n)
+    pairing = (c @ z.T).toarray()
+    diag = np.diag(pairing)
+    if (A @ z.T).count_nonzero() or (B @ c.T).count_nonzero() or not np.all(diag):
+        return 0
+    return 0 if np.count_nonzero(pairing - np.diag(diag)) else len(counted)
 
 
 def _int_csr(C) -> sparse.csr_matrix:
@@ -401,25 +398,29 @@ def _int_csr(C) -> sparse.csr_matrix:
     return C
 
 
-def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix) -> tuple[int, str]:
-    """A lower bound on rank C1 over Q by a peel, and how it was proved.
+def _peel_rank(C1: sparse.csr_matrix, C2: sparse.csr_matrix,
+               C2C1: sparse.csr_matrix) -> tuple[int, str]:
+    """C1's GF(2) rank (a lower bound over Q) by a peel, and how it was proved.
 
-    Kept faces (one per tet is dropped along a spanning forest of tets, faces and
-    the ground) that own an edge, by an odd entry, no other live kept face touches
-    are peeled: triangular rows with odd pivots, where the rows left over vanish.
-    Their GF(2) rank adds to the count."""
+    Tets whose row of ``C2C1`` (C2 C1) has no odd entry, faces and the ground,
+    joined by C2's odd entries, span a forest that drops one face per tet: mod 2,
+    that face is the sum of the tet's other faces.  Kept faces that own an edge,
+    by an odd entry, no other live kept face touches are peeled as triangular
+    rows with odd pivots; the GF(2) rank of the rows left over adds to the count."""
     (n_faces, n_edges), C2 = C1.shape, sparse.csr_matrix(C2, copy=True)
+    odd = np.zeros(C2.shape[0], dtype=bool)
+    odd[np.repeat(np.arange(len(odd)), np.diff(C2C1.indptr))[C2C1.data % 2 != 0]] = True
+    C2.data[np.repeat(odd, np.diff(C2.indptr))] = 0  # such a tet joins nothing
+    C2.data %= 2
     C2.eliminate_zeros()
-    live = np.ones(n_faces, dtype=bool)
-    if C2.shape[1] == n_faces:
-        # Nodes: faces, tets, the ground (on one-entry columns); weight: face + 1.
-        per_face = np.bincount(C2.indices, minlength=n_faces)
-        faces = np.concatenate([C2.indices, np.flatnonzero(per_face == 1)])
-        indptr, n = np.concatenate([np.zeros(n_faces, int), C2.indptr, [len(faces)]]), len(C2.indptr)
-        tree = csgraph.minimum_spanning_tree(sparse.csr_matrix(
-            (faces + 1.0, faces, indptr), shape=(n_faces + n, n_faces + n)))
-        degree = np.bincount(tree.indices, minlength=tree.shape[0]) + np.diff(tree.indptr)
-        live[(degree[:n_faces] == 2) & (per_face <= 2)] = False
+    # Nodes: faces, tets, the ground (on one-entry columns); weight: face + 1.
+    per_face = np.bincount(C2.indices, minlength=n_faces)
+    faces = np.concatenate([C2.indices, np.flatnonzero(per_face == 1)])
+    indptr, n = np.concatenate([np.zeros(n_faces, int), C2.indptr, [len(faces)]]), len(C2.indptr)
+    tree = csgraph.minimum_spanning_tree(sparse.csr_matrix(
+        (faces + 1.0, faces, indptr), shape=(n_faces + n, n_faces + n)))
+    degree = np.bincount(tree.indices, minlength=tree.shape[0]) + np.diff(tree.indptr)
+    live = (degree[:n_faces] != 2) | (per_face > 2)
     # Entries on kept faces keyed 2 face + odd.  Per edge: its live faces and their
     # key sum, which names the face and parity once one is left.
     face = np.repeat(np.arange(n_faces), np.diff(C1.indptr))
@@ -462,6 +463,7 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
         C0, C1, C2 = C0[E][:, V], C1[F][:, E], C2[:, F]
     r0 = _graph_rank(C0, "C0 row")
     r2 = _graph_rank(C2.T, "C2 column")
+    C2C1 = C2 @ C1
     n_faces, n_edges = C1.shape
     bounds = {"matrix size": min(n_faces, n_edges)}
     failed = []
@@ -473,11 +475,11 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
         bounds["N_E - r0"] = n_edges - r0.lower
     if not r2.certified:
         failed.append("N_F - r2 needs a certified r2")
-    elif (C2 @ C1).count_nonzero():
+    elif C2C1.count_nonzero():
         failed.append("N_F - r2 needs C2 C1 = 0")
     else:
         bounds["N_F - r2"] = n_faces - r2.lower
-    lower, via = _peel_rank(C1, C2)
+    lower, via = _peel_rank(C1, C2, C2C1)
     # N_E - r0 exceeds the rank by b1 and N_F - r2 by b2.  Cavities close
     # the gap as 2-cycles of the full chain, or as 1-cocycles of the
     # reduced one (where the roles of b1 and b2 swap).
@@ -489,8 +491,6 @@ def certify_ranks(C0, C1, C2, interior: tuple | None = None) -> ChainRanks:
             w = _witnessed_1cocycles(*full, interior, C0, C1)
             bounds[f"N_E - r0 - {w} witnessed 1-cocycles"] = bounds.pop("N_E - r0") - w
     how, upper = min(bounds.items(), key=lambda item: item[1])
-    if lower < upper:  # the peel falls short (a faulted chain): C1's GF(2) rank
-        lower, via = gf2_rank(C1), "GF(2) rank"
     if lower == upper:
         r1 = RankBound(lower, upper, f"{via} meets {how}")
     else:

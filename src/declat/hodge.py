@@ -413,15 +413,20 @@ def check_spd(H: sparse.spmatrix) -> tuple[float, float]:
     converge).  That is the eigenvalue nearest zero, so otherwise the
     estimate (NaN included) is lowered to the quotient of a witness x = P^T y, L^T y = e_k
     at the most negative pivot k, or to 0.0 if a zero pivot forced an
-    off-diagonal one.  The value is a Rayleigh quotient of H (or 0.0), so
-    never below lambda_min.
+    off-diagonal one or left the factor exactly singular.  The value is a
+    Rayleigh quotient of H (or 0.0), so never below lambda_min.
     """
     H = H.tocsr()
     sym_dev = symmetry_deviation(H)
     n = H.shape[0]
     if n == 0:
         return sym_dev, float("nan")
-    lu = splu(H.tocsc(), **SPD_SPLU)
+    try:
+        lu = splu(H.tocsc(), **SPD_SPLU)
+    except RuntimeError as err:
+        if "exactly singular" not in str(err):
+            raise
+        return sym_dev, 0.0
     try:
         x = _ritz_vector(H, lu.solve)
         estimate = float(x @ (H @ x)) / float(x @ x)

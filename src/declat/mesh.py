@@ -150,9 +150,11 @@ class SimplicialComplex:
             raise MeshError("mesh must contain at least one tet")
         if tets.min(initial=0) < 0 or tets.max(initial=-1) >= len(vertices):
             raise MeshError("tet references a vertex index out of range")
-        tets = np.sort(tets, axis=1)
-        if np.any(tets[:, :-1] == tets[:, 1:]):
-            raise MeshError("tet with repeated vertex index")
+        tets, given = np.sort(tets, axis=1), tets
+        repeated = np.any(tets[:, :-1] == tets[:, 1:], axis=1)
+        if repeated.any():
+            i = int(repeated.argmax())
+            raise MeshError(f"tet {given[i].tolist()} at row {i} has a repeated vertex index")
 
         # Canonical tet storage: sorted indices in ascending row order, last
         # pair swapped if the sorted orientation has negative volume.  Total

@@ -94,18 +94,15 @@ class OutsideMeshError(ValueError):
 
 @dataclass
 class Cochain:
-    """Degree-p coefficient array on the primal or dual lattice."""
+    """Degree-p coefficient array on the primal lattice."""
 
     degree: int
     values: np.ndarray
-    lattice: str = "primal"
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.degree not in (0, 1, 2, 3):
             raise ValueError("cochain degree must be in 0..3")
-        if self.lattice not in ("primal", "dual"):
-            raise ValueError("lattice tag must be 'primal' or 'dual'")
 
 
 @dataclass
@@ -129,11 +126,9 @@ class WhitneyBasis:
         self.complex = cx
         tv = cx.vertices[cx.tets]  # (M, 4, 3)
         edge_mat = tv[:, 1:] - tv[:, :1]  # rows v1-v0, v2-v0, v3-v0
-        self.inv_edge = np.linalg.inv(edge_mat)  # (M, 3, 3)
-        grads = np.transpose(self.inv_edge, (0, 2, 1))  # rows are grad(lam_1..3)
+        grads = np.transpose(np.linalg.inv(edge_mat), (0, 2, 1))  # rows are grad(lam_1..3)
         self.grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         self.origin = tv[:, 0]
-        self.volumes = cx.volumes
 
         # Local edge/face vertex positions, ordered by ascending global id so
         # that every local basis function matches its canonical simplex.
@@ -237,30 +232,6 @@ class WhitneyBasis:
 
     # -- basis values -------------------------------------------------------
 
-    def eval0(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return np.asarray(lam)
-
-    def eval1(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        t = np.asarray(tets)[..., None]
-        a, b = self.edge_local[tets, :, 0], self.edge_local[tets, :, 1]
-        pts = np.arange(len(lam))[:, None]
-        la, lb = lam[pts, a], lam[pts, b]
-        ga, gb = self.grads[t, a], self.grads[t, b]
-        return la[..., None] * gb - lb[..., None] * ga  # (..., 6, 3)
-
-    def eval2(self, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        t = np.asarray(tets)[..., None]
-        f = self.face_local[tets]
-        pts = np.arange(len(lam))[:, None]
-        out = 0.0
-        for (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            cross = np.cross(self.grads[t, f[..., ib]], self.grads[t, f[..., ic]])
-            out = out + lam[pts, f[..., ia]][..., None] * cross
-        return 2.0 * out  # (..., 4, 3)
-
-    def eval3(self, tets: np.ndarray) -> np.ndarray:
-        return 1.0 / self.volumes[tets]
-
     def eval(self, p: int, tets: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Degree-p basis values in ``tets`` at barycentric points ``lam``.
 
@@ -271,14 +242,22 @@ class WhitneyBasis:
         and broadcast over the points, giving (K, P, n, 3).
         """
         if p == 0:
-            return self.eval0(tets, lam)
-        if p == 1:
-            return self.eval1(tets, lam)
-        if p == 2:
-            return self.eval2(tets, lam)
+            return np.asarray(lam)
         if p == 3:
-            return self.eval3(tets)
-        raise ValueError("degree must be in 0..3")
+            return 1.0 / self.complex.volumes[tets]
+        if p not in (1, 2):
+            raise ValueError("degree must be in 0..3")
+        t, pts = np.asarray(tets)[..., None], np.arange(len(lam))[:, None]
+        if p == 1:
+            a, b = self.edge_local[tets, :, 0], self.edge_local[tets, :, 1]
+            la, lb = lam[pts, a], lam[pts, b]
+            return la[..., None] * self.grads[t, b] - lb[..., None] * self.grads[t, a]
+        f = self.face_local[tets]
+        out = 0.0
+        for (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            cross = np.cross(self.grads[t, f[..., ib]], self.grads[t, f[..., ic]])
+            out = out + lam[pts, f[..., ia]][..., None] * cross
+        return 2.0 * out  # (..., 4, 3)
 
     def local_indices(self, p: int, tets: np.ndarray) -> np.ndarray:
         """Global simplex ids backing each local basis slot."""
@@ -326,8 +305,6 @@ def _interpolate_located(
 ) -> np.ndarray:
     """Whitney interpolation at located points: (K,) for degrees 0 and 3,
     (K, 3) for 1 and 2, complex for a complex cochain."""
-    if cochain.lattice != "primal":
-        raise ValueError("interpolation expects a primal cochain")
     coeffs = cochain.values[basis.local_indices(cochain.degree, tets)]
     vals = basis.eval(cochain.degree, tets, lam)
     if cochain.degree == 0:

@@ -350,8 +350,8 @@ def partition_duality_loop(complex, p: int, basis) -> float:
         tid = np.array([t])
         ids = local[t]
         if p == 0:
-            integ = basis.eval0(np.repeat(tid, 4),
-                                basis.bary(np.repeat(tid, 4), cx.vertices[cx.tets[t]]))
+            integ = basis.eval(0, np.repeat(tid, 4),
+                               basis.bary(np.repeat(tid, 4), cx.vertices[cx.tets[t]]))
         elif p == 1:
             epair = cx.edges[ids]
             a = cx.vertices[epair[:, 0]]
@@ -359,7 +359,7 @@ def partition_duality_loop(complex, p: int, basis) -> float:
             integ = np.zeros((6, 6))
             for s in _GAUSS2_EDGE:
                 lam = basis.bary(np.repeat(tid, 6), a + s * tang)
-                w = basis.eval1(np.repeat(tid, 6), lam)
+                w = basis.eval(1, np.repeat(tid, 6), lam)
                 integ += 0.5 * np.einsum("ijd,id->ij", w, tang)
         else:
             ftri = cx.faces[ids]
@@ -368,7 +368,7 @@ def partition_duality_loop(complex, p: int, basis) -> float:
             integ = np.zeros((4, 4))
             for lam_t in _TRI3:
                 pts = lam_t[0] * va + lam_t[1] * vb + lam_t[2] * vc
-                w = basis.eval2(np.repeat(tid, 4), basis.bary(np.repeat(tid, 4), pts))
+                w = basis.eval(2, np.repeat(tid, 4), basis.bary(np.repeat(tid, 4), pts))
                 integ += np.einsum("ijd,id->ij", w, nvec) / 3.0
         for gi, gj, si, sj in items:
             want = 1.0 if gi == gj else 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from declat import generators
 from declat.cli import build_parser, main
 from declat.hodge import MaterialMap, assemble_galerkin_dual, read_coo
 from declat.mesh import load_mesh
@@ -145,7 +146,6 @@ def test_audit_json_flag(kuhn_file, tmp_path):
 def test_audit_corrupt_mesh_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.mesh"
     # Sliver-dominated mesh: the metric section fails its margin.
-    from declat import generators
     from declat.mesh import write_mesh
 
     write_mesh(generators.sliver_mesh(delta=1e-13), bad)
@@ -238,6 +238,33 @@ def test_simulate_trace_and_force(kuhn_file, tmp_path):
             ["simulate", "--mesh", str(kuhn_file), "--steps", "10",
              "--dt", "100.0", "--out", str(out)]
         )
+
+
+def _repeated_vertex(path):
+    path.write_text("declat-mesh 1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "tets 1\n0 1 2 2\n")
+
+
+def _two_kuhn_cubes(path):
+    from declat.mesh import write_mesh
+    from test_exact import disjoint_union
+
+    write_mesh(disjoint_union(generators.kuhn_cube(), generators.kuhn_cube(), 5.0), path)
+
+
+@pytest.mark.parametrize("command, write, message", [
+    ("audit", _repeated_vertex, "tet [0, 1, 2, 2] at row 0"),
+    ("dof", _two_kuhn_cubes, "dof audit requires a connected mesh"),
+])
+def test_bad_mesh_exits_one_without_traceback(tmp_path, capsys, command, write, message):
+    # A string exit code is printed alone, with no traceback, and exits 1.
+    path = tmp_path / "bad.mesh"
+    write(path)
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--mesh", str(path)])
+    assert isinstance(exited.value.code, str)
+    assert exited.value.code.startswith(f"declat {command}: ") and message in exited.value.code
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flags", [["--steps", "1"], ["--steps", "4", "--trace-every", "4"]])

@@ -74,12 +74,10 @@ class TestDofAudit:
         assert rep.passed
 
     def test_uncertified_rank_is_noted(self, kuhn, monkeypatch):
-        # Lower bounds one short of the rank (the peel, then the GF(2)
-        # fallback) leave the curl rank open.
-        peel_rank, gf2_rank = exact._peel_rank, exact.gf2_rank
+        # A peel one short of the rank leaves the curl rank open.
+        peel_rank = exact._peel_rank
         monkeypatch.setattr(exact, "_peel_rank",
                             lambda *args: (peel_rank(*args)[0] - 1, "peel"))
-        monkeypatch.setattr(exact, "gf2_rank", lambda mat: gf2_rank(mat) - 1)
         rep = dof_audit(kuhn)
         assert not rep.rank_certified
         assert [n for n in rep.notes if n.startswith("curl rank uncertified")

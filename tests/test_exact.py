@@ -240,7 +240,7 @@ def test_corner_tet_drops_one_face(mesh, links):
     assert np.bincount(mesh.face_tets[boundary, 0]).max() == links
     C1, C2 = (exact._int_csr(mesh.incidence(p)) for p in (1, 2))
     kept = mesh.n_faces - mesh.n_tets
-    assert exact._peel_rank(C1, C2) == (kept, f"peel of {kept} faces")
+    assert exact._peel_rank(C1, C2, C2 @ C1) == (kept, f"peel of {kept} faces")
     assert integer_rank(C1) == kept
 
 
@@ -283,8 +283,6 @@ def faulted_chain(mesh, faults, seed):
     return mats
 
 
-
-
 @settings(max_examples=150)
 @given(name=st.sampled_from(["kuhn", "kuhn_corner", "box2", "jittered1"]),
        faults=st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=4),
@@ -295,13 +293,32 @@ def test_peel_bound_is_sound_on_faulted_chains(name, faults, seed):
             "jittered1": lambda: generators.jittered_box_mesh(1, seed=seed % 7)}[name]()
     C0, C1, C2 = faulted_chain(mesh, faults, seed)
     rank, rank2 = integer_rank(C1), gf2_rank(C1)
-    # The peel count plus the GF(2) rank of the rows left over.
-    lower, _ = exact._peel_rank(C1, C2)
-    assert lower <= rank2 <= rank
-    # The certificate reports what the GF(2) rank reported: a certified
-    # value is the rank, and an open bound is the GF(2) rank itself.
+    # The peel count plus the GF(2) rank of the rows left over is C1's GF(2)
+    # rank: a face is dropped only for a tet whose row of C2 C1 is even.
+    lower, _ = exact._peel_rank(C1, C2, C2 @ C1)
+    assert lower == rank2 <= rank
+    # A certified value is the rank, and an open bound is the GF(2) rank itself.
     r1 = certify_ranks(C0, C1, C2).ranks[1]
     assert r1.value == rank if r1.certified else r1.lower == rank2
+
+
+@pytest.mark.parametrize("faults, seed", [
+    (["zero_row"], 0), (["double_row"], 0), (["drop_face"], 0), (["face_on_three_tets"], 2),
+])
+def test_faulted_chain_certifies_by_peel(monkeypatch, faults, seed):
+    # A GF(2) rank of all of C1 once certified these chains; the peel now
+    # does, and gf2_rank sees only the rows it leaves over.
+    C0, C1, C2 = faulted_chain(generators.kuhn_cube(), faults, seed)
+    gf2 = exact.gf2_rank
+
+    def spy(mat):
+        assert mat.shape[0] < C1.shape[0], "gf2_rank took all of C1"
+        return gf2(mat)
+
+    monkeypatch.setattr(exact, "gf2_rank", spy)
+    r1 = certify_ranks(C0, C1, C2).ranks[1]
+    assert r1.value == integer_rank(C1)
+    assert r1.how.startswith("peel of") and r1.how.endswith("meets N_E - r0"), r1.how
 
 
 @settings(max_examples=60)

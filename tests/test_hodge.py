@@ -439,6 +439,20 @@ class TestSpdCheck:
         H = sparse.csr_matrix(np.array([[-0.5, 1.0], [1.0, 0.0]]))
         assert check_spd(H)[1] <= 0.0
 
+    def test_singular_factor_fails_the_audit_row(self, kuhn, basis_of):
+        # SuperLU finds both factors exactly singular; the estimate is 0.0
+        # (lambda_min <= 0) and the audit row fails instead of raising.
+        H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)).tolil()
+        H[1, :] = H[0, :]
+        H[:, 1] = H[:, 0]
+        H = H.tocsr()
+        assert check_spd(sparse.csr_matrix(np.ones((2, 2)))) == (0.0, 0.0)
+        assert check_spd(H) == (0.0, 0.0)
+        report = run_full_audit(kuhn, Heps=H)
+        rows = {c.name: c for s in report.sections for c in s.checks}
+        row = rows["eps star positive definite"]
+        assert not row.passed and "near-indefinite" in row.detail and not report.passed
+
 
 def _assert_bound_below_dense(mesh, materials=None):
     for which in ("eps", "mu_inv"):

@@ -370,7 +370,7 @@ class TestGather:
             for t in (t1, t2):
                 lam4 = basis.bary(np.array([t]), pt.reshape(1, 3))
                 coeffs = E.values[box3.tet_edges[t]]
-                w = basis.eval1(np.array([t]), lam4)
+                w = basis.eval(1, np.array([t]), lam4)
                 vals.append(np.einsum("q,qd->d", coeffs, w[0]))
             tang1 = vb - va
             tang2 = vc - va

@@ -337,5 +337,3 @@ class TestConvergence:
 def test_cochain_validation():
     with pytest.raises(ValueError):
         Cochain(5, np.zeros(3))
-    with pytest.raises(ValueError):
-        Cochain(1, np.zeros(3), "other")
