@@ -177,9 +177,8 @@ def cmd_eigen(args) -> int:
     materials = MaterialMap(eps=args.eps, mu=args.mu)
     mesh = load_mesh(args.mesh)
     cls = classify_boundary(mesh)
-    ops = apply_pec(mesh, cls, materials)
-    res = eigenmodes(ops, count=args.count, sigma=args.sigma)
-    report = dof_audit(mesh, cls)
+    report = dof_audit(mesh, cls)  # refuses a disconnected mesh before the solve
+    res = eigenmodes(apply_pec(mesh, cls, materials), count=args.count, sigma=args.sigma)
     payload = {
         "schema": "declat-eigen-1",
         "k2": [float(v) for v in res.k2],

@@ -58,9 +58,13 @@ def box_mesh(
     """
     ny = nx if ny is None else ny
     nz = nx if nz is None else nz
+    return SimplicialComplex(*_box_arrays(nx, ny, nz, lengths))
+
+
+def _box_arrays(nx: int, ny: int, nz: int, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and (not yet canonical) tets of ``box_mesh``."""
     if min(nx, ny, nz) < 1:
         raise ValueError("box_mesh needs at least one cell per axis")
-
     xs = np.linspace(0.0, lengths[0], nx + 1)
     ys = np.linspace(0.0, lengths[1], ny + 1)
     zs = np.linspace(0.0, lengths[2], nz + 1)
@@ -81,7 +85,7 @@ def box_mesh(
         quad = np.concatenate([np.zeros((1, 3), dtype=np.int64), steps], axis=0)
         pts = corner[:, None, :] + quad[None, :, :]
         tets.append(vid(pts[..., 0], pts[..., 1], pts[..., 2]))
-    return SimplicialComplex(verts, np.concatenate(tets, axis=0))
+    return verts, np.concatenate(tets, axis=0)
 
 
 def kuhn_cube() -> SimplicialComplex:
@@ -97,15 +101,14 @@ def jittered_box_mesh(
     Produces an irregular but valid lattice; the boundary stays flat so
     boundary classification matches the unperturbed box.
     """
-    base = box_mesh(n, n, n)
-    verts = base.vertices.copy()
+    verts, tets = _box_arrays(n, n, n, (1.0, 1.0, 1.0))
     h = 1.0 / n
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     interior = np.all((verts > lo + 1e-12) & (verts < hi - 1e-12), axis=1)
     rng = np.random.default_rng(seed)
     verts[interior] += amplitude * h * (rng.random((int(interior.sum()), 3)) - 0.5)
-    return SimplicialComplex(verts, base.tets)
+    return SimplicialComplex(verts, tets)
 
 
 def _split_prism(prism: list[int]) -> list[tuple[int, int, int, int]]:

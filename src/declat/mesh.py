@@ -148,8 +148,11 @@ class SimplicialComplex:
             raise MeshError("tets must be an (M, 4) array")
         if tets.shape[0] < 1:
             raise MeshError("mesh must contain at least one tet")
-        if tets.min(initial=0) < 0 or tets.max(initial=-1) >= len(vertices):
-            raise MeshError("tet references a vertex index out of range")
+        bad = (tets < 0) | (tets >= len(vertices))
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), 4)
+            raise MeshError(f"tet {tets[i].tolist()} at row {i} references vertex {tets[i, j]}, "
+                            f"out of range for {len(vertices)} vertices")
         tets, given = np.sort(tets, axis=1), tets
         repeated = np.any(tets[:, :-1] == tets[:, 1:], axis=1)
         if repeated.any():

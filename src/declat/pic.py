@@ -76,12 +76,13 @@ class ScatterResult:
 def _walk(basis, t: int, ends: np.ndarray, tol: float):
     """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
     ``t`` in fixed-order scalar float arithmetic on one ``basis.frames`` row
-    per step: the within-tet segments (tet and both chord ends' coordinates),
-    the chord parameters where each is entered and left, and whether the
-    chord left the mesh; None if the walk reaches its step cap."""
+    per step: the tets of the within-tet segments, one flat list of both
+    chord ends' four coordinates per segment, the chord parameters where each
+    is entered and left, and whether the chord left the mesh; None if the
+    walk reaches its step cap."""
     frames, neighbors = basis.frames, basis.neighbors
     (xa, ya, za), (xb, yb, zb) = ends.tolist()
-    segments, bounds = [], [0.0]
+    tets, coords, bounds = [], [], [0.0]
     for _ in range(8 * basis.complex.n_tets + 16):
         # Raw affine coordinates (x - v0) . grad(lambda_i), plus 1 for lambda_0,
         # of both chord ends in t (identical endpoints give exact zeros); along
@@ -92,10 +93,11 @@ def _walk(basis, t: int, ends: np.ndarray, tol: float):
              ax * g2x + ay * g2y + az * g2z, ax * g3x + ay * g3y + az * g3z]
         b = [bx * g0x + by * g0y + bz * g0z + 1.0, bx * g1x + by * g1y + bz * g1z,
              bx * g2x + by * g2y + bz * g2z, bx * g3x + by * g3y + bz * g3z]
-        segments.append((t, a, b))
+        tets.append(t)
+        coords += a + b
         if min(b) >= -tol:
             bounds.append(1.0)
-            return segments, bounds, False
+            return tets, coords, bounds, False
         # Leave t by the face whose coordinate reaches zero first (lowest index on a tie).
         s, worst = np.inf, 0
         for i in range(4):
@@ -104,8 +106,45 @@ def _walk(basis, t: int, ends: np.ndarray, tol: float):
         bounds.append(min(max(s, bounds[-1]), 1.0))
         t = int(neighbors[t, worst])
         if t < 0:
-            return segments, bounds, True
+            return tets, coords, bounds, True
     return None
+
+
+def _deposit(basis, x_start, x_end, q: float, tau: float, tol: float):
+    """The tets of a straight path, its end (or exit) coordinates in the last
+    one, the edge current, the node rate and whether it left the mesh:
+    ``scatter_current`` without the node charge, and as arrays."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be a finite number above 0, got {tau!r}")
+    qdot = q / tau
+    if not math.isfinite(qdot):
+        raise ValueError(f"q/tau must be finite, got {q!r}/{tau!r}")
+    cx = basis.complex
+    ends = np.array([x_start, x_end], dtype=float)
+    seed = int(basis._seeds(ends)[0])
+    found = _walk(basis, seed, np.array([basis._grid[-1][seed], ends[0]]), tol)
+    t = found[0][-1] if found and not found[3] else basis.locate(ends[0])[0]
+    walked = _walk(basis, t, ends, tol)
+    if walked is None:
+        raise RuntimeError("path splitting did not terminate")
+    tets, coords, bounds, exited = walked
+
+    tets, lam = np.array(tets), np.array(coords).reshape(-1, 2, 4)
+    lam_a = lam[:, 0]
+    dlam = lam[:, 1] - lam_a
+    par = np.array(bounds)[:, None]
+    lam_in, lam_out = lam_a + par[:-1] * dlam, lam_a + par[1:] * dlam
+    mean = 0.5 * (lam_in + lam_out)
+    delta = lam_out - lam_in
+    k = np.arange(len(tets))[:, None]
+    a, b = basis.edge_local[tets].transpose(2, 0, 1)
+    coeff = qdot * (mean[k, a] * delta[k, b] - mean[k, b] * delta[k, a])
+    current = np.bincount(cx.tet_edges[tets].ravel(), coeff.ravel(), minlength=cx.n_edges)
+    # Charge leaves the start nodes and arrives at the end (or exit) nodes.
+    ends_nodes = cx.tets[tets[[0, -1]]].ravel()
+    rate = np.bincount(ends_nodes, np.concatenate([-qdot * lam_in[0], qdot * lam_out[-1]]),
+                       minlength=cx.n_vertices)
+    return tets, lam_out[-1], current, rate, exited
 
 
 def scatter_current(
@@ -127,37 +166,10 @@ def scatter_current(
     form at once.  If the path leaves the mesh the scatter is partial up to
     the exit point and flagged.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be a finite number above 0, got {tau!r}")
-    qdot = q / tau
-    if not math.isfinite(qdot):
-        raise ValueError(f"q/tau must be finite, got {q!r}/{tau!r}")
     cx = basis.complex
-    ends = np.array([x_start, x_end], dtype=float)
-    seed = int(basis._seeds(ends)[0])
-    found = _walk(basis, seed, np.array([basis._grid[-1][seed], ends[0]]), tol)
-    t = found[0][-1][0] if found and not found[2] else basis.locate(ends[0])[0]
-    walked = _walk(basis, t, ends, tol)
-    if walked is None:
-        raise RuntimeError("path splitting did not terminate")
-    segments, bounds, exited = walked
-
-    tets, lam_a, lam_b = (np.array(c) for c in zip(*segments))
-    dlam = lam_b - lam_a
-    par = np.array(bounds)[:, None]
-    lam_in, lam_out = lam_a + par[:-1] * dlam, lam_a + par[1:] * dlam
-    mean = 0.5 * (lam_in + lam_out)
-    delta = lam_out - lam_in
-    k = np.arange(len(tets))[:, None]
-    a, b = basis.edge_local[tets].transpose(2, 0, 1)
-    coeff = qdot * (mean[k, a] * delta[k, b] - mean[k, b] * delta[k, a])
-    current = np.bincount(cx.tet_edges[tets].ravel(), coeff.ravel(), minlength=cx.n_edges)
-    # Charge leaves the start nodes and arrives at the end (or exit) nodes.
-    ends_nodes = cx.tets[tets[[0, -1]]].ravel()
-    rate = np.bincount(ends_nodes, np.concatenate([-qdot * lam_in[0], qdot * lam_out[-1]]),
-                       minlength=cx.n_vertices)
+    tets, lam_end, current, rate, exited = _deposit(basis, x_start, x_end, q, tau, tol)
     final = np.zeros(cx.n_vertices)
-    final[cx.tets[tets[-1]]] = q * np.clip(lam_out[-1], 0.0, None)
+    final[cx.tets[tets[-1]]] = q * np.clip(lam_end, 0.0, None)
     return ScatterResult(
         node_charge=Cochain(0, final),
         node_rate=Cochain(0, rate),
@@ -179,15 +191,16 @@ def verify_conservation(
     For every node, the rate of deposited charge must equal the signed sum
     of scattered currents on its incident edges; the return value is the
     largest absolute mismatch (scale it by 1/|qdot| for a relative read).
-    Only edges that carry current are summed: the rest add exact zeros.
+    The path is deposited as ``scatter_current`` deposits it.  Only edges
+    that carry current are summed: the rest add exact zeros.
     """
     cx = basis.complex
-    res = scatter_current(basis, x_start, x_end, q, tau)
-    current, nv = res.edge_current.values, cx.n_vertices
+    _, _, current, rate, _ = _deposit(basis, x_start, x_end, q, tau, 1e-12)
+    nv = cx.n_vertices
     hit = (current != 0).nonzero()[0]
     edges, current = cx.edges[hit], current[hit]
     inflow = np.bincount(edges[:, 1], current, nv) - np.bincount(edges[:, 0], current, nv)
-    return float(np.abs(inflow - res.node_rate.values).max())
+    return float(np.abs(inflow - rate).max())
 
 
 def gather(

@@ -215,11 +215,6 @@ def test_materials_and_lengths_rejected_before_work(refused, command, flag, valu
     refused([command, *where, f"{flag}={value}"], flag)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_eigen_rejects_sigma_that_is_not_finite(refused, value):
-    refused(["eigen", f"--sigma={value}", "--mesh", "m.mesh"], "--sigma")
-
-
 def test_simulate_trace_and_force(kuhn_file, tmp_path):
     out = tmp_path / "trace.csv"
     assert (
@@ -245,6 +240,11 @@ def _repeated_vertex(path):
                     "tets 1\n0 1 2 2\n")
 
 
+def _out_of_range_vertex(path):
+    path.write_text("declat-mesh 1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    "tets 2\n0 1 2 3\n0 1 2 9\n")
+
+
 def _two_kuhn_cubes(path):
     from declat.mesh import write_mesh
     from test_exact import disjoint_union
@@ -254,17 +254,24 @@ def _two_kuhn_cubes(path):
 
 @pytest.mark.parametrize("command, write, message", [
     ("audit", _repeated_vertex, "tet [0, 1, 2, 2] at row 0"),
+    ("audit", _out_of_range_vertex,
+     "tet [0, 1, 2, 9] at row 1 references vertex 9, out of range for 4 vertices"),
     ("dof", _two_kuhn_cubes, "dof audit requires a connected mesh"),
+    ("eigen", _two_kuhn_cubes, "dof audit requires a connected mesh"),
 ])
-def test_bad_mesh_exits_one_without_traceback(tmp_path, capsys, command, write, message):
-    # A string exit code is printed alone, with no traceback, and exits 1.
+def test_bad_mesh_exits_one_without_traceback(tmp_path, capsys, monkeypatch, command, write,
+                                              message):
+    # A string exit code is printed alone, with no traceback, and exits 1,
+    # before any eigen solve.
     path = tmp_path / "bad.mesh"
     write(path)
+    solves = []
+    monkeypatch.setattr("declat.cli.eigenmodes", lambda *args, **kwargs: solves.append(args))
     with pytest.raises(SystemExit) as exited:
         main([command, "--mesh", str(path)])
     assert isinstance(exited.value.code, str)
     assert exited.value.code.startswith(f"declat {command}: ") and message in exited.value.code
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out == "" and solves == []
 
 
 @pytest.mark.parametrize("flags", [["--steps", "1"], ["--steps", "4", "--trace-every", "4"]])

@@ -46,8 +46,32 @@ def test_kuhn_counts_against_enumeration(kuhn):
 
 
 def test_vertex_out_of_range():
-    with pytest.raises(MeshError, match="out of range"):
-        SimplicialComplex(np.zeros((3, 3)), np.array([[0, 1, 2, 3]]))
+    # The refusal names the first bad row and, in it, the first bad index.
+    for tets, message in [
+        ([[0, 1, 2, 3]], "tet [0, 1, 2, 3] at row 0 references vertex 3, out of range for 3 vertices"),
+        ([[0, 1, 2, 1], [2, -1, 0, 5]],
+         "tet [2, -1, 0, 5] at row 1 references vertex -1, out of range for 3 vertices"),
+    ]:
+        with pytest.raises(MeshError, match="out of range") as refused:
+            SimplicialComplex(np.zeros((3, 3)), np.array(tets))
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 5, 3000])
+def test_jittered_box_matches_box_tets(n, seed):
+    # The jittered box, built from the box's raw arrays, is the complex of the
+    # box's canonical tets on the jittered vertices; only interior vertices move.
+    got = generators.jittered_box_mesh(n, seed=seed)
+    box = generators.box_mesh(n)
+    want = SimplicialComplex(got.vertices, box.tets)
+    assert np.array_equal(got.vertices, want.vertices) and np.array_equal(got.tets, want.tets)
+    for p in range(3):
+        a, b = got.incidence(p), want.incidence(p)
+        assert a.dtype == b.dtype and (a != b).nnz == 0
+    moved = np.abs(got.vertices - box.vertices).max(axis=1)
+    on_boundary = np.any((box.vertices == 0.0) | (box.vertices == 1.0), axis=1)
+    assert np.all(moved[on_boundary] == 0.0) and moved.max() <= 0.075 / n
 
 
 def test_degenerate_tet_rejected():

@@ -171,23 +171,24 @@ def _path_end(mesh, a, rng, leave: bool) -> np.ndarray:
 
 
 @given(
-    name=st.sampled_from(["jittered3", "box3", "annulus8"]),
+    name=st.sampled_from(["kuhn", "jittered3", "box3", "annulus8"]),
     seed=st.integers(0, 2**32 - 1),
-    leave=st.booleans(),
+    chord=st.sampled_from(["interior", "leave", "still"]),
     q=st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3),
     tau=st.floats(1e-3, 10.0),
 )
-def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, leave, q, tau):
+def test_one_pass_split_matches_crossing_loop(all_meshes, basis_of, name, seed, chord, q, tau):
     # Chords from an interior point to another one (through the annulus
-    # hole, some leave the mesh), or out past the far side of the mesh.
+    # hole, some leave the mesh), out past the far side of the mesh, or of
+    # zero length (a resting charge).
     mesh = all_meshes[name]
     basis = basis_of(mesh)
     rng = np.random.default_rng(seed)
     a = _interior_point(mesh, rng)
-    b = _path_end(mesh, a, rng, leave)
+    b = a if chord == "still" else _path_end(mesh, a, rng, chord == "leave")
     res = scatter_current(basis, a, b, q, tau)
     final, rate, current, exited = scatter_current_loop(basis, a, b, q, tau)
-    assert res.exited == exited and (res.exited or not leave)
+    assert res.exited == exited and (res.exited or chord != "leave")
     for got, want in ((res.edge_current, current), (res.node_rate, rate), (res.node_charge, final)):
         assert np.abs(got.values - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
     residual = verify_conservation(basis, a, b, q, tau)
@@ -212,19 +213,21 @@ def test_scalar_walk_matches_matmul_walk(all_meshes, basis_of, name, seed, chord
     a = rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
     b = a if chord == "still" else _path_end(mesh, a, rng, chord == "leave")
     ends = np.array([a, b])
-    segments, bounds, exited = pic._walk(basis, t, ends, 1e-12)
+    tets, coords, bounds, exited = pic._walk(basis, t, ends, 1e-12)
     want_segments, want_bounds, want_exited = walk_matmul(basis, t, ends, 1e-12)
     assert exited == want_exited and (exited or chord != "leave")
-    assert [s[0] for s in segments] == [s[0] for s in want_segments]
-    coords = np.array([s[1] + s[2] for s in segments])
+    assert tets == [s[0] for s in want_segments]
     want = np.array([s[1] + s[2] for s in want_segments])
-    assert np.abs(coords - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert np.abs(np.reshape(coords, (-1, 8)) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     assert np.abs(np.array(bounds) - want_bounds).max() <= 1e-14
     if chord == "still":
         # Identical endpoints give identical coordinates: exact zero motion.
-        assert bounds == [0.0, 1.0] and segments[0][1] == segments[0][2]
+        assert bounds == [0.0, 1.0] and coords[:4] == coords[4:]
     # One frame row per step gives the two-row walk's floats exactly.
-    assert (segments, bounds, exited) == walk_row_reads(basis, t, ends, 1e-12)
+    row_segments, row_bounds, row_exited = walk_row_reads(basis, t, ends, 1e-12)
+    assert tets == [s[0] for s in row_segments]
+    assert coords == [c for s in row_segments for c in s[1] + s[2]]
+    assert (bounds, exited) == (row_bounds, row_exited)
 
 
 def _scatter_from_locate(basis, a, b, q, tau):
