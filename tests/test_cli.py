@@ -215,6 +215,11 @@ def test_materials_and_lengths_rejected_before_work(refused, command, flag, valu
     refused([command, *where, f"{flag}={value}"], flag)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eigen_rejects_sigma_that_is_not_finite(refused, value):
+    refused(["eigen", f"--sigma={value}", "--mesh", "m.mesh"], "--sigma")
+
+
 def test_simulate_trace_and_force(kuhn_file, tmp_path):
     out = tmp_path / "trace.csv"
     assert (
