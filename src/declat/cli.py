@@ -179,13 +179,17 @@ def cmd_eigen(args) -> int:
     cls = classify_boundary(mesh)
     report = dof_audit(mesh, cls)  # refuses a disconnected mesh before the solve
     res = eigenmodes(apply_pec(mesh, cls, materials), count=args.count, sigma=args.sigma)
+    # The counts rest on the dof report's ranks: unproved ranks prove no count.
+    proved = report.rank_certified
     payload = {
-        "schema": "declat-eigen-1",
+        "schema": "declat-eigen-2",
         "k2": [float(v) for v in res.k2],
         "zero_mode_count_computed": res.zero_count,
-        "zero_mode_count_certified": report.interior_counts["N_V_h"]
-        + report.harmonic_1,
-        "nonzero_mode_count_certified": report.theta_E,
+        "zero_mode_count_certified": report.interior_counts["N_V_h"] + report.harmonic_1
+        if proved else None,
+        "nonzero_mode_count_certified": report.theta_E if proved else None,
+        "rank_certified": proved,
+        "notes": report.notes,
         "zero_tol": res.zero_tol,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)

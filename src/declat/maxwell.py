@@ -375,7 +375,7 @@ def eigenmodes(
         opinv = sparse.linalg.LinearOperator((n, n), matvec=lu.solve)
         vals = eigsh(
             K, k=k, M=ops.Heps, sigma=sigma, which="LM", OPinv=opinv,
-            return_eigenvectors=False,
+            v0=np.random.default_rng(7).standard_normal(n), return_eigenvectors=False,
         )
         vals = np.sort(vals)
     zero_count = int(np.sum(np.abs(vals) < zero_tol))

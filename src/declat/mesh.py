@@ -2,12 +2,12 @@
 
 A :class:`SimplicialComplex` stores vertices and tetrahedra and derives the
 full oriented skeleton (edges, faces) together with the integer incidence
-matrices that realize the boundary operator degree by degree.  All
-combinatorial structure is exact: incidence entries live in {-1, 0, +1},
-the composition of two boundary operators vanishes identically in integer
-arithmetic, and simplices are stored in a canonical orientation so that
-rebuilding a complex from permuted input reproduces the same matrices bit
-for bit.
+matrices that realize the boundary operator degree by degree, each built
+on first use.  All combinatorial structure is exact: incidence entries
+live in {-1, 0, +1}, the composition of two boundary operators vanishes
+identically in integer arithmetic, and simplices are stored in a
+canonical orientation so that rebuilding a complex from permuted input
+reproduces the same matrices bit for bit.
 
 Orientation convention
 ----------------------
@@ -22,8 +22,10 @@ Edges and faces are found from integer keys: a*n + b for edge (a, b) and
 e*n + c for face (a, b, c), where n is the vertex count and e the index of
 edge (a, b), read with each face's boundary edges from a tet's own edge
 slots through constant slot tables.  Edge indices follow lexicographic
-order, so sorted face keys do too.  Keys stay below n * max(n, n_edges),
-about 7 n^2 on a lattice, so int64 holds them up to about 1e9 vertices.
+order, so sorted face keys do too: one stable sort of the face keys of all
+tet slots numbers the faces and groups the slots by face, lower tet first.
+Keys stay below n * max(n, n_edges), about 7 n^2 on a lattice, so int64
+holds them up to about 1e9 vertices.
 
 Meshes are stored as ``declat-mesh 1`` text: :func:`load_mesh` takes a
 path, :func:`parse_mesh` the text, and a section count that does not match
@@ -93,22 +95,19 @@ def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sparse.csr
     )
 
 
-def _reject_pinched_vertices(ranked: np.ndarray, flip: np.ndarray, tet_faces: np.ndarray,
-                             order: np.ndarray) -> None:
+def _reject_pinched_vertices(ranked: np.ndarray, faces: np.ndarray, order: np.ndarray) -> None:
     """Raise unless each vertex's tets connect through faces that contain it.
 
-    ``ranked`` holds the tets as sorted rows, ``tet_faces`` their faces in
-    stored slot order (slots 2 and 3 exchanged where ``flip``), and
-    ``order`` the argsort of ``tet_faces.ravel()``.  Node 4t + r is vertex
-    r of row t; the two tets on a shared face are joined at its three
+    ``ranked`` holds the tets as sorted rows, ``order`` the stable order of
+    their face slots (slot 4t + k is face slot k of row t) by face, and
+    ``faces`` the face of each slot in that order.  Node 4t + r is vertex r
+    of row t; the two tets on a shared face are joined at its three
     vertices, so each component of the node graph holds copies of a single
     vertex.
     """
-    faces = tet_faces.ravel()[order]
     shared = faces[1:] == faces[:-1]
-    slots = np.where(flip[:, None, None], _TET_FACE_SLOTS[[0, 1, 3, 2]], _TET_FACE_SLOTS)
     nodes = (4 * np.arange(len(ranked), dtype=np.int32)[:, None, None]
-             + slots.astype(np.int32)).reshape(-1, 3)
+             + _TET_FACE_SLOTS.astype(np.int32)).reshape(-1, 3)
     _, labels = graph_components(4 * len(ranked), nodes[order[:-1][shared]].ravel(),
                                  nodes[order[1:][shared]].ravel())
     vertex = ranked.ravel()
@@ -135,6 +134,17 @@ class SimplicialComplex:
         of a shared face), faces with more than two tets and pinched
         vertices (whose tets do not connect through faces at the vertex)
         are rejected.
+
+    Besides ``edges``, ``faces`` and ``tets`` (see the module docstring)
+    it keeps ``tet_edges`` and ``tet_faces``, the (M, 6) and (M, 4)
+    simplices in each stored tet's slots, ``tet_face_signs``, the sign of
+    each of those faces in the tet's C2 row, ``face_tets``, the (F, 2)
+    tets on each face (lower first, -1 where absent), and ``face_edges``,
+    the (F, 3) edges of each face (a, b, c), in the slot order (b, c),
+    (a, c), (a, b) of their signs +1, -1, +1 in the face's C1 row.  The
+    incidence matrices are built from these on the first
+    :meth:`incidence` call and cached: every later call returns the same
+    object, so callers share it and must not modify it.
     """
 
     def __init__(self, vertices: np.ndarray, tets: np.ndarray):
@@ -187,11 +197,19 @@ class SimplicialComplex:
         tet_edges = tet_edges.reshape(-1, 6)
         # Column-major, so that each end's column is contiguous (bincounts over it).
         self.edges = np.stack(np.divmod(edge_keys, n)).T
-        face_keys, tet_faces = np.unique(
-            tet_edges[:, _FACE_EDGE_SLOTS[:, 2]] * n + ranked[:, _TET_FACE_SLOTS[:, 2]],
-            return_inverse=True)
-        face_edge, face_last = np.divmod(face_keys, n)
+        # One stable sort of the face keys, slot by slot of the sorted rows,
+        # numbers the faces and orders the slots by face and then by tet;
+        # rank is a slot's position among the tets on its face.
+        keys = (tet_edges[:, _FACE_EDGE_SLOTS[:, 2]] * n + ranked[:, _TET_FACE_SLOTS[:, 2]]).ravel()
+        sorted_slots = np.argsort(keys, kind="stable")
+        keys = keys[sorted_slots]
+        new = np.r_[True, keys[1:] != keys[:-1]]
+        faces, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+        rank = np.arange(len(keys)) - starts[faces]
+        face_edge, face_last = np.divmod(keys[starts], n)
         self.faces = np.column_stack([self.edges[face_edge], face_last])
+        tet_faces = np.empty_like(faces)
+        tet_faces[sorted_slots] = faces
 
         # A swapped last pair exchanges a tet's edge slots 1/2 and 3/4 and
         # its face slots 2/3, and negates its faces in slots 0 and 1.
@@ -201,15 +219,13 @@ class SimplicialComplex:
         self.tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
         self.tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
 
-        # One stable sort of the face slots, by face and then by tet, gives
-        # face_tets, (F, 2) tet indices per face (-1 where absent, lower tet
-        # first), and serves the fold and pinched-vertex checks.
-        flat = self.tet_faces.ravel()
-        order = np.argsort(flat, kind="stable")
-        faces = flat[order]
-        rank = np.arange(len(faces)) - np.searchsorted(faces, faces)
+        # The same order, read in stored slots (2/3 exchanged where flipped),
+        # gives face_tets, (F, 2) tet indices per face (-1 where absent, lower
+        # tet first), and serves the fold and non-manifold checks.
+        tet, slot = np.divmod(sorted_slots, 4)
+        order = 4 * tet + np.where(flip[tet], np.array([0, 1, 3, 2])[slot], slot)
         if rank.max() >= 2:
-            f = flat[order[rank == 2].min()]
+            f = faces[np.argmin(np.where(rank == 2, order, order.size))]
             raise MeshError(f"non-manifold face {self.faces[f].tolist()} "
                             "(more than two incident tets)")
         # Two tets on opposite sides of a face see it with opposite signs.
@@ -218,21 +234,17 @@ class SimplicialComplex:
         folded = second[signs[second] == signs[second - 1]]
         if len(folded):
             i = folded[0]
-            raise MeshError(f"folded tets {self.tets[order[i - 1] // 4].tolist()} and "
-                            f"{self.tets[order[i] // 4].tolist()} lie on the same side "
+            raise MeshError(f"folded tets {self.tets[tet[i - 1]].tolist()} and "
+                            f"{self.tets[tet[i]].tolist()} lie on the same side "
                             f"of face {self.faces[faces[i]].tolist()}")
         self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
-        self.face_tets[faces, rank] = order // 4
-        _reject_pinched_vertices(ranked, flip, self.tet_faces, order)
-        # Each face's boundary edges, read from the sorted row of its first tet.
-        tet, slot = np.divmod(order[rank == 0], 4)
-        slot = np.where(flip[tet], np.array([0, 1, 3, 2])[slot], slot)
-        self._incidence = [
-            _signed_rows(self.edges, np.array([-1, 1]), n),
-            _signed_rows(tet_edges[tet[:, None], _FACE_EDGE_SLOTS[slot]], np.array([1, -1, 1]),
-                         self.n_edges),
-            _signed_rows(self.tet_faces, self.tet_face_signs, self.n_faces),
-        ]
+        self.face_tets[faces, rank] = tet
+        _reject_pinched_vertices(ranked, faces, sorted_slots)
+        # Each face's boundary edges (its C1 row's columns), from the sorted
+        # row of its first tet.
+        first = rank == 0
+        self.face_edges = tet_edges[tet[first, None], _FACE_EDGE_SLOTS[slot[first]]]
+        self._incidence = [None, None, None]
 
     # -- counts ----------------------------------------------------------
 
@@ -269,10 +281,15 @@ class SimplicialComplex:
         """Integer incidence matrix C^p of the boundary operator.
 
         Rows are indexed by (p+1)-simplices, columns by p-simplices; the
-        row of a (p+1)-simplex is the alternating sum of its facets.
+        row of a (p+1)-simplex is the alternating sum of its facets.  Built
+        on the first call for each p and returned as the same object after.
         """
         if p not in (0, 1, 2):
             raise ValueError("incidence degree must be 0, 1 or 2")
+        if self._incidence[p] is None:
+            cols, signs = ((self.edges, [-1, 1]), (self.face_edges, [1, -1, 1]),
+                           (self.tet_faces, self.tet_face_signs))[p]
+            self._incidence[p] = _signed_rows(cols, np.asarray(signs), self.n_simplices(p))
         return self._incidence[p]
 
     # -- adjacency ---------------------------------------------------------
@@ -310,7 +327,9 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
     """Split vertices, edges and faces into boundary and interior sets.
 
     A face is boundary when it has exactly one incident tet; edges and
-    vertices are boundary when contained in a boundary face.
+    vertices are boundary when contained in a boundary face, read from
+    the face's ``face_edges`` and ``faces`` rows, so no incidence matrix
+    is built.
     """
     bnd_face_mask = complex.face_tets[:, 1] == -1
     bnd_faces = np.flatnonzero(bnd_face_mask)
@@ -319,7 +338,7 @@ def classify_boundary(complex: SimplicialComplex) -> BoundaryClassification:
     bnd_vert_mask[complex.faces[bnd_faces].reshape(-1)] = True
 
     bnd_edge_mask = np.zeros(complex.n_edges, dtype=bool)
-    bnd_edge_mask[complex.incidence(1)[bnd_faces].indices] = True
+    bnd_edge_mask[complex.face_edges[bnd_faces]] = True
 
     return BoundaryClassification(
         boundary_vertices=np.flatnonzero(bnd_vert_mask),

@@ -12,7 +12,10 @@ time, where the package works on all tets at once.  Next to them,
 ``skeleton_by_search`` finds each face's edges by ``np.searchsorted`` over
 the edge keys and ``local_maps_by_argmax`` each tet's local edge and face
 positions by comparing vertex ids, where the package reads both from
-constant slot tables.  Another is the
+constant slot tables; ``skeleton_by_search`` also numbers the faces and
+their tets by two sorts (``np.unique``, then a stable argsort of the
+stored slots) and a searched rank, where the package uses one sort and
+its run starts.  Another is the
 sparse approximate inverse as a dense least-squares solve per column
 (``lstsq`` on the sliced rows of H), where the package solves the normal
 equations by Cholesky; it builds its pattern with the package's
@@ -269,8 +272,10 @@ def tet_neighbors_loop(complex) -> np.ndarray:
 def skeleton_by_search(vertices, tets) -> dict:
     """The canonical arrays and incidence matrices of a complex, derived as
     before the slot tables: the flip from the sorted rows' signed volumes,
-    each face's first edge and each C1 column by ``np.searchsorted`` over
-    the edge keys."""
+    each face's edges (C1's columns) by ``np.searchsorted`` over the edge
+    keys; and the face numbering as before the one face sort: face ids by
+    ``np.unique``, then a stable argsort of the stored face slots, and each
+    slot's rank among its face's tets by ``np.searchsorted``."""
     tets = np.sort(np.asarray(tets, dtype=np.int64), axis=1)
     tets = tets[np.lexsort(tets.T[::-1])]
     a, b, c, d = (vertices[tets[:, k]] for k in range(4))
@@ -305,12 +310,20 @@ def skeleton_by_search(vertices, tets) -> dict:
     tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
     tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
     tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
+    # Face slots ordered by a second, stable sort of the stored face ids,
+    # each slot's rank among its face's tets found by search.
+    flat = tet_faces.ravel()
+    order = np.argsort(flat, kind="stable")
+    rank = np.arange(len(flat)) - np.searchsorted(flat[order], flat[order])
+    face_tets = np.full((len(faces), 2), -1, dtype=np.int64)
+    face_tets[flat[order], rank] = order // 4
+    face_edges = edge_id(faces[:, [[1, 2], [0, 2], [0, 1]]])
     return {
         "edges": edges, "faces": faces, "tets": tets, "tet_edges": tet_edges,
-        "tet_faces": tet_faces, "tet_face_signs": tet_face_signs,
+        "tet_faces": tet_faces, "tet_face_signs": tet_face_signs, "face_tets": face_tets,
+        "face_edges": face_edges,
         "C0": signed_rows(edges, np.array([-1, 1]), n),
-        "C1": signed_rows(edge_id(faces[:, [[1, 2], [0, 2], [0, 1]]]), np.array([1, -1, 1]),
-                          len(edges)),
+        "C1": signed_rows(face_edges, np.array([1, -1, 1]), len(edges)),
         "C2": signed_rows(tet_faces, tet_face_signs, len(faces)),
     }
 

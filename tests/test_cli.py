@@ -302,9 +302,28 @@ def test_eigen_json(kuhn_file, tmp_path):
     assert main(["eigen", "--mesh", str(kuhn_file), "--count", "1",
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "declat-eigen-1"
+    assert payload["schema"] == "declat-eigen-2"
+    assert payload["rank_certified"] is True and payload["notes"] == []
     assert payload["zero_mode_count_certified"] == 0
     assert payload["nonzero_mode_count_certified"] == 1
+
+
+def test_eigen_json_without_rank_proof(kuhn_file, tmp_path, monkeypatch):
+    # A peel one short of the curl rank proves no mode count: both are
+    # null, and the note names the open bound.
+    from declat import exact
+
+    peel_rank = exact._peel_rank
+    monkeypatch.setattr(exact, "_peel_rank", lambda *args: (peel_rank(*args)[0] - 1, "peel"))
+    out = tmp_path / "modes.json"
+    assert main(["eigen", "--mesh", str(kuhn_file), "--count", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["rank_certified"] is False
+    assert payload["zero_mode_count_certified"] is None
+    assert payload["nonzero_mode_count_certified"] is None
+    assert [n for n in payload["notes"] if n.startswith("curl rank uncertified")
+            and "N_E - r0" in n and "N_F - r2" in n]
 
 
 def test_dof_exit_and_schema(tmp_path):

@@ -133,12 +133,12 @@ GOLDEN = {
     "eigen/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "6db983c966b92135280d0f98e2494c12fbd497ed1cf59c3f8bfdc5950d5b9bef",
+        "eigen.json": "b43140e28533e311365fa6aeb6944c265290ee718ca771fd7f7ba47dfeeaa8df",
     },
     "eigen/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "9fbab9dca00f453f75fd8015e91cda38f0bfdc75fc3b3d8a283e08acf178e0fc",
+        "eigen.json": "1116b4dfdd3e47261b2a5ff6fd1ef47275de8d0a420a990566088ebd2933954e",
     },
     "simulate/exact": {
         "exit": 0,

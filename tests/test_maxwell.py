@@ -509,6 +509,15 @@ class TestEigenmodes:
             assert dense.k2.shape == (4,) and np.all(np.diff(dense.k2) >= 0)
             np.testing.assert_allclose(dense.k2, sparse_res.k2, rtol=1e-8, atol=dense.zero_tol)
 
+    def test_sparse_path_is_repeatable(self):
+        # ARPACK starts from a seeded vector, so identical calls in one
+        # process return identical bytes.
+        box6 = generators.box_mesh(6)
+        ops = apply_pec(box6, classify_boundary(box6))
+        assert ops.n_edges == 1206
+        runs = [eigenmodes(ops, count=4, sigma=10.0).k2.tobytes() for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2]
+
 
 @pytest.fixture(scope="module")
 def jittered4_ops():

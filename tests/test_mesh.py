@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from declat import generators
+from declat import mesh as mesh_module
+from declat.hodge import assemble_hodge
 from declat.mesh import (
     MeshError,
     SimplicialComplex,
@@ -186,13 +188,20 @@ def test_slot_tables_match_search_and_argmax(name, seed):
     verts, tets, _ = _relabel(mesh.vertices, mesh.tets, seed)
     cx = SimplicialComplex(verts, tets)
     want = skeleton_by_search(verts, tets)
-    for key in ("edges", "faces", "tets", "tet_edges", "tet_faces", "tet_face_signs"):
+    for key in ("edges", "faces", "tets", "tet_edges", "tet_faces", "tet_face_signs",
+                "face_tets", "face_edges"):
         _assert_same(getattr(cx, key), want[key], key)
     for p in range(3):
         got, ref = cx.incidence(p), want[f"C{p}"]
         for part in ("indptr", "indices", "data"):
             _assert_same(getattr(got, part), getattr(ref, part), f"C{p}.{part}")
     _assert_same(cx.face_tets, face_tets_loop(cx), "face_tets")
+    # Each face's C1 row holds its face_edges, signed +1, -1, +1 in that order.
+    C1 = cx.incidence(1)
+    assert np.array_equal(C1.indices.reshape(-1, 3), np.sort(cx.face_edges, axis=1))
+    rows = np.repeat(np.arange(cx.n_faces), 3)
+    signs = np.asarray(C1[rows, cx.face_edges.ravel()]).reshape(-1, 3)
+    assert (signs == [1, -1, 1]).all()
     basis = WhitneyBasis(cx)
     edge_local, face_local = local_maps_by_argmax(cx)
     _assert_same(basis.edge_local, edge_local, "edge_local")
@@ -406,6 +415,28 @@ def test_float_tet_index_rejected_under_any_warning_filter(monkeypatch, older_nu
         warnings.simplefilter("ignore")  # no error filter, as outside the test suite
         with pytest.raises(MeshError, match="^malformed tet line$"):
             parse_mesh(_tet_text(tet_rows=("0 1 2 3.5",)))
+
+
+def test_setup_builds_no_incidence(tmp_path, monkeypatch):
+    # Loading, boundary classification, the Whitney basis with its
+    # adjacency and both stars read the skeleton arrays only; each
+    # incidence matrix is built on its first call and shared after.
+    path = tmp_path / "jittered3.mesh"
+    write_mesh(generators.jittered_box_mesh(3, seed=5), path)
+    built = []
+    signed_rows = mesh_module._signed_rows
+    monkeypatch.setattr(mesh_module, "_signed_rows",
+                        lambda *args: built.append(args) or signed_rows(*args))
+    cx = load_mesh(path)
+    classify_boundary(cx)
+    basis = WhitneyBasis(cx)
+    assert basis.neighbors.shape == (cx.n_tets, 4)
+    for which in ("eps", "mu_inv"):
+        assemble_hodge(cx, which=which, basis=basis)
+    assert built == []
+    for p in range(3):
+        assert cx.incidence(p) is cx.incidence(p)
+    assert len(built) == 3
 
 
 def test_incidence_row_sizes(all_meshes):
