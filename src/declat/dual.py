@@ -37,7 +37,7 @@ class DualComplex:
     """Barycentric dual cells of a tetrahedral complex, piece by piece.
 
     Pieces are stored flat with owner indices, ready for vectorized subdivision
-    quadrature; coordinates, centres and signs are built on first use:
+    quadrature; all but the edge pieces' owners and faces are built on first use:
 
     ``vertex_pieces``   (24 M, 4, 3) sub-tet corner coordinates
     ``edge_pieces``     (12 M, 3, 3) sub-triangle corners, plus a sign that
@@ -48,18 +48,18 @@ class DualComplex:
 
     def __init__(self, complex: SimplicialComplex):
         cx = self.complex = complex
-        self.vertex_piece_owner = cx.tets[:, _FLAGS[:, 0]].T.ravel()
-        self.vertex_piece_tet = np.tile(np.arange(cx.n_tets), len(_FLAGS))
         # Edge duals: one triangle per (tet, edge of tet, face of tet containing
         # that edge), two per edge per tet.  Face a-b-c is opposite the fourth corner.
         self.edge_piece_owner = cx.tet_edges[:, np.repeat(np.arange(6), 2)].T.ravel()
-        self.edge_piece_tet = np.tile(np.arange(cx.n_tets), len(_EDGE_FLAGS))
         self.edge_piece_face = cx.tet_faces[:, 6 - _EDGE_FLAGS.sum(axis=1)].T.ravel()
-        # Face duals: a segment from face center to each incident tet center,
-        # for every face's first tet, then for the second ones.
-        col, self.face_piece_owner = np.nonzero(cx.face_tets.T >= 0)
-        self.face_piece_tet = cx.face_tets[self.face_piece_owner, col]
 
+    vertex_piece_owner = cached_property(lambda self: self.complex.tets.T[_FLAGS[:, 0]].ravel())
+    vertex_piece_tet = cached_property(lambda self: np.tile(np.arange(self.complex.n_tets), 24))
+    edge_piece_tet = cached_property(lambda self: np.tile(np.arange(self.complex.n_tets), 12))
+    # Face duals: a segment from face to tet center, for every face's first tet, then second.
+    _face_slots = cached_property(lambda self: np.nonzero(self.complex.face_tets.T >= 0)[::-1])
+    face_piece_owner = cached_property(lambda self: self._face_slots[0])
+    face_piece_tet = cached_property(lambda self: self.complex.face_tets[self._face_slots])
     tet_centers = cached_property(lambda self: self.complex.vertices[self.complex.tets].mean(1))
     face_centers = cached_property(lambda self: self.complex.vertices[self.complex.faces].mean(1))
     vertex_pieces = cached_property(lambda self: self._chains(_FLAGS, 0))

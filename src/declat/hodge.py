@@ -11,10 +11,11 @@ uniform field, one per tet otherwise) and reaches the tets as a broadcast.
 
 Each star is the sum over tets of small element matrices
 (:class:`ElementMatrices`), built and bounded in fixed blocks of tets, so
-the transient memory is one block's; they prove its positive definiteness
-without a factorisation: lambda_min(H) >= min diag(H) times the smallest
-eigenvalue of any element matrix scaled to unit diagonal (Wathen), less a
-stated allowance for rounding in ``eigvalsh`` and in the assembly sum.
+the transient memory is one block's; each, a tet's weighted gradient Gram
+times a constant moment table, is exactly symmetric.  They prove H positive
+definite without a factorisation: lambda_min(H) >= min diag(H) times the
+smallest eigenvalue of any element matrix scaled to unit diagonal (Wathen),
+less an allowance for rounding in ``eigvalsh`` and in the assembly sum.
 :func:`check_spd` serves a star handed in without its element matrices:
 it factors the star and returns a smallest-eigenvalue estimate that is
 never below lambda_min but is no proof.
@@ -46,7 +47,7 @@ from scipy.linalg import eigh, get_lapack_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolve_triangular
 
 from .dual import DualComplex
-from .mesh import SimplicialComplex, _loadtxt
+from .mesh import _TET_EDGE_SLOTS, SimplicialComplex, _loadtxt, _local_slots
 from .whitney import WhitneyBasis, _TET4, _integrate
 
 __all__ = [
@@ -108,8 +109,8 @@ class MaterialMap:
 _STARS = {"eps": (1, "eps", False), "mu_inv": (2, "mu", True),
           "eps_inv": (2, "eps", True), "mu": (1, "mu", False)}
 
-# Tets per block of the element build and bound: transient memory is one
-# block's, and every tet's values are those of a single whole-mesh pass.
+# Tets per block of the element build and bound: transient memory is one block's, and
+# (products run on fixed groups of 8 tets) every tet's values are a whole-mesh pass's.
 _TET_BLOCK = 1024
 
 
@@ -189,6 +190,24 @@ class ElementMatrices:
         return theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
 
 
+def _moment_table(p: int, moments: np.ndarray) -> np.ndarray:
+    """(k Q k, 2 n_up) table: a tet's Grams Gamma_q[r, s], flat in (r, q, s), times it give the
+    pairings a <= b of slot forms p! sum_t (-1)^t lam_(a_t) F(a less a_t), slots stored, swapped."""
+    factors = [[v] for v in range(4)] if p == 1 else _TET_EDGE_SLOTS.tolist()
+    slots = _local_slots(np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))[p - 1]  # (2, n, p + 1)
+    coef = np.zeros(slots.shape[:2] + (4, len(factors)))
+    for (o, a, t), v in np.ndenumerate(slots):
+        rest = np.delete(slots[o, a], t).tolist()
+        coef[o, a, v, factors.index(sorted(rest))] = p * (-1) ** (t + (rest != sorted(rest)))
+    a, b = np.triu_indices(slots.shape[1])
+    pairs = np.einsum("qcd,oacr,obds->rqsoab", moments, coef, coef)[..., a, b]
+    return (0.5 * (pairs + pairs.transpose(2, 1, 0, 3, 4))).reshape(-1, 2 * len(a))
+
+
+_MOMENTS = np.einsum("qc,qd->qcd", _TET4, _TET4) / len(_TET4)  # sum: (1 + delta_cd) / 20
+_TABLES = {(p, len(m)): _moment_table(p, m) for p in (1, 2) for m in ([_MOMENTS.sum(0)], _MOMENTS)}
+
+
 def _element_matrices(
     complex: SimplicialComplex,
     p: int,
@@ -197,26 +216,32 @@ def _element_matrices(
 ) -> ElementMatrices:
     """Weighted L2 pairing of the degree-p basis per tet, degree-2 quadrature.
 
-    ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point,
-    real or complex.  Per block of tets, one broadcast evaluation gives the
-    basis values w_q (n_loc, 3) at all Q points of every tet, and
-    sum_q (w_q W_q) w_q^T is one batched (B, n_loc, 3Q) @ (B, 3Q, n_loc)
-    product, scaled by the tet's volume over Q into the block's rows of
-    ``local``.
+    ``weight`` is (M, 3, 3) per tet or (M, Q, 3, 3) per quadrature point, real
+    or complex.  Each tet's weighted Grams F W_q F^T of its k factor vectors (4
+    gradients, or their 6 cross products) times :func:`_moment_table`, in one
+    BLAS call per 8 tets, give its upper triangle over V, mirrored: symmetric.
     """
     basis = basis or WhitneyBasis(complex)
     cx = complex
     m = cx.n_tets
-    tids = np.arange(m)
-    ids = basis.local_indices(p, tids)
+    ids = basis.local_indices(p, np.arange(m))
     n = ids.shape[1]
     local = np.empty((m, n, n), dtype=np.result_type(weight.dtype, float))
-    weight, scale = weight.reshape(m, -1, 3, 3), cx.volumes / len(_TET4)
+    weight = weight.reshape(m, -1, 3, 3)
+    table = _TABLES[p, weight.shape[1]]
+    i, j = np.sort(np.indices((n, n)), axis=0)  # each entry's row and column, i <= j
+    mirror = i * (2 * n - i - 1) // 2 + j  # its place in the upper triangle, row by row
+    swapped = (cx.tets[:, 2] > cx.tets[:, 3]).astype(np.int64)
+    (e0, e1), c1, c2 = _TET_EDGE_SLOTS.T[:, :, None], [1, 2, 0], [2, 0, 1]  # cross products
     for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
-        w = basis.eval(p, tids[blk, None], _TET4)  # (B, Q, n_loc, 3)
-        y = (w @ weight[blk]).transpose(0, 2, 1, 3).reshape(len(w), n, -1)
-        np.matmul(y, w.transpose(0, 1, 3, 2).reshape(len(w), -1, n), out=local[blk])
-        local[blk] *= scale[blk, None, None]
+        g = basis.grads[blk]  # F (B, k, 3): the gradients, or their cross products
+        f = g if p == 1 else g[:, e0, c1] * g[:, e1, c2] - g[:, e0, c2] * g[:, e1, c1]
+        fw = (f @ weight[blk].transpose(0, 2, 1, 3).reshape(len(f), 3, -1)).reshape(len(f), -1, 3)
+        gram = np.zeros((len(f) + -len(f) % 8, len(table)), local.dtype)
+        np.matmul(fw, f.transpose(0, 2, 1), out=gram[:len(f)].reshape(fw.shape[:2] + (-1,)))
+        upper = (gram.reshape(-1, 8, len(table)) @ table).reshape(-1, 2, table.shape[1] // 2)
+        upper = upper[np.arange(len(f)), swapped[blk]] * cx.volumes[blk, None]
+        np.take(upper, mirror, axis=1, out=local[blk], mode="clip")
     return ElementMatrices(local, ids, cx.n_simplices(p))
 
 

@@ -208,6 +208,14 @@ class TestFullReport:
         assert dual.face_pieces.shape == (len(dual.face_piece_owner), 2, 3)
         assert lazy & set(vars(dual)) == {"tet_centers", "face_centers", "face_pieces"}
 
+    def test_piece_indices_stay_unbuilt(self, box3):
+        # The geometric adjacency reads only the edge pieces' owners and faces.
+        dual = DualComplex(box3)
+        dual.geometric_edge_face_adjacency()
+        lazy = {"vertex_piece_owner", "vertex_piece_tet", "edge_piece_tet",
+                "face_piece_owner", "face_piece_tet"}
+        assert not lazy & set(vars(dual))
+
     def test_all_sections_pass_on_clean_mesh(self, kuhn):
         report = run_full_audit(kuhn)
         assert report.passed

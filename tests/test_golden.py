@@ -10,8 +10,10 @@ bundled BLAS and LAPACK, run on one thread (``conftest.py`` pins BLAS
 and OpenMP before numpy loads, since threaded ``potrf`` and dense
 ``eigh`` round differently).  Another BLAS, or another release of either
 library, may move last digits of the floating-point outputs (audit,
-assemble, simulate, eigen, pml: every Hodge element matrix is a batched
-BLAS product) and fail those cases without any change to declat.  The
+assemble, simulate, eigen, pml: every Hodge element matrix comes from
+batched BLAS products, each tet's weighted gradient Gram and a
+moment-table product per group of 8 tets) and fail those cases without
+any change to declat.  The
 ``pic`` case makes no BLAS call while it splits and deposits its paths:
 the face-crossing walk is scalar float arithmetic in a fixed order, so
 only the per-tet gradients (``numpy.linalg.inv``) come from LAPACK.
@@ -69,22 +71,22 @@ GOLDEN = {
     "audit/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "754ac447f39e0bf30d3976630f4d8fbd69df5dd006cbec4accfeea6016cf4661",
+        "audit.json": "08172d591151bca4e8e349507ff7b181c70151fb10602cb448402b9d3154152a",
     },
     "audit/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "9a019812a34307b21e130ebb8147ad51fcf63f54706cea7d33fe4c9b3f5f26ee",
+        "audit.json": "a809da0ad092fcdbabf9069fb93546ec748a6ffe11ee496202637d3ad331b57a",
     },
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "ed48d315ce31fc626e45552b9505eaa13ddf24912579fec8353de1f4fab01d97",
+        "audit.json": "ce2a808267d51afb4dc89c5a08a6bc81dd6b9b774e0defd2e62cc4d9d529a278",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "a3588fb8844699b62b3c7bc46ff305729f5e2adc4968cd7b1d81079e977db69f",
+        "audit.json": "9aff4c253d0a4a11c1f48dbc084f1aa624ca23362e8940d51d41d577cd07e089",
     },
     "dof/kuhn": {
         "exit": 0,
@@ -109,51 +111,51 @@ GOLDEN = {
     "assemble/kuhn": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "8fcfd968c9bd179ae256477b19b120c81dd415290ecf7830c60002acb4a4aa44",
-        "star.mu.coo": "b935206b67aae3d31ca4ac843eef11942ce6fa15cd1effe6a85f637d207e094a",
+        "star.eps_inv.coo": "17a6a011378ecf0da9f1d1d367bd075c72c6c63752ac0a20bdd263248012c78c",
+        "star.mu.coo": "fdb9c392affb5f2b5c1fb73cf341e9b434cd910f1bdad9819331482529d0c6b5",
     },
     "assemble/box4": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "e45156b2b74fd128da44d5c3436b42e51aa47b3bb915947b3b14340380df83c5",
-        "star.mu.coo": "15e42c5cc8e141f6ddcfabb6e79c363e5cb3959188daa563f22ddd3770544d71",
+        "star.eps_inv.coo": "afb205ecb36a275d711aa66af5d5eccf43636d561e7d62908940869b7e3ed4ee",
+        "star.mu.coo": "f4ca19fce362deda189b7f23fb234d3f3ae6179b7df1236ff19b8bd1d48bf169",
     },
     "assemble/annulus8": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "fdf431a25403899c9fb5211187e1f424e8da4232249fe2b93d74561dfdceb370",
-        "star.mu.coo": "8db8b706e2dd708489a4f8970a5248f679bffbfc2d4940d20c3a21cf94cc96ba",
+        "star.eps_inv.coo": "2049f3fe3fc4a5d34374248fb1cb4c450490958c5d43b03a8d70fd5951e5dbf7",
+        "star.mu.coo": "8b810f70ee90ab412dd920674009d37b0cbd24fb7014f7de5fb3033fafe8c697",
     },
     "assemble/jittered3": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "2ba16f713cbeaf97bd2baecaf81d50d6f096f059cfff09ee8b5cf4a69e6603fc",
-        "star.mu.coo": "9270071c071a1102d9cf255cdcb5e9acc3e6d252bcab3bb7d1df8d6d6b02bf12",
+        "star.eps_inv.coo": "8b023e0c78caa58e93a7c7fc8fa1c3084e97b9a9a6db658ae86f3ec5371bacb6",
+        "star.mu.coo": "02d6c8217cc510cf6aa61b642d622ba8984e4d1b4661da0319e6512345f5c289",
     },
     "eigen/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "b43140e28533e311365fa6aeb6944c265290ee718ca771fd7f7ba47dfeeaa8df",
+        "eigen.json": "00b6e43306e8cb1f97a84aeca96f0d9db48631d847f9d21c5b22fb6fbf421550",
     },
     "eigen/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "1116b4dfdd3e47261b2a5ff6fd1ef47275de8d0a420a990566088ebd2933954e",
+        "eigen.json": "d19daa6d5f2cd213bcfcdb97ec8728285dd81735eb1d9c636cb66a85dc9d7095",
     },
     "simulate/exact": {
         "exit": 0,
-        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
-        "trace.csv": "44ed05e38633979fddfd6fa2bdee05cfbdf274bc6d9f8be57a797bb0b0c1e8a3",
+        "stdout": "6dc9736e42ae750b34f370fdac2fa1c418b76e054cab03d392b918c86a5ba10c",
+        "trace.csv": "749a27235992babccb5547add5affbf041c25dda176b5f95ea36246f2ad6b03a",
     },
     "simulate/spai:2": {
         "exit": 0,
-        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
-        "trace.csv": "0af3a4bb46e0eac39c0f841bb12d7a0368ac47688e402f67badc19d79a21607c",
+        "stdout": "72c8eb7d0a5f7888b578ff2858c60dced41e42bf56c4373a7b73fe7b7604fcc5",
+        "trace.csv": "b395c957fe9a7920b8de2427f035863db820eafe04c2e99e5bb395a5d4a91417",
     },
     "simulate/every7": {
         "exit": 0,
         "stdout": "a3f6d2ff2e9d983d186cfa2fb6064f52e42c7ac713f0910ffd9bf34c7b0abbc9",
-        "trace.csv": "7c3eeed2f4249dd1d9ba9ecdcb593c69e091cdff6ef757cd962da865cd7fcf4c",
+        "trace.csv": "bbeb2e6852bb685fdf1a1dacc6eafaf9d05e57aef403213de36f3d21c7eac8fc",
     },
     "pic": {
         "exit": 0,
@@ -162,12 +164,12 @@ GOLDEN = {
     "pml": {
         "exit": 0,
         "stdout": "9b60aecd0b3aca6d3748f4d10f55796a4d82e1cf3ab67c58607de933f2c90e7c",
-        "sweep.csv": "210f9d058ad06de5f0440d3abdd8c5f3e8f3494543b98f56609cfc534a26211d",
+        "sweep.csv": "b83b80205c7c8f21e36dee51d33b2fd8214cb3b183c54dc5106bb6edf4dcae9c",
     },
     "pml/flags": {
         "exit": 0,
         "stdout": "8dd1b0e693d11e77a836c9b49eb9419438a8d5cadbafbfd3d3df52facddc3eef",
-        "sweep.csv": "39cc26e63267c3422e5eca37e9134af204462035be51ecee26b18fda0ae7f147",
+        "sweep.csv": "8a0c959cc8c6bb73d5a7ee3c0dbf20621c88a185cbce80fb2943c46dbd225032",
     },
     "genmesh/tet1": {
         "exit": 0,

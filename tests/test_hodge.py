@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -231,6 +233,29 @@ class TestAssembly:
         assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
+           p=st.sampled_from([1, 2]),
+           kind=st.sampled_from(["scalar", "per_tet", "anisotropic", "pml"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_element_matrices_bitwise_symmetric(self, all_meshes, basis_of, name, p, kind, seed):
+        # Each element matrix is written from its upper triangle into both.
+        mesh = all_meshes[name]
+        m = mesh.n_tets
+        rng = np.random.default_rng(seed)
+        if kind == "scalar":
+            weight = rng.uniform(0.1, 10.0) * np.broadcast_to(np.eye(3), (m, 3, 3))
+        elif kind == "per_tet":
+            weight = 10.0 ** rng.uniform(-3.0, 3.0, m)[:, None, None] * np.eye(3)
+        elif kind == "anisotropic":
+            a = rng.standard_normal((m, 3, 3))
+            weight = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        else:
+            stretch = rng.uniform(0.5, 2.0, (m, 4, 3)) + 1j * rng.uniform(0.0, 3.0, (m, 4, 3))
+            weight = stretch[..., None] * np.eye(3)
+        local = hodge._element_matrices(mesh, p, weight, basis_of(mesh)).local
+        assert local.tobytes() == np.ascontiguousarray(local.transpose(0, 2, 1)).tobytes()
+
     def test_each_material_resolved_once(self, kuhn, monkeypatch):
         # Each star resolves and checks only the tensor it weighs with, so
         # building the eps and mu-inverse pair resolves eps once and mu once.
@@ -251,6 +276,48 @@ class TestAssembly:
         assert sym <= 1e-13 and min_eig > 0
 
 
+# Dyadic rationals, so the float inputs are the exact ones: the reference
+# tet, a sheared tet stored with its last pair swapped (negative orientation
+# as given), and an anisotropic SPD tensor.
+_EXACT_TETS = {
+    "reference": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "sheared": [[0, 0, 0], [0, 1, 0], [1, 0, 0], ["1/2", "1/4", "3/4"]],
+}
+_EXACT_TENSOR = [[2, "1/2", "1/4"], ["1/2", 3, "-1/8"], ["1/4", "-1/8", 1]]
+
+
+def _exact_element_matrix(corners, p: int, tensor):
+    """Exact integrals over one tet of w_a . W w_b for the degree-p Whitney
+    forms of its edges or faces (vertices in increasing index order), as
+    sympy rationals: each integrand is a polynomial in the reference
+    coordinates, whose monomials integrate over the reference simplex to
+    a! b! c! / (a + b + c + 3)!, scaled by |det J|."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x0:3")
+    corners = [sympy.Matrix([sympy.Rational(c) for c in row]) for row in corners]
+    jac = sympy.Matrix.hstack(*[c - corners[0] for c in corners[1:]])
+    inv = jac.inv()
+    grads = [-(inv[0, :] + inv[1, :] + inv[2, :]).T] + [inv[i, :].T for i in range(3)]
+    lam = [1 - sum(x), *x]
+    if p == 1:
+        simplices = list(itertools.combinations(range(4), 2))
+        forms = [lam[i] * grads[j] - lam[j] * grads[i] for i, j in simplices]
+    else:
+        simplices = list(itertools.combinations(range(4), 3))
+        forms = [2 * (lam[i] * grads[j].cross(grads[k]) + lam[j] * grads[k].cross(grads[i])
+                      + lam[k] * grads[i].cross(grads[j])) for i, j, k in simplices]
+    w = sympy.Matrix([[sympy.Rational(c) for c in row] for row in tensor])
+
+    def integral(expr):
+        terms = sympy.Poly(sympy.expand(expr), *x).terms()
+        return sum(coeff * sympy.prod(map(sympy.factorial, powers)) / sympy.factorial(sum(powers) + 3)
+                   for powers, coeff in terms)
+
+    volume = abs(jac.det())
+    return {(s, t): volume * integral((forms[a].T * w * forms[b])[0])
+            for a, s in enumerate(simplices) for b, t in enumerate(simplices)}
+
+
 def _complex_kuhn_star(kuhn, basis):
     eps = 1.0 + 0.05j * np.linspace(0.0, 1.0, kuhn.n_tets)
     return assemble_hodge(kuhn, MaterialMap(eps=eps), "eps", basis)
@@ -258,18 +325,38 @@ def _complex_kuhn_star(kuhn, basis):
 
 # SHA-256 of the CSR arrays of M (as _star_digest hashes them) and
 # repr(residual), for the eps star of jittered n=3 and the complex kuhn star,
-# re-recorded when the element matrices became one batched product (the
-# stars moved by rounding; at level 0 the pattern of H gained the entries
-# that had summed to exactly 0).
+# re-recorded when the element matrices became weighted gradient Grams
+# times a constant moment table (the stars moved by rounding).
 _SPAI_DIGESTS = {
-    "jittered3/0": "abdbd10f0e696992a5f2782619cb39a76ecc6f73e67639845fd136500018e476",
-    "jittered3/1": "e704e1a9751d9ed658de3d15d20853ceae7796bd148c9da280485ef2c917df08",
-    "jittered3/2": "fd298cb11b428c2ce4bae00d6718fb63bae8cd18b56da0e383620e4053e7dbb8",
-    "jittered3/3": "297d34770e28b3879d2fadae630012b2677e0496290a14893650db0585e5df9a",
-    "kuhn_complex/0": "e85cbcd8a0bce6da46c2aa036381de693d7a8c0a1e33c9ede7816cf59e29e54f",
-    "kuhn_complex/1": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",
-    "kuhn_complex/2": "a7ca960ae3133f783ab28743bdfe5dd96d99d764744e1d823097fb4f509e2ea5",
+    "jittered3/0": "b4a7f5fbdd47291ed14276e261343ec4f9f966306f18facbb83b161be20aacc2",
+    "jittered3/1": "3902c7da170cf693346b9f148765174bf9f9931f5c54858ccec691150097c3e5",
+    "jittered3/2": "a66e287930ca7045a69502fc2c7d49271622ebf07ad633b9464a3e76c106c3db",
+    "jittered3/3": "e4c5da07b2d62f5ed054688a4cc7d251a59ee3c82aea5ec9af97b974d620c00d",
+    "kuhn_complex/0": "656769d76946d883d7b3b1d8be496e75050c2f55e89ed19168255b56361dd529",
+    "kuhn_complex/1": "f1c448460d35115322bf501ae879510f33ebdb32ee85b41422c4c882d9eec40b",
+    "kuhn_complex/2": "f1c448460d35115322bf501ae879510f33ebdb32ee85b41422c4c882d9eec40b",
 }
+
+
+class TestExactOracle:
+    def test_tet4_moments(self):
+        # sum_q lam_i lam_j / 4 over the degree-2 rule: the exact moments
+        # (1 + delta_ij) / 20 of a unit-volume tet, to 2 ulps.
+        want = (1.0 + np.eye(4)) / 20.0
+        assert np.all(np.abs(hodge._MOMENTS.sum(axis=0) - want) <= 2 * np.spacing(want))
+
+    @pytest.mark.parametrize("tet", sorted(_EXACT_TETS))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_element_matrix_matches_exact_integrals(self, tet, p):
+        corners = _EXACT_TETS[tet]
+        exact = _exact_element_matrix(corners, p, _EXACT_TENSOR)
+        verts = np.array([[float(Fraction(c)) for c in row] for row in corners])
+        mesh = SimplicialComplex(verts, np.array([[0, 1, 2, 3]]))
+        tensor = np.array([[float(Fraction(c)) for c in row] for row in _EXACT_TENSOR])
+        elements = hodge._element_matrices(mesh, p, np.broadcast_to(tensor, (1, 3, 3)))
+        simplices = [tuple(s) for s in mesh.simplices(p)[elements.ids[0]].tolist()]
+        want = np.array([[float(exact[s, t]) for t in simplices] for s in simplices])
+        assert np.abs(elements.local[0] - want).max() <= 4 * np.spacing(np.abs(want).max())
 
 
 class TestSpai:
@@ -480,45 +567,45 @@ _STAR_MESHES = {
 
 # Digests of the assembled stars' CSR arrays (float bytes included, numpy
 # 2.4 and its bundled OpenBLAS on x86-64), re-recorded when the element
-# matrices became one batched product; the stars feed the simulation, so
-# nothing else may move them.
+# matrices became weighted gradient Grams times a constant moment table;
+# the stars feed the simulation, so nothing else may move them.
 _STAR_DIGESTS = {
-    "kuhn/eps": "c8ea3e4bfb15e4091617fa62d7a2b30d61957869facb09f62193c4772195f8c8",
-    "kuhn/mu_inv": "9faadbbd09ef00b049e6563a5f395f6e57f94761d56938925526b3c5ec53d71f",
-    "box4/eps": "a7a48716b86eb5d1944b3c8ad86629d78a52fb8dd0dcdb14ee090e8264e0a9b4",
-    "box4/mu_inv": "8cd31e2350cefe47f3ab72bb5210d1f94ce03abc3021cc6e64316021b4179d47",
-    "annulus8/eps": "10eb20c3bac403a29f6578e52d22ce456321b26d98f7da9a1fd58ac2972e35dc",
-    "annulus8/mu_inv": "f80acf8811963406375ad594b0bb496d04ef0abeb464200a54a7307b96130426",
-    "jittered6/eps": "6c1e71a5dd8a1c1203aad866f82ac1afcf196e4ab892885d0b7640edc504a03d",
-    "jittered6/mu_inv": "5c433533ad4bcddcd1933a2d53b910a06dad2a9b798986e4b3491dc7186f05f1",
+    "kuhn/eps": "75f63fd82fc871251ce2c294547749a5ed6a120bf7bd4f66f98f43c01ec8c560",
+    "kuhn/mu_inv": "7ea03c586e39ef26eafd1dfa198c12b1260e55e92b53f1454b46df69200e3e4e",
+    "box4/eps": "9fdde3b33104d4779471faf2dd0e036d48ca35b22e7231581e7dacf2c09dbb22",
+    "box4/mu_inv": "336e239b4d37af18a34a195a9d06b460851367f5f38a40d506d2226c5a8a5069",
+    "annulus8/eps": "8e72d38a5c2fbc7e7b60e5d5f46b16a339ee35063cfd1c64a7842bc56720632c",
+    "annulus8/mu_inv": "51814c9b30f0071611f9904258a80846d086e1e1b4160103dc704c924825ff72",
+    "jittered6/eps": "301dd219738bfaf616599e12b03c30b0790b28288618e2c89b320598ff834ae6",
+    "jittered6/mu_inv": "76e00863930435625299bc15d0888545ccca3086ac4f0dfef8337f09f2df4046",
 }
 
 
 # The Galerkin-dual pair and two stretched pairs (omega = 2) under
 # MaterialMap(eps=2.0, mu=1.5), re-recorded with the stars above.
 _MATERIAL_DIGESTS = {
-    "kuhn/eps_inv": "12ec41b5df757d6dc7766d6f3586bf5428a2e3ceb9591a97a48e5ff75b5062a2",
-    "kuhn/mu": "e4974a2a5038f6349503a3c178ecbc7fb169e03786aa96c361316953d38b77e8",
-    "kuhn/pml_z/eps": "5cf3798e157d60c1aa03a31ba065751c7543fe0920268cd73dab50eb0179c317",
-    "kuhn/pml_z/mu_inv": "dd105dc4b05fb6661aefcc7fab4d4b68403290f6975395e8ec3b652210b13307",
-    "kuhn/pml_x/eps": "97105fc6f3ad119ae870ac925bbb4ee6d9f3437ddbb12ebbe82fc49eb5f3fbab",
-    "kuhn/pml_x/mu_inv": "6635e8b29bf7bfcbc2a453433436753a95e12c9417550a8f2587758678a4c0e3",
-    "box4/eps_inv": "a6dbdb41bf8701a08a06818cb65b3cf7f9ce186ee327b519cc92dc31298b8110",
-    "box4/mu": "e3c30bfb6b3c8055130823002860fc0544c14f6245679bf07b0d36304e1cb702",
-    "box4/pml_z/eps": "f25664522f4f23c3a93cd5a25949c7146eba1298211b4364a59885a68e2ee003",
-    "box4/pml_z/mu_inv": "efad588a710270cb31aaa6c149c8a63d8c3d25c7e94b4270a9a0e5a87b5b2af4",
-    "box4/pml_x/eps": "90f94cb6920e5fd6af26424cba4bd2b28a02b2afd41906167f261f5e48076a61",
-    "box4/pml_x/mu_inv": "900c11ffa09ba2c8264f4d5985dbf63d7733cec656e1678e17048fdcca7d504b",
+    "kuhn/eps_inv": "53a9fec6b85c6853dbb0c0bf8fae2ae6541e0d63d61ac824e5bbb62bf3ea58f7",
+    "kuhn/mu": "b322e000878d3eddac62c38115a28a7a8eddc311a0c7206434dd088c78a3954c",
+    "kuhn/pml_z/eps": "46af2cb21f5913394540da3ed3bbcd9c3c89f3c5c986fed0a7f24eae76ebb352",
+    "kuhn/pml_z/mu_inv": "a4a3fb5c6231a6ff48e12764ea3bfd94d5f6fc9dcfbdd23496bb4223ef9b3336",
+    "kuhn/pml_x/eps": "950dce22cafff2f588fd37e840c5c3bfc775084f84108b1f6d692e6a97474d1c",
+    "kuhn/pml_x/mu_inv": "91910f30229a9e623877f689cc4140275cf77c6950b52b15cfc23f36cfda1365",
+    "box4/eps_inv": "adc2b41d5a9448211a0d8c2f8afefd65f1cca720c52a4c7bade0299fa31fcbbd",
+    "box4/mu": "6f3228a05f03b06436da8f1990958a88834a272587a4da229478344f859b4425",
+    "box4/pml_z/eps": "56693d817cca20e326ac7f817303416361e3120f40e5430b6b907fbe13808057",
+    "box4/pml_z/mu_inv": "0fcfd49b613300c9d762dac4f6d3062c9d37db2f05a13dbfd5a3273df4a48abb",
+    "box4/pml_x/eps": "e30509f442b7af98e8313da38f6f2c1db45759f1b393a1bf3484d3a6a65f3bdf",
+    "box4/pml_x/mu_inv": "af2beaca91875985b935f21474f91fa52b16a49b6013686f0e47e37f4ba3a081",
 }
 # The stretched pair of the default `declat pml --sweep` waveguide (the
 # criterion 9 guide: box_mesh(4, 4, 24) of length 6, slab 4.5-6.0, omega
 # 1.4 pi, unit materials) at omega_max 2 and 16, re-recorded with the
 # stars above.
 _SWEEP_DIGESTS = {
-    "waveguide/2/eps": "5e5e5b326c1989c80879f04ebcb56bab64295d91e3cad51d3a605c75ac0f2ed6",
-    "waveguide/2/mu_inv": "4d4e4e3cd4c17dc1c0cef9cd1d4e911f8d736e2af5d400cf61ad54ead415ba24",
-    "waveguide/16/eps": "3d1e290725a80ca6c01d002de00b59482ae1d5330107adf6b4ad0d2b31ac9169",
-    "waveguide/16/mu_inv": "d24de8693124a088fe79841c0dbf804f295dbfa7f2d311da213357c62dea2b3b",
+    "waveguide/2/eps": "ffcb459522502521dbcfcacebacb7d9ddee597b311df8df770709db68447e73a",
+    "waveguide/2/mu_inv": "49dfdb28d5b87841d9e829462dcced9bc9c56af73664f620102e56e1b23a799e",
+    "waveguide/16/eps": "e3ea694606832149bff0677558cca62d6ca384de423ff2b4459d9c39a330d4da",
+    "waveguide/16/mu_inv": "6bb52392a9d8d53a68b912717da844bed4fafd4775ad9340bba4bbc00da8115e",
 }
 _GOLDEN_DIGESTS = {**_STAR_DIGESTS, **_MATERIAL_DIGESTS, **_SWEEP_DIGESTS}
 _PROFILES = {
@@ -635,13 +722,18 @@ class TestTetBlocks:
     @pytest.mark.parametrize("which", ["eps", "mu_inv"])
     def test_transient_memory_one_block(self, monkeypatch, which):
         # tracemalloc counts numpy's allocations exactly, so the peak is
-        # deterministic: the retained matrices plus a few blocks' basis
-        # values, where one whole-mesh block (box8, 3,072 tets) needs more.
+        # deterministic: the retained matrices plus a few blocks' arrays, where
+        # one whole-mesh block (box8, 3,072 tets) needs more.  Per tet, a block
+        # holds the k factor vectors F and F W (k x 3 each), the Gram (k x k),
+        # the table product (2 n_up: both stored orientations) and the chosen
+        # triangle (n_up), plus temporaries (the cross products' gathers, the
+        # reshaped weight) counted as one more k x k.
         mesh = generators.box_mesh(8)
         basis = WhitneyBasis(mesh)
         block = 512
-        n_loc = 6 if which == "eps" else 4
-        values = block * 4 * n_loc * 3 * 8  # one block's (B, Q, n_loc, 3) basis values
+        n_loc, k = (6, 4) if which == "eps" else (4, 6)
+        n_up = n_loc * (n_loc + 1) // 2
+        arrays = block * (3 * k + 3 * k + 2 * k * k + 3 * n_up) * 8
         peaks = {}
         for size in (block, mesh.n_tets):
             monkeypatch.setattr(hodge, "_TET_BLOCK", size)
@@ -652,7 +744,7 @@ class TestTetBlocks:
                 peaks[size] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        bound = elements.local.nbytes + elements.ids.nbytes + 8 * values
+        bound = elements.local.nbytes + elements.ids.nbytes + 3 * arrays
         assert peaks[block] < bound < peaks[mesh.n_tets]
 
 
