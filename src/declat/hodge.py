@@ -47,7 +47,7 @@ from scipy.linalg import eigh, get_lapack_funcs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu, spsolve_triangular
 
 from .dual import DualComplex
-from .mesh import _TET_EDGE_SLOTS, SimplicialComplex, _loadtxt, _local_slots
+from .mesh import _TET_EDGE_SLOTS, _TET_FACE_SLOTS, SimplicialComplex, _loadtxt
 from .whitney import WhitneyBasis, _TET4, _integrate
 
 __all__ = [
@@ -191,17 +191,16 @@ class ElementMatrices:
 
 
 def _moment_table(p: int, moments: np.ndarray) -> np.ndarray:
-    """(k Q k, 2 n_up) table: a tet's Grams Gamma_q[r, s], flat in (r, q, s), times it give the
-    pairings a <= b of slot forms p! sum_t (-1)^t lam_(a_t) F(a less a_t), slots stored, swapped."""
+    """(k Q k, n_up) table: a tet's Grams Gamma_q[r, s], flat in (r, q, s), times it give the
+    pairings a <= b of slot forms p! sum_t (-1)^t lam_(a_t) F(a less a_t)."""
     factors = [[v] for v in range(4)] if p == 1 else _TET_EDGE_SLOTS.tolist()
-    slots = _local_slots(np.array([[0, 1, 2, 3], [0, 1, 3, 2]]))[p - 1]  # (2, n, p + 1)
-    coef = np.zeros(slots.shape[:2] + (4, len(factors)))
-    for (o, a, t), v in np.ndenumerate(slots):
-        rest = np.delete(slots[o, a], t).tolist()
-        coef[o, a, v, factors.index(sorted(rest))] = p * (-1) ** (t + (rest != sorted(rest)))
-    a, b = np.triu_indices(slots.shape[1])
-    pairs = np.einsum("qcd,oacr,obds->rqsoab", moments, coef, coef)[..., a, b]
-    return (0.5 * (pairs + pairs.transpose(2, 1, 0, 3, 4))).reshape(-1, 2 * len(a))
+    slots = (_TET_EDGE_SLOTS, _TET_FACE_SLOTS)[p - 1]  # (n, p + 1), each row increasing
+    coef = np.zeros((len(slots), 4, len(factors)))
+    for (a, t), v in np.ndenumerate(slots):
+        coef[a, v, factors.index(np.delete(slots[a], t).tolist())] = p * (-1) ** t
+    a, b = np.triu_indices(len(slots))
+    pairs = np.einsum("qcd,acr,bds->rqsab", moments, coef, coef)[..., a, b]
+    return (0.5 * (pairs + pairs.transpose(2, 1, 0, 3))).reshape(-1, len(a))
 
 
 _MOMENTS = np.einsum("qc,qd->qcd", _TET4, _TET4) / len(_TET4)  # sum: (1 + delta_cd) / 20
@@ -231,7 +230,6 @@ def _element_matrices(
     table = _TABLES[p, weight.shape[1]]
     i, j = np.sort(np.indices((n, n)), axis=0)  # each entry's row and column, i <= j
     mirror = i * (2 * n - i - 1) // 2 + j  # its place in the upper triangle, row by row
-    swapped = (cx.tets[:, 2] > cx.tets[:, 3]).astype(np.int64)
     (e0, e1), c1, c2 = _TET_EDGE_SLOTS.T[:, :, None], [1, 2, 0], [2, 0, 1]  # cross products
     for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
         g = basis.grads[blk]  # F (B, k, 3): the gradients, or their cross products
@@ -239,8 +237,8 @@ def _element_matrices(
         fw = (f @ weight[blk].transpose(0, 2, 1, 3).reshape(len(f), 3, -1)).reshape(len(f), -1, 3)
         gram = np.zeros((len(f) + -len(f) % 8, len(table)), local.dtype)
         np.matmul(fw, f.transpose(0, 2, 1), out=gram[:len(f)].reshape(fw.shape[:2] + (-1,)))
-        upper = (gram.reshape(-1, 8, len(table)) @ table).reshape(-1, 2, table.shape[1] // 2)
-        upper = upper[np.arange(len(f)), swapped[blk]] * cx.volumes[blk, None]
+        upper = (gram.reshape(-1, 8, len(table)) @ table).reshape(-1, table.shape[1])
+        upper = upper[:len(f)] * cx.volumes[blk, None]
         np.take(upper, mirror, axis=1, out=local[blk], mode="clip")
     return ElementMatrices(local, ids, cx.n_simplices(p))
 

@@ -11,12 +11,12 @@ reproduces the same matrices bit for bit.
 
 Orientation convention
 ----------------------
-Edges and faces are stored with strictly increasing vertex indices, in
-lexicographic order.  Tets are stored sorted as well, except that the last
-two vertices are swapped when needed to make the signed volume positive.
-Boundary signs follow the alternating-sum rule on the sorted vertices; a
-tet stored with its last pair swapped negates its first two faces, and no
-boundary triple is re-sorted.
+Every simplex is stored with strictly increasing vertex indices, in
+lexicographic order, so slot k of every tet is the same pair or triple of
+row positions.  A tet's orientation lives only in its C2 row: the
+alternating-sum signs [1, -1, 1, -1] on its sorted faces when the sorted
+row has positive volume, the whole row negated otherwise.  No boundary
+triple is re-sorted.
 
 Edges and faces are found from integer keys: a*n + b for edge (a, b) and
 e*n + c for face (a, b, c), where n is the vertex count and e the index of
@@ -59,22 +59,8 @@ __all__ = [
 # Local vertex pairs/triples of a tet, in positions (not vertex ids).
 _TET_EDGE_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _TET_FACE_SLOTS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-# In a sorted row, the edge slots of each face slot's boundary (b, c),
-# (a, c), (a, b).
+# The edge slots of each face slot's boundary (b, c), (a, c), (a, b).
 _FACE_EDGE_SLOTS = np.array([(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)])
-# The positions of the first two tables in a row stored with its last pair
-# swapped, each simplex's vertices still in increasing id order.
-_SWAPPED_EDGE_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 2)])
-_SWAPPED_FACE_SLOTS = np.array([(1, 3, 2), (0, 3, 2), (0, 1, 3), (0, 1, 2)])
-
-
-def _local_slots(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 6, 2) and (M, 4, 3) positions in each stored tet row of the
-    vertices of its edge and face slots, in increasing vertex id; a row's
-    last pair is swapped exactly where ``tets[:, 2] > tets[:, 3]``."""
-    swapped = (tets[:, 2] > tets[:, 3])[:, None, None]
-    return (np.where(swapped, _SWAPPED_EDGE_SLOTS, _TET_EDGE_SLOTS),
-            np.where(swapped, _SWAPPED_FACE_SLOTS, _TET_FACE_SLOTS))
 
 
 class MeshError(ValueError):
@@ -95,22 +81,22 @@ def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sparse.csr
     )
 
 
-def _reject_pinched_vertices(ranked: np.ndarray, faces: np.ndarray, order: np.ndarray) -> None:
+def _reject_pinched_vertices(tets: np.ndarray, faces: np.ndarray, order: np.ndarray) -> None:
     """Raise unless each vertex's tets connect through faces that contain it.
 
-    ``ranked`` holds the tets as sorted rows, ``order`` the stable order of
-    their face slots (slot 4t + k is face slot k of row t) by face, and
-    ``faces`` the face of each slot in that order.  Node 4t + r is vertex r
+    ``tets`` holds the sorted rows, ``order`` the stable order of their
+    face slots (slot 4t + k is face slot k of row t) by face, and ``faces``
+    the face of each slot in that order.  Node 4t + r is vertex r
     of row t; the two tets on a shared face are joined at its three
     vertices, so each component of the node graph holds copies of a single
     vertex.
     """
     shared = faces[1:] == faces[:-1]
-    nodes = (4 * np.arange(len(ranked), dtype=np.int32)[:, None, None]
+    nodes = (4 * np.arange(len(tets), dtype=np.int32)[:, None, None]
              + _TET_FACE_SLOTS.astype(np.int32)).reshape(-1, 3)
-    _, labels = graph_components(4 * len(ranked), nodes[order[:-1][shared]].ravel(),
+    _, labels = graph_components(4 * len(tets), nodes[order[:-1][shared]].ravel(),
                                  nodes[order[1:][shared]].ravel())
-    vertex = ranked.ravel()
+    vertex = tets.ravel()
     label_of = np.zeros(vertex.max() + 1, dtype=labels.dtype)
     label_of[vertex] = labels  # the label of any one copy
     pinched = vertex[labels != label_of[vertex]]
@@ -126,10 +112,8 @@ class SimplicialComplex:
     ----------
     vertices : (N, 3) float array of vertex coordinates.
     tets : (M, 4) int array of vertex indices; each tet is stored as its
-        sorted row, with the last pair swapped exactly when the sorted
-        orientation has negative volume (so exactly where
-        ``tets[:, 2] > tets[:, 3]``; the local maps of :func:`_local_slots`
-        rely on it), and duplicated tets (in any vertex order),
+        sorted row, its orientation kept in ``tet_face_signs`` alone, and
+        duplicated tets (in any vertex order),
         degenerate (zero-volume) tets, folds (two tets on the same side
         of a shared face), faces with more than two tets and pinched
         vertices (whose tets do not connect through faces at the vertex)
@@ -137,8 +121,10 @@ class SimplicialComplex:
 
     Besides ``edges``, ``faces`` and ``tets`` (see the module docstring)
     it keeps ``tet_edges`` and ``tet_faces``, the (M, 6) and (M, 4)
-    simplices in each stored tet's slots, ``tet_face_signs``, the sign of
-    each of those faces in the tet's C2 row, ``face_tets``, the (F, 2)
+    simplices in each tet's slots (``_TET_EDGE_SLOTS`` and
+    ``_TET_FACE_SLOTS`` of its row), ``tet_face_signs``, the sign of each
+    of those faces in the tet's C2 row (``[1, -1, 1, -1]`` for a row of
+    positive volume, negated otherwise), ``face_tets``, the (F, 2)
     tets on each face (lower first, -1 where absent), and ``face_edges``,
     the (F, 3) edges of each face (a, b, c), in the slot order (b, c),
     (a, c), (a, b) of their signs +1, -1, +1 in the face's C1 row.  The
@@ -169,8 +155,7 @@ class SimplicialComplex:
             i = int(repeated.argmax())
             raise MeshError(f"tet {given[i].tolist()} at row {i} has a repeated vertex index")
 
-        # Canonical tet storage: sorted indices in ascending row order, last
-        # pair swapped if the sorted orientation has negative volume.  Total
+        # Canonical tet storage: sorted indices in ascending row order.  Total
         # normalization: any permutation of the input yields the same rows.
         order = np.lexsort(tets.T[::-1])
         tets = tets[order]
@@ -182,25 +167,23 @@ class SimplicialComplex:
         if np.any(np.abs(vols) <= 1e-14 * np.abs(vols).max()):
             bad = int(np.argmin(np.abs(vols)))
             raise MeshError(f"degenerate tet {tets[bad].tolist()} (zero volume)")
-        flip = vols < 0
-        ranked = tets.copy()
-        tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
         self.vertices = vertices
         self.tets = tets
         self.volumes = np.abs(vols)
+        self.tet_face_signs = np.where(vols[:, None] < 0, -1, 1) * np.array([1, -1, 1, -1])
 
         # Skeleton from integer keys, read off the sorted rows, whose edge
         # and face slots list their vertices in increasing order.
         n = len(vertices)
-        edge_keys, tet_edges = np.unique(ranked[:, _TET_EDGE_SLOTS] @ [n, 1], return_inverse=True)
-        tet_edges = tet_edges.reshape(-1, 6)
+        edge_keys, tet_edges = np.unique(tets[:, _TET_EDGE_SLOTS] @ [n, 1], return_inverse=True)
+        self.tet_edges = tet_edges = tet_edges.reshape(-1, 6)
         # Column-major, so that each end's column is contiguous (bincounts over it).
         self.edges = np.stack(np.divmod(edge_keys, n)).T
-        # One stable sort of the face keys, slot by slot of the sorted rows,
-        # numbers the faces and orders the slots by face and then by tet;
-        # rank is a slot's position among the tets on its face.
-        keys = (tet_edges[:, _FACE_EDGE_SLOTS[:, 2]] * n + ranked[:, _TET_FACE_SLOTS[:, 2]]).ravel()
+        # One stable sort of the face keys, slot by slot, numbers the faces
+        # and orders the slots by face and then by tet; rank is a slot's
+        # position among the tets on its face.
+        keys = (tet_edges[:, _FACE_EDGE_SLOTS[:, 2]] * n + tets[:, _TET_FACE_SLOTS[:, 2]]).ravel()
         sorted_slots = np.argsort(keys, kind="stable")
         keys = keys[sorted_slots]
         new = np.r_[True, keys[1:] != keys[:-1]]
@@ -210,26 +193,18 @@ class SimplicialComplex:
         self.faces = np.column_stack([self.edges[face_edge], face_last])
         tet_faces = np.empty_like(faces)
         tet_faces[sorted_slots] = faces
+        self.tet_faces = tet_faces.reshape(-1, 4)
 
-        # A swapped last pair exchanges a tet's edge slots 1/2 and 3/4 and
-        # its face slots 2/3, and negates its faces in slots 0 and 1.
-        swapped = flip[:, None]
-        tet_faces = tet_faces.reshape(-1, 4)
-        self.tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
-        self.tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
-        self.tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
-
-        # The same order, read in stored slots (2/3 exchanged where flipped),
-        # gives face_tets, (F, 2) tet indices per face (-1 where absent, lower
-        # tet first), and serves the fold and non-manifold checks.
+        # The same order gives face_tets, (F, 2) tet indices per face (-1
+        # where absent, lower tet first), and serves the fold and
+        # non-manifold checks.
         tet, slot = np.divmod(sorted_slots, 4)
-        order = 4 * tet + np.where(flip[tet], np.array([0, 1, 3, 2])[slot], slot)
         if rank.max() >= 2:
-            f = faces[np.argmin(np.where(rank == 2, order, order.size))]
+            f = faces[np.argmin(np.where(rank == 2, sorted_slots, sorted_slots.size))]
             raise MeshError(f"non-manifold face {self.faces[f].tolist()} "
                             "(more than two incident tets)")
         # Two tets on opposite sides of a face see it with opposite signs.
-        signs = self.tet_face_signs.ravel()[order]
+        signs = self.tet_face_signs.ravel()[sorted_slots]
         second = np.flatnonzero(rank == 1)
         folded = second[signs[second] == signs[second - 1]]
         if len(folded):
@@ -239,9 +214,9 @@ class SimplicialComplex:
                             f"of face {self.faces[faces[i]].tolist()}")
         self.face_tets = np.full((self.n_faces, 2), -1, dtype=np.int64)
         self.face_tets[faces, rank] = tet
-        _reject_pinched_vertices(ranked, faces, sorted_slots)
-        # Each face's boundary edges (its C1 row's columns), from the sorted
-        # row of its first tet.
+        _reject_pinched_vertices(tets, faces, sorted_slots)
+        # Each face's boundary edges (its C1 row's columns), from the row of
+        # its first tet.
         first = rank == 0
         self.face_edges = tet_edges[tet[first, None], _FACE_EDGE_SLOTS[slot[first]]]
         self._incidence = [None, None, None]

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _TET_EDGE_SLOTS
 from .whitney import Cochain, WhitneyBasis, _interpolate_located
 
 __all__ = [
@@ -136,9 +137,8 @@ def _deposit(basis, x_start, x_end, q: float, tau: float, tol: float):
     lam_in, lam_out = lam_a + par[:-1] * dlam, lam_a + par[1:] * dlam
     mean = 0.5 * (lam_in + lam_out)
     delta = lam_out - lam_in
-    k = np.arange(len(tets))[:, None]
-    a, b = basis.edge_local[tets].transpose(2, 0, 1)
-    coeff = qdot * (mean[k, a] * delta[k, b] - mean[k, b] * delta[k, a])
+    a, b = _TET_EDGE_SLOTS.T
+    coeff = qdot * (mean[:, a] * delta[:, b] - mean[:, b] * delta[:, a])
     current = np.bincount(cx.tet_edges[tets].ravel(), coeff.ravel(), minlength=cx.n_edges)
     # Charge leaves the start nodes and arrives at the end (or exit) nodes.
     ends_nodes = cx.tets[tets[[0, -1]]].ravel()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SimplicialComplex, _local_slots
+from .mesh import _TET_EDGE_SLOTS, _TET_FACE_SLOTS, SimplicialComplex
 
 __all__ = [
     "Cochain",
@@ -117,9 +117,9 @@ class AnalyticForm:
 
 
 class WhitneyBasis:
-    """Per-tet caches for barycentric gradients and local index maps; the
-    tet adjacency, the seed grid and the (M, 15) walk frames (v0, then the
-    four barycentric gradients, one row per tet) are built on first use."""
+    """Per-tet caches for barycentric gradients; the tet adjacency, the seed
+    grid and the (M, 15) walk frames (v0, then the four barycentric
+    gradients, one row per tet) are built on first use."""
 
     def __init__(self, complex: SimplicialComplex):
         cx = complex
@@ -129,10 +129,6 @@ class WhitneyBasis:
         grads = np.transpose(np.linalg.inv(edge_mat), (0, 2, 1))  # rows are grad(lam_1..3)
         self.grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         self.origin = tv[:, 0]
-
-        # Local edge/face vertex positions, ordered by ascending global id so
-        # that every local basis function matches its canonical simplex.
-        self.edge_local, self.face_local = _local_slots(cx.tets)  # (M, 6, 2), (M, 4, 3)
         self._neighbors = self._frames = None
         self._grid = None  # seed grid for point location, built on first use
         self.scans = 0  # points located by the exhaustive-scan fallback
@@ -247,16 +243,16 @@ class WhitneyBasis:
             return 1.0 / self.complex.volumes[tets]
         if p not in (1, 2):
             raise ValueError("degree must be in 0..3")
-        t, pts = np.asarray(tets)[..., None], np.arange(len(lam))[:, None]
+        # Every row is sorted, so slot k holds the same row positions in each tet.
+        t = np.asarray(tets)[..., None]
         if p == 1:
-            a, b = self.edge_local[tets, :, 0], self.edge_local[tets, :, 1]
-            la, lb = lam[pts, a], lam[pts, b]
-            return la[..., None] * self.grads[t, b] - lb[..., None] * self.grads[t, a]
-        f = self.face_local[tets]
+            a, b = _TET_EDGE_SLOTS.T
+            return lam[:, a, None] * self.grads[t, b] - lam[:, b, None] * self.grads[t, a]
+        f = _TET_FACE_SLOTS
         out = 0.0
         for (ia, ib, ic) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            cross = np.cross(self.grads[t, f[..., ib]], self.grads[t, f[..., ic]])
-            out = out + lam[pts, f[..., ia]][..., None] * cross
+            cross = np.cross(self.grads[t, f[:, ib]], self.grads[t, f[:, ic]])
+            out = out + lam[:, f[:, ia], None] * cross
         return 2.0 * out  # (..., 4, 3)
 
     def local_indices(self, p: int, tets: np.ndarray) -> np.ndarray:
@@ -373,9 +369,9 @@ def verify_coboundary(
     if p == 1:
         d_prev = g
     elif p == 2:
-        d_prev = 2.0 * np.cross(g[k, basis.edge_local[:, :, 0]], g[k, basis.edge_local[:, :, 1]])
+        d_prev = 2.0 * np.cross(g[:, _TET_EDGE_SLOTS[:, 0]], g[:, _TET_EDGE_SLOTS[:, 1]])
     elif p == 3:
-        fa, fb, fc = (g[k, basis.face_local[:, :, i]] for i in range(3))
+        fa, fb, fc = (g[:, _TET_FACE_SLOTS[:, i]] for i in range(3))
         d_prev = 6.0 * np.einsum("mfd,mfd->mf", fa, np.cross(fb, fc))[:, :, None]
     else:
         raise ValueError("coboundary check covers degrees 1, 2, 3")

@@ -272,8 +272,8 @@ def tet_neighbors_loop(complex) -> np.ndarray:
 
 def skeleton_by_search(vertices, tets) -> dict:
     """The canonical arrays and incidence matrices of a complex, derived as
-    before the slot tables: the flip from the sorted rows' signed volumes,
-    each face's edges (C1's columns) by ``np.searchsorted`` over the edge
+    before the slot tables: each sorted row's C2 signs, negated as a whole
+    where its signed volume is negative, each face's edges (C1's columns) by ``np.searchsorted`` over the edge
     keys; and the face numbering as before the one face sort: face ids by
     ``np.unique``, then a stable argsort of the stored face slots, and each
     slot's rank among its face's tets by ``np.searchsorted``."""
@@ -281,8 +281,6 @@ def skeleton_by_search(vertices, tets) -> dict:
     tets = tets[np.lexsort(tets.T[::-1])]
     a, b, c, d = (vertices[tets[:, k]] for k in range(4))
     flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) < 0
-    ranked = tets.copy()
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
     def signed_rows(cols, signs, n_cols):
         m, k = cols.shape
@@ -294,23 +292,20 @@ def skeleton_by_search(vertices, tets) -> dict:
     n = len(vertices)
     edge_slots = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     face_slots = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-    edge_keys, tet_edges = np.unique(ranked[:, edge_slots] @ [n, 1], return_inverse=True)
+    edge_keys, tet_edges = np.unique(tets[:, edge_slots] @ [n, 1], return_inverse=True)
     edges = np.stack(np.divmod(edge_keys, n)).T
 
     def edge_id(pairs):
         return np.searchsorted(edge_keys, pairs @ [n, 1])
 
-    rows = ranked[:, face_slots]
+    rows = tets[:, face_slots]
     face_keys, tet_faces = np.unique(edge_id(rows[..., :2]) * n + rows[..., 2],
                                      return_inverse=True)
     face_edge, face_last = np.divmod(face_keys, n)
     faces = np.column_stack([edges[face_edge], face_last])
 
-    swapped = flip[:, None]
     tet_edges, tet_faces = tet_edges.reshape(-1, 6), tet_faces.reshape(-1, 4)
-    tet_edges = np.where(swapped, tet_edges[:, [0, 2, 1, 4, 3, 5]], tet_edges)
-    tet_faces = np.where(swapped, tet_faces[:, [0, 1, 3, 2]], tet_faces)
-    tet_face_signs = np.array([1, -1, 1, -1]) * np.where(swapped, [-1, -1, 1, 1], 1)
+    tet_face_signs = np.array([1, -1, 1, -1]) * np.where(flip[:, None], -1, 1)
     # Face slots ordered by a second, stable sort of the stored face ids,
     # each slot's rank among its face's tets found by search.
     flat = tet_faces.ravel()
@@ -477,11 +472,11 @@ def interpolate_at_points_loop(basis, cochain, points: np.ndarray, seed: int = 0
     return np.asarray(out)
 
 
-def _deposit_segment(basis, tet, lam_start, lam_end, qdot, current) -> None:
+def _deposit_segment(basis, edge_local, tet, lam_start, lam_end, qdot, current) -> None:
     mean = 0.5 * (lam_start + lam_end)
     delta = lam_end - lam_start
-    a = basis.edge_local[tet, :, 0]
-    b = basis.edge_local[tet, :, 1]
+    a = edge_local[tet, :, 0]
+    b = edge_local[tet, :, 1]
     coeff = qdot * (mean[a] * delta[b] - mean[b] * delta[a])
     np.add.at(current, basis.complex.tet_edges[tet], coeff)
 
@@ -571,6 +566,7 @@ def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float
     rate = np.zeros(cx.n_vertices)
     final = np.zeros(cx.n_vertices)
     current = np.zeros(cx.n_edges)
+    edge_local = local_maps_by_argmax(cx)[0]
     t, _ = locate_walk(basis, x_start)
     # Raw affine coordinates, so identical endpoints give exact zeros.
     lam_here = basis.bary(np.array([t]), x_start.reshape(1, 3))[0]
@@ -582,7 +578,7 @@ def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float
     for _ in range(8 * cx.n_tets + 16):
         lam_target = basis.bary(np.array([t]), x_end.reshape(1, 3))[0]
         if lam_target.min() >= -tol:
-            _deposit_segment(basis, t, lam_here, lam_target, qdot, current)
+            _deposit_segment(basis, edge_local, t, lam_here, lam_target, qdot, current)
             np.add.at(rate, cx.tets[t], qdot * lam_target)
             np.add.at(final, cx.tets[t], q * np.clip(lam_target, 0.0, None))
             break
@@ -594,7 +590,7 @@ def scatter_current_loop(basis, x_start, x_end, q: float, tau: float, tol: float
         worst = int(np.argmin(taus))
         x_cross = x_here + s * (x_end - x_here)
         lam_cross = lam_here + s * dlam
-        _deposit_segment(basis, t, lam_here, lam_cross, qdot, current)
+        _deposit_segment(basis, edge_local, t, lam_here, lam_cross, qdot, current)
         nxt = neighbors[t, worst]
         if nxt < 0:
             np.add.at(rate, cx.tets[t], qdot * lam_cross)

@@ -71,22 +71,22 @@ GOLDEN = {
     "audit/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "08172d591151bca4e8e349507ff7b181c70151fb10602cb448402b9d3154152a",
+        "audit.json": "f3039fff6bc5b509913ef3a1c2d38b9e2fa310248db5c60ba6346256018c48b6",
     },
     "audit/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "a809da0ad092fcdbabf9069fb93546ec748a6ffe11ee496202637d3ad331b57a",
+        "audit.json": "224dfb050c8b518239314d788d7fc4c54f32b26f28dd095d43d10b8db9c78bd6",
     },
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "ce2a808267d51afb4dc89c5a08a6bc81dd6b9b774e0defd2e62cc4d9d529a278",
+        "audit.json": "3790e7bef8dda677451777e6222e389b77744297745de1b68a637d85852935fe",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "9aff4c253d0a4a11c1f48dbc084f1aa624ca23362e8940d51d41d577cd07e089",
+        "audit.json": "3f6698e09770df274154c6980e99f6f3145ff0b6caa297efc31c43bc11a7af6f",
     },
     "dof/kuhn": {
         "exit": 0,
@@ -111,26 +111,26 @@ GOLDEN = {
     "assemble/kuhn": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "17a6a011378ecf0da9f1d1d367bd075c72c6c63752ac0a20bdd263248012c78c",
-        "star.mu.coo": "fdb9c392affb5f2b5c1fb73cf341e9b434cd910f1bdad9819331482529d0c6b5",
+        "star.eps_inv.coo": "b5aacbb2aaea5900eeb262fadb986f5dec017cf24818d80cab5d84fe77233662",
+        "star.mu.coo": "1fdae987c711d20e7de77c47f10ef8608fece0bdac352db140f887b53c43215f",
     },
     "assemble/box4": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "afb205ecb36a275d711aa66af5d5eccf43636d561e7d62908940869b7e3ed4ee",
-        "star.mu.coo": "f4ca19fce362deda189b7f23fb234d3f3ae6179b7df1236ff19b8bd1d48bf169",
+        "star.eps_inv.coo": "475dfcaa058261aadfb316d0b9f360f7e0ff2e3e461bb9f0b347312ebf912008",
+        "star.mu.coo": "537829fe1a770f060b2e642b0d945bedd60ab6cbcd24adb841870dea0207405d",
     },
     "assemble/annulus8": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "2049f3fe3fc4a5d34374248fb1cb4c450490958c5d43b03a8d70fd5951e5dbf7",
-        "star.mu.coo": "8b810f70ee90ab412dd920674009d37b0cbd24fb7014f7de5fb3033fafe8c697",
+        "star.eps_inv.coo": "73b936d1f67cb10654124720e365eb56447487eff694401b7d5e6188f9d31f50",
+        "star.mu.coo": "0371a94ea4d6a745c0d2dc41f3a77f939258b069efc1f90fba13f372cb875244",
     },
     "assemble/jittered3": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "8b023e0c78caa58e93a7c7fc8fa1c3084e97b9a9a6db658ae86f3ec5371bacb6",
-        "star.mu.coo": "02d6c8217cc510cf6aa61b642d622ba8984e4d1b4661da0319e6512345f5c289",
+        "star.eps_inv.coo": "ce23d3c82d6c81b342717f421e10c28e77e8af7c48cfa77f4dd599483f5d5794",
+        "star.mu.coo": "4a4ab13fbbb145310df706a986fd2d915c3e6edbd6e9b7a046699c0740f27e42",
     },
     "eigen/kuhn": {
         "exit": 0,
@@ -140,22 +140,22 @@ GOLDEN = {
     "eigen/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "d19daa6d5f2cd213bcfcdb97ec8728285dd81735eb1d9c636cb66a85dc9d7095",
+        "eigen.json": "385021ad33442b979b0339d63d67a34c1897248639e032b7f587bd801e9bd43b",
     },
     "simulate/exact": {
         "exit": 0,
-        "stdout": "6dc9736e42ae750b34f370fdac2fa1c418b76e054cab03d392b918c86a5ba10c",
-        "trace.csv": "749a27235992babccb5547add5affbf041c25dda176b5f95ea36246f2ad6b03a",
+        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
+        "trace.csv": "b4fc120c44022ebd2b8653a7aef8cda93791ea578a6a3c51fb0a386a672f2747",
     },
     "simulate/spai:2": {
         "exit": 0,
-        "stdout": "72c8eb7d0a5f7888b578ff2858c60dced41e42bf56c4373a7b73fe7b7604fcc5",
-        "trace.csv": "b395c957fe9a7920b8de2427f035863db820eafe04c2e99e5bb395a5d4a91417",
+        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
+        "trace.csv": "dd24d287f65c75d1a9b88ff6f2b1d6e11629a37175a73563c18e62f052d0fa51",
     },
     "simulate/every7": {
         "exit": 0,
-        "stdout": "a3f6d2ff2e9d983d186cfa2fb6064f52e42c7ac713f0910ffd9bf34c7b0abbc9",
-        "trace.csv": "bbeb2e6852bb685fdf1a1dacc6eafaf9d05e57aef403213de36f3d21c7eac8fc",
+        "stdout": "9033fea19589948d9fe9b0b848d22b4099a9796f806068e57e9e4c82e99ea0cc",
+        "trace.csv": "e162e5406913200881e1202700e930f04b235abbf0bc6629a1cc52ebee9ae5f6",
     },
     "pic": {
         "exit": 0,
@@ -164,12 +164,12 @@ GOLDEN = {
     "pml": {
         "exit": 0,
         "stdout": "9b60aecd0b3aca6d3748f4d10f55796a4d82e1cf3ab67c58607de933f2c90e7c",
-        "sweep.csv": "b83b80205c7c8f21e36dee51d33b2fd8214cb3b183c54dc5106bb6edf4dcae9c",
+        "sweep.csv": "a5778040d4ee89aa74789ffcca9aa5e68d348b31529915a2dafd4f18c8ba53a9",
     },
     "pml/flags": {
         "exit": 0,
         "stdout": "8dd1b0e693d11e77a836c9b49eb9419438a8d5cadbafbfd3d3df52facddc3eef",
-        "sweep.csv": "8a0c959cc8c6bb73d5a7ee3c0dbf20621c88a185cbce80fb2943c46dbd225032",
+        "sweep.csv": "151037c6dcdd0bf8a4acbb0c23e8afb5e22bb280d4a93cebdb80aaf253f1a993",
     },
     "genmesh/tet1": {
         "exit": 0,
@@ -179,17 +179,17 @@ GOLDEN = {
     "genmesh/kuhn": {
         "exit": 0,
         "stdout": "77131fd51cd9a14fedd05dac0f0e6816125f17ba239c7e714bce4e4ae01bdfb9",
-        "m.mesh": "a9c6cdfa59e181482af78e6063eae7a47bff4c2175610ab85e7956786e1bb3c1",
+        "m.mesh": "4d4a42a221b6f9428cfdb65c1269135ff5dee2d896ad6bd15a23e0b647efc434",
     },
     "genmesh/box": {
         "exit": 0,
         "stdout": "e52bb4ff0a09f355ce713000b6a4cd0c4aa90573511a162e81351e430664417b",
-        "m.mesh": "41f0fadbfef00c74ec4f75bb5ee0a25b34e481d15df046ae8c0884823d557ae1",
+        "m.mesh": "71d3bbb36f014614293eab55b1dfbdac079d8643e0fc5f545768de323876c7f6",
     },
     "genmesh/annulus": {
         "exit": 0,
         "stdout": "23c9930d8df1249c1d7cd338434983ba483ffbe4574fe99b5726bde828573ed3",
-        "m.mesh": "e958c7a481c29279825659ce43d8555734cd61052834d9d26f11ec2c3dbf1c19",
+        "m.mesh": "cbc55fd1595a268cc8abd94944e3f4b72eff36d1a215dfa567ffb80a3786a88c",
     },
 }
 

@@ -212,8 +212,9 @@ class TestAssembly:
            kind=st.sampled_from(["scalar", "per_tet", "anisotropic", "pml"]),
            seed=st.integers(0, 2**32 - 1))
     def test_element_matrices_match_loop(self, all_meshes, basis_of, name, p, kind, seed):
-        # One broadcast evaluation and one batched product against one
-        # evaluation per quadrature point and a three-operand einsum.
+        # Each tet's weighted gradient Gram times the constant moment table
+        # against one basis evaluation per quadrature point and a
+        # three-operand einsum.
         mesh = all_meshes[name]
         m = mesh.n_tets
         rng = np.random.default_rng(seed)
@@ -239,7 +240,9 @@ class TestAssembly:
            kind=st.sampled_from(["scalar", "per_tet", "anisotropic", "pml"]),
            seed=st.integers(0, 2**32 - 1))
     def test_element_matrices_bitwise_symmetric(self, all_meshes, basis_of, name, p, kind, seed):
-        # Each element matrix is written from its upper triangle into both.
+        # Each element matrix is written from its upper triangle into both,
+        # so the assembled star, summed in the same order at (i, j) and
+        # (j, i), is bitwise symmetric too.
         mesh = all_meshes[name]
         m = mesh.n_tets
         rng = np.random.default_rng(seed)
@@ -253,8 +256,11 @@ class TestAssembly:
         else:
             stretch = rng.uniform(0.5, 2.0, (m, 4, 3)) + 1j * rng.uniform(0.0, 3.0, (m, 4, 3))
             weight = stretch[..., None] * np.eye(3)
-        local = hodge._element_matrices(mesh, p, weight, basis_of(mesh)).local
+        elements = hodge._element_matrices(mesh, p, weight, basis_of(mesh))
+        local = elements.local
         assert local.tobytes() == np.ascontiguousarray(local.transpose(0, 2, 1)).tobytes()
+        H = elements.assemble()
+        assert (H != H.T).nnz == 0
 
     def test_each_material_resolved_once(self, kuhn, monkeypatch):
         # Each star resolves and checks only the tensor it weighs with, so
@@ -277,8 +283,8 @@ class TestAssembly:
 
 
 # Dyadic rationals, so the float inputs are the exact ones: the reference
-# tet, a sheared tet stored with its last pair swapped (negative orientation
-# as given), and an anisotropic SPD tensor.
+# tet, a sheared tet whose sorted row has negative volume, and an
+# anisotropic SPD tensor.
 _EXACT_TETS = {
     "reference": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
     "sheared": [[0, 0, 0], [0, 1, 0], [1, 0, 0], ["1/2", "1/4", "3/4"]],
@@ -325,16 +331,15 @@ def _complex_kuhn_star(kuhn, basis):
 
 # SHA-256 of the CSR arrays of M (as _star_digest hashes them) and
 # repr(residual), for the eps star of jittered n=3 and the complex kuhn star,
-# re-recorded when the element matrices became weighted gradient Grams
-# times a constant moment table (the stars moved by rounding).
+# re-recorded when tets became sorted rows (the stars moved by rounding).
 _SPAI_DIGESTS = {
-    "jittered3/0": "b4a7f5fbdd47291ed14276e261343ec4f9f966306f18facbb83b161be20aacc2",
-    "jittered3/1": "3902c7da170cf693346b9f148765174bf9f9931f5c54858ccec691150097c3e5",
-    "jittered3/2": "a66e287930ca7045a69502fc2c7d49271622ebf07ad633b9464a3e76c106c3db",
-    "jittered3/3": "e4c5da07b2d62f5ed054688a4cc7d251a59ee3c82aea5ec9af97b974d620c00d",
-    "kuhn_complex/0": "656769d76946d883d7b3b1d8be496e75050c2f55e89ed19168255b56361dd529",
-    "kuhn_complex/1": "f1c448460d35115322bf501ae879510f33ebdb32ee85b41422c4c882d9eec40b",
-    "kuhn_complex/2": "f1c448460d35115322bf501ae879510f33ebdb32ee85b41422c4c882d9eec40b",
+    "jittered3/0": "d14b50fd86d2c8258a00a32fa28d573e06556a14376f51cb64df711288cdf7ee",
+    "jittered3/1": "ff02e7944996ac12186d0f11cc025085a2ecf322e5fc5c998689165e7c59d1ce",
+    "jittered3/2": "55fc5a20503375801f397390690bf1c72560427306f4f76ab4e2a3ae324e6aa7",
+    "jittered3/3": "c41b325c814e6298b0c6c61f23347c5bc3f228970bf16f5b8c336e32d088b228",
+    "kuhn_complex/0": "5ed978ff7812140ed9babf742b9af630d734e00f70ee8c4464bc2b0f5531bdc4",
+    "kuhn_complex/1": "0a1959d8bbd6605456ee5e1a78c3d965b84bf681a15ea2d9771c077b4567ac55",
+    "kuhn_complex/2": "0a1959d8bbd6605456ee5e1a78c3d965b84bf681a15ea2d9771c077b4567ac55",
 }
 
 
@@ -566,46 +571,47 @@ _STAR_MESHES = {
 }
 
 # Digests of the assembled stars' CSR arrays (float bytes included, numpy
-# 2.4 and its bundled OpenBLAS on x86-64), re-recorded when the element
-# matrices became weighted gradient Grams times a constant moment table;
-# the stars feed the simulation, so nothing else may move them.
+# 2.4 and its bundled OpenBLAS on x86-64), re-recorded when tets became
+# sorted rows: a tet whose sorted row has negative volume now meets the
+# moment table in another summation order.  The stars feed the simulation,
+# so nothing else may move them.
 _STAR_DIGESTS = {
-    "kuhn/eps": "75f63fd82fc871251ce2c294547749a5ed6a120bf7bd4f66f98f43c01ec8c560",
-    "kuhn/mu_inv": "7ea03c586e39ef26eafd1dfa198c12b1260e55e92b53f1454b46df69200e3e4e",
-    "box4/eps": "9fdde3b33104d4779471faf2dd0e036d48ca35b22e7231581e7dacf2c09dbb22",
-    "box4/mu_inv": "336e239b4d37af18a34a195a9d06b460851367f5f38a40d506d2226c5a8a5069",
-    "annulus8/eps": "8e72d38a5c2fbc7e7b60e5d5f46b16a339ee35063cfd1c64a7842bc56720632c",
-    "annulus8/mu_inv": "51814c9b30f0071611f9904258a80846d086e1e1b4160103dc704c924825ff72",
-    "jittered6/eps": "301dd219738bfaf616599e12b03c30b0790b28288618e2c89b320598ff834ae6",
-    "jittered6/mu_inv": "76e00863930435625299bc15d0888545ccca3086ac4f0dfef8337f09f2df4046",
+    "kuhn/eps": "da2a276f6838441fa0a57adc50303df2d25ee9ceca4e9308f41a689a20d47dba",
+    "kuhn/mu_inv": "b4de7781426db0ac035cb5d3587cc33608e2646318a5a186b216ffd0ef4dee21",
+    "box4/eps": "bfa090717c1a2bd68ef2a3b8faf2a159b02abdb3cff175c090cd934b72433163",
+    "box4/mu_inv": "494d44b8ea93e4e6094bee9c09a22c4ad918e0c599e83af0a49b9aac2b28df71",
+    "annulus8/eps": "ab33349ff3b7c6b4314c45cc4da5f0130af9fc67ab79ca655f78dd48a08a0d87",
+    "annulus8/mu_inv": "6ddc4ed522cf00d6154292e5a538f3775e5f461bbe775dc8993ac6589ea44822",
+    "jittered6/eps": "f76a06cd5a22c4e9e036d41e08e758b3853178aeab148a012ef7feb8160f5295",
+    "jittered6/mu_inv": "98856022684f349971f672994880663c50d0fa408596d4049e6067a8fb9e9c80",
 }
 
 
 # The Galerkin-dual pair and two stretched pairs (omega = 2) under
 # MaterialMap(eps=2.0, mu=1.5), re-recorded with the stars above.
 _MATERIAL_DIGESTS = {
-    "kuhn/eps_inv": "53a9fec6b85c6853dbb0c0bf8fae2ae6541e0d63d61ac824e5bbb62bf3ea58f7",
-    "kuhn/mu": "b322e000878d3eddac62c38115a28a7a8eddc311a0c7206434dd088c78a3954c",
-    "kuhn/pml_z/eps": "46af2cb21f5913394540da3ed3bbcd9c3c89f3c5c986fed0a7f24eae76ebb352",
-    "kuhn/pml_z/mu_inv": "a4a3fb5c6231a6ff48e12764ea3bfd94d5f6fc9dcfbdd23496bb4223ef9b3336",
-    "kuhn/pml_x/eps": "950dce22cafff2f588fd37e840c5c3bfc775084f84108b1f6d692e6a97474d1c",
-    "kuhn/pml_x/mu_inv": "91910f30229a9e623877f689cc4140275cf77c6950b52b15cfc23f36cfda1365",
-    "box4/eps_inv": "adc2b41d5a9448211a0d8c2f8afefd65f1cca720c52a4c7bade0299fa31fcbbd",
-    "box4/mu": "6f3228a05f03b06436da8f1990958a88834a272587a4da229478344f859b4425",
-    "box4/pml_z/eps": "56693d817cca20e326ac7f817303416361e3120f40e5430b6b907fbe13808057",
-    "box4/pml_z/mu_inv": "0fcfd49b613300c9d762dac4f6d3062c9d37db2f05a13dbfd5a3273df4a48abb",
-    "box4/pml_x/eps": "e30509f442b7af98e8313da38f6f2c1db45759f1b393a1bf3484d3a6a65f3bdf",
-    "box4/pml_x/mu_inv": "af2beaca91875985b935f21474f91fa52b16a49b6013686f0e47e37f4ba3a081",
+    "kuhn/eps_inv": "bba2b8e856007b72e580c6478621825b42658f7f9cc26262efc7f8e0327e7b14",
+    "kuhn/mu": "97b4a03c745870b6ca346b30ea9b0c08c2f498c87d38f279cf0ec76fcc61a3f9",
+    "kuhn/pml_z/eps": "98a3ed6d0466551a00d39c9203061755a6c7d4f495ba196b62f53b136b0bf19b",
+    "kuhn/pml_z/mu_inv": "9bedb4b0383df8882de2a1cc8aa70ad7e94cd47e2a28804f46fbb2b872e3677a",
+    "kuhn/pml_x/eps": "abb891db178874b7a27a42d435726e2d502fc5ac1ca29bbb6af8cfbb4875e96d",
+    "kuhn/pml_x/mu_inv": "512ad82814f7bbe3374a1501a995879ff36bf70eeb85261a7adaa3b7b355dc42",
+    "box4/eps_inv": "0eb166f87420841268e6ba38a394a9131e6f67f69cc795c2c72c9816973ac51b",
+    "box4/mu": "049b3e1b1d4feb8e9e295f75c7f160b664cff7052f102d188aef4e90bf43f332",
+    "box4/pml_z/eps": "f41278593ccc5d3b8237f1d0cb72a836a9b9b346aa5e12995503c0c300d282b8",
+    "box4/pml_z/mu_inv": "31195925263c725f5653e932c9a08cf18dc7bf442541ec65fdfdd00022d6c1bc",
+    "box4/pml_x/eps": "ba19e111750c93f6906dcc6480fba34d20f6998d3ac826dcd82a2ddbaa6d96be",
+    "box4/pml_x/mu_inv": "da5fbfa3b652fbe7fa0a93c1b1748bd0f640253ce75e645b56614a9e2ddc0a45",
 }
 # The stretched pair of the default `declat pml --sweep` waveguide (the
 # criterion 9 guide: box_mesh(4, 4, 24) of length 6, slab 4.5-6.0, omega
 # 1.4 pi, unit materials) at omega_max 2 and 16, re-recorded with the
 # stars above.
 _SWEEP_DIGESTS = {
-    "waveguide/2/eps": "ffcb459522502521dbcfcacebacb7d9ddee597b311df8df770709db68447e73a",
-    "waveguide/2/mu_inv": "49dfdb28d5b87841d9e829462dcced9bc9c56af73664f620102e56e1b23a799e",
-    "waveguide/16/eps": "e3ea694606832149bff0677558cca62d6ca384de423ff2b4459d9c39a330d4da",
-    "waveguide/16/mu_inv": "6bb52392a9d8d53a68b912717da844bed4fafd4775ad9340bba4bbc00da8115e",
+    "waveguide/2/eps": "876e0b9386bfa41151b579e5324c3d539c9ec0015cf3808fb33a96691d78bdfc",
+    "waveguide/2/mu_inv": "8d3cbfcb586408fba64db2eaf8122b599e6d56e1f31a57d8373d3c4222431ae1",
+    "waveguide/16/eps": "acab4b50cb818bd3255053ff74c4c6bf95c2aace41193f869804566799f09266",
+    "waveguide/16/mu_inv": "0fba50db1e9616707d17c9b856121b404aa2378f70807f7bdcabac7b437b18eb",
 }
 _GOLDEN_DIGESTS = {**_STAR_DIGESTS, **_MATERIAL_DIGESTS, **_SWEEP_DIGESTS}
 _PROFILES = {
@@ -725,9 +731,9 @@ class TestTetBlocks:
         # deterministic: the retained matrices plus a few blocks' arrays, where
         # one whole-mesh block (box8, 3,072 tets) needs more.  Per tet, a block
         # holds the k factor vectors F and F W (k x 3 each), the Gram (k x k),
-        # the table product (2 n_up: both stored orientations) and the chosen
-        # triangle (n_up), plus temporaries (the cross products' gathers, the
-        # reshaped weight) counted as one more k x k.
+        # the table product and the scaled triangle (n_up each), plus
+        # temporaries (the cross products' gathers, the reshaped weight)
+        # counted as one more k x k and one more n_up.
         mesh = generators.box_mesh(8)
         basis = WhitneyBasis(mesh)
         block = 512

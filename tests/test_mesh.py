@@ -202,20 +202,19 @@ def test_slot_tables_match_search_and_argmax(name, seed):
     rows = np.repeat(np.arange(cx.n_faces), 3)
     signs = np.asarray(C1[rows, cx.face_edges.ravel()]).reshape(-1, 3)
     assert (signs == [1, -1, 1]).all()
-    basis = WhitneyBasis(cx)
+    # Every stored row is sorted, so each tet's slots sit at the constant positions.
     edge_local, face_local = local_maps_by_argmax(cx)
-    _assert_same(basis.edge_local, edge_local, "edge_local")
-    _assert_same(basis.face_local, face_local, "face_local")
+    assert ((edge_local == mesh_module._TET_EDGE_SLOTS).all()
+            and (face_local == mesh_module._TET_FACE_SLOTS).all())
 
 
 @pytest.mark.parametrize("name", sorted(_SLOT_MESHES))
 def test_relabelled_meshes_store_both_orientations(name):
-    # The slot-table property above sees rows stored as sorted and rows
-    # stored with their last pair swapped.
+    # The slot-table property above sees sorted rows of positive and of
+    # negative volume, whose C2 rows differ by a whole-row sign.
     mesh = _SLOT_MESHES[name]
-    swapped = SimplicialComplex(*_relabel(mesh.vertices, mesh.tets, 0)[:2]).tets
-    swapped = swapped[:, 2] > swapped[:, 3]
-    assert swapped.any() and not swapped.all()
+    signs = SimplicialComplex(*_relabel(mesh.vertices, mesh.tets, 0)[:2]).tet_face_signs[:, 0]
+    assert (signs == 1).any() and (signs == -1).any()
 
 
 def _skeleton_digest(mesh) -> str:
@@ -241,14 +240,16 @@ _GOLDEN_MESHES = {
     "relabelled_box5": lambda: _relabelled_box(5, seed=11),
 }
 
-# Digests of the canonical arrays, recorded before the skeleton was built
-# from integer keys; a refactor of the construction must not move them.
+# Digests of the canonical arrays, re-recorded when tets became sorted rows
+# with a whole-row orientation sign (tets, tet_edges, tet_faces and
+# tet_face_signs moved; edges, faces, the boundary sets and C0-C2 did not);
+# a refactor of the construction must not move them.
 _GOLDEN_DIGESTS = {
-    "kuhn": "0d5a15d76e028c3adb252a0adf48858cc258b0c18b01bacdc8c443d06bdd6f31",
-    "box4": "f18d2691bead517b37a1d8e4c924dc77124799de354f6b9a3b60e11b0c716ccb",
-    "annulus8": "fd26b1c0b4b590dc11c786edeaab036a0d054a870496f0f66a128c2e6440a944",
-    "jittered6": "fbd6d8f7af7e178b02dad1da6e466f76de8861e7642bc124394ba7c0984fb2db",
-    "relabelled_box5": "4f8a8d81c6cba927d918f1306508cbd08bb049e9c2f9b976c1508853688381fe",
+    "kuhn": "65b9256ac17d4dd6378ab69d9fe57de9289897c2c6940649fe57102fe8a2a377",
+    "box4": "70162132a2ffa12b23ce9a0b95065d0f3a8552b9a2fdf59a6b3eeed2743b4314",
+    "annulus8": "e15c285300c7d38deddf2d512ba5b8f5142ee613dc89174f5ddb5089829eb0b7",
+    "jittered6": "88ba103609d6606120a48f94f56c4b3a688951adead7749f79547f2239c145b5",
+    "relabelled_box5": "4b4ae23e07f774fb26e28f3177be2c13139d259186f767b9700e2865ca236204",
 }
 
 
