@@ -46,6 +46,8 @@ __all__ = [
 
 # Largest relative asymmetry ||H - H^T||_F / ||H||_F a star may show.
 _SYM_TOL = 1e-13
+# A star is positive definite when its lambda_min bound or estimate clears _SPD_MARGIN max|H_ii|.
+_SPD_MARGIN = 1e-12
 
 
 @dataclass
@@ -248,7 +250,6 @@ def audit_hodge(
     Heps: sparse.spmatrix,
     Hmu_inv: sparse.spmatrix,
     complex: SimplicialComplex | None = None,
-    spd_margin: float = 1e-12,
     elements: tuple[hodge.ElementMatrices | None, hodge.ElementMatrices | None] = (None, None),
 ) -> AuditSection:
     """Symmetry and positive definiteness of the assembled stars.
@@ -258,9 +259,10 @@ def audit_hodge(
     "positive definite" row reports their proved lower bound on
     lambda_min (:meth:`~declat.hodge.ElementMatrices.lower_bound`) and no
     factorisation runs.  Otherwise, or when that bound does not clear the
-    margin, it reports the ``check_spd`` estimate, which is not a proof,
-    and says so.  The bound never exceeds lambda_min and the estimate never
-    falls below it, so both paths agree on pass and fail.
+    margin (``_SPD_MARGIN`` times the largest diagonal entry), it reports
+    the ``check_spd`` estimate, which is not a proof, and says so.  The
+    bound never exceeds lambda_min and the estimate never falls below it,
+    so both paths agree on pass and fail.
 
     Near-indefiniteness is correlated with cell shape: the tets with the
     most extreme dihedral angles are listed when the margin check fires.
@@ -282,7 +284,7 @@ def audit_hodge(
             continue
         sym = hodge.symmetry_deviation(H)
         section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
-        margin = spd_margin * float(np.abs(H.diagonal()).max())
+        margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
         how = "estimate, not proved"
         if elem is not None:
             bound = elem.lower_bound()

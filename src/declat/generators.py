@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+# The annulus's square cross-section as (radius, height) corners: inner
+# radius 1, outer radius 2, height 1.
+_ANNULUS_SECTION = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
 
 
 def single_tet() -> SimplicialComplex:
@@ -32,9 +35,9 @@ def single_tet() -> SimplicialComplex:
     return SimplicialComplex(verts, np.array([[0, 1, 2, 3]]))
 
 
-def regular_tet(edge: float = 1.0) -> SimplicialComplex:
-    """Regular tetrahedron with the given edge length."""
-    verts = edge * np.array(
+def regular_tet() -> SimplicialComplex:
+    """Regular tetrahedron of unit edge length."""
+    verts = np.array(
         [
             [0.0, 0.0, 0.0],
             [1.0, 0.0, 0.0],
@@ -135,36 +138,24 @@ def _split_prism(prism: list[int]) -> list[tuple[int, int, int, int]]:
     return [(v0, v1, v2, v4), (v0, v4, v2, v5), (v0, v4, v5, v3)]
 
 
-def annulus_mesh(
-    n_segments: int = 8,
-    r_inner: float = 1.0,
-    r_outer: float = 2.0,
-    height: float = 1.0,
-) -> SimplicialComplex:
+def annulus_mesh(n_segments: int = 8) -> SimplicialComplex:
     """Closed ring of prisms split into tets: a solid torus with b1 = 1.
 
-    The square cross-section is split into two triangles; each triangle is
-    extruded to the next angular station and the resulting prism is split
-    by the min-index diagonal rule, which keeps shared quads conforming
-    around the ring (including across the wrap seam).
+    The square cross-section ``_ANNULUS_SECTION`` is split into two
+    triangles; each triangle is extruded to the next angular station and
+    the resulting prism is split by the min-index diagonal rule, which
+    keeps shared quads conforming around the ring (including across the
+    wrap seam).
     """
     if n_segments < 3:
         raise ValueError("annulus needs at least 3 segments")
     theta = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    section = np.array(
-        [
-            [r_inner, 0.0],
-            [r_outer, 0.0],
-            [r_outer, height],
-            [r_inner, height],
-        ]
-    )
     verts = np.empty((4 * n_segments, 3))
     for k, th in enumerate(theta):
-        r = section[:, 0]
+        r = _ANNULUS_SECTION[:, 0]
         verts[4 * k : 4 * k + 4, 0] = r * np.cos(th)
         verts[4 * k : 4 * k + 4, 1] = r * np.sin(th)
-        verts[4 * k : 4 * k + 4, 2] = section[:, 1]
+        verts[4 * k : 4 * k + 4, 2] = _ANNULUS_SECTION[:, 1]
 
     tets = []
     tris = [(0, 1, 2), (0, 2, 3)]

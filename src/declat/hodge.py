@@ -65,43 +65,12 @@ __all__ = [
 ]
 
 
-def _per_tet_tensor(value, n_tets: int, name: str) -> np.ndarray:
-    """The distinct tensors of a finite field: (1, 3, 3) if uniform, else (M, 3, 3)."""
-    arr = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
-    if not np.isfinite(arr).all():  # before inf * 0 turns it into NaN
-        raise ValueError(f"{name} tensor must be finite")
-    if arr.ndim == 0:
-        return (arr * np.eye(3))[None]
-    if arr.ndim == 1:
-        if arr.shape[0] != n_tets:
-            raise ValueError(f"{name}: per-tet array must have length {n_tets}")
-        return arr[:, None, None] * np.eye(3)
-    if arr.shape in ((3, 3), (n_tets, 3, 3)):
-        return arr.reshape(-1, 3, 3).copy()
-    raise ValueError(f"{name}: unsupported material shape {arr.shape}")
-
-
 @dataclass
 class MaterialMap:
     """Per-tet permittivity and permeability (scalars or symmetric tensors)."""
 
     eps: object = 1.0
     mu: object = 1.0
-
-    def _distinct(self, name: str, n_tets: int) -> np.ndarray:
-        """The distinct ``"eps"`` or ``"mu"`` tensors, checked finite, symmetric to
-        16 eps of each one's largest entry and, when real, positive definite."""
-        t = _per_tet_tensor(getattr(self, name), n_tets, name)
-        tol = 16 * np.finfo(float).eps * np.abs(t).max(axis=(1, 2), keepdims=True)
-        if not np.all(np.abs(t - np.transpose(t, (0, 2, 1))) <= tol):
-            raise ValueError(f"{name} tensor must be symmetric")
-        if not np.iscomplexobj(t) and np.linalg.eigvalsh(t).min() <= 0:
-            raise ValueError(f"{name} tensor must be positive definite")
-        return t
-
-    def tensor(self, name: str, complex: SimplicialComplex) -> np.ndarray:
-        """The checked ``"eps"`` or ``"mu"`` field as a read-only (M, 3, 3) broadcast."""
-        return np.broadcast_to(self._distinct(name, complex.n_tets), (complex.n_tets, 3, 3))
 
 
 # The four stars as (degree of the basis forms paired, material, inverted?):
@@ -117,12 +86,34 @@ _TET_BLOCK = 1024
 def _star_weight(
     complex: SimplicialComplex, materials: MaterialMap | None, which: str
 ) -> tuple[int, np.ndarray]:
-    """The degree of star ``which`` and its checked weights, each distinct one inverted once."""
+    """The degree of star ``which`` and its material as a read-only (M, 3, 3) broadcast.
+
+    Only the material's distinct tensors are resolved: one for a scalar or
+    3 x 3 field, one per tet for a per-tet one.  Each is checked finite,
+    symmetric to 16 eps of its largest entry and, when real, positive
+    definite, and inverted once where ``_STARS`` says so.
+    """
     if which not in _STARS:
         raise ValueError(f"which must be one of {', '.join(map(repr, _STARS))}")
     p, name, inverted = _STARS[which]
-    t = (materials or MaterialMap())._distinct(name, complex.n_tets)
-    return p, np.broadcast_to(np.linalg.inv(t) if inverted else t, (complex.n_tets, 3, 3))
+    m = complex.n_tets
+    value = getattr(materials or MaterialMap(), name)
+    t = np.asarray(value, dtype=np.complex128 if np.iscomplexobj(value) else float)
+    if not np.isfinite(t).all():  # before inf * 0 turns it into NaN
+        raise ValueError(f"{name} tensor must be finite")
+    if t.ndim == 1 and len(t) != m:
+        raise ValueError(f"{name}: per-tet array must have length {m}")
+    if t.ndim < 2:  # a scalar, or one per tet: times the identity
+        t = t[..., None, None] * np.eye(3)
+    elif t.shape not in ((3, 3), (m, 3, 3)):
+        raise ValueError(f"{name}: unsupported material shape {t.shape}")
+    t = t.reshape(-1, 3, 3)
+    tol = 16 * np.finfo(float).eps * np.abs(t).max(axis=(1, 2), keepdims=True)
+    if not np.all(np.abs(t - np.transpose(t, (0, 2, 1))) <= tol):
+        raise ValueError(f"{name} tensor must be symmetric")
+    if not np.iscomplexobj(t) and np.linalg.eigvalsh(t).min() <= 0:
+        raise ValueError(f"{name} tensor must be positive definite")
+    return p, np.broadcast_to(np.linalg.inv(t) if inverted else t, (m, 3, 3))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,9 @@ __all__ = [
     "write_trace",
 ]
 
+# Up to this many unknowns, eigenmodes solves the pencil densely.
+_DENSE_CUTOFF = 600
+
 
 @dataclass
 class MaxwellOperators:
@@ -337,15 +340,15 @@ def eigenmodes(
     ops: MaxwellOperators,
     count: int,
     sigma: float | None = None,
-    dense_cutoff: int = 600,
 ) -> EigenResult:
     """The ``count`` generalized eigenvalues of the curl-curl pencil nearest
     ``sigma`` (the smallest when it is None), in ascending order.
 
     Solves C1^T Hmu_inv C1 e = k^2 Heps e on the given (usually
-    PEC-reduced) space by shift-invert Lanczos, or densely below
-    ``dense_cutoff`` unknowns.  Eigenvalues below a relative threshold are
-    counted as zero modes (the gradient subspace) and reported separately.
+    PEC-reduced) space by shift-invert Lanczos on a factor by
+    ``hodge.SPD_SPLU``, or densely up to ``_DENSE_CUTOFF`` unknowns.
+    Eigenvalues below a relative threshold are counted as zero modes (the
+    gradient subspace) and reported separately.
     """
     n = ops.n_edges
     if n == 0:
@@ -354,7 +357,7 @@ def eigenmodes(
     scale = float(np.max(np.abs(K.diagonal())) / np.min(ops.Heps.diagonal()))
     zero_tol = 1e-8 * scale
 
-    if n <= dense_cutoff:
+    if n <= _DENSE_CUTOFF:
         vals = eigh(K.toarray(), ops.Heps.toarray(), eigvals_only=True)
         if sigma is not None:  # the count nearest sigma, as shift-invert finds them
             vals = np.sort(vals[np.argsort(np.abs(vals - sigma), kind="stable")[: max(count, 0)]])
@@ -367,7 +370,7 @@ def eigenmodes(
             sigma = -1e-3 * scale
         k = min(count, n - 2)
         try:
-            lu = splu((K - sigma * ops.Heps).tocsc())
+            lu = splu((K - sigma * ops.Heps).tocsc(), **SPD_SPLU)
         except RuntimeError as exc:
             raise RuntimeError(
                 f"shift {sigma!r} appears to hit a resonance (singular factor)"

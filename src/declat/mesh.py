@@ -13,10 +13,10 @@ Orientation convention
 ----------------------
 Every simplex is stored with strictly increasing vertex indices, in
 lexicographic order, so slot k of every tet is the same pair or triple of
-row positions.  A tet's orientation lives only in its C2 row: the
-alternating-sum signs [1, -1, 1, -1] on its sorted faces when the sorted
-row has positive volume, the whole row negated otherwise.  No boundary
-triple is re-sorted.
+row positions.  A tet's orientation is one sign, that of its sorted row's
+volume, and lives only in its C2 row: the alternating-sum signs
+[1, -1, 1, -1] on its sorted faces times that sign.  No boundary triple
+is re-sorted.
 
 Edges and faces are found from integer keys: a*n + b for edge (a, b) and
 e*n + c for face (a, b, c), where n is the vertex count and e the index of
@@ -61,6 +61,8 @@ _TET_EDGE_SLOTS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _TET_FACE_SLOTS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 # The edge slots of each face slot's boundary (b, c), (a, c), (a, b).
 _FACE_EDGE_SLOTS = np.array([(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)])
+# The signs of the face slots in the C2 row of a sorted row of positive volume.
+_TET_FACE_SIGNS = np.array([1, -1, 1, -1])
 
 
 class MeshError(ValueError):
@@ -112,7 +114,7 @@ class SimplicialComplex:
     ----------
     vertices : (N, 3) float array of vertex coordinates.
     tets : (M, 4) int array of vertex indices; each tet is stored as its
-        sorted row, its orientation kept in ``tet_face_signs`` alone, and
+        sorted row, its orientation kept in ``orientation`` alone, and
         duplicated tets (in any vertex order),
         degenerate (zero-volume) tets, folds (two tets on the same side
         of a shared face), faces with more than two tets and pinched
@@ -122,9 +124,9 @@ class SimplicialComplex:
     Besides ``edges``, ``faces`` and ``tets`` (see the module docstring)
     it keeps ``tet_edges`` and ``tet_faces``, the (M, 6) and (M, 4)
     simplices in each tet's slots (``_TET_EDGE_SLOTS`` and
-    ``_TET_FACE_SLOTS`` of its row), ``tet_face_signs``, the sign of each
-    of those faces in the tet's C2 row (``[1, -1, 1, -1]`` for a row of
-    positive volume, negated otherwise), ``face_tets``, the (F, 2)
+    ``_TET_FACE_SLOTS`` of its row), ``orientation``, the (M,) int8 sign
+    of each sorted row's volume (its C2 row is ``orientation`` times
+    ``[1, -1, 1, -1]`` on those faces), ``face_tets``, the (F, 2)
     tets on each face (lower first, -1 where absent), and ``face_edges``,
     the (F, 3) edges of each face (a, b, c), in the slot order (b, c),
     (a, c), (a, b) of their signs +1, -1, +1 in the face's C1 row.  The
@@ -171,7 +173,7 @@ class SimplicialComplex:
         self.vertices = vertices
         self.tets = tets
         self.volumes = np.abs(vols)
-        self.tet_face_signs = np.where(vols[:, None] < 0, -1, 1) * np.array([1, -1, 1, -1])
+        self.orientation = np.where(vols < 0, -1, 1).astype(np.int8)
 
         # Skeleton from integer keys, read off the sorted rows, whose edge
         # and face slots list their vertices in increasing order.
@@ -204,7 +206,7 @@ class SimplicialComplex:
             raise MeshError(f"non-manifold face {self.faces[f].tolist()} "
                             "(more than two incident tets)")
         # Two tets on opposite sides of a face see it with opposite signs.
-        signs = self.tet_face_signs.ravel()[sorted_slots]
+        signs = self.orientation[tet] * _TET_FACE_SIGNS[slot]
         second = np.flatnonzero(rank == 1)
         folded = second[signs[second] == signs[second - 1]]
         if len(folded):
@@ -263,7 +265,7 @@ class SimplicialComplex:
             raise ValueError("incidence degree must be 0, 1 or 2")
         if self._incidence[p] is None:
             cols, signs = ((self.edges, [-1, 1]), (self.face_edges, [1, -1, 1]),
-                           (self.tet_faces, self.tet_face_signs))[p]
+                           (self.tet_faces, self.orientation[:, None] * _TET_FACE_SIGNS))[p]
             self._incidence[p] = _signed_rows(cols, np.asarray(signs), self.n_simplices(p))
         return self._incidence[p]
 

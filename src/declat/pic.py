@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import _TET_EDGE_SLOTS
-from .whitney import Cochain, WhitneyBasis, _interpolate_located
+from .whitney import Cochain, OutsideMeshError, WhitneyBasis, _interpolate_located
 
 __all__ = [
     "Particle",
@@ -40,6 +40,9 @@ __all__ = [
     "push",
     "conservation_report_json",
 ]
+
+# A chord end is in a tet when none of its coordinates there is below -_SPLIT_TOL.
+_SPLIT_TOL = 1e-12
 
 
 @dataclass
@@ -74,14 +77,14 @@ class ScatterResult:
     exited: bool = False
 
 
-def _walk(basis, t: int, ends: np.ndarray, tol: float):
+def _walk(basis, t: int, ends: np.ndarray):
     """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
     ``t`` in fixed-order scalar float arithmetic on one ``basis.frames`` row
     per step: the tets of the within-tet segments, one flat list of both
     chord ends' four coordinates per segment, the chord parameters where each
     is entered and left, and whether the chord left the mesh; None if the
     walk reaches its step cap."""
-    frames, neighbors = basis.frames, basis.neighbors
+    frames, neighbors, tol = basis.frames, basis.neighbors, _SPLIT_TOL
     (xa, ya, za), (xb, yb, zb) = ends.tolist()
     tets, coords, bounds = [], [], [0.0]
     for _ in range(8 * basis.complex.n_tets + 16):
@@ -111,7 +114,7 @@ def _walk(basis, t: int, ends: np.ndarray, tol: float):
     return None
 
 
-def _deposit(basis, x_start, x_end, q: float, tau: float, tol: float):
+def _deposit(basis, x_start, x_end, q: float, tau: float):
     """The tets of a straight path, its end (or exit) coordinates in the last
     one, the edge current, the node rate and whether it left the mesh:
     ``scatter_current`` without the node charge, and as arrays."""
@@ -122,10 +125,12 @@ def _deposit(basis, x_start, x_end, q: float, tau: float, tol: float):
         raise ValueError(f"q/tau must be finite, got {q!r}/{tau!r}")
     cx = basis.complex
     ends = np.array([x_start, x_end], dtype=float)
-    seed = int(basis._seeds(ends)[0])
-    found = _walk(basis, seed, np.array([basis._grid[-1][seed], ends[0]]), tol)
+    if not np.isfinite(ends[1]).all():  # the seed grid checks the start
+        raise OutsideMeshError("a path end with a non-finite coordinate lies in no tet")
+    seed = int(basis._seeds(ends[:1])[0])
+    found = _walk(basis, seed, np.array([basis.centroids[seed], ends[0]]))
     t = found[0][-1] if found and not found[3] else basis.locate(ends[0])[0]
-    walked = _walk(basis, t, ends, tol)
+    walked = _walk(basis, t, ends)
     if walked is None:
         raise RuntimeError("path splitting did not terminate")
     tets, coords, bounds, exited = walked
@@ -153,21 +158,20 @@ def scatter_current(
     x_end: np.ndarray,
     q: float,
     tau: float,
-    tol: float = 1e-12,
 ) -> ScatterResult:
     """Deposit the current of a charge moving in a straight line.
 
     The start tet is where a walk along the chord from the centroid of the
     start's grid seed tet ends; if that walk leaves the mesh (a non-convex
     mesh) or reaches its step cap, ``basis.locate`` finds it instead, and
-    raises OutsideMeshError for a start in no tet (as the seed grid does for
+    raises OutsideMeshError for a start in no tet (as ``_deposit`` does for
     a non-finite end).  The path is then split at cell boundaries, one face
     crossing at a time, and all within-tet segments are deposited in closed
     form at once.  If the path leaves the mesh the scatter is partial up to
     the exit point and flagged.
     """
     cx = basis.complex
-    tets, lam_end, current, rate, exited = _deposit(basis, x_start, x_end, q, tau, tol)
+    tets, lam_end, current, rate, exited = _deposit(basis, x_start, x_end, q, tau)
     final = np.zeros(cx.n_vertices)
     final[cx.tets[tets[-1]]] = q * np.clip(lam_end, 0.0, None)
     return ScatterResult(
@@ -195,7 +199,7 @@ def verify_conservation(
     that carry current are summed: the rest add exact zeros.
     """
     cx = basis.complex
-    _, _, current, rate, _ = _deposit(basis, x_start, x_end, q, tau, 1e-12)
+    _, _, current, rate, _ = _deposit(basis, x_start, x_end, q, tau)
     nv = cx.n_vertices
     hit = (current != 0).nonzero()[0]
     edges, current = cx.edges[hit], current[hit]

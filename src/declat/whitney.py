@@ -23,6 +23,7 @@ cell, so the structural integrals are exact up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,9 @@ _TRI3 = np.array(
 _TET_A = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
 _TET_B = (5.0 - np.sqrt(5.0)) / 20.0
 _TET4 = np.full((4, 4), _TET_B) + (_TET_A - _TET_B) * np.eye(4)
+
+# A point is in a tet when none of its barycentric coordinates there is below -_LOCATE_TOL.
+_LOCATE_TOL = 1e-10
 
 
 def _integrate(corners: np.ndarray, proxy) -> np.ndarray:
@@ -117,9 +121,9 @@ class AnalyticForm:
 
 
 class WhitneyBasis:
-    """Per-tet caches for barycentric gradients; the tet adjacency, the seed
-    grid and the (M, 15) walk frames (v0, then the four barycentric
-    gradients, one row per tet) are built on first use."""
+    """Per-tet caches for barycentric gradients; the tet adjacency, the
+    (M, 15) walk frames (v0, then the four barycentric gradients, one row
+    per tet), the tet centroids and the seed grid are built on first use."""
 
     def __init__(self, complex: SimplicialComplex):
         cx = complex
@@ -129,8 +133,6 @@ class WhitneyBasis:
         grads = np.transpose(np.linalg.inv(edge_mat), (0, 2, 1))  # rows are grad(lam_1..3)
         self.grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         self.origin = tv[:, 0]
-        self._neighbors = self._frames = None
-        self._grid = None  # seed grid for point location, built on first use
         self.scans = 0  # points located by the exhaustive-scan fallback
 
     # -- barycentric coordinates ------------------------------------------
@@ -145,52 +147,45 @@ class WhitneyBasis:
         lam0 = 1.0 - lam123.sum(axis=1, keepdims=True)
         return np.concatenate([lam0, lam123], axis=1)
 
-    @property
-    def neighbors(self) -> np.ndarray:
-        if self._neighbors is None:
-            self._neighbors = self.complex.tet_neighbors()
-        return self._neighbors
-
-    @property
-    def frames(self) -> np.ndarray:
-        if self._frames is None:
-            self._frames = np.concatenate([self.origin, self.grads.reshape(-1, 12)], axis=1)
-        return self._frames
+    neighbors = cached_property(lambda self: self.complex.tet_neighbors())
+    frames = cached_property(lambda self: np.hstack([self.origin, self.grads.reshape(-1, 12)]))
+    centroids = cached_property(lambda self: self.complex.vertices[self.complex.tets].mean(axis=1))
 
     @staticmethod
     def _buckets(points: np.ndarray, lo: np.ndarray, h: float, shape: np.ndarray) -> np.ndarray:
         cell = np.clip(np.floor((points - lo) / h), 0, shape - 1).astype(np.int64)
         return cell @ (shape[1] * shape[2], shape[2], 1)  # row-major bucket index
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """The seed grid (lo, h, shape, seed tet per bucket): one cube per three
+        tets over the bounding box (finer grids leave more buckets empty),
+        each bucket seeded with the first tet whose centroid lies in it."""
+        v = self.complex.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        h = float(3.0 * np.prod(hi - lo) / self.complex.n_tets) ** (1.0 / 3.0)
+        shape = np.maximum(np.ceil((hi - lo) / h), 1).astype(np.int64)
+        buckets, first = np.unique(self._buckets(self.centroids, lo, h, shape), return_index=True)
+        # A bucket without a centroid borrows the seed of the last filled one before it.
+        below = np.searchsorted(buckets, np.arange(np.prod(shape)), side="right") - 1
+        return lo, h, shape, first[np.maximum(below, 0)]
+
     def _seeds(self, points: np.ndarray) -> np.ndarray:
-        """Start tet per point: the first tet whose centroid lies in the point's
-        bucket, on a grid of one cube per three tets over the bounding box
-        (finer grids leave more buckets empty), built on first use with every
-        tet's centroid (kept as the grid's last entry).  Raises
+        """Start tet per point, read from the seed grid.  Raises
         OutsideMeshError for a point with a non-finite coordinate."""
         if not np.isfinite(points).all():
             raise OutsideMeshError("a point with a non-finite coordinate lies in no tet")
-        if self._grid is None:
-            v = self.complex.vertices
-            lo, hi = v.min(axis=0), v.max(axis=0)
-            h = float(3.0 * np.prod(hi - lo) / self.complex.n_tets) ** (1.0 / 3.0)
-            shape = np.maximum(np.ceil((hi - lo) / h), 1).astype(np.int64)
-            centroids = v[self.complex.tets].mean(axis=1)
-            buckets, first = np.unique(self._buckets(centroids, lo, h, shape), return_index=True)
-            # A bucket without a centroid borrows the seed of the last filled one before it.
-            below = np.searchsorted(buckets, np.arange(np.prod(shape)), side="right") - 1
-            self._grid = (lo, h, shape, first[np.maximum(below, 0)], centroids)
-        lo, h, shape, seeds, _ = self._grid
+        lo, h, shape, seeds = self._grid
         return seeds[self._buckets(points, lo, h, shape)]
 
-    def locate_all(self, points: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tet and clipped barycentric coordinates of each of ``points`` (K, 3).
 
         Each point starts at its grid seed and crosses, one array step at a
         time, the face opposite its most negative coordinate until all four
-        are >= -tol.  A walk that meets the boundary or runs 4 M + 8 steps
-        falls back to the exhaustive scan (counted in ``scans``), which
-        raises OutsideMeshError for a point in no tet.
+        are >= -``_LOCATE_TOL``.  A walk that meets the boundary or runs
+        4 M + 8 steps falls back to the exhaustive scan (counted in
+        ``scans``), which raises OutsideMeshError for a point in no tet.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         tets = self._seeds(points)
@@ -199,7 +194,7 @@ class WhitneyBasis:
         for _ in range(4 * self.complex.n_tets + 8):
             lam[todo] = lt = self.bary(tets[todo], points[todo])
             worst = lt.argmin(axis=1)
-            walk = lt[np.arange(len(todo)), worst] < -tol
+            walk = lt[np.arange(len(todo)), worst] < -_LOCATE_TOL
             todo = todo[walk]
             # Cross the face opposite the most negative coordinate (-1: boundary).
             tets[todo] = self.neighbors[tets[todo], worst[walk]]
@@ -208,21 +203,21 @@ class WhitneyBasis:
                 break
         for k in np.concatenate([todo, np.flatnonzero(tets < 0)]):
             self.scans += 1
-            tets[k], lam[k] = self._scan(points[k], tol)
+            tets[k], lam[k] = self._scan(points[k])
         lam = np.maximum(lam, 0.0)
         return tets, lam / lam.sum(axis=1, keepdims=True)
 
-    def locate(self, point: np.ndarray, tol: float = 1e-10) -> tuple[int, np.ndarray]:
+    def locate(self, point: np.ndarray) -> tuple[int, np.ndarray]:
         """``locate_all`` for one point: (tet, clipped barycentric coordinates)."""
-        tets, lam = self.locate_all(point, tol)
+        tets, lam = self.locate_all(point)
         return int(tets[0]), lam[0]
 
-    def _scan(self, point: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    def _scan(self, point: np.ndarray) -> tuple[int, np.ndarray]:
         """The tet with the largest smallest coordinate, and its raw coordinates."""
         lam = self.bary(np.arange(self.complex.n_tets), point)
         worst = lam.min(axis=1)
         best = int(np.argmax(worst))
-        if worst[best] < -tol:
+        if worst[best] < -_LOCATE_TOL:
             raise OutsideMeshError(f"point {point.tolist()} lies outside the mesh")
         return best, lam[best]
 
@@ -278,19 +273,15 @@ class WhitneyBasis:
         return np.asarray(self.complex.incidence(p - 1)[r, c]).reshape(shape)
 
 
-def _as_callable(form) -> AnalyticForm:
-    if isinstance(form, AnalyticForm):
-        return form
-    raise TypeError("expected an AnalyticForm")
-
-
 def de_rham(form: AnalyticForm, complex: SimplicialComplex) -> Cochain:
     """Reduce a smooth form to a primal cochain of its degree by integrating simplex-wise.
 
     Degree-2 Gaussian rules per simplex; exact for polynomial proxies up to
     quadratic, so reducing an interpolated lowest-order field is exact.
     """
-    p = _as_callable(form).degree
+    if not isinstance(form, AnalyticForm):
+        raise TypeError("expected an AnalyticForm")
+    p = form.degree
     if p not in (0, 1, 2, 3):
         raise ValueError("degree must be in 0..3")
     return Cochain(p, _integrate(complex.vertices[complex.simplices(p)], form))

@@ -272,8 +272,9 @@ def tet_neighbors_loop(complex) -> np.ndarray:
 
 def skeleton_by_search(vertices, tets) -> dict:
     """The canonical arrays and incidence matrices of a complex, derived as
-    before the slot tables: each sorted row's C2 signs, negated as a whole
-    where its signed volume is negative, each face's edges (C1's columns) by ``np.searchsorted`` over the edge
+    before the slot tables: each sorted row's orientation, the sign of its
+    signed volume, and its C2 signs [1, -1, 1, -1] times it, each face's
+    edges (C1's columns) by ``np.searchsorted`` over the edge
     keys; and the face numbering as before the one face sort: face ids by
     ``np.unique``, then a stable argsort of the stored face slots, and each
     slot's rank among its face's tets by ``np.searchsorted``."""
@@ -305,7 +306,8 @@ def skeleton_by_search(vertices, tets) -> dict:
     faces = np.column_stack([edges[face_edge], face_last])
 
     tet_edges, tet_faces = tet_edges.reshape(-1, 6), tet_faces.reshape(-1, 4)
-    tet_face_signs = np.array([1, -1, 1, -1]) * np.where(flip[:, None], -1, 1)
+    orientation = np.where(flip, -1, 1).astype(np.int8)
+    face_signs = orientation[:, None] * np.array([1, -1, 1, -1])
     # Face slots ordered by a second, stable sort of the stored face ids,
     # each slot's rank among its face's tets found by search.
     flat = tet_faces.ravel()
@@ -316,11 +318,11 @@ def skeleton_by_search(vertices, tets) -> dict:
     face_edges = edge_id(faces[:, [[1, 2], [0, 2], [0, 1]]])
     return {
         "edges": edges, "faces": faces, "tets": tets, "tet_edges": tet_edges,
-        "tet_faces": tet_faces, "tet_face_signs": tet_face_signs, "face_tets": face_tets,
+        "tet_faces": tet_faces, "orientation": orientation, "face_tets": face_tets,
         "face_edges": face_edges,
         "C0": signed_rows(edges, np.array([-1, 1]), n),
         "C1": signed_rows(face_edges, np.array([1, -1, 1]), len(edges)),
-        "C2": signed_rows(tet_faces, tet_face_signs, len(faces)),
+        "C2": signed_rows(tet_faces, face_signs, len(faces)),
     }
 
 
@@ -441,7 +443,7 @@ def locate_walk(basis, point: np.ndarray, seed: int = 0, tol: float = 1e-10):
         if nxt < 0:
             break
         t = int(nxt)
-    t, lam = basis._scan(point, tol)
+    t, lam = basis._scan(point)
     return t, np.clip(lam, 0.0, None) / np.clip(lam, 0.0, None).sum()
 
 

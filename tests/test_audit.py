@@ -112,11 +112,12 @@ class TestHodgeSection:
         failing = [c for c in section.checks if not c.passed]
         assert any("positive definite" in c.name for c in failing)
 
-    def test_sliver_mesh_flagged_with_cells(self):
+    def test_sliver_mesh_flagged_with_cells(self, monkeypatch):
         mesh = generators.sliver_mesh(delta=1e-7)
         Heps = assemble_hodge(mesh, MaterialMap(), "eps")
         Hmu = assemble_hodge(mesh, MaterialMap(), "mu_inv")
-        section = audit_hodge(Heps, Hmu, mesh, spd_margin=1e-6)
+        monkeypatch.setattr("declat.audit._SPD_MARGIN", 1e-6)
+        section = audit_hodge(Heps, Hmu, mesh)
         failing = [c for c in section.checks if not c.passed]
         assert failing
         assert any("worst cells" in c.detail for c in failing)

@@ -144,10 +144,10 @@ class TestAssembly:
 
     def test_non_spd_material_rejected(self, single_tet):
         with pytest.raises(ValueError, match="positive definite"):
-            MaterialMap(eps=-1.0).tensor("eps", single_tet)
+            hodge._star_weight(single_tet, MaterialMap(eps=-1.0), "eps")
         bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            MaterialMap(mu=bad).tensor("mu", single_tet)
+            hodge._star_weight(single_tet, MaterialMap(mu=bad), "mu")
 
     def test_symmetry_checked_relative_to_tensor_size(self, kuhn):
         # A rotated mu of size 4e5 carries a rounding asymmetry far above
@@ -159,23 +159,23 @@ class TestAssembly:
         mu = r @ np.diag([4e5, 2e5, 1e5]) @ r.T
         asym = np.abs(mu - mu.T).max()
         assert 1e-12 < asym < 1e-16 * np.abs(mu).max()
-        assert np.array_equal(MaterialMap(mu=mu).tensor("mu", kuhn)[3], mu)
+        assert np.array_equal(hodge._star_weight(kuhn, MaterialMap(mu=mu), "mu")[1][3], mu)
         # An eps of size 1e-11 with a 5% off-diagonal asymmetry is not.
         eps = 1e-11 * np.eye(3)
         eps[0, 1] += 5e-13
         with pytest.raises(ValueError, match="eps tensor must be symmetric"):
-            MaterialMap(eps=eps).tensor("eps", kuhn)
+            hodge._star_weight(kuhn, MaterialMap(eps=eps), "eps")
         per_tet = np.broadcast_to(np.eye(3), (kuhn.n_tets, 3, 3)).copy()
         per_tet[4] = eps
         with pytest.raises(ValueError, match="eps tensor must be symmetric"):
-            MaterialMap(eps=per_tet).tensor("eps", kuhn)
+            hodge._star_weight(kuhn, MaterialMap(eps=per_tet), "eps")
 
     def test_uniform_tensor_checked_once(self, kuhn, monkeypatch):
         # A uniform material is one (1, 3, 3) tensor: checked and inverted
         # once, then broadcast read-only over the tets, however many.
         huge = SimpleNamespace(n_tets=10**12)  # any per-tet copy would not fit
         W = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
-        t = MaterialMap(eps=W).tensor("eps", huge)
+        t = hodge._star_weight(huge, MaterialMap(eps=W), "eps")[1]
         assert t.shape == (10**12, 3, 3) and not t.flags.writeable
         p, mu_inv = hodge._star_weight(huge, MaterialMap(mu=W), "mu_inv")
         assert p == 2 and np.array_equal(mu_inv[-1], np.linalg.inv(W))
@@ -183,7 +183,7 @@ class TestAssembly:
         bad[0, 1] = 0.4
         for value, match in ((bad, "symmetric"), (-W, "positive definite")):
             with pytest.raises(ValueError, match=match):
-                MaterialMap(mu=value).tensor("mu", huge)
+                hodge._star_weight(huge, MaterialMap(mu=value), "mu")
             with pytest.raises(ValueError, match=match):
                 hodge._star_weight(huge, MaterialMap(mu=value), "mu_inv")
 
@@ -204,7 +204,7 @@ class TestAssembly:
         tensor[0, 1] = tensor[1, 0] = np.inf
         for value in (np.nan, np.inf, -np.inf, 1.0 + 1j * np.nan, per_tet, tensor):
             with pytest.raises(ValueError, match=f"^{name} tensor must be finite$"):
-                MaterialMap(**{name: value}).tensor(name, kuhn)
+                hodge._star_weight(kuhn, MaterialMap(**{name: value}), name)
 
     @settings(max_examples=40)
     @given(name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
@@ -266,9 +266,9 @@ class TestAssembly:
         # Each star resolves and checks only the tensor it weighs with, so
         # building the eps and mu-inverse pair resolves eps once and mu once.
         resolved = []
-        per_tet = hodge._per_tet_tensor
-        monkeypatch.setattr(hodge, "_per_tet_tensor",
-                            lambda value, m, name: resolved.append(name) or per_tet(value, m, name))
+        star_weight = hodge._star_weight
+        monkeypatch.setattr(hodge, "_star_weight", lambda cx, materials, which: resolved.append(
+            hodge._STARS[which][1]) or star_weight(cx, materials, which))
         apply_pec(kuhn, classify_boundary(kuhn))
         assert sorted(resolved) == ["eps", "mu"]
         resolved.clear()

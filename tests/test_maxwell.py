@@ -490,22 +490,25 @@ class TestEigenmodes:
         res = eigenmodes(ops, count=4)
         assert len(res.k2) == 0 and res.zero_count == 0
 
-    def test_sparse_path_matches_dense(self):
+    def test_sparse_path_matches_dense(self, monkeypatch):
+        def solve(dense_cutoff, ops, **kwargs):
+            monkeypatch.setattr(maxwell, "_DENSE_CUTOFF", dense_cutoff)
+            return eigenmodes(ops, **kwargs)
+
         mesh = generators.box_mesh(3)
         cls = classify_boundary(mesh)
         ops = apply_pec(mesh, cls)
-        dense = eigenmodes(ops, count=ops.n_edges, dense_cutoff=10**9)
+        dense = solve(10**9, ops, count=ops.n_edges)
         nonzero_dense = np.sort(dense.k2[np.abs(dense.k2) >= dense.zero_tol])[:3]
-        sparse_res = eigenmodes(ops, count=4, sigma=float(nonzero_dense[0]) * 0.9,
-                                dense_cutoff=1)
+        sparse_res = solve(1, ops, count=4, sigma=float(nonzero_dense[0]) * 0.9)
         lowest = np.sort(sparse_res.k2)[:3]
         np.testing.assert_allclose(lowest, nonzero_dense, rtol=1e-8)
         # Given a sigma, both paths return the count eigenvalues nearest it.
         box4 = generators.box_mesh(4)
         ops = apply_pec(box4, classify_boundary(box4))
         for sigma in (10.0, 20.0):  # at 10 the nearest four include a zero mode
-            dense = eigenmodes(ops, count=4, sigma=sigma, dense_cutoff=10**9)
-            sparse_res = eigenmodes(ops, count=4, sigma=sigma, dense_cutoff=1)
+            dense = solve(10**9, ops, count=4, sigma=sigma)
+            sparse_res = solve(1, ops, count=4, sigma=sigma)
             assert dense.k2.shape == (4,) and np.all(np.diff(dense.k2) >= 0)
             np.testing.assert_allclose(dense.k2, sparse_res.k2, rtol=1e-8, atol=dense.zero_tol)
 
@@ -517,6 +520,18 @@ class TestEigenmodes:
         assert ops.n_edges == 1206
         runs = [eigenmodes(ops, count=4, sigma=10.0).k2.tobytes() for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+    def test_shift_invert_factor_takes_the_spd_recipe(self, monkeypatch):
+        # The sparse path factors K - sigma Heps once, as every symmetric
+        # pencil is factored: by hodge.SPD_SPLU.
+        box4 = generators.box_mesh(4)
+        ops = apply_pec(box4, classify_boundary(box4))
+        calls, splu = [], maxwell.splu
+        monkeypatch.setattr(maxwell, "splu",
+                            lambda A, **kwargs: calls.append(kwargs) or splu(A, **kwargs))
+        monkeypatch.setattr(maxwell, "_DENSE_CUTOFF", 1)
+        eigenmodes(ops, count=4, sigma=10.0)
+        assert calls == [hodge.SPD_SPLU]
 
 
 @pytest.fixture(scope="module")

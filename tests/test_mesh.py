@@ -188,7 +188,7 @@ def test_slot_tables_match_search_and_argmax(name, seed):
     verts, tets, _ = _relabel(mesh.vertices, mesh.tets, seed)
     cx = SimplicialComplex(verts, tets)
     want = skeleton_by_search(verts, tets)
-    for key in ("edges", "faces", "tets", "tet_edges", "tet_faces", "tet_face_signs",
+    for key in ("edges", "faces", "tets", "tet_edges", "tet_faces", "orientation",
                 "face_tets", "face_edges"):
         _assert_same(getattr(cx, key), want[key], key)
     for p in range(3):
@@ -213,14 +213,17 @@ def test_relabelled_meshes_store_both_orientations(name):
     # The slot-table property above sees sorted rows of positive and of
     # negative volume, whose C2 rows differ by a whole-row sign.
     mesh = _SLOT_MESHES[name]
-    signs = SimplicialComplex(*_relabel(mesh.vertices, mesh.tets, 0)[:2]).tet_face_signs[:, 0]
+    signs = SimplicialComplex(*_relabel(mesh.vertices, mesh.tets, 0)[:2]).orientation
     assert (signs == 1).any() and (signs == -1).any()
 
 
 def _skeleton_digest(mesh) -> str:
     cls = classify_boundary(mesh)
+    # The C2 signs of each tet's face slots, int64 (M, 4) as they were stored
+    # before the one sign per tet, so the digests still cover them.
+    face_signs = mesh.orientation[:, None] * np.array([1, -1, 1, -1])
     arrays = [mesh.edges, mesh.faces, mesh.tets, mesh.tet_edges, mesh.tet_faces,
-              mesh.tet_face_signs, cls.boundary_vertices, cls.boundary_edges,
+              face_signs, cls.boundary_vertices, cls.boundary_edges,
               cls.boundary_faces]
     for p in range(3):
         C = mesh.incidence(p)

@@ -213,7 +213,7 @@ def test_scalar_walk_matches_matmul_walk(all_meshes, basis_of, name, seed, chord
     a = rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
     b = a if chord == "still" else _path_end(mesh, a, rng, chord == "leave")
     ends = np.array([a, b])
-    tets, coords, bounds, exited = pic._walk(basis, t, ends, 1e-12)
+    tets, coords, bounds, exited = pic._walk(basis, t, ends)
     want_segments, want_bounds, want_exited = walk_matmul(basis, t, ends, 1e-12)
     assert exited == want_exited and (exited or chord != "leave")
     assert tets == [s[0] for s in want_segments]
@@ -277,9 +277,9 @@ def test_seed_chord_across_annulus_hole_falls_back(annulus8, basis_of, monkeypat
     calls = []
     locate = WhitneyBasis.locate
 
-    def counted(self, point, tol=1e-10):
+    def counted(self, point):
         calls.append(point)
-        return locate(self, point, tol)
+        return locate(self, point)
 
     monkeypatch.setattr(WhitneyBasis, "locate", counted)
     _assert_same_scatter(scatter_current(basis, a, b, 1.0, 1.0), want)

@@ -3,6 +3,8 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from declat import generators
+from declat.mesh import SimplicialComplex
+from declat.pic import verify_conservation
 from declat.whitney import (
     AnalyticForm,
     Cochain,
@@ -61,7 +63,7 @@ class TestBarycentric:
         basis = basis_of(box3)
         pts = rng.random((30, 3)) * 0.98 + 0.01
         for x, t_walk in zip(pts, basis.locate_all(pts)[0]):
-            t_scan, _ = basis._scan(x, 1e-10)
+            t_scan, _ = basis._scan(x)
             lam_w = basis.bary(np.array([t_walk]), x.reshape(1, 3))[0]
             lam_s = basis.bary(np.array([t_scan]), x.reshape(1, 3))[0]
             assert lam_w.min() >= -1e-10 and lam_s.min() >= -1e-10
@@ -76,7 +78,7 @@ class TestBarycentric:
         far = int(np.argmin(annulus8.vertices[annulus8.tets].mean(axis=1) @ x))
         basis._seeds = lambda points: np.full(len(points), far)
         t, lam = basis.locate(x)
-        assert basis.scans == 2 and t == basis._scan(x, 1e-10)[0]
+        assert basis.scans == 2 and t == basis._scan(x)[0]
         assert basis.bary(np.array([t]), x.reshape(1, 3)).min() >= -1e-10
 
     def test_seeded_walk_step_count(self, monkeypatch):
@@ -95,6 +97,25 @@ class TestBarycentric:
         for x in pts:
             basis.locate(x)
         assert sum(rows) / len(pts) <= 4.0 and basis.scans == 0
+
+    def test_tables_built_once_on_first_use(self, box3, monkeypatch):
+        # A basis alone builds no adjacency, frame table, centroids or seed
+        # grid; two locations and a deposit build the adjacency once, and
+        # each table is the same object on every access.
+        calls = []
+        tet_neighbors = SimplicialComplex.tet_neighbors
+        monkeypatch.setattr(SimplicialComplex, "tet_neighbors",
+                            lambda self: calls.append(None) or tet_neighbors(self))
+        basis = WhitneyBasis(box3)
+        tables = ("neighbors", "frames", "centroids", "_grid")
+        assert set(tables).isdisjoint(vars(basis)) and calls == []
+        pts = 0.05 + 0.9 * np.random.default_rng(1).random((20, 3))
+        basis.locate_all(pts)
+        basis.locate_all(pts[::-1])
+        verify_conservation(basis, pts[0], pts[1], 1.0, 1.0)
+        assert len(calls) == 1
+        built = [getattr(basis, name) for name in tables]
+        assert all(getattr(basis, name) is table for name, table in zip(tables, built))
 
 
 class TestWhitneyEval:
