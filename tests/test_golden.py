@@ -39,6 +39,7 @@ MESHES = {
     "annulus8": lambda: generators.annulus_mesh(8),
     "jittered3": lambda: generators.jittered_box_mesh(3, seed=5),
     "jittered4": lambda: generators.jittered_box_mesh(4, seed=5),
+    "box6": lambda: generators.box_mesh(6),
 }
 
 # case id -> argv; {mesh} names an input from MESHES, {out} the case's directory.
@@ -52,6 +53,9 @@ CASES = {
        for m in ("kuhn", "box4", "annulus8", "jittered3")},
     **{f"eigen/{m}": ["eigen", "--mesh", f"{{{m}}}", "--out", "{out}/eigen.json"]
        for m in ("kuhn", "box4")},
+    # 1,206 unknowns: above maxwell._DENSE_CUTOFF, so the shift-invert path.
+    "eigen/box6": ["eigen", "--mesh", "{box6}", "--count", "3", "--sigma", "19",
+                   "--out", "{out}/eigen.json"],
     **{f"simulate/{inv}": ["simulate", "--mesh", "{jittered4}", "--steps", "200", "--seed", "5",
                            "--hodge-inverse", inv, "--out", "{out}/trace.csv"]
        for inv in ("exact", "spai:2")},
@@ -141,6 +145,11 @@ GOLDEN = {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "eigen.json": "385021ad33442b979b0339d63d67a34c1897248639e032b7f587bd801e9bd43b",
+    },
+    "eigen/box6": {
+        "exit": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eigen.json": "92d3c842f9e2b82880003e4685abfcd11c8727aafa2af6c7bc977dccf92884ce",
     },
     "simulate/exact": {
         "exit": 0,
