@@ -282,21 +282,19 @@ def audit_hodge(
     for name, H, elem in zip(("eps star", "mu-inverse star"), (Heps, Hmu_inv), elements):
         if H.shape[0] == 0:
             continue
-        sym = hodge.symmetry_deviation(H)
-        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
         margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
-        how = "estimate, not proved"
-        if elem is not None:
-            bound = elem.lower_bound()
-            if bound > margin:
-                section.add(f"{name} positive definite", bound, margin, True,
-                            detail="element lower bound")
-                continue
-            how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
-        min_eig = hodge.check_spd(H)[1]
-        ok = min_eig > margin
-        section.add(f"{name} positive definite", min_eig, margin, ok,
-                    detail=how if ok else f"{how}; near-indefinite{worst_cells()}")
+        bound = None if elem is None else elem.lower_bound()
+        if bound is not None and bound > margin:
+            sym, min_eig, how = hodge.symmetry_deviation(H), bound, "element lower bound"
+        else:
+            sym, min_eig = hodge.check_spd(H)
+            how = "estimate, not proved"
+            if bound is not None:
+                how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
+            if not min_eig > margin:
+                how += f"; near-indefinite{worst_cells()}"
+        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
+        section.add(f"{name} positive definite", min_eig, margin, min_eig > margin, detail=how)
     return section
 
 

@@ -408,12 +408,15 @@ def _ritz_vector(A: sparse.spmatrix, solve, M: sparse.spmatrix | None = None):
 
 
 def symmetry_deviation(H: sparse.spmatrix) -> float:
-    """Relative asymmetry ||H - H^T||_F / ||H||_F, from the entries' nonzero re^2 + im^2."""
+    """Relative asymmetry ||H - H^T||_F / ||H||_F, from the entries' nonzero re^2 + im^2.
+
+    A zero matrix (an empty one included) is exactly symmetric: 0.0.
+    """
     H = sparse.csr_matrix(H, copy=True)
     H.sum_duplicates()
     squares = ((x.real * x.real + x.imag * x.imag).astype(x.dtype) for x in (H.data, (H - H.T).data))
     hnorm, dnorm = (np.sqrt(abs(sq[sq != 0].sum())) for sq in squares)
-    return float(dnorm / hnorm)
+    return float(dnorm / hnorm) if hnorm else 0.0
 
 
 def check_spd(H: sparse.spmatrix) -> tuple[float, float]:

@@ -1,8 +1,10 @@
-"""Every exported name resolves, and the package re-exports only declared names."""
+"""Every exported name resolves, and each has one import path: its module's."""
 
-import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,12 +21,23 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-def test_package_imports_are_declared():
-    # Each name ``declat/__init__.py`` imports from a module is in that
-    # module's ``__all__`` (a stale import already fails ``import declat``).
-    tree = ast.parse(Path(declat.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module]
-    assert imports
-    for node in imports:
-        declared = importlib.import_module(f"declat.{node.module}").__all__
-        assert [a.name for a in node.names if a.name not in declared] == [], node.module
+def test_package_reexports_no_module_name():
+    # ``declat.<name>`` is not a second path to ``declat.<module>.<name>``.
+    reexported = {
+        module: [name for name in getattr(importlib.import_module(f"declat.{module}"), "__all__", ())
+                 if hasattr(declat, name)]
+        for module in MODULES
+    }
+    assert reexported == {module: [] for module in MODULES}
+
+
+def test_mesh_import_loads_only_the_metric_free_layer():
+    # Incidence needs no metric: ``import declat.mesh`` in a fresh
+    # interpreter loads no Hodge, Maxwell, PML or PIC module.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, declat.mesh; print(*sorted(m for m in sys.modules if m.startswith('declat')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(declat.__file__).parents[1])},
+    ).stdout.split()
+    assert loaded == ["declat", "declat.exact", "declat.mesh"]

@@ -196,6 +196,27 @@ class TestElementBoundPath:
             assert "worst cells" in row.detail
 
 
+    @pytest.mark.parametrize("handed_in", [True, False])
+    def test_one_symmetry_deviation_per_star(self, box3, basis_of, monkeypatch, handed_in):
+        # A star that falls back to check_spd takes its symmetry row from
+        # that call rather than forming H - H^T a second time.
+        calls = []
+        real = hodge.symmetry_deviation
+
+        def counted(H):
+            calls.append(H.shape)
+            return real(H)
+
+        monkeypatch.setattr(hodge, "symmetry_deviation", counted)
+        if handed_in:
+            Heps = assemble_hodge(box3, MaterialMap(), "eps", basis_of(box3))
+            Hmu = assemble_hodge(box3, MaterialMap(), "mu_inv", basis_of(box3))
+            assert audit_hodge(Heps, Hmu, box3).passed
+        else:
+            assert run_full_audit(box3).passed
+        assert len(calls) == 2
+
+
 class TestFullReport:
     def test_dual_pieces_stay_unbuilt(self):
         # The reciprocity check reads owner and face indices only, so the

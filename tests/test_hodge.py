@@ -525,6 +525,16 @@ class TestSpdCheck:
         _, min_eig = check_spd(H.tocsr())
         assert np.isfinite(min_eig) and min_eig < 0
 
+    def test_zero_matrix_is_exactly_symmetric(self):
+        # ||H||_F = 0 gives 0.0, not 0/0: no RuntimeWarning (an error in
+        # this suite) and no NaN, and check_spd reaches its own n == 0 branch.
+        empty, zeros = sparse.csr_matrix((0, 0)), sparse.csr_matrix((3, 3))
+        assert symmetry_deviation(empty) == 0.0
+        assert symmetry_deviation(zeros) == 0.0
+        sym, min_eig = check_spd(empty)
+        assert sym == 0.0 and np.isnan(min_eig)
+        assert check_spd(zeros) == (0.0, 0.0)
+
     def test_zero_pivot_not_certified(self):
         # Eigenvalues -1.28 and 0.78; the zero diagonal forces an
         # off-diagonal pivot, so no proof and no positive value.
