@@ -40,12 +40,15 @@ MESHES = {
     "jittered3": lambda: generators.jittered_box_mesh(3, seed=5),
     "jittered4": lambda: generators.jittered_box_mesh(4, seed=5),
     "box6": lambda: generators.box_mesh(6),
+    "sliver": lambda: generators.sliver_mesh(delta=1e-7),
 }
 
 # case id -> argv; {mesh} names an input from MESHES, {out} the case's directory.
 CASES = {
     **{f"audit/{m}": ["audit", "--mesh", f"{{{m}}}", "--json", "--out", "{out}/audit.json"]
        for m in ("kuhn", "box4", "annulus8", "jittered3")},
+    # The element bound does not clear the margin: the check_spd rows and exit 1.
+    "audit/sliver": ["audit", "--mesh", "{sliver}", "--json", "--out", "{out}/audit.json"],
     **{f"dof/{m}": ["dof", "--mesh", f"{{{m}}}", "--out", "{out}/dof.json"]
        for m in ("kuhn", "box4", "annulus8", "jittered3")},
     **{f"assemble/{m}": ["assemble", "--mesh", f"{{{m}}}", "--which", "galerkin",
@@ -91,6 +94,11 @@ GOLDEN = {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "audit.json": "3f6698e09770df274154c6980e99f6f3145ff0b6caa297efc31c43bc11a7af6f",
+    },
+    "audit/sliver": {
+        "exit": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "audit.json": "ffcdc7c2889306d97d33a87597314147d3a73725c30689eebed7e399043ba730",
     },
     "dof/kuhn": {
         "exit": 0,
