@@ -14,10 +14,11 @@ instability in marching schemes.
 Section three (metric) checks the discrete Hodge matrices: symmetry at
 rounding scale and positive definiteness, with the worst-shaped cells
 reported alongside any near-indefiniteness since highly skewed or obtuse
-cells are the usual culprits.  Stars that the audit assembles itself are
-proved positive definite from their per-tet element matrices, with no
-factorisation; stars handed in, or whose element bound does not clear the
-margin, get a factored estimate, and the row says it is not a proof.
+cells are the usual culprits.  Stars that the audit builds itself, one at
+a time, are proved positive definite from their per-tet element matrices,
+with no factorisation; stars handed in, or whose element bound does not
+clear the margin, get a factored estimate, and the row says it is not a
+proof.
 """
 
 from __future__ import annotations
@@ -187,12 +188,13 @@ def audit_second_kind(
 ) -> AuditSection:
     """Interior transpose reciprocity between primal and dual derivatives.
 
-    The dual edge/face structure is re-derived from the subdivision
-    geometry of the dual cells and must match the incidence pattern on
-    interior elements.  A supplied ``dual_incidence`` must also equal the
-    transposed primal incidence entry for entry there (the library's own
-    dual incidence is that transpose by construction).  Boundary elements
-    are excluded and counted.
+    The default row compares the pattern of C1^T on interior elements with
+    :meth:`~declat.dual.DualComplex.geometric_edge_face_adjacency`, which is
+    read from the same skeleton's slot tables with no coordinates: a pattern
+    check that cannot see a sign (ROADMAP item 19).  A supplied
+    ``dual_incidence`` must also equal the transposed primal incidence entry
+    for entry there (the library's own dual incidence is that transpose by
+    construction).  Boundary elements are excluded and counted.
     """
     section = AuditSection("pre-metric second kind")
     cls = classify_boundary(complex)
@@ -216,8 +218,8 @@ def audit_second_kind(
             detail=f"worst entry at {where}" if worst else excluded,
         )
 
-    # Faces adjacent to each dual edge-cell, taken from the subdivision
-    # pieces, must match the matrix pattern.
+    # Faces adjacent to each dual edge-cell, taken from the pieces' slot
+    # tables, must match the matrix pattern.
     geo = interior(dual.geometric_edge_face_adjacency())
     mismatched = (interior(Ct).astype(bool) != geo).getnnz(axis=1)
     mismatches = int(np.count_nonzero(mismatched))
@@ -247,20 +249,20 @@ def _dihedral_extremes(complex: SimplicialComplex) -> tuple[np.ndarray, np.ndarr
 
 
 def audit_hodge(
-    Heps: sparse.spmatrix,
-    Hmu_inv: sparse.spmatrix,
+    Heps: sparse.spmatrix | None = None,
+    Hmu_inv: sparse.spmatrix | None = None,
     complex: SimplicialComplex | None = None,
-    elements: tuple[hodge.ElementMatrices | None, hodge.ElementMatrices | None] = (None, None),
 ) -> AuditSection:
-    """Symmetry and positive definiteness of the assembled stars.
+    """Symmetry and positive definiteness of the two stars.
 
-    ``elements`` holds the per-tet matrices each star was summed from, or
-    None for a star handed in without them.  Where they are at hand, the
-    "positive definite" row reports their proved lower bound on
-    lambda_min (:meth:`~declat.hodge.ElementMatrices.lower_bound`) and no
-    factorisation runs.  Otherwise, or when that bound does not clear the
-    margin (``_SPD_MARGIN`` times the largest diagonal entry), it reports
-    the ``check_spd`` estimate, which is not a proof, and says so.  The
+    A star not handed in is built from ``complex`` with the default
+    materials, one at a time: its per-tet element matrices give the
+    "positive definite" row their proved lower bound on lambda_min
+    (:meth:`~declat.hodge.ElementMatrices.lower_bound`) with no
+    factorisation, and are let go before the next star is built.  A star
+    handed in, or one whose bound does not clear the margin
+    (``_SPD_MARGIN`` times the largest diagonal entry), gets the
+    ``check_spd`` estimate, which is not a proof, and the row says so.  The
     bound never exceeds lambda_min and the estimate never falls below it,
     so both paths agree on pass and fail.
 
@@ -268,6 +270,7 @@ def audit_hodge(
     most extreme dihedral angles are listed when the margin check fires.
     """
     section = AuditSection("hodge star consistency")
+    basis = None
 
     def worst_cells() -> str:
         if complex is None:
@@ -279,11 +282,18 @@ def audit_hodge(
         ]
         return "; worst cells: " + ", ".join(listed)
 
-    for name, H, elem in zip(("eps star", "mu-inverse star"), (Heps, Hmu_inv), elements):
+    for name, H, which in (("eps star", Heps, "eps"), ("mu-inverse star", Hmu_inv, "mu_inv")):
+        bound = None
+        if H is None:
+            if complex is None:
+                raise ValueError(f"no {name} handed in and no complex to build it from")
+            basis = basis or WhitneyBasis(complex)
+            elem = hodge.star_elements(complex, None, which, basis)
+            bound, H = elem.lower_bound(), elem.assemble()
+            del elem  # its arrays go before the next star is built
         if H.shape[0] == 0:
             continue
         margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
-        bound = None if elem is None else elem.lower_bound()
         if bound is not None and bound > margin:
             sym, min_eig, how = hodge.symmetry_deviation(H), bound, "element lower bound"
         else:
@@ -298,30 +308,11 @@ def audit_hodge(
     return section
 
 
-def run_full_audit(
-    complex: SimplicialComplex,
-    dual: DualComplex | None = None,
-    Heps: sparse.spmatrix | None = None,
-    Hmu_inv: sparse.spmatrix | None = None,
-    expected_betti: tuple[int, int, int] | None = None,
-) -> AuditReport:
-    """All three sections with default operators assembled on demand.
+def run_full_audit(complex: SimplicialComplex) -> AuditReport:
+    """The three sections in order, with the library's own dual and stars.
 
-    Stars assembled here come from one Whitney basis, and their element
-    matrices go to :func:`audit_hodge`, which proves positive definiteness
-    from them; stars handed in are checked by estimate.
+    The incidence sections run before any star exists; section three then
+    builds and proves each star in turn (:func:`audit_hodge`).
     """
-    dual = dual or DualComplex(complex)
-    basis = WhitneyBasis(complex) if Heps is None or Hmu_inv is None else None
-    stars, elements = [], []
-    for H, which in ((Heps, "eps"), (Hmu_inv, "mu_inv")):
-        elem = hodge.star_elements(complex, hodge.MaterialMap(), which, basis) if H is None else None
-        stars.append(H if elem is None else elem.assemble())
-        elements.append(elem)
-    return AuditReport(
-        [
-            audit_first_kind(complex, expected_betti=expected_betti),
-            audit_second_kind(complex, dual),
-            audit_hodge(*stars, complex, elements=tuple(elements)),
-        ]
-    )
+    return AuditReport([audit_first_kind(complex), audit_second_kind(complex, DualComplex(complex)),
+                        audit_hodge(complex=complex)])

@@ -24,7 +24,7 @@ False and a note naming the bound that failed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .exact import certify_ranks, grounded_components
 from .mesh import BoundaryClassification, MeshError, SimplicialComplex, classify_boundary
@@ -56,25 +56,10 @@ class DofReport:
         return all(self.identities.values())
 
     def to_json(self) -> str:
-        payload = {
-            "schema": "declat-dof-1",
-            "counts": self.counts,
-            "boundary_counts": self.boundary_counts,
-            "interior_counts": self.interior_counts,
-            "theta_E_raw": self.theta_E_raw,
-            "theta_B_raw": self.theta_B_raw,
-            "harmonic_dimensions": {"h1_rel": self.harmonic_1, "h2_rel": self.harmonic_2},
-            "theta_E": self.theta_E,
-            "theta_B": self.theta_B,
-            "rank_curl": self.rank_curl,
-            "rank_certified": self.rank_certified,
-            "euler_combined": list(self.euler_combined),
-            "identities": self.identities,
-            "raw_edge_node_gap": self.raw_edge_node_gap,
-            "eigen_crosscheck": self.eigen_crosscheck,
-            "notes": self.notes,
-            "passed": self.passed,
-        }
+        payload = asdict(self)
+        payload["harmonic_dimensions"] = {"h1_rel": payload.pop("harmonic_1"),
+                                          "h2_rel": payload.pop("harmonic_2")}
+        payload.update(schema="declat-dof-1", passed=self.passed)
         return json.dumps(payload, sort_keys=True, indent=2)
 
 

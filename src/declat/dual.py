@@ -10,8 +10,8 @@ containing it.  Concretely,
 * tet     -> its barycenter
 
 Dual incidence matrices are the transposes of the primal ones on interior
-elements; the sub-simplices carry enough structure to re-derive that
-adjacency geometrically, which is what the reciprocity audit checks.
+elements; the edge pieces' (edge, face) pairs, read from the tet slot
+tables, give the pattern that the reciprocity audit compares.
 """
 
 from __future__ import annotations
@@ -110,9 +110,8 @@ class DualComplex:
     def geometric_edge_face_adjacency(self) -> sparse.csr_matrix:
         """(E, F) pattern: the faces whose dual segments bound each dual edge cell.
 
-        Derived purely from the subdivision pieces (each triangle of an edge
-        cell contains one face center), independent of the incidence
-        matrices.
+        Read from the ``tet_edges``/``tet_faces`` slot tables that C1 also
+        comes from, with no coordinates and no signs (ROADMAP item 19).
         """
         cx = self.complex
         hits = np.ones(len(self.edge_piece_owner), dtype=bool)

@@ -129,9 +129,11 @@ class ElementMatrices:
     n: int
 
     def assemble(self) -> sparse.csr_matrix:
-        n_loc = self.ids.shape[1]
-        rows = np.repeat(self.ids, n_loc, axis=1).reshape(-1)
-        cols = np.tile(self.ids, (1, n_loc)).reshape(-1)
+        # int32 COO indices when n fits halve the transient; scipy builds the same CSR either way.
+        ids = self.ids.astype(np.int32 if self.n <= np.iinfo(np.int32).max else np.int64)
+        n_loc = ids.shape[1]
+        rows = np.repeat(ids, n_loc, axis=1).reshape(-1)
+        cols = np.tile(ids, (1, n_loc)).reshape(-1)
         return sparse.coo_matrix(
             (self.local.reshape(-1), (rows, cols)), shape=(self.n, self.n)
         ).tocsr()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -153,8 +156,8 @@ def _count_check_spd(monkeypatch) -> list:
     return calls
 
 
-def _spd_rows(report) -> dict:
-    return {c.name: c for s in report.sections for c in s.checks if "positive definite" in c.name}
+def _spd_rows(*sections) -> dict:
+    return {c.name: c for s in sections for c in s.checks if "positive definite" in c.name}
 
 
 class TestElementBoundPath:
@@ -180,7 +183,7 @@ class TestElementBoundPath:
         H = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn)).tolil()
         H[4, 4] = -1e-4
         calls = _count_check_spd(monkeypatch)
-        rows = _spd_rows(run_full_audit(kuhn, Heps=H.tocsr()))
+        rows = _spd_rows(audit_hodge(H.tocsr(), None, kuhn))
         assert len(calls) == 1
         eps, mu = rows["eps star positive definite"], rows["mu-inverse star positive definite"]
         assert not eps.passed and "estimate" in eps.detail
@@ -188,13 +191,34 @@ class TestElementBoundPath:
 
     def test_bound_below_margin_falls_back(self, monkeypatch):
         calls = _count_check_spd(monkeypatch)
-        rows = _spd_rows(run_full_audit(generators.sliver_mesh(delta=1e-7)))
+        rows = _spd_rows(*run_full_audit(generators.sliver_mesh(delta=1e-7)).sections)
         assert len(calls) == 2
         for row in rows.values():
             assert not row.passed
             assert "does not clear the margin; estimate, not proved" in row.detail
             assert "worst cells" in row.detail
 
+    def test_missing_star_needs_the_complex(self, kuhn, basis_of):
+        Heps = assemble_hodge(kuhn, MaterialMap(), "eps", basis_of(kuhn))
+        with pytest.raises(ValueError, match="no mu-inverse star handed in"):
+            audit_hodge(Heps)
+
+    def test_one_star_alive_at_a_time(self, box3, monkeypatch):
+        # Each star's element matrices are let go before the next star is
+        # built: at each build, count the earlier ones still alive.
+        built, alive = [], []
+        real = hodge.star_elements
+
+        def tracked(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            elements = real(*args)
+            built.append(weakref.ref(elements))
+            return elements
+
+        monkeypatch.setattr(hodge, "star_elements", tracked)
+        assert run_full_audit(box3).passed
+        assert alive == [0, 0]
 
     @pytest.mark.parametrize("handed_in", [True, False])
     def test_one_symmetry_deviation_per_star(self, box3, basis_of, monkeypatch, handed_in):
@@ -223,7 +247,7 @@ class TestFullReport:
         # audit builds no sub-simplex coordinates, centres or signs.
         box4 = generators.box_mesh(4)
         dual = DualComplex(box4)
-        assert run_full_audit(box4, dual=dual).passed
+        assert audit_second_kind(box4, dual).passed
         lazy = {"tet_centers", "face_centers", "vertex_pieces", "edge_pieces",
                 "edge_piece_sign", "face_pieces", "face_piece_sign"}
         assert not lazy & set(vars(dual))
