@@ -14,11 +14,12 @@ instability in marching schemes.
 Section three (metric) checks the discrete Hodge matrices: symmetry at
 rounding scale and positive definiteness, with the worst-shaped cells
 reported alongside any near-indefiniteness since highly skewed or obtuse
-cells are the usual culprits.  Stars that the audit builds itself, one at
-a time, are proved positive definite from their per-tet element matrices,
-with no factorisation; stars handed in, or whose element bound does not
-clear the margin, get a factored estimate, and the row says it is not a
-proof.
+cells are the usual culprits.  A star the audit builds itself, one at a
+time, is proved symmetric and positive definite from its per-tet element
+matrices, neither assembled nor factored, when both element bounds clear;
+otherwise it is assembled.  Stars handed in, or whose element lambda_min
+bound does not clear the margin, get a factored estimate, and the row
+says it is not a proof.
 """
 
 from __future__ import annotations
@@ -256,15 +257,16 @@ def audit_hodge(
     """Symmetry and positive definiteness of the two stars.
 
     A star not handed in is built from ``complex`` with the default
-    materials, one at a time: its per-tet element matrices give the
-    "positive definite" row their proved lower bound on lambda_min
-    (:meth:`~declat.hodge.ElementMatrices.lower_bound`) with no
-    factorisation, and are let go before the next star is built.  A star
-    handed in, or one whose bound does not clear the margin
-    (``_SPD_MARGIN`` times the largest diagonal entry), gets the
-    ``check_spd`` estimate, which is not a proof, and the row says so.  The
-    bound never exceeds lambda_min and the estimate never falls below it,
-    so both paths agree on pass and fail.
+    materials, one at a time, and its element matrices are let go before
+    the next star is built.  They prove lambda_min >= lam, max|H_ii| <= D
+    and a relative asymmetry of at most s, summed in any order
+    (:meth:`~declat.hodge.ElementMatrices.bounds`).  If lam > ``_SPD_MARGIN``
+    D and s <= ``_SYM_TOL``, the rows report lam and s and the star is never
+    assembled.  Otherwise it is assembled, and its symmetry and margin are
+    measured.  A star handed in, or whose lam does not clear the margin,
+    gets the ``check_spd`` estimate, which is not a proof, and the row says
+    so.  The bounds lie on the safe side, so no proved row passes that
+    would fail when measured.
 
     Near-indefiniteness is correlated with cell shape: the tets with the
     most extreme dihedral angles are listed when the margin check fires.
@@ -289,21 +291,26 @@ def audit_hodge(
                 raise ValueError(f"no {name} handed in and no complex to build it from")
             basis = basis or WhitneyBasis(complex)
             elem = hodge.star_elements(complex, None, which, basis)
-            bound, H = elem.lower_bound(), elem.assemble()
+            bound, diag, sym = elem.bounds()
+            margin, min_eig, how = _SPD_MARGIN * diag, bound, "element lower bound"
+            # Proved from its elements, the star is never assembled.
+            H = None if bound > margin and sym <= _SYM_TOL else elem.assemble()
             del elem  # its arrays go before the next star is built
-        if H.shape[0] == 0:
-            continue
-        margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
-        if bound is not None and bound > margin:
-            sym, min_eig, how = hodge.symmetry_deviation(H), bound, "element lower bound"
-        else:
-            sym, min_eig = hodge.check_spd(H)
-            how = "estimate, not proved"
-            if bound is not None:
-                how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
-            if not min_eig > margin:
-                how += f"; near-indefinite{worst_cells()}"
-        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL)
+        if H is not None:
+            if H.shape[0] == 0:
+                continue
+            margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
+            if bound is not None and bound > margin:
+                sym, min_eig, how = hodge.symmetry_deviation(H), bound, "element lower bound"
+            else:
+                sym, min_eig = hodge.check_spd(H)
+                how = "estimate, not proved"
+                if bound is not None:
+                    how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
+                if not min_eig > margin:
+                    how += f"; near-indefinite{worst_cells()}"
+        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL,
+                    detail="" if H is not None else "element upper bound")
         section.add(f"{name} positive definite", min_eig, margin, min_eig > margin, detail=how)
     return section
 

@@ -138,27 +138,32 @@ class ElementMatrices:
             (self.local.reshape(-1), (rows, cols)), shape=(self.n, self.n)
         ).tocsr()
 
-    def lower_bound(self) -> float:
-        """A proved lower bound on lambda_min of the assembled star.
+    def bounds(self) -> tuple[float, float, float]:
+        """Proved (lam, D, s) for the assembled star H, in one pass over tet blocks.
 
-        For each tet, theta_e = lambda_min(D_e^-1/2 M_e D_e^-1/2) with
-        D_e = diag(M_e); then x^T H x = sum_e x_e^T M_e x_e
-        >= theta sum_e x_e^T D_e x_e = theta x^T diag(H) x with
-        theta = min_e theta_e, so lambda_min(H) >= theta min diag(H)
-        (Wathen 1987).  One batched ``eigvalsh`` gives every theta_e.
-
-        Rounding is allowed for, with eps the machine epsilon and k the
-        largest number of tets that share a simplex:
-        - theta_e is lowered by 8 n_loc eps ||A_e||_F, for the rounding
-          in whitening A_e and the backward error of ``eigvalsh``;
-        - min diag(H) is lowered by (k + 2) eps relative, for its
-          summation and the final products;
-        - the result is lowered by k eps R, R the largest row sum of
-          sum_e |M_e|: the summed star differs from the exact sum by at
-          most that in the 2-norm.
-        A theta at or below zero, or a nonpositive element diagonal,
-        proves nothing and gives -inf.  Real symmetric element matrices
-        only.
+        lam <= lambda_min(H), D >= max|H_ii| and s >= ||H - H^T||_F / ||H||_F
+        for H summed in any order.  eps is the machine epsilon and k the
+        largest number of tets that share a simplex.
+        - lam (Wathen 1987): x^T H x = sum_e x_e^T M_e x_e >= theta x^T diag(H) x,
+          theta the least theta_e = lambda_min(D_e^-1/2 M_e D_e^-1/2),
+          D_e = diag(M_e) (one batched ``eigvalsh`` per block).  theta_e is
+          lowered by 8 n_loc eps ||A_e||_F (whitening A_e, ``eigvalsh``'s
+          backward error), min diag(H) by (k + 2) eps relative, and the
+          product by k eps R, R the largest row sum of sum_e |M_e|: the
+          summed star's 2-norm distance from the exact sum.
+        - D and s (Higham 2002, section 4.2): any order of summing at most k
+          terms errs by at most gamma times the sum of their magnitudes,
+          gamma = (k - 1) u / (1 - (k - 1) u), u = eps / 2.  The diagonal
+          sums positive terms, so H_ii is within a factor g = (1 + gamma) /
+          (1 - gamma) of d_i, its sum in tet order: D = g max d, and
+          ||H||_F >= ||d||_2 / g.  H_ij and H_ji sum the same terms (each
+          M_e is bitwise symmetric, checked), so |H_ij - H_ji| <= 2 gamma
+          sum_e |M_e|_ab, whose Frobenius norm is at most sqrt(k S),
+          S = sum_e ||M_e||_F^2 (Cauchy-Schwarz): s = 2 gamma g sqrt(k S) /
+          ||d||_2.  D and s are rounded up for their own sums and products.
+        A nonpositive element diagonal gives (-inf, inf, inf), theta <= 0
+        gives lam = -inf, and an element matrix that is not bitwise
+        symmetric gives lam = -inf and s = inf.  Real element matrices only.
         """
         if np.iscomplexobj(self.local):
             raise ValueError("element bound needs real symmetric element matrices")
@@ -166,21 +171,29 @@ class ElementMatrices:
         m, n_loc = self.ids.shape
         d_loc = np.diagonal(self.local, axis1=1, axis2=2)
         if not np.all(d_loc > 0):
-            return float("-inf")
-        theta, row_sums = np.inf, np.empty((m, n_loc))
+            return float("-inf"), float("inf"), float("inf")
+        theta, mirrored, row_sums, squares = np.inf, True, np.empty((m, n_loc)), np.empty(m)
         for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
+            local = self.local[blk]
             s = 1.0 / np.sqrt(d_loc[blk])
-            A = self.local[blk] * s[:, :, None] * s[:, None, :]
+            A = local * s[:, :, None] * s[:, None, :]
             lam = np.linalg.eigvalsh(A)[:, 0] - 8 * n_loc * eps * np.linalg.norm(A, axis=(1, 2))
             theta = float(np.minimum(theta, lam.min()))  # NaN stays NaN
-            np.abs(self.local[blk]).sum(axis=2, out=row_sums[blk])
-        if not theta > 0:
-            return float("-inf")
+            np.abs(local).sum(axis=2, out=row_sums[blk])
+            np.einsum("eab,eab->e", local, local, out=squares[blk])  # ||M_e||_F^2
+            mirrored = mirrored and np.array_equal(local, local.transpose(0, 2, 1))
         ids = self.ids.ravel()
         k = int(np.bincount(ids).max())
         diag = np.bincount(ids, weights=d_loc.ravel(), minlength=self.n)
         rows = np.bincount(ids, weights=row_sums.ravel(), minlength=self.n)
-        return theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
+        bound = theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
+        gamma = (k - 1) * eps / (2 - (k - 1) * eps)  # (k - 1) u / (1 - (k - 1) u)
+        g = (1 + gamma) / (1 - gamma) * (1 + 16 * eps)  # the products' rounding
+        sym = 2 * gamma * np.sqrt(k * squares.sum()) * g / float(np.linalg.norm(diag))
+        sym *= 1 + (m * n_loc * n_loc + self.n) * eps  # S's and ||d||_2's sums
+        if not mirrored:
+            return float("-inf"), float(diag.max() * g), float("inf")
+        return (bound if theta > 0 else float("-inf")), float(diag.max() * g), float(sym)
 
 
 def _moment_table(p: int, moments: np.ndarray) -> np.ndarray:

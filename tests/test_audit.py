@@ -7,6 +7,7 @@ from scipy import sparse
 
 from declat import generators, hodge
 from declat.audit import (
+    _SPD_MARGIN,
     _dihedral_extremes,
     audit_first_kind,
     audit_hodge,
@@ -223,7 +224,8 @@ class TestElementBoundPath:
     @pytest.mark.parametrize("handed_in", [True, False])
     def test_one_symmetry_deviation_per_star(self, box3, basis_of, monkeypatch, handed_in):
         # A star that falls back to check_spd takes its symmetry row from
-        # that call rather than forming H - H^T a second time.
+        # that call rather than forming H - H^T a second time; a star the
+        # audit builds is proved symmetric from its elements, with none.
         calls = []
         real = hodge.symmetry_deviation
 
@@ -238,7 +240,38 @@ class TestElementBoundPath:
             assert audit_hodge(Heps, Hmu, box3).passed
         else:
             assert run_full_audit(box3).passed
-        assert len(calls) == 2
+        assert len(calls) == (2 if handed_in else 0)
+
+    @pytest.mark.parametrize("sym_tol", [None, 1e-20])
+    def test_built_star_assembled_only_when_unproved(self, box3, monkeypatch, sym_tol):
+        # Both element proofs clear: no star is assembled.  With the
+        # tolerance below the symmetry bound, each star is assembled and its
+        # rows are the measured symmetry and the exact-diagonal margin.
+        calls = []
+        real = hodge.ElementMatrices.assemble
+
+        def counted(elements):
+            calls.append(elements.n)
+            return real(elements)
+
+        monkeypatch.setattr(hodge.ElementMatrices, "assemble", counted)
+        if sym_tol is not None:
+            monkeypatch.setattr("declat.audit._SYM_TOL", sym_tol)
+        report = run_full_audit(box3)
+        rows = {c.name: c for c in report.sections[2].checks}
+        assert report.passed
+        assert len(calls) == (0 if sym_tol is None else 2)
+        for name, which in (("eps star", "eps"), ("mu-inverse star", "mu_inv")):
+            sym, spd = rows[f"{name} symmetry"], rows[f"{name} positive definite"]
+            H = assemble_hodge(box3, None, which)
+            diag = float(np.abs(H.diagonal()).max())
+            if sym_tol is None:
+                assert 0.0 < sym.measured <= 1e-14 and sym.detail == "element upper bound"
+                assert diag < spd.threshold / _SPD_MARGIN < diag * (1 + 1e-14)
+            else:
+                assert sym.measured == hodge.symmetry_deviation(H) and sym.detail == ""
+                assert spd.threshold == _SPD_MARGIN * diag
+            assert spd.detail == "element lower bound"
 
 
 class TestFullReport:

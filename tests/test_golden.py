@@ -78,22 +78,22 @@ GOLDEN = {
     "audit/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "f3039fff6bc5b509913ef3a1c2d38b9e2fa310248db5c60ba6346256018c48b6",
+        "audit.json": "4a01a5c430f331e696361c1443ae5dee33ae772f25b924c2e11f48b477b07c2f",
     },
     "audit/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "224dfb050c8b518239314d788d7fc4c54f32b26f28dd095d43d10b8db9c78bd6",
+        "audit.json": "e24cb57058986bd468ca155a3b947071a4f5275094cf980f8dae6a0701507600",
     },
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "3790e7bef8dda677451777e6222e389b77744297745de1b68a637d85852935fe",
+        "audit.json": "928dfc8c212fde2dfbf7046036a65e52c0a14c33f1521d757df449329c009e8e",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "3f6698e09770df274154c6980e99f6f3145ff0b6caa297efc31c43bc11a7af6f",
+        "audit.json": "b097783e174c86f0226424f75197f8da3e0101b59849b42f3ca004652458fbde",
     },
     "audit/sliver": {
         "exit": 1,

@@ -559,9 +559,23 @@ class TestSpdCheck:
 def _assert_bound_below_dense(mesh, materials=None):
     for which in ("eps", "mu_inv"):
         elements = star_elements(mesh, materials, which)
-        bound = elements.lower_bound()
+        bound = elements.bounds()[0]
         lam_min = np.linalg.eigvalsh(elements.assemble().toarray()).min()
         assert bound <= lam_min, (which, bound, lam_min)
+
+
+def _assert_bounds_hold_permuted(elements, rng):
+    """D and s of ``bounds`` hold for the star summed from a randomly
+    permuted COO, so in an order of its own."""
+    _, D, s = elements.bounds()
+    n_loc = elements.ids.shape[1]
+    order = rng.permutation(elements.local.size)
+    rows = np.repeat(elements.ids, n_loc, axis=1).ravel()[order]
+    cols = np.tile(elements.ids, (1, n_loc)).ravel()[order]
+    H = sparse.coo_matrix((elements.local.ravel()[order], (rows, cols)),
+                          shape=(elements.n, elements.n)).tocsr()
+    assert symmetry_deviation(H) <= s
+    assert np.abs(H.diagonal()).max() <= D
 
 
 def _star_digest(H) -> str:
@@ -672,12 +686,50 @@ class TestElementBound:
         # The six Kuhn tets are congruent, so their whitened mu-inverse
         # element matrices share one spectrum, and the bound misses
         # lambda_min = 1/3 only by its rounding allowance.
-        bound = star_elements(kuhn, None, "mu_inv").lower_bound()
+        bound = star_elements(kuhn, None, "mu_inv").bounds()[0]
         assert 1 / 3 - 1e-13 < bound < 1 / 3
 
     def test_complex_elements_rejected(self, kuhn):
         with pytest.raises(ValueError, match="real symmetric"):
-            star_elements(kuhn, MaterialMap(eps=1.0 + 0.1j), "eps").lower_bound()
+            star_elements(kuhn, MaterialMap(eps=1.0 + 0.1j), "eps").bounds()
+
+    @settings(max_examples=20)
+    @given(name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_and_symmetry_bounds_any_order(self, all_meshes, basis_of, name, seed):
+        # D and s bound max|H_ii| and the relative asymmetry of the star
+        # whatever order its duplicate entries are summed in: here, that of
+        # a randomly permuted COO, under random per-tet SPD tensors.
+        mesh = all_meshes[name]
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2, mesh.n_tets, 3, 3))
+        spd = a @ a.transpose(0, 1, 3, 2) + 0.1 * np.eye(3)
+        spd *= 10.0 ** rng.uniform(-2.0, 2.0, (2, mesh.n_tets, 1, 1))
+        for which in ("eps", "mu_inv"):
+            _assert_bounds_hold_permuted(star_elements(
+                mesh, MaterialMap(eps=spd[0], mu=spd[1]), which, basis_of(mesh)), rng)
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_symmetry_bound_with_shared_pairs(self, seed):
+        # A star's off-diagonal entries sum at most two element entries, and
+        # IEEE addition commutes, so the stars above come out symmetric in
+        # any order.  Here 40 elements on 6 unknowns share every pair, so
+        # the permuted sums do differ from their mirrors.
+        rng = np.random.default_rng(seed)
+        m, n, n_loc = 40, 6, 3
+        ids = np.array([rng.choice(n, n_loc, replace=False) for _ in range(m)])
+        x = rng.standard_normal((m, n_loc, n_loc)) * 10.0 ** rng.uniform(-3, 3, (m, 1, 1))
+        local = x @ x.transpose(0, 2, 1) + 1e-3 * np.eye(n_loc)
+        local = np.triu(local) + np.triu(local, 1).transpose(0, 2, 1)
+        _assert_bounds_hold_permuted(hodge.ElementMatrices(local, ids, n), rng)
+
+    def test_element_not_bitwise_symmetric_proves_nothing(self, kuhn):
+        elements = star_elements(kuhn, None, "eps")
+        lam, D, s = elements.bounds()
+        assert lam > 0 and s < 1e-14
+        elements.local[3, 0, 1] = np.nextafter(elements.local[3, 0, 1], np.inf)
+        assert elements.bounds() == (float("-inf"), D, float("inf"))
 
 
 def _block_outputs(mesh, materials, basis):
@@ -688,7 +740,7 @@ def _block_outputs(mesh, materials, basis):
         elements = star_elements(mesh, materials, which, basis)
         out.append(elements.local.tobytes())
         if not np.iscomplexobj(elements.local):
-            out.append(repr(elements.lower_bound()))
+            out.append(repr(elements.bounds()))
         H = elements.assemble()
         out += [H.indptr.tobytes(), H.indices.tobytes(), H.data.tobytes()]
     profile = StretchProfile(2, 0.3, 1.0, omega_max=4.0, a_max=1.5)
