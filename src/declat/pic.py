@@ -11,10 +11,12 @@ for the canonical edge (a, b) (the integrand is affine along the segment,
 so the midpoint average is exact).  Summing incident edge currents at a
 node then telescopes to qdot times the change of that node's barycentric
 coordinate: charge conservation holds to rounding, segment by segment,
-also across cell-boundary splits.  One face-crossing walk splits a path;
-it also finds the start tet, walking in from the centroid of the start's
-grid seed.  Each step of the walk is scalar float arithmetic in a fixed
-order (no BLAS call), since a path is split one tet at a time.
+also across cell-boundary splits.  A path's start tet is found in scalar
+floats: a bucket lookup in the seed grid, then a face-crossing walk from
+the seed tet's centroid to the start, then ``basis.locate`` if that walk
+leaves the mesh.  The same walk splits the path, each step scalar float
+arithmetic in a fixed order (no BLAS call).  ``declat pic`` redraws any
+start that lies outside the mesh.
 
 Fields gather back to particles by Whitney interpolation, and a rotating
 (Boris-style) split advances velocities with half-step electric kicks.
@@ -77,15 +79,15 @@ class ScatterResult:
     exited: bool = False
 
 
-def _walk(basis, t: int, ends: np.ndarray):
-    """Split the chord ``ends`` (2, 3) at the faces it crosses, walking from tet
-    ``t`` in fixed-order scalar float arithmetic on one ``basis.frames`` row
-    per step: the tets of the within-tet segments, one flat list of both
-    chord ends' four coordinates per segment, the chord parameters where each
-    is entered and left, and whether the chord left the mesh; None if the
-    walk reaches its step cap."""
+def _walk(basis, t: int, ends):
+    """Split the chord ``ends`` (two triples of floats) at the faces it crosses,
+    walking from tet ``t`` in fixed-order scalar float arithmetic on one
+    ``basis.frames`` row per step: the tets of the within-tet segments, one
+    flat list of both chord ends' four coordinates per segment, the chord
+    parameters where each is entered and left, and whether the chord left
+    the mesh; None if the walk reaches its step cap."""
     frames, neighbors, tol = basis.frames, basis.neighbors, _SPLIT_TOL
-    (xa, ya, za), (xb, yb, zb) = ends.tolist()
+    (xa, ya, za), (xb, yb, zb) = ends
     tets, coords, bounds = [], [], [0.0]
     for _ in range(8 * basis.complex.n_tets + 16):
         # Raw affine coordinates (x - v0) . grad(lambda_i), plus 1 for lambda_0,
@@ -124,13 +126,13 @@ def _deposit(basis, x_start, x_end, q: float, tau: float):
     if not math.isfinite(qdot):
         raise ValueError(f"q/tau must be finite, got {q!r}/{tau!r}")
     cx = basis.complex
-    ends = np.array([x_start, x_end], dtype=float)
-    if not np.isfinite(ends[1]).all():  # the seed grid checks the start
+    start, end = [float(c) for c in x_start], [float(c) for c in x_end]
+    if not all(map(math.isfinite, start + end)):
         raise OutsideMeshError("a path end with a non-finite coordinate lies in no tet")
-    seed = int(basis._seeds(ends[:1])[0])
-    found = _walk(basis, seed, np.array([basis.centroids[seed], ends[0]]))
-    t = found[0][-1] if found and not found[3] else basis.locate(ends[0])[0]
-    walked = _walk(basis, t, ends)
+    seed = basis._seed(*start)
+    found = _walk(basis, seed, (basis.centroids[seed].tolist(), start))
+    t = found[0][-1] if found and not found[3] else basis.locate(start)[0]
+    walked = _walk(basis, t, (start, end))
     if walked is None:
         raise RuntimeError("path splitting did not terminate")
     tets, coords, bounds, exited = walked
@@ -161,14 +163,12 @@ def scatter_current(
 ) -> ScatterResult:
     """Deposit the current of a charge moving in a straight line.
 
-    The start tet is where a walk along the chord from the centroid of the
-    start's grid seed tet ends; if that walk leaves the mesh (a non-convex
-    mesh) or reaches its step cap, ``basis.locate`` finds it instead, and
-    raises OutsideMeshError for a start in no tet (as ``_deposit`` does for
-    a non-finite end).  The path is then split at cell boundaries, one face
-    crossing at a time, and all within-tet segments are deposited in closed
-    form at once.  If the path leaves the mesh the scatter is partial up to
-    the exit point and flagged.
+    The start tet is found as the module docstring says (``basis.locate``
+    also takes a seed walk that reaches its step cap), and a start in no tet
+    or a non-finite end raises OutsideMeshError.  The path is then split at
+    cell boundaries, one face crossing at a time, and all within-tet
+    segments are deposited in closed form at once.  If the path leaves the
+    mesh the scatter is partial up to the exit point and flagged.
     """
     cx = basis.complex
     tets, lam_end, current, rate, exited = _deposit(basis, x_start, x_end, q, tau)

@@ -153,7 +153,8 @@ class WhitneyBasis:
 
     @staticmethod
     def _buckets(points: np.ndarray, lo: np.ndarray, h: float, shape: np.ndarray) -> np.ndarray:
-        cell = np.clip(np.floor((points - lo) / h), 0, shape - 1).astype(np.int64)
+        with np.errstate(over="ignore"):  # a far point's cell overflows to inf, then clips
+            cell = np.clip(np.floor((points - lo) / h), 0, shape - 1).astype(np.int64)
         return cell @ (shape[1] * shape[2], shape[2], 1)  # row-major bucket index
 
     @cached_property
@@ -171,12 +172,20 @@ class WhitneyBasis:
         return lo, h, shape, first[np.maximum(below, 0)]
 
     def _seeds(self, points: np.ndarray) -> np.ndarray:
-        """Start tet per point, read from the seed grid.  Raises
-        OutsideMeshError for a point with a non-finite coordinate."""
+        """Start tet per point from the seed grid; OutsideMeshError if one is not finite."""
         if not np.isfinite(points).all():
             raise OutsideMeshError("a point with a non-finite coordinate lies in no tet")
         lo, h, shape, seeds = self._grid
         return seeds[self._buckets(points, lo, h, shape)]
+
+    def _seed(self, x: float, y: float, z: float) -> int:
+        """``_seeds`` for one finite point in scalar floats (clipping first keeps the cell)."""
+        lo, h, shape, seeds = self._grid
+        (lx, ly, lz), (nx, ny, nz) = lo.tolist(), shape.tolist()
+        i = int(min(max((x - lx) / h, 0.0), nx - 1))
+        j = int(min(max((y - ly) / h, 0.0), ny - 1))
+        k = int(min(max((z - lz) / h, 0.0), nz - 1))
+        return int(seeds[(i * ny + j) * nz + k])
 
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tet and clipped barycentric coordinates of each of ``points`` (K, 3).

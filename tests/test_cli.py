@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from declat import generators
+from declat import cli, generators
 from declat.cli import build_parser, main
 from declat.hodge import MaterialMap, assemble_galerkin_dual, read_coo
 from declat.mesh import load_mesh
-from declat.whitney import WhitneyBasis
+from declat.whitney import OutsideMeshError, WhitneyBasis
 
 
 @pytest.fixture
@@ -341,6 +341,47 @@ def test_pic_conservation_exit_zero(tmp_path):
     assert main(["pic", "--paths", "300", "--seed", "7", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["max_residual_relative"] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tet1", "annulus"])
+def test_pic_redraws_starts_outside_the_mesh(tmp_path, monkeypatch, kind):
+    # Neither mesh fills its bounding box, so some drawn starts lie in no
+    # tet; each of those is drawn again until it lies in one.
+    mesh, out = tmp_path / f"{kind}.mesh", tmp_path / "cons.json"
+    assert main(["genmesh", "--kind", kind, "--out", str(mesh)]) == 0
+    outside, verify = [], cli.verify_conservation
+
+    def counted(*args):
+        try:
+            return verify(*args)
+        except OutsideMeshError:
+            outside.append(args[1])
+            raise
+
+    monkeypatch.setattr("declat.cli.verify_conservation", counted)
+    argv = ["pic", "--mesh", str(mesh), "--paths", "40", "--charge", "2.5", "--tau", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["paths"] == 40 and payload["max_residual"] <= 1e-12 * 5.0
+    assert len(outside) > 0
+
+
+def test_pic_refuses_after_redraw_cap(tmp_path, monkeypatch, capsys):
+    # Every start lies in no tet: the run stops after the capped redraws
+    # with one line on stderr, no traceback and no report.
+    calls = []
+
+    def outside(*args):
+        calls.append(args[1])
+        raise OutsideMeshError("lies outside the mesh")
+
+    monkeypatch.setattr("declat.cli.verify_conservation", outside)
+    out = tmp_path / "cons.json"
+    with pytest.raises(SystemExit) as exited:
+        main(["pic", "--paths", "3", "--out", str(out)])
+    assert exited.value.code == f"declat pic: no path start in the mesh in {cli._REDRAWS + 1} draws"
+    assert len(calls) == cli._REDRAWS + 1 and not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "pic"])

@@ -213,7 +213,7 @@ def test_scalar_walk_matches_matmul_walk(all_meshes, basis_of, name, seed, chord
     a = rng.dirichlet(np.ones(4)) @ mesh.vertices[mesh.tets[t]]
     b = a if chord == "still" else _path_end(mesh, a, rng, chord == "leave")
     ends = np.array([a, b])
-    tets, coords, bounds, exited = pic._walk(basis, t, ends)
+    tets, coords, bounds, exited = pic._walk(basis, t, ends.tolist())
     want_segments, want_bounds, want_exited = walk_matmul(basis, t, ends, 1e-12)
     assert exited == want_exited and (exited or chord != "leave")
     assert tets == [s[0] for s in want_segments]

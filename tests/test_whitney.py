@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 from declat import generators
@@ -116,6 +119,29 @@ class TestBarycentric:
         assert len(calls) == 1
         built = [getattr(basis, name) for name in tables]
         assert all(getattr(basis, name) is table for name, table in zip(tables, built))
+
+
+def _seed_coordinate(lo, hi, h, n):
+    """One coordinate of a seed query: in [lo, hi], on a bucket plane
+    lo + i h or one float either side of it (where the division may round
+    either way), or far outside the box (where the cell is clipped)."""
+    plane = st.integers(-1, n + 1).map(lambda i: lo + i * h)
+    return st.one_of(st.floats(lo, hi),
+                     plane.flatmap(lambda x: st.sampled_from(
+                         [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])),
+                     st.floats(1e3, 1e308).flatmap(lambda r: st.sampled_from([lo - r, hi + r])))
+
+
+@given(name=st.sampled_from(["kuhn", "box3", "jittered3", "annulus8"]), data=st.data())
+def test_one_point_seed_matches_seeds(all_meshes, basis_of, name, data):
+    # A path's start tet is read in scalar floats; it must be the tet the
+    # array lookup reads, or the deposits would differ.
+    mesh = all_meshes[name]
+    basis = basis_of(mesh)
+    lo, h, shape, _ = basis._grid
+    box = zip(lo.tolist(), mesh.vertices.max(axis=0).tolist(), shape.tolist())
+    x = [data.draw(_seed_coordinate(a, b, h, n)) for a, b, n in box]
+    assert basis._seed(*x) == basis._seeds(np.array([x]))[0]
 
 
 class TestWhitneyEval:
