@@ -121,16 +121,18 @@ class AnalyticForm:
 
 
 class WhitneyBasis:
-    """Per-tet caches for barycentric gradients; the tet adjacency, the
-    (M, 15) walk frames (v0, then the four barycentric gradients, one row
-    per tet), the tet centroids and the seed grid are built on first use."""
+    """Per-tet barycentric gradients with no LAPACK call: with e_i = v_i - v0, grad(lam_i)
+    for i = 1..3 is the area normal e_j x e_k of the face opposite v_i, (i, j, k) cyclic,
+    over the signed determinant e1 . (e2 x e3), and grad(lam_0) is minus their sum.  The
+    tet adjacency, the (M, 15) walk frames (v0, then the four gradients, one row per tet),
+    the tet centroids and the seed grid are built on first use."""
 
     def __init__(self, complex: SimplicialComplex):
-        cx = complex
-        self.complex = cx
+        self.complex = cx = complex
         tv = cx.vertices[cx.tets]  # (M, 4, 3)
-        edge_mat = tv[:, 1:] - tv[:, :1]  # rows v1-v0, v2-v0, v3-v0
-        grads = np.transpose(np.linalg.inv(edge_mat), (0, 2, 1))  # rows are grad(lam_1..3)
+        e1, e2, e3 = (tv[:, i] - tv[:, 0] for i in (1, 2, 3))
+        normals = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+        grads = normals / np.einsum("kd,kd->k", e1, normals[:, 0])[:, None, None]
         self.grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
         self.origin = tv[:, 0]
         self.scans = 0  # points located by the exhaustive-scan fallback
@@ -187,14 +189,15 @@ class WhitneyBasis:
         k = int(min(max((z - lz) / h, 0.0), nz - 1))
         return int(seeds[(i * ny + j) * nz + k])
 
+    @np.errstate(over="ignore", invalid="ignore")  # a far point's coordinates overflow
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tet and clipped barycentric coordinates of each of ``points`` (K, 3).
 
         Each point starts at its grid seed and crosses, one array step at a
         time, the face opposite its most negative coordinate until all four
-        are >= -``_LOCATE_TOL``.  A walk that meets the boundary or runs
-        4 M + 8 steps falls back to the exhaustive scan (counted in
-        ``scans``), which raises OutsideMeshError for a point in no tet.
+        are >= -``_LOCATE_TOL``.  A walk that meets the boundary or a non-finite
+        coordinate, or runs 4 M + 8 steps, falls back to the exhaustive scan
+        (counted in ``scans``), which raises OutsideMeshError for a point in no tet.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         tets = self._seeds(points)
@@ -203,10 +206,11 @@ class WhitneyBasis:
         for _ in range(4 * self.complex.n_tets + 8):
             lam[todo] = lt = self.bary(tets[todo], points[todo])
             worst = lt.argmin(axis=1)
-            walk = lt[np.arange(len(todo)), worst] < -_LOCATE_TOL
+            finite = np.isfinite(lt).all(axis=1)
+            walk = ~finite | (lt[np.arange(len(todo)), worst] < -_LOCATE_TOL)
             todo = todo[walk]
-            # Cross the face opposite the most negative coordinate (-1: boundary).
-            tets[todo] = self.neighbors[tets[todo], worst[walk]]
+            # Cross the face opposite the most negative coordinate (-1: boundary, or not finite).
+            tets[todo] = np.where(finite[walk], self.neighbors[tets[todo], worst[walk]], -1)
             todo = todo[tets[todo] >= 0]
             if len(todo) == 0:
                 break
@@ -224,7 +228,7 @@ class WhitneyBasis:
     def _scan(self, point: np.ndarray) -> tuple[int, np.ndarray]:
         """The tet with the largest smallest coordinate, and its raw coordinates."""
         lam = self.bary(np.arange(self.complex.n_tets), point)
-        worst = lam.min(axis=1)
+        worst = np.where(np.isfinite(lam).all(axis=1), lam.min(axis=1), -np.inf)
         best = int(np.argmax(worst))
         if worst[best] < -_LOCATE_TOL:
             raise OutsideMeshError(f"point {point.tolist()} lies outside the mesh")

@@ -8,7 +8,10 @@ tet-at-a-time dihedral angles.
 None of it shares code paths with the package, except the loop versions
 of the face/tet adjacency and the partition-duality scan at the end: they
 read a complex's arrays (and a basis's pointwise values) one tet at a
-time, where the package works on all tets at once.  Next to them,
+time, where the package works on all tets at once.  ``tet_grads_exact``
+inverts one tet's float edge matrix by Gauss-Jordan elimination in
+``Fraction``s, and ``_tet_grads`` by LAPACK, where the package divides
+face area normals by a determinant in floats.  Next to them,
 ``skeleton_by_search`` finds each face's edges by ``np.searchsorted`` over
 the edge keys and ``local_maps_by_argmax`` each tet's local edge and face
 positions by comparing vertex ids, where the package reads both from
@@ -56,6 +59,7 @@ the stored entries of H and of one sparse difference.
 from __future__ import annotations
 
 import csv
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -67,7 +71,7 @@ from scipy.sparse import csgraph
 from declat.exact import RankBound
 from declat.hodge import _neighbor_pattern
 from declat.maxwell import DiscreteCodifferential, Trace, ampere_step, hamiltonian
-from declat.mesh import MeshError
+from declat.mesh import MeshError, SimplicialComplex
 from declat.whitney import _GAUSS2_EDGE, _TET4, _TRI3
 
 
@@ -125,11 +129,41 @@ def tet_quadrature(order: int = 4):
 
 
 def _tet_grads(verts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The LAPACK oracle: one tet's four barycentric gradients (rows) as the
+    transposed ``np.linalg.inv`` of its edge matrix, and its volume from
+    ``np.linalg.det``; the package forms both without LAPACK."""
     e = np.stack([verts[1] - verts[0], verts[2] - verts[0], verts[3] - verts[0]])
     vol = abs(np.linalg.det(e)) / 6.0
     ginv = np.linalg.inv(e).T
     grads = np.vstack([-ginv.sum(axis=0), ginv])
     return grads, vol
+
+
+def tet_grads_exact(edges: np.ndarray) -> list[list[Fraction]]:
+    """The four barycentric gradients (rows) of the tet with float edge rows
+    ``edges`` (v1 - v0, v2 - v0, v3 - v0), exact: Gauss-Jordan elimination
+    of [edges | I] in ``Fraction``s gives the inverse, whose columns are
+    grad(lambda_1..3); grad(lambda_0) is minus their sum."""
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(3)]
+            for i, row in enumerate(edges.tolist())]
+    for c in range(3):
+        pivot = next(r for r in range(c, 3) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(3):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    grads = [[rows[d][3 + i] for d in range(3)] for i in range(3)]
+    return [[-sum(g[d] for g in grads) for d in range(3)]] + grads
+
+
+def relabel(mesh, seed) -> SimplicialComplex:
+    """``mesh`` with its vertices renumbered and its tets reordered by a seeded RNG."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return SimplicialComplex(verts, perm[mesh.tets][rng.permutation(mesh.n_tets)])
 
 
 def whitney_mass_oracle(vertices, tets, degree: int, weight=None, order: int = 4):

@@ -12,7 +12,7 @@ from declat.audit import audit_first_kind
 from declat.exact import certify_ranks, gf2_rank, grounded_components, integer_rank
 from declat.mesh import MeshError, SimplicialComplex, betti_numbers, classify_boundary
 
-from _oracles import enumerate_skeleton, graph_rank_coo
+from _oracles import enumerate_skeleton, graph_rank_coo, relabel
 
 
 def chain(mesh):
@@ -175,14 +175,6 @@ def test_betti_box10_is_fast():
     t0 = time.monotonic()
     assert betti_numbers(mesh) == (1, 0, 0)
     assert time.monotonic() - t0 < 5.0
-
-
-def relabel(mesh, seed) -> SimplicialComplex:
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(mesh.n_vertices)
-    verts = np.empty_like(mesh.vertices)
-    verts[perm] = mesh.vertices
-    return SimplicialComplex(verts, perm[mesh.tets][rng.permutation(mesh.n_tets)])
 
 
 def interior_of(mesh):

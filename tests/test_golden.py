@@ -14,9 +14,10 @@ assemble, simulate, eigen, pml: every Hodge element matrix comes from
 batched BLAS products, each tet's weighted gradient Gram and a
 moment-table product per group of 8 tets) and fail those cases without
 any change to declat.  The
-``pic`` case makes no BLAS call while it splits and deposits its paths:
-the face-crossing walk is scalar float arithmetic in a fixed order, so
-only the per-tet gradients (``numpy.linalg.inv``) come from LAPACK.
+``pic`` case makes no BLAS or LAPACK call: the per-tet gradients are face
+area normals over a determinant (``np.cross`` and ``np.einsum``), and the
+face-crossing walk that splits and deposits its paths is scalar float
+arithmetic in a fixed order.
 
 A change that moves an output on purpose updates that digest and names the
 output and the reason in ``CHANGES.md``; a digest is never dropped to get a

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi, roots_legendre
 
 from declat import generators
@@ -20,7 +21,14 @@ from declat.whitney import (
     _TET4,
 )
 
-from _oracles import interpolate_at_points_loop, partition_duality_loop, tet_quadrature
+from _oracles import (
+    _tet_grads,
+    interpolate_at_points_loop,
+    partition_duality_loop,
+    relabel,
+    tet_grads_exact,
+    tet_quadrature,
+)
 
 
 def constant_form(degree, vec):
@@ -54,6 +62,18 @@ class TestBarycentric:
         for k in (1, 2):
             with pytest.raises(OutsideMeshError, match="non-finite"):
                 basis_of(box3).locate_all(points[: k + 1])
+
+    def test_far_finite_point_raises(self, box3, basis_of):
+        # A point this far off has coordinates that overflow (inf - inf is NaN)
+        # in every tet: it lies in none, and locating it warns of nothing.
+        basis = basis_of(box3)
+        ones = Cochain(1, np.ones(box3.n_edges))
+        for z in (-1.7e308, 1e308, -1e300):
+            x = np.array([0.5, 0.5, z])
+            for locate in (basis.locate_all, basis.locate,
+                           lambda x: interpolate_at_points(basis, ones, x[None])):
+                with pytest.raises(OutsideMeshError, match="outside the mesh"):
+                    locate(x)
 
     def test_affine_reproduction(self, jittered3, basis_of, rng):
         basis = basis_of(jittered3)
@@ -101,6 +121,17 @@ class TestBarycentric:
             basis.locate(x)
         assert sum(rows) / len(pts) <= 4.0 and basis.scans == 0
 
+    def test_basis_makes_no_linalg_call(self, monkeypatch):
+        # The gradients are face normals over a determinant: no LAPACK inverse or solve.
+        mesh = generators.jittered_box_mesh(3, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("WhitneyBasis called numpy.linalg")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert np.isfinite(WhitneyBasis(mesh).grads).all()
+
     def test_tables_built_once_on_first_use(self, box3, monkeypatch):
         # A basis alone builds no adjacency, frame table, centroids or seed
         # grid; two locations and a deposit build the adjacency once, and
@@ -142,6 +173,38 @@ def test_one_point_seed_matches_seeds(all_meshes, basis_of, name, data):
     box = zip(lo.tolist(), mesh.vertices.max(axis=0).tolist(), shape.tolist())
     x = [data.draw(_seed_coordinate(a, b, h, n)) for a, b, n in box]
     assert basis._seed(*x) == basis._seeds(np.array([x]))[0]
+
+
+_GRADIENT_MESHES = {
+    "kuhn": lambda seed: generators.kuhn_cube(),
+    "box3": lambda seed: generators.box_mesh(3),
+    "jittered3": lambda seed: generators.jittered_box_mesh(3, seed=seed),
+    "annulus8": lambda seed: generators.annulus_mesh(8),
+    "sliver": lambda seed: generators.sliver_mesh(delta=1e-7),
+}
+
+
+@pytest.mark.parametrize("name", _GRADIENT_MESHES)
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2**16), perm_seed=st.integers(0, 2**16))
+def test_gradients_match_exact_inverse(name, seed, perm_seed):
+    # Relabelling changes each tet's v0 and edge order.  Both the closed form
+    # and the LAPACK oracle stay within 4 eps of each row's largest entry of
+    # the exact inverse of the float edge rows (the ones both invert), and
+    # grad(lam_i) . (v_j - v0), summed exactly, is lam_i(v_j) - lam_i(v0) to 8 eps.
+    mesh = relabel(_GRADIENT_MESHES[name](seed), perm_seed)
+    grads = WhitneyBasis(mesh).grads
+    eps = Fraction(np.finfo(float).eps)
+    for t, verts in enumerate(mesh.vertices[mesh.tets]):
+        edges = verts[1:] - verts[:1]
+        lapack, _ = _tet_grads(verts)
+        for i, row in enumerate(tet_grads_exact(edges)):
+            bound = 4 * eps * max(map(abs, row))
+            for got in (grads[t, i], lapack[i]):
+                assert max(abs(Fraction(g) - r) for g, r in zip(got.tolist(), row)) <= bound
+            for j, e in enumerate(edges.tolist(), start=1):
+                dot = sum(Fraction(g) * Fraction(c) for g, c in zip(grads[t, i].tolist(), e))
+                assert abs(dot - (int(i == j) - int(i == 0))) <= 8 * eps
 
 
 class TestWhitneyEval:
