@@ -89,12 +89,12 @@ GOLDEN = {
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "928dfc8c212fde2dfbf7046036a65e52c0a14c33f1521d757df449329c009e8e",
+        "audit.json": "07a31016451083684d774940017e4526824bac6669bb4fb696d40a66e71364f4",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "b097783e174c86f0226424f75197f8da3e0101b59849b42f3ca004652458fbde",
+        "audit.json": "b5947d07946c6cfa41d5bb6458704b0862af45a6e25273eda1d48817269f6028",
     },
     "audit/sliver": {
         "exit": 1,
@@ -136,14 +136,14 @@ GOLDEN = {
     "assemble/annulus8": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "73b936d1f67cb10654124720e365eb56447487eff694401b7d5e6188f9d31f50",
-        "star.mu.coo": "0371a94ea4d6a745c0d2dc41f3a77f939258b069efc1f90fba13f372cb875244",
+        "star.eps_inv.coo": "571735c8de8ddba80278bd9c01990c5669ba55249ba06fa6629b6f3aa53547ef",
+        "star.mu.coo": "a869f20091f6eaab142681830103c72a11ad4be7a90281332a95bea1f97c7403",
     },
     "assemble/jittered3": {
         "exit": 0,
         "stdout": "facc191844c6c1f3d89a43d26891f720fd8f96adf12638ef40bd9d7c78015ffe",
-        "star.eps_inv.coo": "ce23d3c82d6c81b342717f421e10c28e77e8af7c48cfa77f4dd599483f5d5794",
-        "star.mu.coo": "4a4ab13fbbb145310df706a986fd2d915c3e6edbd6e9b7a046699c0740f27e42",
+        "star.eps_inv.coo": "6f7ffd17b598c704238969e156e577c5f7ec2ea7ac01760eefa15cf195a303b0",
+        "star.mu.coo": "981c5361525824cbdd8bbb2d6631f65ff3fff6ff5f801c5c3e5491d4ab7296ae",
     },
     "eigen/kuhn": {
         "exit": 0,
@@ -158,26 +158,26 @@ GOLDEN = {
     "eigen/box6": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "eigen.json": "92d3c842f9e2b82880003e4685abfcd11c8727aafa2af6c7bc977dccf92884ce",
+        "eigen.json": "b46d5a27bb6189359670c2c2de46d269608fc4d2e96a5fc4213281312fad9efc",
     },
     "simulate/exact": {
         "exit": 0,
-        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
-        "trace.csv": "b4fc120c44022ebd2b8653a7aef8cda93791ea578a6a3c51fb0a386a672f2747",
+        "stdout": "72c8eb7d0a5f7888b578ff2858c60dced41e42bf56c4373a7b73fe7b7604fcc5",
+        "trace.csv": "95747d2b15576de70befba4c7a0800a28e98b1d10c6e38bee8023114f803ceee",
     },
     "simulate/spai:2": {
         "exit": 0,
-        "stdout": "73f74819ba7b6d2e5210ec1a0c61c0d9312fd8d7d006cc750cf3427b9369f3be",
-        "trace.csv": "dd24d287f65c75d1a9b88ff6f2b1d6e11629a37175a73563c18e62f052d0fa51",
+        "stdout": "914a5cdf05981650ae49b434a9d0733a40272a2ba632ca9df8ec9a2745300855",
+        "trace.csv": "e3c4c1763ba68ad0c5caa0f9a39fdf3114eb299aa665a243350aff25eba88158",
     },
     "simulate/every7": {
         "exit": 0,
-        "stdout": "9033fea19589948d9fe9b0b848d22b4099a9796f806068e57e9e4c82e99ea0cc",
-        "trace.csv": "e162e5406913200881e1202700e930f04b235abbf0bc6629a1cc52ebee9ae5f6",
+        "stdout": "c33a4bac5fbd0b7220c5cbcb5fe8f30855bae9b9d37e23b7cdec51754ac5130d",
+        "trace.csv": "b31c416e46f3f3f21e392deb31bccdbdbf4adf95bc261460d7e7730d16e3cf8f",
     },
     "pic": {
         "exit": 0,
-        "stdout": "978e2dc99fa0e13896c02218feab5a887a04e2e13f05d64b4febc7916a2fbbf0",
+        "stdout": "3d5fb894d0ea7cf763fbb5b003b8dec904e0288b5e5f0d976926e7d4714e444d",
     },
     "pml": {
         "exit": 0,

@@ -331,12 +331,14 @@ def _complex_kuhn_star(kuhn, basis):
 
 # SHA-256 of the CSR arrays of M (as _star_digest hashes them) and
 # repr(residual), for the eps star of jittered n=3 and the complex kuhn star,
-# re-recorded when tets became sorted rows (the stars moved by rounding).
+# re-recorded when tets became sorted rows (the stars moved by rounding), and
+# the jittered3 ones again when the barycentric gradients became face normals
+# over a determinant (last-bit moves wherever the edges are not dyadic).
 _SPAI_DIGESTS = {
-    "jittered3/0": "d14b50fd86d2c8258a00a32fa28d573e06556a14376f51cb64df711288cdf7ee",
-    "jittered3/1": "ff02e7944996ac12186d0f11cc025085a2ecf322e5fc5c998689165e7c59d1ce",
-    "jittered3/2": "55fc5a20503375801f397390690bf1c72560427306f4f76ab4e2a3ae324e6aa7",
-    "jittered3/3": "c41b325c814e6298b0c6c61f23347c5bc3f228970bf16f5b8c336e32d088b228",
+    "jittered3/0": "fb9c4fb3cbd2431a25c0f59edd44f060e70bed3616a26582458a2afddc602c30",
+    "jittered3/1": "4305ce21d668d7ccf7bf1f3801a32f0be68f704d75c46370538b2dca5802d373",
+    "jittered3/2": "4d40175631f2b599a0d11df14e87d3ed6633c243575c1ee9e4601ccb3423581d",
+    "jittered3/3": "aad49c48f99860c14903741de32c4799782806f748769339a56343cd706cd45a",
     "kuhn_complex/0": "5ed978ff7812140ed9babf742b9af630d734e00f70ee8c4464bc2b0f5531bdc4",
     "kuhn_complex/1": "0a1959d8bbd6605456ee5e1a78c3d965b84bf681a15ea2d9771c077b4567ac55",
     "kuhn_complex/2": "0a1959d8bbd6605456ee5e1a78c3d965b84bf681a15ea2d9771c077b4567ac55",
@@ -597,17 +599,19 @@ _STAR_MESHES = {
 # Digests of the assembled stars' CSR arrays (float bytes included, numpy
 # 2.4 and its bundled OpenBLAS on x86-64), re-recorded when tets became
 # sorted rows: a tet whose sorted row has negative volume now meets the
-# moment table in another summation order.  The stars feed the simulation,
-# so nothing else may move them.
+# moment table in another summation order.  annulus8 and jittered6 were
+# re-recorded again when the barycentric gradients became face normals over
+# a determinant: their edges are not dyadic, so the gradients moved in their
+# last bits.  The stars feed the simulation, so nothing else may move them.
 _STAR_DIGESTS = {
     "kuhn/eps": "da2a276f6838441fa0a57adc50303df2d25ee9ceca4e9308f41a689a20d47dba",
     "kuhn/mu_inv": "b4de7781426db0ac035cb5d3587cc33608e2646318a5a186b216ffd0ef4dee21",
     "box4/eps": "bfa090717c1a2bd68ef2a3b8faf2a159b02abdb3cff175c090cd934b72433163",
     "box4/mu_inv": "494d44b8ea93e4e6094bee9c09a22c4ad918e0c599e83af0a49b9aac2b28df71",
-    "annulus8/eps": "ab33349ff3b7c6b4314c45cc4da5f0130af9fc67ab79ca655f78dd48a08a0d87",
-    "annulus8/mu_inv": "6ddc4ed522cf00d6154292e5a538f3775e5f461bbe775dc8993ac6589ea44822",
-    "jittered6/eps": "f76a06cd5a22c4e9e036d41e08e758b3853178aeab148a012ef7feb8160f5295",
-    "jittered6/mu_inv": "98856022684f349971f672994880663c50d0fa408596d4049e6067a8fb9e9c80",
+    "annulus8/eps": "04760e8076d31870b520e3af88e1703734ded39e58e27fdd7946857b5ab7270a",
+    "annulus8/mu_inv": "57a6ce70d92f2f8c6ef7551fc2fd3a256aaabc1e938805d2da5c445d870e1133",
+    "jittered6/eps": "77480491bc2181153efa3b5fddb8fa2a62d2618404796e91d6a3ace2fc001350",
+    "jittered6/mu_inv": "99c75fa3216d897d99b8aa8d907d853c1d728ae760d3cc3daa06be4acb051b10",
 }
 
 
