@@ -121,11 +121,10 @@ class AnalyticForm:
 
 
 class WhitneyBasis:
-    """Per-tet barycentric gradients with no LAPACK call: with e_i = v_i - v0, grad(lam_i)
-    for i = 1..3 is the area normal e_j x e_k of the face opposite v_i, (i, j, k) cyclic,
-    over the signed determinant e1 . (e2 x e3), and grad(lam_0) is minus their sum.  The
-    tet adjacency, the (M, 15) walk frames (v0, then the four gradients, one row per tet),
-    the tet centroids and the seed grid are built on first use."""
+    """Per-tet barycentric gradients, formed as face area normals over the
+    signed determinant with no LAPACK call; the tet adjacency, the (M, 15)
+    walk frames (v0, then the four gradients, one row per tet), the tet
+    centroids and the seed grid are built on first use."""
 
     def __init__(self, complex: SimplicialComplex):
         self.complex = cx = complex

@@ -64,8 +64,8 @@ class TestBarycentric:
                 basis_of(box3).locate_all(points[: k + 1])
 
     def test_far_finite_point_raises(self, box3, basis_of):
-        # A point this far off has coordinates that overflow (inf - inf is NaN)
-        # in every tet: it lies in none, and locating it warns of nothing.
+        # The first two points' coordinates overflow (inf - inf is NaN) in every
+        # tet, the third's do not: none lies in a tet, and none makes a warning.
         basis = basis_of(box3)
         ones = Cochain(1, np.ones(box3.n_edges))
         for z in (-1.7e308, 1e308, -1e300):
