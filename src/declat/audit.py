@@ -14,12 +14,11 @@ instability in marching schemes.
 Section three (metric) checks the discrete Hodge matrices: symmetry at
 rounding scale and positive definiteness, with the worst-shaped cells
 reported alongside any near-indefiniteness since highly skewed or obtuse
-cells are the usual culprits.  A star the audit builds itself, one at a
-time, is proved symmetric and positive definite from its per-tet element
-matrices, neither assembled nor factored, when both element bounds clear;
-otherwise it is assembled.  Stars handed in, or whose element lambda_min
-bound does not clear the margin, get a factored estimate, and the row
-says it is not a proof.
+cells are the usual culprits.  A star the audit builds, one at a time, is
+symmetric by construction; when its element lambda_min bound clears the
+margin, that bound proves it positive definite, with no assembly and no
+factorisation.  Any other star is measured, and its factored estimate is
+marked as no proof.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ __all__ = [
 
 # Largest relative asymmetry ||H - H^T||_F / ||H||_F a star may show.
 _SYM_TOL = 1e-13
+# Why a star built from its element matrices is exactly symmetric (hodge module docstring).
+_BUILT_SYMMETRIC = "exact: bitwise-symmetric element matrices, at most two per off-diagonal entry"
 # A star is positive definite when its lambda_min bound or estimate clears _SPD_MARGIN max|H_ii|.
 _SPD_MARGIN = 1e-12
 
@@ -114,12 +115,12 @@ class AuditReport:
         )
 
 
-def _located_max(mat: sparse.spmatrix) -> tuple[int, tuple[int, int]]:
+def _located_max(mat: sparse.spmatrix) -> tuple[float, tuple[int, int]]:
     coo = sparse.coo_matrix(mat)
     if coo.nnz == 0:
-        return 0, (-1, -1)
+        return 0.0, (-1, -1)
     k = int(np.argmax(np.abs(coo.data)))
-    return int(abs(coo.data[k])), (int(coo.row[k]), int(coo.col[k]))
+    return float(abs(coo.data[k])), (int(coo.row[k]), int(coo.col[k]))
 
 
 def audit_first_kind(
@@ -138,8 +139,7 @@ def audit_first_kind(
         C.update(incidence_override)
 
     for p in (0, 1):
-        comp = (C[p + 1] @ C[p]).astype(np.int64)
-        worst, where = _located_max(comp)
+        worst, where = _located_max(C[p + 1] @ C[p])
         section.add(
             f"nilpotency C{p + 1}C{p}",
             worst,
@@ -207,9 +207,8 @@ def audit_second_kind(
         return sparse.csr_matrix(mat)[cls.interior_edges][:, cls.interior_faces]
 
     if dual_incidence is not None:
-        # Exact integer comparison, located in full edge/face indices.
-        diff = sparse.coo_matrix(interior(dual_incidence) - interior(Ct))
-        worst, (r, c) = _located_max(diff)
+        # Exact comparison, located in full edge/face indices.
+        worst, (r, c) = _located_max(interior(dual_incidence) - interior(Ct))
         where = (int(cls.interior_edges[r]), int(cls.interior_faces[c])) if worst else (-1, -1)
         section.add(
             "dual derivative equals transposed incidence (interior)",
@@ -257,16 +256,14 @@ def audit_hodge(
     """Symmetry and positive definiteness of the two stars.
 
     A star not handed in is built from ``complex`` with the default
-    materials, one at a time, and its element matrices are let go before
-    the next star is built.  They prove lambda_min >= lam, max|H_ii| <= D
-    and a relative asymmetry of at most s, summed in any order
-    (:meth:`~declat.hodge.ElementMatrices.bounds`).  If lam > ``_SPD_MARGIN``
-    D and s <= ``_SYM_TOL``, the rows report lam and s and the star is never
-    assembled.  Otherwise it is assembled, and its symmetry and margin are
-    measured.  A star handed in, or whose lam does not clear the margin,
-    gets the ``check_spd`` estimate, which is not a proof, and the row says
-    so.  The bounds lie on the safe side, so no proved row passes that
-    would fail when measured.
+    materials, one at a time, its element matrices let go before the next.
+    They prove lambda_min >= lam and max|H_ii| <= D in any summation order
+    (:meth:`~declat.hodge.ElementMatrices.bounds`), and the star they sum is
+    bitwise symmetric.  If lam > ``_SPD_MARGIN`` D, the rows report 0.0 and
+    lam, and the star is never assembled.  Any other star is assembled if
+    need be and takes both rows from ``check_spd``, whose estimate the row
+    marks as no proof.  The bound lies on the safe side, so no proved row
+    passes that would fail when measured.
 
     Near-indefiniteness is correlated with cell shape: the tets with the
     most extreme dihedral angles are listed when the margin check fires.
@@ -291,26 +288,22 @@ def audit_hodge(
                 raise ValueError(f"no {name} handed in and no complex to build it from")
             basis = basis or WhitneyBasis(complex)
             elem = hodge.star_elements(complex, None, which, basis)
-            bound, diag, sym = elem.bounds()
-            margin, min_eig, how = _SPD_MARGIN * diag, bound, "element lower bound"
-            # Proved from its elements, the star is never assembled.
-            H = None if bound > margin and sym <= _SYM_TOL else elem.assemble()
+            bound, diag = elem.bounds()
+            margin = _SPD_MARGIN * diag
+            H = None if bound > margin else elem.assemble()  # a proved star is never assembled
             del elem  # its arrays go before the next star is built
-        if H is not None:
-            if H.shape[0] == 0:
-                continue
+        if H is None:
+            sym, min_eig, why, how = 0.0, bound, _BUILT_SYMMETRIC, "element lower bound"
+        elif H.shape[0] == 0:
+            continue
+        else:
             margin = _SPD_MARGIN * float(np.abs(H.diagonal()).max())
-            if bound is not None and bound > margin:
-                sym, min_eig, how = hodge.symmetry_deviation(H), bound, "element lower bound"
-            else:
-                sym, min_eig = hodge.check_spd(H)
-                how = "estimate, not proved"
-                if bound is not None:
-                    how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
-                if not min_eig > margin:
-                    how += f"; near-indefinite{worst_cells()}"
-        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL,
-                    detail="" if H is not None else "element upper bound")
+            (sym, min_eig), why, how = hodge.check_spd(H), "", "estimate, not proved"
+            if bound is not None:
+                how = f"element lower bound {bound:.3e} does not clear the margin; {how}"
+            if not min_eig > margin:
+                how += f"; near-indefinite{worst_cells()}"
+        section.add(f"{name} symmetry", sym, _SYM_TOL, sym <= _SYM_TOL, detail=why)
         section.add(f"{name} positive definite", min_eig, margin, min_eig > margin, detail=how)
     return section
 

@@ -9,16 +9,21 @@ Counting dimensions on the boundary-reduced complex gives
 
 with h1, h2 the relative harmonic dimensions (zero on ball-like meshes,
 where the raw interior counts of the polyhedron-formula bookkeeping are
-recovered).  The two counts agree on every accepted mesh, handles
-included, and equal the rank of the reduced face/edge incidence matrix,
-which is also the number of nonzero curl-curl eigenvalues.
+recovered).  The four identities rest on (a) rank C0 = N_V_h and (b)
+rank C2 = N_P - 1, for the reduced incidence matrices: ``theta_equality``
+and ``euler_combined`` are one integer equation that (a) and (b) make
+true; ``theta_equals_rank`` (Theta_E = rank C1, the count of nonzero
+curl-curl eigenvalues) and ``gradients_grounded`` each hold iff (a).  A
+mesh not refused as disconnected has both: its interior vertices reach
+the boundary along interior edges, and its tets are face-connected (the
+constructor refuses a vertex whose tets do not connect through faces that
+contain it).
 
-Ranks of the boundary-reduced incidence matrices come from
-:func:`declat.exact.certify_ranks`: graph components pin the gradient and
-tet/face ranks exactly, and a peel (plus a GF(2) rank of the rows it leaves)
-that meets a chain-complex upper bound pins the curl rank.  A rank whose bounds
-do not meet is reported as its proved lower bound, with ``rank_certified``
-False and a note naming the bound that failed.
+Ranks come from :func:`declat.exact.certify_ranks`: graph components pin
+the gradient and tet/face ranks, and a peel (plus a GF(2) rank of the rows
+it leaves) meeting a chain-complex upper bound pins the curl rank; a rank
+whose bounds do not meet is reported as its proved lower bound, with
+``rank_certified`` False and a note naming the bound that failed.
 """
 
 from __future__ import annotations

@@ -222,9 +222,7 @@ def _graph_rank(mat: sparse.spmatrix, what: str) -> RankBound:
         r = int(pair[np.argmax(head != -tail)])
         return RankBound(0, min(m, n), f"{what} {r} is not one +a and one -a")
     # Columns, then a node per row joined to them: columns keep the pair graph's labels.
-    graph = sparse.csr_matrix((np.ones(len(csr.indices)), csr.indices, np.concatenate(
-        [np.zeros(n, dtype=csr.indptr.dtype), csr.indptr])), shape=(n + m, n + m))
-    labels = csgraph.connected_components(graph, directed=False)[1][:n]
+    labels = graph_components(n + m, n + np.repeat(np.arange(m), per_row), csr.indices)[1][:n]
     grounded = np.zeros(labels.max(initial=-1) + 1, dtype=bool)
     grounded[labels[csr.indices[first[per_row == 1]]]] = True
     rank = n - int(np.count_nonzero(~grounded))

@@ -12,10 +12,13 @@ uniform field, one per tet otherwise) and reaches the tets as a broadcast.
 Each star is the sum over tets of small element matrices
 (:class:`ElementMatrices`), built and bounded in fixed blocks of tets, so
 the transient memory is one block's; each, a tet's weighted gradient Gram
-times a constant moment table, is exactly symmetric.  They prove H positive
-definite without a factorisation: lambda_min(H) >= min diag(H) times the
-smallest eigenvalue of any element matrix scaled to unit diagonal (Wathen),
-less an allowance for rounding in ``eigvalsh`` and in the assembly sum.
+times a constant moment table, is exactly symmetric, and so is H in any
+summation order: two simplices of a tet span the tet or a face of at most
+two tets, so an off-diagonal entry sums at most two mirrored element entries,
+and IEEE addition commutes.  The elements prove H positive definite
+without a factorisation: lambda_min(H) >= min diag(H) times the smallest
+eigenvalue of any element matrix scaled to unit diagonal (Wathen), less an
+allowance for rounding in ``eigvalsh`` and in the assembly sum.
 :func:`check_spd` serves a star handed in without its element matrices:
 it factors the star and returns a smallest-eigenvalue estimate that is
 never below lambda_min but is no proof.
@@ -138,12 +141,12 @@ class ElementMatrices:
             (self.local.reshape(-1), (rows, cols)), shape=(self.n, self.n)
         ).tocsr()
 
-    def bounds(self) -> tuple[float, float, float]:
-        """Proved (lam, D, s) for the assembled star H, in one pass over tet blocks.
+    def bounds(self) -> tuple[float, float]:
+        """Proved (lam, D) for the assembled star H, in one pass over tet blocks.
 
-        lam <= lambda_min(H), D >= max|H_ii| and s >= ||H - H^T||_F / ||H||_F
-        for H summed in any order.  eps is the machine epsilon and k the
-        largest number of tets that share a simplex.
+        lam <= lambda_min(H) and D >= max|H_ii| for H summed in any order.
+        eps is the machine epsilon and k the largest number of tets that
+        share a simplex.
         - lam (Wathen 1987): x^T H x = sum_e x_e^T M_e x_e >= theta x^T diag(H) x,
           theta the least theta_e = lambda_min(D_e^-1/2 M_e D_e^-1/2),
           D_e = diag(M_e) (one batched ``eigvalsh`` per block).  theta_e is
@@ -151,19 +154,13 @@ class ElementMatrices:
           backward error), min diag(H) by (k + 2) eps relative, and the
           product by k eps R, R the largest row sum of sum_e |M_e|: the
           summed star's 2-norm distance from the exact sum.
-        - D and s (Higham 2002, section 4.2): any order of summing at most k
-          terms errs by at most gamma times the sum of their magnitudes,
-          gamma = (k - 1) u / (1 - (k - 1) u), u = eps / 2.  The diagonal
-          sums positive terms, so H_ii is within a factor g = (1 + gamma) /
-          (1 - gamma) of d_i, its sum in tet order: D = g max d, and
-          ||H||_F >= ||d||_2 / g.  H_ij and H_ji sum the same terms (each
-          M_e is bitwise symmetric, checked), so |H_ij - H_ji| <= 2 gamma
-          sum_e |M_e|_ab, whose Frobenius norm is at most sqrt(k S),
-          S = sum_e ||M_e||_F^2 (Cauchy-Schwarz): s = 2 gamma g sqrt(k S) /
-          ||d||_2.  D and s are rounded up for their own sums and products.
-        A nonpositive element diagonal gives (-inf, inf, inf), theta <= 0
-        gives lam = -inf, and an element matrix that is not bitwise
-        symmetric gives lam = -inf and s = inf.  Real element matrices only.
+        - D (Higham 2002, section 4.2): H_ii sums at most k positive terms,
+          so in any order it is within a factor g = (1 + gamma) / (1 - gamma)
+          of d_i, its sum in tet order, gamma = (k - 1) u / (1 - (k - 1) u),
+          u = eps / 2: D = g max d, rounded up for its products.
+        A nonpositive element diagonal gives (-inf, inf); theta <= 0, or an
+        element matrix that is not bitwise symmetric, gives lam = -inf.
+        Real element matrices only.
         """
         if np.iscomplexobj(self.local):
             raise ValueError("element bound needs real symmetric element matrices")
@@ -171,8 +168,8 @@ class ElementMatrices:
         m, n_loc = self.ids.shape
         d_loc = np.diagonal(self.local, axis1=1, axis2=2)
         if not np.all(d_loc > 0):
-            return float("-inf"), float("inf"), float("inf")
-        theta, mirrored, row_sums, squares = np.inf, True, np.empty((m, n_loc)), np.empty(m)
+            return float("-inf"), float("inf")
+        theta, mirrored, row_sums = np.inf, True, np.empty((m, n_loc))
         for blk in (slice(lo, lo + _TET_BLOCK) for lo in range(0, m, _TET_BLOCK)):
             local = self.local[blk]
             s = 1.0 / np.sqrt(d_loc[blk])
@@ -180,7 +177,6 @@ class ElementMatrices:
             lam = np.linalg.eigvalsh(A)[:, 0] - 8 * n_loc * eps * np.linalg.norm(A, axis=(1, 2))
             theta = float(np.minimum(theta, lam.min()))  # NaN stays NaN
             np.abs(local).sum(axis=2, out=row_sums[blk])
-            np.einsum("eab,eab->e", local, local, out=squares[blk])  # ||M_e||_F^2
             mirrored = mirrored and np.array_equal(local, local.transpose(0, 2, 1))
         ids = self.ids.ravel()
         k = int(np.bincount(ids).max())
@@ -189,11 +185,7 @@ class ElementMatrices:
         bound = theta * float(diag.min()) * (1 - (k + 2) * eps) - k * eps * float(rows.max())
         gamma = (k - 1) * eps / (2 - (k - 1) * eps)  # (k - 1) u / (1 - (k - 1) u)
         g = (1 + gamma) / (1 - gamma) * (1 + 16 * eps)  # the products' rounding
-        sym = 2 * gamma * np.sqrt(k * squares.sum()) * g / float(np.linalg.norm(diag))
-        sym *= 1 + (m * n_loc * n_loc + self.n) * eps  # S's and ||d||_2's sums
-        if not mirrored:
-            return float("-inf"), float(diag.max() * g), float("inf")
-        return (bound if theta > 0 else float("-inf")), float(diag.max() * g), float(sym)
+        return (bound if theta > 0 and mirrored else float("-inf")), float(diag.max() * g)
 
 
 def _moment_table(p: int, moments: np.ndarray) -> np.ndarray:

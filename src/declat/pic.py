@@ -140,6 +140,8 @@ def _deposit(basis, x_start, x_end, q: float, tau: float):
     tets, lam = np.array(tets), np.array(coords).reshape(-1, 2, 4)
     lam_a = lam[:, 0]
     dlam = lam[:, 1] - lam_a
+    if not np.isfinite(dlam).all():  # as in locate_all, a point whose coordinates overflow
+        raise OutsideMeshError("a path end whose coordinates overflow lies in no tet")
     par = np.array(bounds)[:, None]
     lam_in, lam_out = lam_a + par[:-1] * dlam, lam_a + par[1:] * dlam
     mean = 0.5 * (lam_in + lam_out)
@@ -165,10 +167,10 @@ def scatter_current(
 
     The start tet is found as the module docstring says (``basis.locate``
     also takes a seed walk that reaches its step cap), and a start in no tet
-    or a non-finite end raises OutsideMeshError.  The path is then split at
-    cell boundaries, one face crossing at a time, and all within-tet
-    segments are deposited in closed form at once.  If the path leaves the
-    mesh the scatter is partial up to the exit point and flagged.
+    or an end not finite or whose coordinates overflow raises OutsideMeshError.
+    The path is then split at cell boundaries, one face crossing at a time, and
+    all within-tet segments are deposited in closed form at once.  If the path
+    leaves the mesh the scatter is partial up to the exit point and flagged.
     """
     cx = basis.complex
     tets, lam_end, current, rate, exited = _deposit(basis, x_start, x_end, q, tau)

@@ -7,6 +7,7 @@ from scipy import sparse
 
 from declat import generators, hodge
 from declat.audit import (
+    _BUILT_SYMMETRIC,
     _SPD_MARGIN,
     _dihedral_extremes,
     audit_first_kind,
@@ -73,6 +74,23 @@ class TestSecondKind:
         bad[e, f] = -bad[e, f] if bad[e, f] != 0 else 1
         section = audit_second_kind(kuhn, dual, dual_incidence=bad.tocsr())
         assert not section.passed
+
+    def test_fractional_dual_incidence_fault_fails(self):
+        # A float dual incidence with one interior entry halved (-1 to -0.5)
+        # is off by 0.5 there, which truncation to an integer would hide.
+        from declat.mesh import classify_boundary
+
+        box2 = generators.box_mesh(2)
+        cls = classify_boundary(box2)
+        Ct = box2.incidence(1).T.tocsr()
+        r, c = np.argwhere(Ct[cls.interior_edges][:, cls.interior_faces].toarray() == -1)[0]
+        e, f = int(cls.interior_edges[r]), int(cls.interior_faces[c])
+        bad = Ct.astype(float).tolil()
+        bad[e, f] = -0.5
+        section = audit_second_kind(box2, DualComplex(box2), dual_incidence=bad.tocsr())
+        row = section.checks[0]
+        assert row.name == "dual derivative equals transposed incidence (interior)"
+        assert not row.passed and row.measured == 0.5 and row.detail == f"worst entry at {(e, f)}"
 
     def test_corrupted_dual_geometry_fails(self, box3):
         from declat.mesh import classify_boundary
@@ -242,11 +260,10 @@ class TestElementBoundPath:
             assert run_full_audit(box3).passed
         assert len(calls) == (2 if handed_in else 0)
 
-    @pytest.mark.parametrize("sym_tol", [None, 1e-20])
+    @pytest.mark.parametrize("sym_tol", [None])
     def test_built_star_assembled_only_when_unproved(self, box3, monkeypatch, sym_tol):
-        # Both element proofs clear: no star is assembled.  With the
-        # tolerance below the symmetry bound, each star is assembled and its
-        # rows are the measured symmetry and the exact-diagonal margin.
+        # The element bound clears the margin: no star is assembled, and the
+        # symmetry row reports the exact 0.0 that the assembled star has.
         calls = []
         real = hodge.ElementMatrices.assemble
 
@@ -255,22 +272,16 @@ class TestElementBoundPath:
             return real(elements)
 
         monkeypatch.setattr(hodge.ElementMatrices, "assemble", counted)
-        if sym_tol is not None:
-            monkeypatch.setattr("declat.audit._SYM_TOL", sym_tol)
         report = run_full_audit(box3)
         rows = {c.name: c for c in report.sections[2].checks}
-        assert report.passed
-        assert len(calls) == (0 if sym_tol is None else 2)
+        assert report.passed and calls == []
         for name, which in (("eps star", "eps"), ("mu-inverse star", "mu_inv")):
             sym, spd = rows[f"{name} symmetry"], rows[f"{name} positive definite"]
             H = assemble_hodge(box3, None, which)
+            assert sym.measured == 0.0 == hodge.symmetry_deviation(H)
+            assert sym.detail == _BUILT_SYMMETRIC
             diag = float(np.abs(H.diagonal()).max())
-            if sym_tol is None:
-                assert 0.0 < sym.measured <= 1e-14 and sym.detail == "element upper bound"
-                assert diag < spd.threshold / _SPD_MARGIN < diag * (1 + 1e-14)
-            else:
-                assert sym.measured == hodge.symmetry_deviation(H) and sym.detail == ""
-                assert spd.threshold == _SPD_MARGIN * diag
+            assert diag < spd.threshold / _SPD_MARGIN < diag * (1 + 1e-14)
             assert spd.detail == "element lower bound"
 
 

@@ -79,22 +79,22 @@ GOLDEN = {
     "audit/kuhn": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "4a01a5c430f331e696361c1443ae5dee33ae772f25b924c2e11f48b477b07c2f",
+        "audit.json": "646280b6fdbfd5ba3b204d96e42a88153bc70c8f44f65321de1c2ba6a462e1cf",
     },
     "audit/box4": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "e24cb57058986bd468ca155a3b947071a4f5275094cf980f8dae6a0701507600",
+        "audit.json": "edacb6808b02d4dbf8ef22cfd644a623fc7cec66fc0e2f5b2796560dbcd44f11",
     },
     "audit/annulus8": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "07a31016451083684d774940017e4526824bac6669bb4fb696d40a66e71364f4",
+        "audit.json": "5b604669d88a22fe8e07f3aef86c62e8149c6d5abc5d2bc2616b13fae5c97b06",
     },
     "audit/jittered3": {
         "exit": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "audit.json": "b5947d07946c6cfa41d5bb6458704b0862af45a6e25273eda1d48817269f6028",
+        "audit.json": "7c0425d5e48fef547f7358ee79af09dea59a4e00a3b228f9cc99292932742429",
     },
     "audit/sliver": {
         "exit": 1,

@@ -308,6 +308,22 @@ def test_non_finite_path_end_raises(box3, basis_of, start, end):
         scatter_current(basis_of(box3), np.array(start), np.array(end), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("end", [(0.5, 0.5, 1e308), (1e308, 1e308, 1e308), (0.5, 0.5, -1.7e308)])
+def test_far_finite_path_end_raises(box3, basis_of, end):
+    # The end's coordinates overflow (inf - inf is NaN), so, as locate_all
+    # rules for far points, it lies in no tet; no RuntimeWarning comes first
+    # (warnings are errors in this suite).
+    for deposit in (scatter_current, verify_conservation):
+        with pytest.raises(OutsideMeshError, match="overflow"):
+            deposit(basis_of(box3), np.full(3, 0.5), np.array(end), 1.0, 1.0)
+
+
+def test_far_end_whose_coordinates_fit_exits(box3, basis_of):
+    a, b = np.full(3, 0.5), np.array([0.5, 0.5, 1e300])
+    assert scatter_current(basis_of(box3), a, b, 1.0, 1.0).exited
+    assert verify_conservation(basis_of(box3), a, b, 1.0, 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("name, value", [
     *((name, value) for name in ("leapfrog_run dt", "push dt", "scatter_current tau")
       for value in (0.0, -1.0, math.nan, math.inf)),
